@@ -12,9 +12,6 @@ factors.  This package provides:
 - LP-backed oracles (support, membership, emptiness, empirical sharpness,
   2D boundary/area) on a self-contained bounded-variable simplex, and
 - an exact hybrid-zonotope encoding of ReLU network graphs and level sets.
-
-Set ``ZONOSHARP_DISABLE_NUMBA=1`` to run the LP kernel as pure numpy
-instead of the jit-compiled default.
 """
 
 from .core import (

@@ -1,11 +1,7 @@
 """Bounded-variable primal simplex kernel.
 
 This is the hot loop of the package: every support evaluation, membership
-test, and emptiness check bottoms out here.  The pivoting code is written in
-numba-compatible vectorized numpy; by default it is jit-compiled, and setting
-the environment variable ZONOSHARP_DISABLE_NUMBA=1 selects the pure-numpy
-path instead (same code object, no compilation).  benchmarks/bench_lp.py
-compares the two.
+test, and emptiness check bottoms out here.  It is plain vectorised numpy.
 
 Pricing is Dantzig (most violated reduced cost) with an automatic switch to
 Bland's rule after a run of degenerate steps, which guarantees termination.
@@ -29,8 +25,6 @@ from the pass's final basis:
 `min_infeasibility` certifies its residual in the same way: a small one by
 the point it returns, a large one by a Farkas ray.
 """
-
-import os
 
 import numpy as np
 
@@ -61,11 +55,8 @@ def _simplex_loop(T, A_all, b, x, L, U, basis, in_basis, at_upper, cost, max_ite
                 return 2
             T[:, :] = sol[0]
             xn = x.copy()
-            for i in range(m):
-                xn[basis[i]] = 0.0
-            xB_new = np.linalg.lstsq(B, b - A_all @ xn, rcond=-1.0)[0]
-            for i in range(m):
-                x[basis[i]] = xB_new[i]
+            xn[basis] = 0.0
+            x[basis] = np.linalg.lstsq(B, b - A_all @ xn, rcond=-1.0)[0]
             pivots_since_refactor = 0
         cb = cost[basis]
         y = cb @ T
@@ -103,9 +94,7 @@ def _simplex_loop(T, A_all, b, x, L, U, basis, in_basis, at_upper, cost, max_ite
         if t_flip < t_basic - 1e-12:
             # entering variable runs to its other bound; basis unchanged
             t = t_flip
-            newxB = xB - t * d
-            for i in range(m):
-                x[basis[i]] = newxB[i]
+            x[basis] = xB - t * d
             if at_upper[enter]:
                 x[enter] = L[enter]
                 at_upper[enter] = False
@@ -133,8 +122,7 @@ def _simplex_loop(T, A_all, b, x, L, U, basis, in_basis, at_upper, cost, max_ite
         lv = basis[leave]
         enter_val = x[enter] + sgn * t
         newxB = xB - t * d
-        for i in range(m):
-            x[basis[i]] = newxB[i]
+        x[basis] = newxB
         if d[leave] > 0.0:
             x[lv] = L[lv]
             at_upper[lv] = False
@@ -174,13 +162,10 @@ def _refresh_basic_values(A_all, b, x, basis):
     if m == 0:
         return
     xn = x.copy()
-    for i in range(m):
-        xn[basis[i]] = 0.0
+    xn[basis] = 0.0
     rhs = b - A_all @ xn
     B = A_all[:, basis].copy()
-    xB = np.linalg.lstsq(B, rhs, rcond=-1.0)[0]
-    for i in range(m):
-        x[basis[i]] = xB[i]
+    x[basis] = np.linalg.lstsq(B, rhs, rcond=-1.0)[0]
 
 
 def _solve_attempt(c, A, b, lo, up, feas_tol, max_iter, phase1_only, always_bland):
@@ -193,35 +178,25 @@ def _solve_attempt(c, A, b, lo, up, feas_tol, max_iter, phase1_only, always_blan
     """
     m, n = A.shape
     N = n + m
-    L = np.empty(N)
-    U = np.empty(N)
-    L[:n] = lo
-    U[:n] = up
-    x = np.empty(N)
-    x[:n] = lo
-    at_upper = np.zeros(N, dtype=np.bool_)
     r = b - A @ lo
-    A_all = np.zeros((m, N))
-    A_all[:, :n] = A
-    T = np.zeros((m, N))
-    basis = np.empty(m, dtype=np.int64)
-    in_basis = np.zeros(N, dtype=np.bool_)
-    art_sign = np.empty(m)
     # loose artificial bound: a tight bound would start every artificial at
     # its upper bound and block all progress with degenerate ratios
     art_cap = np.sum(np.abs(r)) + 1.0
-    for i in range(m):
-        s = 1.0 if r[i] >= 0.0 else -1.0
-        art_sign[i] = s
-        A_all[i, n + i] = s
-        x[n + i] = np.abs(r[i])
-        L[n + i] = 0.0
-        U[n + i] = art_cap
-        basis[i] = n + i
-        in_basis[n + i] = True
-        # T = B^{-1} A_all with B = diag(s): scale row i by s
-        T[i, :] = s * A_all[i, :]
-        T[i, n + i] = 1.0
+    L = np.concatenate([lo, np.zeros(m)])
+    U = np.concatenate([up, np.full(m, art_cap)])
+    x = np.concatenate([lo, np.abs(r)])
+    at_upper = np.zeros(N, dtype=np.bool_)
+    art_sign = np.where(r >= 0.0, 1.0, -1.0)
+    arts = np.arange(m)
+    A_all = np.zeros((m, N))
+    A_all[:, :n] = A
+    A_all[arts, n + arts] = art_sign
+    # T = B^{-1} A_all with B = diag(art_sign): scale row i by art_sign[i]
+    T = art_sign[:, None] * A_all
+    T[arts, n + arts] = 1.0
+    basis = n + arts
+    in_basis = np.zeros(N, dtype=np.bool_)
+    in_basis[n:] = True
 
     cost1 = np.zeros(N)
     cost1[n:] = 1.0
@@ -232,20 +207,17 @@ def _solve_attempt(c, A, b, lo, up, feas_tol, max_iter, phase1_only, always_blan
     _refresh_basic_values(A_all, b, x, basis)
     if phase1_only:
         return 0, x[:n].copy(), basis, art_sign
-    p1 = 0.0
-    for j in range(n, N):
-        p1 += np.abs(x[j])
+    # a sequential total: np.sum adds pairwise and rounds differently
+    p1 = np.cumsum(np.abs(x[n:]))[-1] if m > 0 else 0.0
     scale = 1.0 + np.max(np.abs(b)) if m > 0 else 1.0
     if p1 > feas_tol * scale:
         return 1, x[:n].copy(), basis, art_sign
 
     # pin artificials at zero and optimize the true objective
-    for j in range(n, N):
-        L[j] = 0.0
-        U[j] = 0.0
-        if not in_basis[j]:
-            x[j] = 0.0
-            at_upper[j] = False
+    L[n:] = 0.0
+    U[n:] = 0.0
+    x[n:] = np.where(in_basis[n:], x[n:], 0.0)
+    at_upper[n:] &= in_basis[n:]
     cost2 = np.zeros(N)
     cost2[:n] = c
     st = _simplex_loop(T, A_all, b, x, L, U, basis, in_basis, at_upper, cost2,
@@ -258,30 +230,14 @@ def _solve_attempt(c, A, b, lo, up, feas_tol, max_iter, phase1_only, always_blan
 def _noise(n, seed):
     """Deterministic pseudo-noise in [-0.5, 0.5) (linear congruential)."""
     out = np.empty(n)
-    s = np.int64(seed)
+    s = seed
     for i in range(n):
-        s = (np.int64(1103515245) * s + np.int64(12345)) % np.int64(2147483648)
+        s = (1103515245 * s + 12345) % 2147483648
         out[i] = s / 2147483648.0 - 0.5
     return out
 
 
-NUMBA_DISABLED = os.environ.get("ZONOSHARP_DISABLE_NUMBA", "0") == "1"
-USING_NUMBA = False
-
-if not NUMBA_DISABLED:
-    try:
-        import numba
-
-        _simplex_loop = numba.njit(cache=True)(_simplex_loop)
-        _refresh_basic_values = numba.njit(cache=True)(_refresh_basic_values)
-        _solve_attempt = numba.njit(cache=True)(_solve_attempt)
-        _noise = numba.njit(cache=True)(_noise)
-        USING_NUMBA = True
-    except ImportError:
-        USING_NUMBA = False
-
-
-# --- retry ladder and certificates: plain numpy, on the original data ------
+# --- retry ladder and certificates, on the original data ------------------
 
 def _basis_matrix(A, basis, art_sign):
     """The columns `basis` of [A, diag(art_sign)]."""

@@ -20,10 +20,6 @@ from .core import (
 from .errors import DimensionMismatch, EmptyList, FormMismatch
 
 
-def _as_hz(S: AnySet) -> HybridZonotope:
-    return S.as_hybrid() if isinstance(S, ConstrainedZonotope) else S
-
-
 def _check_forms(Z1: HybridZonotope, Z2: HybridZonotope):
     if Z1.factor_form is not Z2.factor_form:
         raise FormMismatch(f"{Z1.factor_form} vs {Z2.factor_form}")
@@ -37,7 +33,7 @@ def _blockdiag(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def minkowski_sum(Z1: AnySet, Z2: AnySet) -> HybridZonotope:
-    Z1, Z2 = _as_hz(Z1), _as_hz(Z2)
+    Z1, Z2 = Z1.as_hybrid(), Z2.as_hybrid()
     _check_forms(Z1, Z2)
     if Z1.dim != Z2.dim:
         raise DimensionMismatch(f"ambient dims {Z1.dim} vs {Z2.dim}")
@@ -48,7 +44,7 @@ def minkowski_sum(Z1: AnySet, Z2: AnySet) -> HybridZonotope:
 
 
 def affine_map(H: AnySet, R, s=None) -> HybridZonotope:
-    H = _as_hz(H)
+    H = H.as_hybrid()
     R = np.atleast_2d(np.asarray(R, dtype=np.float64))
     if R.shape[1] != H.dim:
         raise DimensionMismatch(f"R has {R.shape[1]} columns, set has dim {H.dim}")
@@ -62,7 +58,7 @@ def affine_map(H: AnySet, R, s=None) -> HybridZonotope:
 
 
 def cartesian_product(Z1: AnySet, Z2: AnySet) -> HybridZonotope:
-    Z1, Z2 = _as_hz(Z1), _as_hz(Z2)
+    Z1, Z2 = Z1.as_hybrid(), Z2.as_hybrid()
     _check_forms(Z1, Z2)
     return HybridZonotope(
         _blockdiag(Z1.Gc, Z2.Gc), _blockdiag(Z1.Gb, Z2.Gb),
@@ -73,7 +69,7 @@ def cartesian_product(Z1: AnySet, Z2: AnySet) -> HybridZonotope:
 
 def generalized_intersection(X: AnySet, Z: AnySet, Rmap=None) -> HybridZonotope:
     """{x in X | Rmap x in Z}; plain intersection when Rmap is identity."""
-    X, Z = _as_hz(X), _as_hz(Z)
+    X, Z = X.as_hybrid(), Z.as_hybrid()
     _check_forms(X, Z)
     if Rmap is None:
         Rmap = np.eye(X.dim)
@@ -102,7 +98,7 @@ def halfspace_intersection(H: AnySet, a, k: float) -> HybridZonotope:
     from . import core
     from .oracle import _support_cz
 
-    H = _as_hz(H)
+    H = H.as_hybrid()
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     if a.shape[0] != H.dim:
         raise DimensionMismatch("normal vector length must equal ambient dim")
@@ -119,7 +115,7 @@ def union_with_point(Z: AnySet, x) -> HybridZonotope:
     One fresh binary selects between Z (all original factors free) and the
     point x (all original factors pinned to zero).  Preserves sharpness.
     """
-    Z = _as_hz(Z)
+    Z = Z.as_hybrid()
     if Z.factor_form is not FactorForm.ZO:
         raise FormMismatch("union_with_point requires 01 form; convert first")
     x = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -150,10 +146,10 @@ def union(Z_list) -> HybridZonotope:
     Z_list = list(Z_list)
     if not Z_list:
         raise EmptyList("union requires at least one set")
-    n = _as_hz(Z_list[0]).dim
+    n = Z_list[0].dim
     lifted = []
     for Z in Z_list:
-        Z = convert_form(_as_hz(Z), FactorForm.ZO)
+        Z = convert_form(Z.as_hybrid(), FactorForm.ZO)
         if Z.dim != n:
             raise DimensionMismatch("union operands must share ambient dim")
         U = union_with_point(cartesian_product(Z, point([1.0], FactorForm.ZO)),

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -66,10 +67,6 @@ def _parse_array(text, what):
         return np.asarray(json.loads(text), dtype=np.float64)
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise CliError(EXIT_PARSE, f"cannot parse {what}: {exc}")
-
-
-def _as_hz(S):
-    return S.as_hybrid() if isinstance(S, core.ConstrainedZonotope) else S
 
 
 def _emit_set(S, output):
@@ -157,20 +154,14 @@ def cmd_op(args):
 def cmd_rlt(args):
     S = _read_set(args.input)
     if args.hull:
-        try:
-            out = rlt.rlt_convex_hull(S)
-        except LevelOutOfRange as exc:
-            raise CliError(EXIT_LEVEL, str(exc))
-        H = S.as_hybrid() if isinstance(S, core.ConstrainedZonotope) else S
-        d = max(H.n_b, 1)
-        report = {"level": d, "hull": True}
-        if H.n_b:
-            nominal = rlt.rlt_complexity(core.complexity(H), d)
-            report["nominal"] = {"n_g": nominal.n_g, "n_b": nominal.n_b,
-                                 "n_c": nominal.n_c}
-        actual = core.complexity(out)
-        report["actual"] = {"n_g": actual.n_g, "n_b": actual.n_b,
-                            "n_c": actual.n_c}
+        # the relaxation of the level-n_b lift is the convex hull
+        lifted = S.as_hybrid()
+        report = {"level": max(lifted.n_b, 1), "hull": True}
+        if lifted.n_b:
+            lifted, rep = rlt.rlt_report(lifted, lifted.n_b)
+            report["nominal"] = rep["nominal"]
+        out = algebra.convex_relaxation(lifted)
+        report["actual"] = asdict(core.complexity(out))
     else:
         if args.level is None:
             raise CliError(EXIT_PARSE, "rlt requires --level or --hull")
@@ -203,7 +194,7 @@ def cmd_plot2d(args):
     S = _read_set(args.input)
     if S.dim != 2:
         raise CliError(EXIT_NOT_2D, f"plot2d needs a 2D set, got dim {S.dim}")
-    H = _as_hz(S)
+    H = S.as_hybrid()
     polygons = []
     for bits, leaf in core.leaves(H, cap=args.cap):
         if not oracle.is_feasible_cz(leaf):
@@ -217,7 +208,7 @@ def cmd_plot2d(args):
         relaxed = algebra.convex_relaxation(H)
         poly = oracle.boundary_2d(relaxed, n_angles=args.angles)
         polygons.append({"tag": "relaxation", "vertices": poly.tolist()})
-        hull = _hull_polygon(H, args.angles, args.cap)
+        hull = oracle.boundary_2d(H, n_angles=args.angles, cap=args.cap)
         polygons.append({"tag": "hull", "vertices": hull.tolist()})
     _emit_json({"polygons": polygons}, args.output)
     if args.csv:
@@ -226,26 +217,6 @@ def cmd_plot2d(args):
                 fh.write(f"# {entry['tag']}\n")
                 fh.write(oracle.polygon_to_csv(np.asarray(entry["vertices"])))
     return 0
-
-
-def _hull_polygon(H, n_angles, cap):
-    """Inscribed polygon of the convex hull via leafwise support points."""
-    pts = []
-    for k in range(n_angles):
-        th = 2.0 * np.pi * k / n_angles
-        u = np.array([np.cos(th), np.sin(th)])
-        pts.append(oracle.support_point(H, u, cap=cap)[1])
-    pts = np.asarray(pts)
-    centroid = pts.mean(axis=0)
-    order = np.argsort(np.arctan2(pts[:, 1] - centroid[1],
-                                  pts[:, 0] - centroid[0]), kind="stable")
-    pts = pts[order]
-    keep = [pts[0]]
-    scale = 1.0 + np.max(np.abs(pts))
-    for p in pts[1:]:
-        if np.linalg.norm(p - keep[-1]) > 1e-9 * scale:
-            keep.append(p)
-    return np.asarray(keep)
 
 
 def cmd_demo_levelset(args):
@@ -260,14 +231,13 @@ def cmd_demo_levelset(args):
     pre = oracle.check_sharpness(X, n_dirs=args.dirs, tol=args.tol,
                                  cap=args.cap, seed=args.seed)
     try:
-        hull_poly = _hull_polygon(X, args.angles, args.cap)
+        hull_poly = oracle.boundary_2d(X, n_angles=args.angles, cap=args.cap)
     except EmptySet:
         raise CliError(EXIT_PARSE, "level set is empty at this threshold")
     hull_area = oracle.polygon_area(hull_poly)
-    t = core.complexity(X)
     report = {
         "threshold": args.threshold,
-        "level_set_complexity": {"n_g": t.n_g, "n_b": t.n_b, "n_c": t.n_c},
+        "level_set_complexity": asdict(core.complexity(X)),
         "pre_rlt": {"verdict": pre.verdict.value, "max_gap": pre.max_gap},
         "hull_area": hull_area,
         "relax_area": None,

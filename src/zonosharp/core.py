@@ -158,6 +158,9 @@ class HybridZonotope:
     def n_c(self) -> int:
         return self.Ab.shape[0]
 
+    def as_hybrid(self) -> "HybridZonotope":
+        return self
+
     def binary_domain(self) -> tuple[float, float]:
         """(low, high) values a binary factor may take."""
         return (-1.0, 1.0) if self.factor_form is FactorForm.PM1 else (0.0, 1.0)
@@ -218,16 +221,12 @@ def leaf_of(H: HybridZonotope, assignment: BinaryAssignment) -> ConstrainedZonot
                                H.factor_form)
 
 
-def leaves(H: HybridZonotope, cap: int = DEFAULT_LEAF_CAP,
-           prune_infeasible: bool = False) -> list[tuple[BinaryAssignment, ConstrainedZonotope]]:
+def leaves(H: HybridZonotope,
+           cap: int = DEFAULT_LEAF_CAP) -> list[tuple[BinaryAssignment, ConstrainedZonotope]]:
     """Decompose into the union of 2^n_b constrained zonotopes."""
     if H.n_b > cap:
         raise EnumerationCapExceeded(f"n_b={H.n_b} exceeds enumeration cap {cap}")
-    out = [(a, leaf_of(H, a)) for a in binary_assignments(H)]
-    if prune_infeasible:
-        from .oracle import is_feasible_cz
-        out = [(a, L) for a, L in out if is_feasible_cz(L)]
-    return out
+    return [(a, leaf_of(H, a)) for a in binary_assignments(H)]
 
 
 # --- JSON set format -------------------------------------------------------

@@ -225,8 +225,8 @@ def check_sharpness(H: AnySet, n_dirs: int = 64, tol: float = SHARP_TOL,
     """Compare support of the relaxation against the leafwise convex hull."""
     from .algebra import convex_relaxation
 
-    dirs = direction_set(H.dim if isinstance(H, HybridZonotope) else H.dim, n_dirs, seed)
-    relaxed = convex_relaxation(H) if isinstance(H, HybridZonotope) else H
+    dirs = direction_set(H.dim, n_dirs, seed)
+    relaxed = convex_relaxation(H)
     try:
         leaf_list = (leaves(H, cap=cap) if isinstance(H, HybridZonotope)
                      else [(None, H)])
@@ -254,11 +254,12 @@ def check_sharpness(H: AnySet, n_dirs: int = 64, tol: float = SHARP_TOL,
 
 # --- 2D boundary and area --------------------------------------------------
 
-def boundary_2d(S: ConstrainedZonotope, n_angles: int = 64,
-                dedup_tol: float = 1e-9) -> np.ndarray:
-    """Counterclockwise polygon of support-touching points of a convex 2D set.
+def boundary_2d(S: AnySet, n_angles: int = 64, dedup_tol: float = 1e-9,
+                cap: int = DEFAULT_LEAF_CAP) -> np.ndarray:
+    """Counterclockwise polygon of support-touching points of a 2D set.
 
-    The polygon is inscribed in S; its accuracy improves with n_angles.
+    The polygon is inscribed in the convex hull of S (S itself when S is
+    convex); its accuracy improves with n_angles.
     """
     if S.dim != 2:
         raise ValueError("boundary_2d requires a 2D set")
@@ -266,10 +267,7 @@ def boundary_2d(S: ConstrainedZonotope, n_angles: int = 64,
     for k in range(n_angles):
         th = 2.0 * np.pi * k / n_angles
         u = np.array([np.cos(th), np.sin(th)])
-        out = _support_cz(S, u)
-        if out is None:
-            raise EmptySet("boundary of an empty set")
-        pts.append(out[1])
+        pts.append(support_point(S, u, cap=cap)[1])
     pts = np.asarray(pts)
     scale = 1.0 + np.max(np.abs(pts))
     centroid = pts.mean(axis=0)
@@ -292,7 +290,7 @@ def polygon_area(poly: np.ndarray) -> float:
     return float(0.5 * np.abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
-def area_2d(S: ConstrainedZonotope, n_angles: int = 256) -> float:
+def area_2d(S: AnySet, n_angles: int = 256) -> float:
     """Shoelace area of the inscribed support polygon."""
     return polygon_area(boundary_2d(S, n_angles))
 

@@ -101,9 +101,10 @@ def write_network(net: ReluNetwork, path) -> None:
 def demo_network() -> ReluNetwork:
     """The packaged two-neuron demo network.
 
-    N(x) = relu(x1 - x2/4) + relu(-x1 - x2/4) on [-1,1]^2; its upper level
-    sets are nonconvex (two lobes around x1 = +-1), which is what the RLT
-    demo pipeline needs.
+    N(x) = relu(x1 - 0.6*x2) + relu(-x1 - 0.6*x2) on [-1,1]^2; its upper
+    level sets are nonconvex (two lobes around x1 = +-1), which is what the
+    RLT demo pipeline needs.  The 0.5 level set has the convex hull
+    [-1,1] x [-1,5/6], of area 11/3.
     """
     from importlib import resources
     ref = resources.files(__package__).joinpath("data/demo_network.json")

@@ -11,7 +11,7 @@ the input at every level; at d = n_b its relaxation is the convex hull.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb
 
 import numpy as np
@@ -22,6 +22,7 @@ from .core import (
     ConstrainedZonotope,
     FactorForm,
     HybridZonotope,
+    complexity,
     convert_form,
 )
 from .errors import LevelOutOfRange, OverlappingIndexSets
@@ -180,8 +181,7 @@ def build_xd(H: AnySet, d: int) -> tuple[HybridZonotope, RltVariableTable]:
     original (x, y) coordinates (x first).  All lift variables get zero
     generator columns; the ambient map back to R^n is the caller's affine map.
     """
-    H = convert_form(H if isinstance(H, HybridZonotope) else H.as_hybrid(),
-                     FactorForm.ZO)
+    H = convert_form(H.as_hybrid(), FactorForm.ZO)
     nb, ng, r = H.n_b, H.n_g, H.n_c
     if not 1 <= d <= nb:
         raise LevelOutOfRange(f"level {d} outside 1..{nb}")
@@ -253,7 +253,7 @@ def rlt_sharpen(H: AnySet, d: int) -> HybridZonotope:
     At d = n_b the relaxation of the output is the convex hull of H.
     Output is in 01 form; an n_b = 0 input is returned unchanged.
     """
-    H = H.as_hybrid() if isinstance(H, ConstrainedZonotope) else H
+    H = H.as_hybrid()
     if H.n_b == 0:
         return H
     Hz = convert_form(H, FactorForm.ZO)
@@ -265,9 +265,7 @@ def rlt_sharpen(H: AnySet, d: int) -> HybridZonotope:
 
 def rlt_convex_hull(H: AnySet) -> ConstrainedZonotope:
     from .algebra import convex_relaxation
-    H = H.as_hybrid() if isinstance(H, ConstrainedZonotope) else H
-    if H.n_b == 0:
-        return convex_relaxation(H)
+    H = H.as_hybrid()
     return convex_relaxation(rlt_sharpen(H, H.n_b))
 
 
@@ -287,14 +285,9 @@ def rlt_report(H: AnySet, d: int) -> tuple[HybridZonotope, dict]:
     The closed-form count omits the slacks of the order-D rows, so the
     constructed set is slightly larger; both tuples are reported.
     """
-    from .core import complexity
-    H = H.as_hybrid() if isinstance(H, ConstrainedZonotope) else H
+    H = H.as_hybrid()
     nominal = rlt_complexity(complexity(H), d)
     out = rlt_sharpen(H, d)
-    actual = complexity(out)
-    report = {
-        "level": d,
-        "nominal": {"n_g": nominal.n_g, "n_b": nominal.n_b, "n_c": nominal.n_c},
-        "actual": {"n_g": actual.n_g, "n_b": actual.n_b, "n_c": actual.n_c},
-    }
+    report = {"level": d, "nominal": asdict(nominal),
+              "actual": asdict(complexity(out))}
     return out, report

@@ -127,7 +127,7 @@ class TestLeaves:
 
     def test_leaves_count_and_cap(self):
         H = _random_hz(np.random.default_rng(2), nb=3)
-        assert len(leaves(H, prune_infeasible=False)) == 8
+        assert len(leaves(H)) == 8
         with pytest.raises(EnumerationCapExceeded):
             leaves(H, cap=2)
 
@@ -136,7 +136,7 @@ class TestLeaves:
         H = _random_hz(rng)
         for _ in range(10):
             xi = rng.uniform(0, 1, size=H.n_g)
-            for _, L in leaves(H, prune_infeasible=False):
+            for _, L in leaves(H):
                 lo, up = L.factor_bounds()
                 # a point built from any leaf's feasible factor lies in H
                 res = np.max(np.abs(L.A @ xi - L.b)) if L.n_c else 0.0

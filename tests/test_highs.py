@@ -1,0 +1,47 @@
+"""The LP kernel against HiGHS (`scipy.optimize.linprog`), LP by LP.
+
+The corpus is the brute-force LPs of test_simplex and the support LPs of
+RLT-lift relaxations of seeded random sets.  The kernel and HiGHS must agree
+on the status, and on the optimum to within 1e-6 * (1 + |optimum|).
+Skipped when scipy is missing.
+"""
+
+import numpy as np
+import pytest
+
+from test_acceptance import _random_hz
+from test_simplex import small_random_lp
+
+from zonosharp import _simplex, convex_relaxation, direction_set, rlt_sharpen
+from zonosharp.oracle import FEAS_TOL
+
+linprog = pytest.importorskip("scipy.optimize").linprog
+
+HIGHS_STATUS = {0: 0, 2: 1}  # HiGHS optimal / infeasible -> kernel status
+
+LIFTS = [(nb, d) for nb in (2, 3, 4) for d in sorted({1, (nb + 1) // 2, nb})]
+
+
+def _assert_agree(c, A, b, lo, up):
+    st, obj, _ = _simplex.solve_bounded(c, A, b, lo, up, feas_tol=FEAS_TOL)
+    ref = linprog(c, A_eq=A, b_eq=b, bounds=np.column_stack([lo, up]),
+                  method="highs")
+    assert ref.status in HIGHS_STATUS, ref.message
+    assert st == HIGHS_STATUS[ref.status]
+    if st == 0:
+        assert abs(obj - ref.fun) <= 1e-6 * (1.0 + abs(ref.fun))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_brute_force_corpus(seed):
+    _assert_agree(*small_random_lp(seed))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("nb,d", LIFTS)
+def test_lift_support(nb, d, seed):
+    H = _random_hz(np.random.default_rng([seed, nb, d]), 2, 2, nb, 1)
+    R = convex_relaxation(rlt_sharpen(H, d))
+    lo, up = R.factor_bounds()
+    for u in direction_set(2, 8, seed=seed):
+        _assert_agree(-(R.G.T @ u), R.A, R.b, lo, up)

@@ -261,6 +261,13 @@ class TestBoundary2d:
         signed = 0.5 * (np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
         assert signed > 0
 
+    def test_hybrid_set_gives_its_hull(self):
+        # L-shape [0,2]x[0,1] u [0,1]x[0,2]: the hull adds the corner triangle
+        L = union([box(np.array([[0.0, 2.0], [0.0, 1.0]]), FactorForm.ZO),
+                   box(np.array([[0.0, 1.0], [0.0, 2.0]]), FactorForm.ZO)])
+        poly = boundary_2d(L, n_angles=64)
+        assert polygon_area(poly) == pytest.approx(3.5, abs=1e-9)
+
     def test_requires_2d(self):
         with pytest.raises(ValueError):
             boundary_2d(convex_relaxation(interval(0, 1)))

@@ -67,6 +67,24 @@ def brute_force_lp(c, A, b, lo, up, tol=1e-9):
     return feasible, best
 
 
+def small_random_lp(seed):
+    """(c, A, b, lo, up): up to 3 rows and 5 columns, feasible by
+    construction with probability 0.7 when there are rows."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    m = int(rng.integers(0, min(n, 3) + 1))
+    A = rng.normal(size=(m, n))
+    lo = rng.uniform(-2.0, 0.0, size=n)
+    up = lo + rng.uniform(0.5, 2.0, size=n)
+    if m and rng.random() < 0.7:
+        x0 = rng.uniform(lo, up)
+        b = A @ x0  # feasible by construction
+    else:
+        b = rng.normal(size=m)
+    c = rng.normal(size=n)
+    return c, A, b, lo, up
+
+
 class TestKnownOptima:
     def test_box_only(self):
         c = np.array([1.0, -2.0, 0.5])
@@ -108,18 +126,8 @@ class TestKnownOptima:
 class TestRandomAgainstBruteForce:
     @pytest.mark.parametrize("seed", range(30))
     def test_small_random(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 6))
-        m = int(rng.integers(0, min(n, 3) + 1))
-        A = rng.normal(size=(m, n))
-        lo = rng.uniform(-2.0, 0.0, size=n)
-        up = lo + rng.uniform(0.5, 2.0, size=n)
-        if m and rng.random() < 0.7:
-            x0 = rng.uniform(lo, up)
-            b = A @ x0  # feasible by construction
-        else:
-            b = rng.normal(size=m)
-        c = rng.normal(size=n)
+        c, A, b, lo, up = small_random_lp(seed)
+        m = A.shape[0]
         feas, ref = brute_force_lp(c, A, b, lo, up)
         st, obj, x = _simplex.solve_bounded(c, A, b, lo, up)
         if feas:
