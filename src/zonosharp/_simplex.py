@@ -24,6 +24,14 @@ from the pass's final basis:
 
 `min_infeasibility` certifies its residual in the same way: a small one by
 the point it returns, a large one by a Farkas ray.
+
+`solve_bounded_many` solves one region, (A, b, lo, up), for many costs, as
+the oracles' support LPs over many directions do.  Phase 1 does not depend
+on the cost, so it runs once, and each cost's phase 2 starts from a copy of
+its end.  Each row gets the verdict and certificate that `solve_bounded`
+gives it, bit for bit: a certified infeasible phase 1 answers every row,
+and a row whose pass fails or whose verdict fails its certificate falls
+back to `solve_bounded` and its whole retry ladder, alone.
 """
 
 import numpy as np
@@ -47,16 +55,16 @@ def _simplex_loop(T, A_all, b, x, L, U, basis, in_basis, at_upper, cost, max_ite
         it += 1
         if pivots_since_refactor >= 100:
             # refactor from scratch to shed accumulated pivot error; a
-            # rank-deficient basis cannot be repaired, so bail out and let
-            # the driver retry on a perturbed problem
-            B = A_all[:, basis].copy()
-            sol = np.linalg.lstsq(B, A_all, rcond=-1.0)
-            if sol[2] < m:
-                return 2
-            T[:, :] = sol[0]
+            # singular basis cannot be repaired, so bail out and let the
+            # driver retry on a perturbed problem
             xn = x.copy()
             xn[basis] = 0.0
-            x[basis] = np.linalg.lstsq(B, b - A_all @ xn, rcond=-1.0)[0]
+            sol = _lu_solve(A_all[:, basis],
+                            np.column_stack([A_all, b - A_all @ xn]))
+            if sol is None:
+                return 2
+            T[:, :] = sol[:, :N]
+            x[basis] = sol[:, N]
             pivots_since_refactor = 0
         cb = cost[basis]
         y = cb @ T
@@ -156,25 +164,37 @@ def _simplex_loop(T, A_all, b, x, L, U, basis, in_basis, at_upper, cost, max_ite
     return 2
 
 
+def _lu_solve(B, rhs):
+    """Solve B X = rhs by LU; None when B is singular or X is not finite."""
+    try:
+        sol = np.linalg.solve(B, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    return sol if np.all(np.isfinite(sol)) else None
+
+
 def _refresh_basic_values(A_all, b, x, basis):
-    """Re-solve the basic system to shed accumulated pivot drift."""
+    """Re-solve the basic system to shed accumulated pivot drift; False when
+    the basis is singular."""
     m = A_all.shape[0]
     if m == 0:
-        return
+        return True
     xn = x.copy()
     xn[basis] = 0.0
-    rhs = b - A_all @ xn
-    B = A_all[:, basis].copy()
-    x[basis] = np.linalg.lstsq(B, rhs, rcond=-1.0)[0]
+    x_B = _lu_solve(A_all[:, basis], b - A_all @ xn)
+    if x_B is None:
+        return False
+    x[basis] = x_B
+    return True
 
 
-def _solve_attempt(c, A, b, lo, up, feas_tol, max_iter, phase1_only, always_bland):
-    """One two-phase pass on the data as given.
+def _phase1(A, b, lo, up, max_iter, always_bland):
+    """Phase 1 of a pass, from the all-artificial basis; the cost plays no part.
 
-    Returns (status, x, basis, art_sign): the structural part of the final
-    point, the final basis (indices >= n are artificial columns) and the
-    sign of each artificial column, from which the caller recovers duals.
-    The status is a proposal that the caller still has to certify.
+    Returns (status, A_all, art_sign, state): status 0 when the artificials'
+    total reached its minimum on a nonsingular basis, else 2.  A_all is
+    [A, diag(art_sign)]; state = (T, x, L, U, basis, in_basis, at_upper) are
+    the arrays that the rest of the pass changes.
     """
     m, n = A.shape
     N = n + m
@@ -202,11 +222,41 @@ def _solve_attempt(c, A, b, lo, up, feas_tol, max_iter, phase1_only, always_blan
     cost1[n:] = 1.0
     st = _simplex_loop(T, A_all, b, x, L, U, basis, in_basis, at_upper, cost1,
                        max_iter, always_bland)
-    if st != 0:
-        return 2, x[:n].copy(), basis, art_sign
-    _refresh_basic_values(A_all, b, x, basis)
-    if phase1_only:
-        return 0, x[:n].copy(), basis, art_sign
+    ok = st == 0 and _refresh_basic_values(A_all, b, x, basis)
+    state = (T, x, L, U, basis, in_basis, at_upper)
+    return (0 if ok else 2), A_all, art_sign, state
+
+
+def _copied(state):
+    return tuple(a.copy() for a in state)
+
+
+def _solve_attempt(c, A, b, lo, up, feas_tol, max_iter, phase1_only, always_bland,
+                   start=None):
+    """One two-phase pass on the data as given.
+
+    Returns (status, x, basis, art_sign): the structural part of the final
+    point, the final basis (indices >= n are artificial columns) and the
+    sign of each artificial column, from which the caller recovers duals.
+    The status is a proposal that the caller still has to certify.
+
+    `start` is a list shared by the passes of one batch over the same
+    (A, b, lo, up).  The first of them runs phase 1 and keeps its end
+    there; the later ones skip phase 1 and run phase 2 on a copy of that
+    end, so every pass of the batch does exactly what a lone pass does.
+    """
+    m, n = A.shape
+    N = n + m
+    if start:
+        st, A_all, art_sign, state = start[0]
+        state = _copied(state)
+    else:
+        st, A_all, art_sign, state = _phase1(A, b, lo, up, max_iter, always_bland)
+        if start is not None:
+            start.append((st, A_all, art_sign, _copied(state)))
+    T, x, L, U, basis, in_basis, at_upper = state
+    if st != 0 or phase1_only:
+        return st, x[:n].copy(), basis, art_sign
     # a sequential total: np.sum adds pairwise and rounds differently
     p1 = np.cumsum(np.abs(x[n:]))[-1] if m > 0 else 0.0
     scale = 1.0 + np.max(np.abs(b)) if m > 0 else 1.0
@@ -222,8 +272,8 @@ def _solve_attempt(c, A, b, lo, up, feas_tol, max_iter, phase1_only, always_blan
     cost2[:n] = c
     st = _simplex_loop(T, A_all, b, x, L, U, basis, in_basis, at_upper, cost2,
                        max_iter, always_bland)
-    if st == 0:
-        _refresh_basic_values(A_all, b, x, basis)
+    if st == 0 and not _refresh_basic_values(A_all, b, x, basis):
+        st = 2
     return st, x[:n].copy(), basis, art_sign
 
 
@@ -350,6 +400,30 @@ def _certified_optimal(c, A, b, lo, up, x, y, feas_tol):
     return obj - dual <= 100.0 * feas_tol * (1.0 + abs(obj))
 
 
+def _verdict(c, A, b, lo, up, feas_tol, proposal):
+    """(status, objective, x) of a pass's proposal once certified on the
+    original data, or None when its certificate fails."""
+    st, x, basis, art_sign = proposal
+    if st == 0:
+        cost_B = np.append(c, np.zeros(A.shape[0]))[basis]
+        y = _basis_duals(A, basis, art_sign, cost_B)
+        if _certified_optimal(c, A, b, lo, up, x, y, feas_tol):
+            return 0, float(c @ x), x
+    elif st == 1:
+        infeas_tol = feas_tol * (1.0 + np.max(np.abs(b), initial=0.0))
+        if _proves_infeasible(A, b, lo, up, basis, art_sign, infeas_tol):
+            return 1, 0.0, x
+    return None
+
+
+def _as_arrays(*arrays):
+    return [np.ascontiguousarray(a, dtype=np.float64) for a in arrays]
+
+
+def _default_max_iter(A, max_iter):
+    return max_iter if max_iter > 0 else 200 * sum(A.shape) + 2000
+
+
 def solve_bounded(c, A, b, lo, up, feas_tol=1e-8, max_iter=0):
     """Solve min c'x s.t. Ax=b, lo<=x<=up (all bounds finite).
 
@@ -358,27 +432,45 @@ def solve_bounded(c, A, b, lo, up, feas_tol=1e-8, max_iter=0):
     Each pass of the retry ladder whose verdict fails its certificate counts
     as failed, and status 2 means that the whole ladder failed.
     """
-    c = np.ascontiguousarray(c, dtype=np.float64)
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    lo = np.ascontiguousarray(lo, dtype=np.float64)
-    up = np.ascontiguousarray(up, dtype=np.float64)
-    m, n = A.shape
-    if max_iter <= 0:
-        max_iter = 200 * (m + n) + 2000
-    if m == 0 and n == 0:
+    c, A, b, lo, up = _as_arrays(c, A, b, lo, up)
+    max_iter = _default_max_iter(A, max_iter)
+    if A.shape == (0, 0):
         return 0, 0.0, np.zeros(0)
-    infeas_tol = feas_tol * (1.0 + np.max(np.abs(b), initial=0.0))
-    for st, x, basis, art_sign in _attempts(c, A, b, lo, up, feas_tol,
-                                            max_iter, False):
-        if st == 0:
-            y = _basis_duals(A, basis, art_sign, np.append(c, np.zeros(m))[basis])
-            if _certified_optimal(c, A, b, lo, up, x, y, feas_tol):
-                return 0, float(c @ x), x
-        elif st == 1 and _proves_infeasible(A, b, lo, up, basis, art_sign,
-                                            infeas_tol):
-            return 1, 0.0, x
-    return 2, 0.0, x
+    for proposal in _attempts(c, A, b, lo, up, feas_tol, max_iter, False):
+        verdict = _verdict(c, A, b, lo, up, feas_tol, proposal)
+        if verdict is not None:
+            return verdict
+    return 2, 0.0, proposal[1]
+
+
+def solve_bounded_many(C, A, b, lo, up, feas_tol=1e-8, max_iter=0):
+    """`solve_bounded` for each cost row of C over one feasible region.
+
+    Returns one (status, objective, x) per row of C, equal bit for bit to
+    what `solve_bounded` returns for that row.  Phase 1 does not depend on
+    the cost, so it runs once, in the first row's pass, and every later
+    pass runs phase 2 from a copy of where it ended.  Each verdict is
+    certified as in `solve_bounded`; an infeasible one from the shared
+    phase 1 answers every row.  A row whose pass fails or whose verdict
+    fails its certificate is solved again alone by `solve_bounded`, whose
+    retry ladder begins with a fresh first pass.
+    """
+    C, A, b, lo, up = _as_arrays(C, A, b, lo, up)
+    max_iter = _default_max_iter(A, max_iter)
+    if A.shape == (0, 0):
+        return [(0, 0.0, np.zeros(0)) for _ in C]
+    start = []
+    out = []
+    for c in C:
+        proposal = _solve_attempt(c, A, b, lo, up, feas_tol, max_iter, False,
+                                  False, start)
+        verdict = _verdict(c, A, b, lo, up, feas_tol, proposal)
+        if verdict is None:
+            verdict = solve_bounded(c, A, b, lo, up, feas_tol, max_iter)
+        elif verdict[0] == 1:
+            return out + [(1, 0.0, verdict[2].copy()) for _ in C[len(out):]]
+        out.append(verdict)
+    return out
 
 
 def min_infeasibility(A, b, lo, up, tol=1e-8, max_iter=0):
@@ -394,13 +486,9 @@ def min_infeasibility(A, b, lo, up, tol=1e-8, max_iter=0):
     Raises NumericalFailure when no pass of the retry ladder yields such a
     certificate.
     """
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    lo = np.ascontiguousarray(lo, dtype=np.float64)
-    up = np.ascontiguousarray(up, dtype=np.float64)
+    A, b, lo, up = _as_arrays(A, b, lo, up)
     m, n = A.shape
-    if max_iter <= 0:
-        max_iter = 200 * (m + n) + 2000
+    max_iter = _default_max_iter(A, max_iter)
     if m == 0:
         return 0.0, lo.copy()
     if n == 0:

@@ -10,9 +10,9 @@ One subcommand per concept, composable through files:
 
 Result data goes to the output file (or stdout); complexity tuples and
 warnings go to stderr.  Exit codes: 0 success (check-sharp: sharp),
-1 check-sharp not-sharp, 2 parse error, 3 dimension/form mismatch,
-4 RLT level out of range, 5 sharpness inconclusive or an LP that the
-kernel could not solve to a certified verdict, 6 plot2d on a non-2D set.
+1 check-sharp not-sharp, 2 parse error or empty set, 3 dimension/form
+mismatch, 4 RLT level out of range, 5 sharpness inconclusive or an LP that
+the kernel could not solve to a certified verdict, 6 plot2d on a non-2D set.
 """
 
 from __future__ import annotations
@@ -230,10 +230,7 @@ def cmd_demo_levelset(args):
             raise CliError(EXIT_LEVEL, f"RLT level {d} outside 1..{nb}")
     pre = oracle.check_sharpness(X, n_dirs=args.dirs, tol=args.tol,
                                  cap=args.cap, seed=args.seed)
-    try:
-        hull_poly = oracle.boundary_2d(X, n_angles=args.angles, cap=args.cap)
-    except EmptySet:
-        raise CliError(EXIT_PARSE, "level set is empty at this threshold")
+    hull_poly = oracle.boundary_2d(X, n_angles=args.angles, cap=args.cap)
     hull_area = oracle.polygon_area(hull_poly)
     report = {
         "threshold": args.threshold,
@@ -350,6 +347,9 @@ def main(argv=None) -> int:
     except (DimensionMismatch, FormMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
+    except EmptySet as exc:
+        print(f"error: set is empty ({exc})", file=sys.stderr)
+        return EXIT_PARSE
     except NumericalFailure as exc:
         # no verdict could be certified: inconclusive, never "not sharp"
         print(f"error: {exc}", file=sys.stderr)

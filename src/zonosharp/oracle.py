@@ -19,7 +19,6 @@ from .core import (
     ConstrainedZonotope,
     DEFAULT_LEAF_CAP,
     FactorForm,
-    HybridZonotope,
     leaves,
 )
 from .errors import EmptySet, EnumerationCapExceeded, NumericalFailure
@@ -106,34 +105,53 @@ def is_empty(S: AnySet, cap: int = DEFAULT_LEAF_CAP) -> bool:
 
 # --- support ---------------------------------------------------------------
 
+def _support_cz_many(L: ConstrainedZonotope, U: np.ndarray) -> list:
+    """(value, point) of L in each direction (row) of U, or None where the
+    kernel certifies L empty; one batch of LPs over L's factor box."""
+    lo, up = L.factor_bounds()
+    C = np.array([-(L.G.T @ u) for u in U])
+    out = []
+    for u, (st, obj, xi) in zip(U, _simplex.solve_bounded_many(
+            C, L.A, L.b, lo, up, feas_tol=FEAS_TOL)):
+        if st == 1:
+            out.append(None)
+        elif st != 0:
+            raise NumericalFailure(f"support LP failed with status {st}")
+        else:
+            out.append((float(u @ L.c) - obj, L.G @ xi + L.c))
+    return out
+
+
 def _support_cz(L: ConstrainedZonotope, u: np.ndarray):
     """(value, point), or None when the kernel certifies L empty."""
-    lo, up = L.factor_bounds()
-    g = L.G.T @ u
-    st, obj, xi = _simplex.solve_bounded(-g, L.A, L.b, lo, up, feas_tol=FEAS_TOL)
-    if st == 1:
-        return None
-    if st != 0:
-        raise NumericalFailure(f"support LP failed with status {st}")
-    return float(u @ L.c) - obj, L.G @ xi + L.c
+    return _support_cz_many(L, u.reshape(1, -1))[0]
+
+
+def _leaf_sets(S: AnySet, cap: int) -> list[ConstrainedZonotope]:
+    if isinstance(S, ConstrainedZonotope):
+        return [S]
+    return [L for _, L in leaves(S, cap=cap)]
+
+
+def _support_points(leaf_list: list[ConstrainedZonotope], U: np.ndarray) -> list:
+    """(value, point) of the union of leaf_list in each direction (row) of U,
+    or None where every leaf is empty: leaf by leaf, the first leaf to reach
+    the maximum wins."""
+    best = [None] * len(U)
+    for L in leaf_list:
+        for i, out in enumerate(_support_cz_many(L, U)):
+            if out is not None and (best[i] is None or out[0] > best[i][0]):
+                best[i] = out
+    return best
 
 
 def support_point(S: AnySet, u, cap: int = DEFAULT_LEAF_CAP):
     """Support value and a maximizing point of S in direction u."""
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    if isinstance(S, ConstrainedZonotope):
-        out = _support_cz(S, u)
-        if out is None:
-            raise EmptySet("support of an empty set")
-        return out
-    best = None
-    for _, L in leaves(S, cap=cap):
-        out = _support_cz(L, u)
-        if out is not None and (best is None or out[0] > best[0]):
-            best = out
-    if best is None:
+    u = np.asarray(u, dtype=np.float64).reshape(1, -1)
+    out = _support_points(_leaf_sets(S, cap), u)[0]
+    if out is None:
         raise EmptySet("support of an empty set")
-    return best
+    return out
 
 
 def support(S: AnySet, u, cap: int = DEFAULT_LEAF_CAP) -> float:
@@ -226,27 +244,18 @@ def check_sharpness(H: AnySet, n_dirs: int = 64, tol: float = SHARP_TOL,
     from .algebra import convex_relaxation
 
     dirs = direction_set(H.dim, n_dirs, seed)
-    relaxed = convex_relaxation(H)
     try:
-        leaf_list = (leaves(H, cap=cap) if isinstance(H, HybridZonotope)
-                     else [(None, H)])
+        leaf_list = _leaf_sets(H, cap)
     except EnumerationCapExceeded:
         nan = np.full(len(dirs), np.nan)
         return SharpnessReport(dirs, nan, nan, np.nan,
                                SharpnessVerdict.INCONCLUSIVE, tol)
-    rs = np.empty(len(dirs))
-    hs = np.empty(len(dirs))
-    for i, u in enumerate(dirs):
-        out = _support_cz(relaxed, u)
-        if out is None:
-            raise EmptySet("sharpness check on an empty set")
-        rs[i] = out[0]
-        best = -np.inf
-        for _, L in leaf_list:
-            lv = _support_cz(L, u)
-            if lv is not None:
-                best = max(best, lv[0])
-        hs[i] = best
+    relaxed = _support_points([convex_relaxation(H)], dirs)
+    if any(out is None for out in relaxed):
+        raise EmptySet("sharpness check on an empty set")
+    rs = np.array([v for v, _ in relaxed])
+    hs = np.array([-np.inf if out is None else out[0]
+                   for out in _support_points(leaf_list, dirs)])
     max_gap = float(np.max(rs - hs))
     verdict = SharpnessVerdict.SHARP if max_gap <= tol else SharpnessVerdict.NOT_SHARP
     return SharpnessReport(dirs, rs, hs, max_gap, verdict, tol)
@@ -263,12 +272,12 @@ def boundary_2d(S: AnySet, n_angles: int = 64, dedup_tol: float = 1e-9,
     """
     if S.dim != 2:
         raise ValueError("boundary_2d requires a 2D set")
-    pts = []
-    for k in range(n_angles):
-        th = 2.0 * np.pi * k / n_angles
-        u = np.array([np.cos(th), np.sin(th)])
-        pts.append(support_point(S, u, cap=cap)[1])
-    pts = np.asarray(pts)
+    U = np.array([[np.cos(th), np.sin(th)]
+                  for th in (2.0 * np.pi * k / n_angles for k in range(n_angles))])
+    best = _support_points(_leaf_sets(S, cap), U)
+    if any(out is None for out in best):
+        raise EmptySet("support of an empty set")
+    pts = np.array([p for _, p in best])
     scale = 1.0 + np.max(np.abs(pts))
     centroid = pts.mean(axis=0)
     order = np.argsort(np.arctan2(pts[:, 1] - centroid[1], pts[:, 0] - centroid[0]),

@@ -144,6 +144,16 @@ class TestCheckSharp:
         core.write_set(p, H)
         assert main(["check-sharp", p, "-o", str(tmp_path / "r.json")]) == 5
 
+    def test_empty_set_exit_2(self, tmp_path, capsys):
+        from zonosharp import ConstrainedZonotope
+        E = ConstrainedZonotope(np.eye(2), np.zeros(2),
+                                np.array([[1.0, 0.0]]), np.array([5.0]),
+                                FactorForm.ZO)
+        p = str(tmp_path / "e.json")
+        core.write_set(p, E)
+        assert main(["check-sharp", p, "-o", str(tmp_path / "r.json")]) == 2
+        assert "empty" in capsys.readouterr().err
+
     def test_kernel_failure_exit_5(self, square, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(_simplex, "_solve_attempt", fake_pass(2))
         assert main(["check-sharp", square, "-o", str(tmp_path / "r.json")]) == 5
@@ -211,3 +221,8 @@ class TestDemoLevelset:
     def test_bad_level_exit_4(self, tmp_path):
         assert main(["demo-levelset", "-o", str(tmp_path / "x.json"),
                      "--rlt-levels", "7"]) == 4
+
+    def test_empty_level_set_exit_2(self, tmp_path, capsys):
+        assert main(["demo-levelset", "-o", str(tmp_path / "x.json"),
+                     "--threshold", "100", "--angles", "8", "--dirs", "4"]) == 2
+        assert "empty" in capsys.readouterr().err

@@ -2,7 +2,9 @@
 
 The corpus is the brute-force LPs of test_simplex and the support LPs of
 RLT-lift relaxations of seeded random sets.  The kernel and HiGHS must agree
-on the status, and on the optimum to within 1e-6 * (1 + |optimum|).
+on the status, and on the optimum to within 1e-6 * (1 + |optimum|).  On the
+lift LPs, `solve_bounded_many` must also return, bit for bit, what one
+`solve_bounded` call per cost returns.
 Skipped when scipy is missing.
 """
 
@@ -23,7 +25,12 @@ LIFTS = [(nb, d) for nb in (2, 3, 4) for d in sorted({1, (nb + 1) // 2, nb})]
 
 
 def _assert_agree(c, A, b, lo, up):
-    st, obj, _ = _simplex.solve_bounded(c, A, b, lo, up, feas_tol=FEAS_TOL)
+    _assert_matches_highs(_simplex.solve_bounded(c, A, b, lo, up, feas_tol=FEAS_TOL),
+                          c, A, b, lo, up)
+
+
+def _assert_matches_highs(result, c, A, b, lo, up):
+    st, obj, _ = result
     ref = linprog(c, A_eq=A, b_eq=b, bounds=np.column_stack([lo, up]),
                   method="highs")
     assert ref.status in HIGHS_STATUS, ref.message
@@ -45,3 +52,19 @@ def test_lift_support(nb, d, seed):
     lo, up = R.factor_bounds()
     for u in direction_set(2, 8, seed=seed):
         _assert_agree(-(R.G.T @ u), R.A, R.b, lo, up)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("nb,d", LIFTS)
+def test_lift_support_batch(nb, d, seed):
+    H = _random_hz(np.random.default_rng([seed, nb, d]), 2, 2, nb, 1)
+    R = convex_relaxation(rlt_sharpen(H, d))
+    lo, up = R.factor_bounds()
+    C = np.array([-(R.G.T @ u) for u in direction_set(2, 8, seed=seed)])
+    batch = _simplex.solve_bounded_many(C, R.A, R.b, lo, up, feas_tol=FEAS_TOL)
+    assert len(batch) == len(C)
+    for c, (st, obj, x) in zip(C, batch):
+        lone = _simplex.solve_bounded(c, R.A, R.b, lo, up, feas_tol=FEAS_TOL)
+        assert st == lone[0] and obj == lone[1]
+        np.testing.assert_array_equal(x, lone[2])
+        _assert_matches_highs((st, obj, x), c, R.A, R.b, lo, up)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from test_simplex import fake_pass
+from test_simplex import _first_call, fake_pass
 
 from zonosharp import (
     ConstrainedZonotope,
@@ -22,6 +22,7 @@ from zonosharp import (
     direction_set,
     interval,
     is_empty,
+    leaves,
     point,
     polygon_area,
     rlt_sharpen,
@@ -92,6 +93,14 @@ class TestKernelFailure:
     def test_is_empty(self):
         with pytest.raises(NumericalFailure):
             is_empty(self.SEGMENT)
+
+    def test_check_sharpness(self):
+        with pytest.raises(NumericalFailure):
+            check_sharpness(self.SEGMENT)
+
+    def test_boundary_2d(self):
+        with pytest.raises(NumericalFailure):
+            boundary_2d(self.SEGMENT)
 
 
 @pytest.fixture(scope="module")
@@ -277,3 +286,32 @@ class TestBoundary2d:
         text = polygon_to_csv(poly)
         rows = [r.split(",") for r in text.strip().splitlines()]
         assert len(rows) == 3 and float(rows[2][1]) == 1.0
+
+
+class TestBatchedSupport:
+    """Support over many directions is one batch of LPs per leaf; each answer
+    is the one a lone direction gets."""
+
+    def test_sharpness_supports_are_lone_supports(self):
+        H = _two_squares()
+        rep = check_sharpness(H, n_dirs=12)
+        leaf_sets = [L for _, L in leaves(H) if not is_empty(L)]
+        for u, r, h in zip(rep.directions, rep.relax_support, rep.hull_support):
+            assert r == support(convex_relaxation(H), u)
+            assert h == max(support(L, u) for L in leaf_sets)
+
+    def test_boundary_points_are_lone_support_points(self):
+        L = union([box(np.array([[0.0, 2.0], [0.0, 1.0]]), FactorForm.ZO),
+                   box(np.array([[0.0, 1.0], [0.0, 2.0]]), FactorForm.ZO)])
+        poly = boundary_2d(L, n_angles=16, dedup_tol=0.0)
+        pts = [support_point(L, [np.cos(th), np.sin(th)])[1]
+               for th in 2.0 * np.pi * np.arange(16) / 16]
+        assert {tuple(p) for p in poly} == {tuple(p) for p in pts}
+
+    def test_failed_first_pass_falls_back(self, monkeypatch):
+        sq = convex_relaxation(_unit_square())
+        expected = boundary_2d(sq, n_angles=16)
+        attempt, calls = _first_call(fake_pass(2), _simplex._solve_attempt)
+        monkeypatch.setattr(_simplex, "_solve_attempt", attempt)
+        np.testing.assert_array_equal(boundary_2d(sq, n_angles=16), expected)
+        assert len(calls) == 16 + 1

@@ -207,3 +207,63 @@ class TestCertificates:
         A, b, lo, up = np.ones((1, 2)), np.array([3.0]), np.zeros(2), np.ones(2)
         assert _simplex._farkas_bound(A, b, lo, up, np.array([1.0])) == 1.0
         assert _simplex._farkas_bound(A, np.ones(1), lo, up, np.array([1.0])) < 0
+
+
+class TestBatch:
+    """`solve_bounded_many` runs phase 1 once and answers each row exactly
+    as `solve_bounded` does."""
+
+    # the segment x1 + x2 = 1 on [0,1]^2, minimised in three directions
+    C = np.array([[1.0, 2.0], [2.0, 1.0], [-1.0, -1.0]])
+    REGION = TestCertificates.LP[1:]
+
+    @pytest.fixture
+    def phase1_runs(self, monkeypatch):
+        runs = []
+        real = _simplex._phase1
+
+        def phase1(*args):
+            runs.append(args)
+            return real(*args)
+        monkeypatch.setattr(_simplex, "_phase1", phase1)
+        return runs
+
+    def _lone(self, region):
+        return [_simplex.solve_bounded(c, *region) for c in self.C]
+
+    def assert_same(self, batch, lone):
+        assert len(batch) == len(lone)
+        for (st, obj, x), (st1, obj1, x1) in zip(batch, lone):
+            assert st == st1 and obj == obj1
+            np.testing.assert_array_equal(x, x1)
+
+    def test_rows_match_lone_solves(self, phase1_runs):
+        batch = _simplex.solve_bounded_many(self.C, *self.REGION)
+        assert len(phase1_runs) == 1
+        assert [r[1] for r in batch] == pytest.approx([1.0, 1.0, -1.0])
+        self.assert_same(batch, self._lone(self.REGION))
+
+    def test_failed_first_pass_falls_back_alone(self, monkeypatch, phase1_runs):
+        lone = self._lone(self.REGION)
+        phase1_runs.clear()
+        attempt, calls = _first_call(fake_pass(2), _simplex._solve_attempt)
+        monkeypatch.setattr(_simplex, "_solve_attempt", attempt)
+        batch = _simplex.solve_bounded_many(self.C, *self.REGION)
+        # row 0: the faked pass, then the first pass of its own retry ladder;
+        # rows 1 and 2: one pass each, sharing one phase 1
+        assert len(calls) == 4
+        assert len(phase1_runs) == 2
+        self.assert_same(batch, lone)
+
+    def test_infeasible_region_answers_every_row(self, phase1_runs):
+        # x1 + x2 = 3 is impossible on [0,1]^2
+        region = (np.ones((1, 2)), np.array([3.0]), np.zeros(2), np.ones(2))
+        batch = _simplex.solve_bounded_many(self.C, *region)
+        assert [r[0] for r in batch] == [1, 1, 1]
+        assert len(phase1_runs) == 1
+        self.assert_same(batch, self._lone(region))
+
+    def test_kernel_failure_on_every_row(self, monkeypatch):
+        monkeypatch.setattr(_simplex, "_solve_attempt", fake_pass(2))
+        batch = _simplex.solve_bounded_many(self.C, *self.REGION)
+        assert [r[0] for r in batch] == [2, 2, 2]
