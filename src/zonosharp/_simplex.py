@@ -7,10 +7,10 @@ Pricing is Dantzig (most violated reduced cost) with an automatic switch to
 Bland's rule after a run of degenerate steps, which guarantees termination.
 Phase 1 uses one artificial variable per equality row.
 
-A pass of the simplex only proposes a verdict.  The plain-numpy entry
-points (`solve_bounded`, `min_infeasibility`) return it only after checking
-it against the caller's original, unperturbed data, with duals recovered
-from the pass's final basis:
+A pass of the simplex only proposes a verdict.  The entry points
+(`solve_bounded_many`, `solve_bounded`, `min_infeasibility`) return it only
+after checking it against the caller's original, unperturbed data, with
+duals recovered from the pass's final basis:
 
 - status 0, optimal: x is within the bounds and satisfies Ax = b to
   100*feas_tol (scaled by the data), and the dual bound from y proves that
@@ -18,20 +18,22 @@ from the pass's final basis:
 - status 1, infeasible: a Farkas ray y from the final phase-1 basis proves
   that every point of the box misses Ax = b by more than
   feas_tol*(1 + max|b|) in the 1-norm;
-- status 2, numerical failure: no pass of the retry ladder (the original
+- status 2, numerical failure: no rung of the retry ladder (the original
   problem, then tinily perturbed copies) produced a verdict that passed its
   certificate.
 
 `min_infeasibility` certifies its residual in the same way: a small one by
 the point it returns, a large one by a Farkas ray.
 
-`solve_bounded_many` solves one region, (A, b, lo, up), for many costs, as
-the oracles' support LPs over many directions do.  Phase 1 does not depend
-on the cost, so it runs once, and each cost's phase 2 starts from a copy of
-its end.  Each row gets the verdict and certificate that `solve_bounded`
-gives it, bit for bit: a certified infeasible phase 1 answers every row,
-and a row whose pass fails or whose verdict fails its certificate falls
-back to `solve_bounded` and its whole retry ladder, alone.
+Every entry point climbs one retry ladder over one region (A, b, lo, up).
+Phase 1 does not depend on the cost, so each rung runs it once, when a pass
+first climbs there, and every pass on that rung starts from a copy of its
+end: phase 2 for a cost, nothing more for `min_infeasibility`.
+`solve_bounded_many` answers many costs over one region, as the oracles'
+support LPs over many directions ask; a cost whose pass fails or whose
+verdict fails its certificate moves up to the next rung, and a certified
+infeasible phase 1 answers every cost still open.  `solve_bounded` is its
+one-cost case.
 """
 
 import numpy as np
@@ -44,11 +46,10 @@ DEGEN_SWITCH = 60  # consecutive degenerate pivots before switching to Bland
 DEGEN_BAIL = 10000  # consecutive degenerate pivots before giving up
 
 
-def _simplex_loop(T, A_all, b, x, L, U, basis, in_basis, at_upper, cost, max_iter,
-                  always_bland):
+def _simplex_loop(T, A_all, b, x, L, U, basis, in_basis, at_upper, cost, max_iter):
     m, N = T.shape
     degen = 0
-    bland = always_bland
+    bland = False
     it = 0
     pivots_since_refactor = 0
     while it < max_iter:
@@ -117,7 +118,7 @@ def _simplex_loop(T, A_all, b, x, L, U, basis, in_basis, at_upper, cost, max_ite
                     return 2
             else:
                 degen = 0
-                bland = always_bland
+                bland = False
             continue
         t = t_basic
         cand = np.nonzero(t_arr <= t + 1e-9)[0]
@@ -160,7 +161,7 @@ def _simplex_loop(T, A_all, b, x, L, U, basis, in_basis, at_upper, cost, max_ite
                 return 2
         else:
             degen = 0
-            bland = always_bland
+            bland = False
     return 2
 
 
@@ -188,13 +189,13 @@ def _refresh_basic_values(A_all, b, x, basis):
     return True
 
 
-def _phase1(A, b, lo, up, max_iter, always_bland):
-    """Phase 1 of a pass, from the all-artificial basis; the cost plays no part.
+def _phase1(A, b, lo, up, max_iter):
+    """Phase 1 of a region, from the all-artificial basis.
 
-    Returns (status, A_all, art_sign, state): status 0 when the artificials'
+    Returns the end (status, A_all, state): status 0 when the artificials'
     total reached its minimum on a nonsingular basis, else 2.  A_all is
     [A, diag(art_sign)]; state = (T, x, L, U, basis, in_basis, at_upper) are
-    the arrays that the rest of the pass changes.
+    the arrays that a pass goes on to change.
     """
     m, n = A.shape
     N = n + m
@@ -221,60 +222,9 @@ def _phase1(A, b, lo, up, max_iter, always_bland):
     cost1 = np.zeros(N)
     cost1[n:] = 1.0
     st = _simplex_loop(T, A_all, b, x, L, U, basis, in_basis, at_upper, cost1,
-                       max_iter, always_bland)
+                       max_iter)
     ok = st == 0 and _refresh_basic_values(A_all, b, x, basis)
-    state = (T, x, L, U, basis, in_basis, at_upper)
-    return (0 if ok else 2), A_all, art_sign, state
-
-
-def _copied(state):
-    return tuple(a.copy() for a in state)
-
-
-def _solve_attempt(c, A, b, lo, up, feas_tol, max_iter, phase1_only, always_bland,
-                   start=None):
-    """One two-phase pass on the data as given.
-
-    Returns (status, x, basis, art_sign): the structural part of the final
-    point, the final basis (indices >= n are artificial columns) and the
-    sign of each artificial column, from which the caller recovers duals.
-    The status is a proposal that the caller still has to certify.
-
-    `start` is a list shared by the passes of one batch over the same
-    (A, b, lo, up).  The first of them runs phase 1 and keeps its end
-    there; the later ones skip phase 1 and run phase 2 on a copy of that
-    end, so every pass of the batch does exactly what a lone pass does.
-    """
-    m, n = A.shape
-    N = n + m
-    if start:
-        st, A_all, art_sign, state = start[0]
-        state = _copied(state)
-    else:
-        st, A_all, art_sign, state = _phase1(A, b, lo, up, max_iter, always_bland)
-        if start is not None:
-            start.append((st, A_all, art_sign, _copied(state)))
-    T, x, L, U, basis, in_basis, at_upper = state
-    if st != 0 or phase1_only:
-        return st, x[:n].copy(), basis, art_sign
-    # a sequential total: np.sum adds pairwise and rounds differently
-    p1 = np.cumsum(np.abs(x[n:]))[-1] if m > 0 else 0.0
-    scale = 1.0 + np.max(np.abs(b)) if m > 0 else 1.0
-    if p1 > feas_tol * scale:
-        return 1, x[:n].copy(), basis, art_sign
-
-    # pin artificials at zero and optimize the true objective
-    L[n:] = 0.0
-    U[n:] = 0.0
-    x[n:] = np.where(in_basis[n:], x[n:], 0.0)
-    at_upper[n:] &= in_basis[n:]
-    cost2 = np.zeros(N)
-    cost2[:n] = c
-    st = _simplex_loop(T, A_all, b, x, L, U, basis, in_basis, at_upper, cost2,
-                       max_iter, always_bland)
-    if st == 0 and not _refresh_basic_values(A_all, b, x, basis):
-        st = 2
-    return st, x[:n].copy(), basis, art_sign
+    return (0 if ok else 2), A_all, (T, x, L, U, basis, in_basis, at_upper)
 
 
 def _noise(n, seed):
@@ -289,18 +239,6 @@ def _noise(n, seed):
 
 # --- retry ladder and certificates, on the original data ------------------
 
-def _basis_matrix(A, basis, art_sign):
-    """The columns `basis` of [A, diag(art_sign)]."""
-    m, n = A.shape
-    B = np.zeros((m, m))
-    struct = basis < n
-    B[:, struct] = A[:, basis[struct]]
-    art = np.nonzero(~struct)[0]
-    rows = basis[art] - n
-    B[rows, art] = art_sign[rows]
-    return B
-
-
 def _solve(M, rhs):
     # LU is an order of magnitude cheaper than the SVD behind lstsq; what it
     # returns is checked by a certificate, never trusted
@@ -310,7 +248,7 @@ def _solve(M, rhs):
         return np.linalg.lstsq(M, rhs, rcond=None)[0]
 
 
-def _onto_original(A, b, lo, up, x, basis, art_sign):
+def _onto_original(A, b, lo, up, x, basis, A_all):
     """Carry the final basis of a perturbed pass over to the original data.
 
     Nonbasic variables sit on a perturbed bound and move to the original
@@ -320,39 +258,72 @@ def _onto_original(A, b, lo, up, x, basis, art_sign):
     x = np.clip(x, lo, up)
     struct = basis[basis < n]
     x[struct] = 0.0
-    x_B = _solve(_basis_matrix(A, basis, art_sign), b - A @ x)
+    x_B = _solve(A_all[:, basis], b - A @ x)
     x[struct] = x_B[basis < n]
     return x
 
 
-def _attempts(c, A, b, lo, up, feas_tol, max_iter, phase1_only):
-    """Proposals of the retry ladder: the original problem, then perturbed.
+def _rungs(A, b, lo, up, max_iter):
+    """The retry ladder over one region: the problem as given, then perturbed.
 
     A pass can fail (a degenerate crawl ending in a drifted basis) or propose
     a verdict its certificate rejects (a phase 1 that stalls just above the
     feasibility threshold).  Shifting the objective and widening the bounds
-    by O(1e-9) breaks the ties that cause the stall.  The perturbed problem
-    is not the caller's problem: each proposal's point is carried back onto
-    the original bounds, and the caller certifies it on the original data.
+    by O(1e-9) breaks the ties that cause the stall.  Yields each rung as
+    (phase-1 end, iteration budget, cost shift); its phase 1 runs when the
+    caller climbs to it.
     """
-    yield _solve_attempt(c, A, b, lo, up, feas_tol, max_iter, phase1_only, False)
+    yield _phase1(A, b, lo, up, max_iter), max_iter, None
     n = A.shape[1]
-    cscale = 1.0 + np.max(np.abs(c)) if n > 0 else 1.0
     for k in range(5):
         eps = 1e-9 * 10.0 ** (k // 2)
-        cp = c + eps * cscale * _noise(n, 101 + 37 * k)
         lop = lo - eps * np.abs(_noise(n, 211 + 37 * k))
         upp = up + eps * np.abs(_noise(n, 307 + 37 * k))
-        st, x, basis, art_sign = _solve_attempt(cp, A, b, lop, upp, feas_tol,
-                                                2 * max_iter, phase1_only, False)
-        if st == 0:
-            x = _onto_original(A, b, lo, up, x, basis, art_sign)
-        yield st, x, basis, art_sign
+        yield (_phase1(A, b, lop, upp, 2 * max_iter), 2 * max_iter,
+               (eps, _noise(n, 101 + 37 * k)))
 
 
-def _basis_duals(A, basis, art_sign, cost_B):
-    """Solve B'y = cost_B for the basis B drawn from [A, diag(art_sign)]."""
-    return _solve(_basis_matrix(A, basis, art_sign).T, cost_B)
+def _pass(rung, c, A, b, lo, up, feas_tol):
+    """One pass on a rung, from a copy of the end of its phase 1: phase 2
+    for the cost c, or nothing more when c is None.
+
+    Returns (status, x, basis, A_all): the structural part of the final
+    point, the final basis (indices >= n are artificial columns) and the
+    columns [A, diag(art_sign)] it indexes, from which the caller recovers
+    duals.  The status is a proposal that the caller still has to certify.
+    The perturbed problem is not the caller's problem: the point of a
+    perturbed rung is carried back onto the original bounds, and the caller
+    certifies it on the original data.
+    """
+    (st, A_all, state), max_iter, shift = rung
+    m, n = A.shape
+    x, basis = state[1], state[4]
+    if st == 0 and c is not None:
+        # a sequential total: np.sum adds pairwise and rounds differently
+        p1 = np.cumsum(np.abs(x[n:]))[-1] if m > 0 else 0.0
+        scale = 1.0 + np.max(np.abs(b)) if m > 0 else 1.0
+        if p1 > feas_tol * scale:
+            st = 1
+        else:
+            if shift is not None:
+                eps, noise = shift
+                c = c + eps * (1.0 + np.max(np.abs(c), initial=0.0)) * noise
+            # pin artificials at zero and optimize the true objective
+            T, x, L, U, basis, in_basis, at_upper = (a.copy() for a in state)
+            L[n:] = 0.0
+            U[n:] = 0.0
+            x[n:] = np.where(in_basis[n:], x[n:], 0.0)
+            at_upper[n:] &= in_basis[n:]
+            cost2 = np.zeros(n + m)
+            cost2[:n] = c
+            st = _simplex_loop(T, A_all, b, x, L, U, basis, in_basis, at_upper,
+                               cost2, max_iter)
+            if st == 0 and not _refresh_basic_values(A_all, b, x, basis):
+                st = 2
+    x = x[:n].copy()
+    if shift is not None and st == 0:
+        x = _onto_original(A, b, lo, up, x, basis, A_all)
+    return st, x, basis, A_all
 
 
 def _farkas_bound(A, b, lo, up, y):
@@ -372,11 +343,11 @@ def _farkas_bound(A, b, lo, up, y):
     return max(yb - hi_y, lo_y - yb) / ny
 
 
-def _proves_infeasible(A, b, lo, up, basis, art_sign, tol):
+def _proves_infeasible(A, b, lo, up, basis, A_all, tol):
     """Whether the duals of a final phase-1 basis are a Farkas ray showing
     that every point of the box misses Ax = b by more than tol in the 1-norm.
     """
-    y = _basis_duals(A, basis, art_sign, (basis >= A.shape[1]).astype(np.float64))
+    y = _solve(A_all[:, basis].T, (basis >= A.shape[1]).astype(np.float64))
     return _farkas_bound(A, b, lo, up, y) > tol
 
 
@@ -403,15 +374,15 @@ def _certified_optimal(c, A, b, lo, up, x, y, feas_tol):
 def _verdict(c, A, b, lo, up, feas_tol, proposal):
     """(status, objective, x) of a pass's proposal once certified on the
     original data, or None when its certificate fails."""
-    st, x, basis, art_sign = proposal
+    st, x, basis, A_all = proposal
     if st == 0:
         cost_B = np.append(c, np.zeros(A.shape[0]))[basis]
-        y = _basis_duals(A, basis, art_sign, cost_B)
+        y = _solve(A_all[:, basis].T, cost_B)
         if _certified_optimal(c, A, b, lo, up, x, y, feas_tol):
             return 0, float(c @ x), x
     elif st == 1:
         infeas_tol = feas_tol * (1.0 + np.max(np.abs(b), initial=0.0))
-        if _proves_infeasible(A, b, lo, up, basis, art_sign, infeas_tol):
+        if _proves_infeasible(A, b, lo, up, basis, A_all, infeas_tol):
             return 1, 0.0, x
     return None
 
@@ -429,47 +400,44 @@ def solve_bounded(c, A, b, lo, up, feas_tol=1e-8, max_iter=0):
 
     Returns (status, objective, x) with status 0 optimal, 1 infeasible or
     2 numerical failure; what 0 and 1 certify is in the module docstring.
-    Each pass of the retry ladder whose verdict fails its certificate counts
-    as failed, and status 2 means that the whole ladder failed.
+    It is the one-cost case of `solve_bounded_many`.
     """
-    c, A, b, lo, up = _as_arrays(c, A, b, lo, up)
-    max_iter = _default_max_iter(A, max_iter)
-    if A.shape == (0, 0):
-        return 0, 0.0, np.zeros(0)
-    for proposal in _attempts(c, A, b, lo, up, feas_tol, max_iter, False):
-        verdict = _verdict(c, A, b, lo, up, feas_tol, proposal)
-        if verdict is not None:
-            return verdict
-    return 2, 0.0, proposal[1]
+    c = np.asarray(c, dtype=np.float64)
+    return solve_bounded_many(c[None], A, b, lo, up, feas_tol, max_iter)[0]
 
 
 def solve_bounded_many(C, A, b, lo, up, feas_tol=1e-8, max_iter=0):
     """`solve_bounded` for each cost row of C over one feasible region.
 
-    Returns one (status, objective, x) per row of C, equal bit for bit to
-    what `solve_bounded` returns for that row.  Phase 1 does not depend on
-    the cost, so it runs once, in the first row's pass, and every later
-    pass runs phase 2 from a copy of where it ended.  Each verdict is
-    certified as in `solve_bounded`; an infeasible one from the shared
-    phase 1 answers every row.  A row whose pass fails or whose verdict
-    fails its certificate is solved again alone by `solve_bounded`, whose
-    retry ladder begins with a fresh first pass.
+    Returns one (status, objective, x) per row of C.  The rows climb the
+    retry ladder together: each row still open gets a pass on a rung, and a
+    row whose pass fails or whose verdict fails its certificate stays open
+    for the next rung.  An infeasible verdict comes from phase 1 alone, so
+    once certified it answers every row still open.  Status 2 means that
+    the whole ladder failed for that row.
     """
     C, A, b, lo, up = _as_arrays(C, A, b, lo, up)
     max_iter = _default_max_iter(A, max_iter)
     if A.shape == (0, 0):
         return [(0, 0.0, np.zeros(0)) for _ in C]
-    start = []
-    out = []
-    for c in C:
-        proposal = _solve_attempt(c, A, b, lo, up, feas_tol, max_iter, False,
-                                  False, start)
-        verdict = _verdict(c, A, b, lo, up, feas_tol, proposal)
-        if verdict is None:
-            verdict = solve_bounded(c, A, b, lo, up, feas_tol, max_iter)
-        elif verdict[0] == 1:
-            return out + [(1, 0.0, verdict[2].copy()) for _ in C[len(out):]]
-        out.append(verdict)
+    out = [None] * len(C)
+    todo = list(range(len(C)))
+    for rung in _rungs(A, b, lo, up, max_iter):
+        failed = []
+        for i in todo:
+            proposal = _pass(rung, C[i], A, b, lo, up, feas_tol)
+            verdict = _verdict(C[i], A, b, lo, up, feas_tol, proposal)
+            if verdict is None:
+                failed.append(i)
+                verdict = 2, 0.0, proposal[1]  # unless a later rung certifies
+            elif verdict[0] == 1:
+                for j in todo:
+                    out[j] = 1, 0.0, verdict[2].copy()
+                return out
+            out[i] = verdict
+        todo = failed
+        if not todo:
+            break
     return out
 
 
@@ -483,7 +451,7 @@ def min_infeasibility(A, b, lo, up, tol=1e-8, max_iter=0):
     residual > t comes with a Farkas ray proving that every point of the box
     misses by more than t.  It bounds the minimal violation from above and
     can exceed it, since phase 1 fixes the sign of each row's violation.
-    Raises NumericalFailure when no pass of the retry ladder yields such a
+    Raises NumericalFailure when no rung of the retry ladder yields such a
     certificate.
     """
     A, b, lo, up = _as_arrays(A, b, lo, up)
@@ -495,12 +463,12 @@ def min_infeasibility(A, b, lo, up, tol=1e-8, max_iter=0):
         return float(np.sum(np.abs(b))), np.zeros(0)
     feas_tol = 1e-8
     t = tol * (1.0 + np.max(np.abs(b)))
-    for st, x, basis, art_sign in _attempts(np.zeros(n), A, b, lo, up, feas_tol,
-                                            max_iter, True):
+    for rung in _rungs(A, b, lo, up, max_iter):
+        st, x, basis, A_all = _pass(rung, None, A, b, lo, up, feas_tol)
         if st != 0 or not _within_bounds(lo, up, x, feas_tol):
             continue
         resid = float(np.sum(np.abs(A @ x - b)))
-        if resid <= t or _proves_infeasible(A, b, lo, up, basis, art_sign, t):
+        if resid <= t or _proves_infeasible(A, b, lo, up, basis, A_all, t):
             return resid, x
     raise NumericalFailure("phase 1 found neither a feasible point nor a "
                            "Farkas ray")

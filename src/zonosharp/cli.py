@@ -177,6 +177,13 @@ def cmd_rlt(args):
     return 0
 
 
+def _write_csv(polygons, path):
+    with open(path, "w") as fh:
+        for entry in polygons:
+            fh.write(f"# {entry['tag']}\n")
+            fh.write(oracle.polygon_to_csv(np.asarray(entry["vertices"])))
+
+
 def cmd_check_sharp(args):
     S = _read_set(args.input)
     report = oracle.check_sharpness(S, n_dirs=args.dirs, tol=args.tol,
@@ -197,9 +204,10 @@ def cmd_plot2d(args):
     H = S.as_hybrid()
     polygons = []
     for bits, leaf in core.leaves(H, cap=args.cap):
-        if not oracle.is_feasible_cz(leaf):
+        try:
+            poly = oracle.boundary_2d(leaf, n_angles=args.angles)
+        except EmptySet:
             continue
-        poly = oracle.boundary_2d(leaf, n_angles=args.angles)
         polygons.append({"tag": "leaf", "binaries": list(bits.bits),
                          "vertices": poly.tolist()})
     if not polygons:
@@ -212,10 +220,7 @@ def cmd_plot2d(args):
         polygons.append({"tag": "hull", "vertices": hull.tolist()})
     _emit_json({"polygons": polygons}, args.output)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            for entry in polygons:
-                fh.write(f"# {entry['tag']}\n")
-                fh.write(oracle.polygon_to_csv(np.asarray(entry["vertices"])))
+        _write_csv(polygons, args.csv)
     return 0
 
 
@@ -267,10 +272,7 @@ def cmd_demo_levelset(args):
     if args.polygons:
         _emit_json({"polygons": polygons}, args.polygons)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            for entry in polygons:
-                fh.write(f"# {entry['tag']}\n")
-                fh.write(oracle.polygon_to_csv(np.asarray(entry["vertices"])))
+        _write_csv(polygons, args.csv)
     return 0
 
 

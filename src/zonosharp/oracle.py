@@ -277,12 +277,9 @@ def boundary_2d(S: AnySet, n_angles: int = 64, dedup_tol: float = 1e-9,
     best = _support_points(_leaf_sets(S, cap), U)
     if any(out is None for out in best):
         raise EmptySet("support of an empty set")
+    # support points in the order of their directions run counterclockwise
     pts = np.array([p for _, p in best])
     scale = 1.0 + np.max(np.abs(pts))
-    centroid = pts.mean(axis=0)
-    order = np.argsort(np.arctan2(pts[:, 1] - centroid[1], pts[:, 0] - centroid[0]),
-                       kind="stable")
-    pts = pts[order]
     keep = [pts[0]]
     for p in pts[1:]:
         if np.linalg.norm(p - keep[-1]) > dedup_tol * scale:

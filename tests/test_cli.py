@@ -3,9 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from test_simplex import fake_pass
-
-from zonosharp import FactorForm, _simplex, box, core, interval, read_set
+from zonosharp import FactorForm, box, core, interval, read_set
 from zonosharp.cli import main
 
 
@@ -154,8 +152,8 @@ class TestCheckSharp:
         assert main(["check-sharp", p, "-o", str(tmp_path / "r.json")]) == 2
         assert "empty" in capsys.readouterr().err
 
-    def test_kernel_failure_exit_5(self, square, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(_simplex, "_solve_attempt", fake_pass(2))
+    def test_kernel_failure_exit_5(self, square, tmp_path, fake_pass, capsys):
+        fake_pass(2)
         assert main(["check-sharp", square, "-o", str(tmp_path / "r.json")]) == 5
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -203,13 +201,19 @@ class TestPlot2d:
         text = open(csv).read()
         assert "# leaf" in text and "# hull" in text
 
+    def test_kernel_failure_exit_5(self, square, tmp_path, fake_pass):
+        fake_pass(2)
+        assert main(["plot2d", square, "-o", str(tmp_path / "p.json")]) == 5
+
 
 class TestDemoLevelset:
     def test_pipeline_small_angles(self, tmp_path):
         out = str(tmp_path / "demo.json")
+        csv = str(tmp_path / "demo.csv")
         rc = main(["demo-levelset", "-o", out, "--angles", "72",
-                   "--dirs", "16"])
+                   "--dirs", "16", "--csv", csv])
         assert rc == 0
+        assert "# hull" in open(csv).read()
         rep = json.load(open(out))
         assert rep["pre_rlt"]["verdict"] == "not_sharp"
         levels = {e["level"]: e for e in rep["levels"]}

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from test_simplex import _first_call, fake_pass
-
 from zonosharp import (
     ConstrainedZonotope,
     EmptySet,
@@ -69,8 +67,8 @@ class TestKernelFailure:
     """A pass that never yields a certified verdict surfaces as NumericalFailure."""
 
     @pytest.fixture(autouse=True)
-    def failing_kernel(self, monkeypatch):
-        monkeypatch.setattr(_simplex, "_solve_attempt", fake_pass(2))
+    def failing_kernel(self, fake_pass):
+        fake_pass(2)
 
     # x1 + x2 = 1 over [0,1]^2: the segment from (1, 0) to (0, 1)
     SEGMENT = ConstrainedZonotope(np.eye(2), np.zeros(2), np.ones((1, 2)),
@@ -104,13 +102,8 @@ class TestKernelFailure:
 
 
 @pytest.fixture(scope="module")
-def rlt_lift_lp():
-    """Support LP of the acceptance suite's RLT hierarchy, instance 7, level 3.
-
-    On it the first simplex pass fails in phase 2 and phase 1 of the first
-    perturbed retry stalls at a residual of 2.03e-8, just above the 2e-8
-    threshold: an uncertified "infeasible" for a feasible LP.
-    """
+def rlt_lift():
+    """Relaxation of the acceptance suite's RLT hierarchy, instance 7, level 3."""
     from test_acceptance import _feasible_factor_points, _random_hz
 
     # replay the random draws of test_5 up to its instance 7 (n_b = 4)
@@ -122,7 +115,18 @@ def rlt_lift_lp():
             + np.sum(np.abs(H.Gb))
         while len(pts) < 500:
             pts.append(rng.uniform(-scale, scale, 2))
-    R = convex_relaxation(rlt_sharpen(H, 3))
+    return convex_relaxation(rlt_sharpen(H, 3))
+
+
+@pytest.fixture(scope="module")
+def rlt_lift_lp(rlt_lift):
+    """Support LP of `rlt_lift` in direction 8 of `direction_set(2, 64)`.
+
+    On it an earlier kernel failed its first pass in phase 2, and phase 1 of
+    its first perturbed retry stalled at a residual of 2.03e-8, just above
+    the 2e-8 threshold: an uncertified "infeasible" for a feasible LP.
+    """
+    R = rlt_lift
     u = direction_set(2, 64)[8]
     lo, up = R.factor_bounds()
     lp = (-(R.G.T @ u), R.A, R.b, lo, up)
@@ -145,6 +149,24 @@ class TestKernelRegression:
                       method="highs")
         assert ref.status == 0 and st == 0
         assert abs(obj - ref.fun) <= 1e-6
+
+    def test_batch_runs_each_rung_once(self, rlt_lift, phase1_runs):
+        # some of these rows fail on rung 0 and are answered on rung 1; every
+        # row shares the one phase 1 of each rung
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        lo, up = rlt_lift.factor_bounds()
+        region = (rlt_lift.A, rlt_lift.b, lo, up)
+        C = np.array([-(rlt_lift.G.T @ u) for u in direction_set(2, 64)[8:16]])
+        batch = _simplex.solve_bounded_many(C, *region, feas_tol=FEAS_TOL)
+        assert len(phase1_runs) == 2
+        for c, (st, obj, x) in zip(C, batch):
+            lone = _simplex.solve_bounded(c, *region, feas_tol=FEAS_TOL)
+            assert st == lone[0] == 0 and obj == lone[1]
+            np.testing.assert_array_equal(x, lone[2])
+            ref = linprog(c, A_eq=region[0], b_eq=region[1],
+                          bounds=np.column_stack([lo, up]), method="highs")
+            assert ref.status == 0
+            assert abs(obj - ref.fun) <= 1e-6 * (1.0 + abs(ref.fun))
 
 
 class TestSupport:
@@ -270,6 +292,15 @@ class TestBoundary2d:
         signed = 0.5 * (np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
         assert signed > 0
 
+    def test_segment_order_is_stable(self):
+        # a tilt of 1e-17 puts one end of the segment from (-1, 0) to (0, 0)
+        # on either side of the x-axis; its vertices keep their order
+        polys = [boundary_2d(ConstrainedZonotope(
+            np.array([[0.5], [tilt]]), np.array([-0.5, 0.0]), np.zeros((0, 1)),
+            np.zeros(0), FactorForm.PM1)) for tilt in (1e-17, -1e-17)]
+        assert [len(p) for p in polys] == [2, 2]
+        np.testing.assert_allclose(polys[0], polys[1], atol=1e-15)
+
     def test_hybrid_set_gives_its_hull(self):
         # L-shape [0,2]x[0,1] u [0,1]x[0,2]: the hull adds the corner triangle
         L = union([box(np.array([[0.0, 2.0], [0.0, 1.0]]), FactorForm.ZO),
@@ -308,10 +339,9 @@ class TestBatchedSupport:
                for th in 2.0 * np.pi * np.arange(16) / 16]
         assert {tuple(p) for p in poly} == {tuple(p) for p in pts}
 
-    def test_failed_first_pass_falls_back(self, monkeypatch):
+    def test_failed_first_pass_falls_back(self, fake_pass):
         sq = convex_relaxation(_unit_square())
         expected = boundary_2d(sq, n_angles=16)
-        attempt, calls = _first_call(fake_pass(2), _simplex._solve_attempt)
-        monkeypatch.setattr(_simplex, "_solve_attempt", attempt)
+        calls = fake_pass(2, first_only=True)
         np.testing.assert_array_equal(boundary_2d(sq, n_angles=16), expected)
         assert len(calls) == 16 + 1

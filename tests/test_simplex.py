@@ -14,24 +14,6 @@ import pytest
 from zonosharp import NumericalFailure, _simplex
 
 
-def fake_pass(status):
-    """Fake simplex pass: proposes `status` from an all-artificial basis."""
-    def attempt(c, A, b, lo, up, *rest):
-        m, n = A.shape
-        return status, lo.copy(), np.arange(n, n + m), np.ones(m)
-    return attempt
-
-
-def _first_call(fake, real):
-    """Route the first simplex pass to `fake` and every later one to `real`."""
-    calls = []
-
-    def attempt(*args):
-        calls.append(args)
-        return (fake if len(calls) == 1 else real)(*args)
-    return attempt, calls
-
-
 def brute_force_lp(c, A, b, lo, up, tol=1e-9):
     """Enumerate all candidate vertices of {Ax=b, lo<=x<=up}.
 
@@ -176,29 +158,27 @@ class TestCertificates:
     LP = (np.array([1.0, 2.0]), np.ones((1, 2)), np.ones(1), np.zeros(2),
           np.ones(2))
 
-    def test_uncertified_infeasible_is_retried(self, monkeypatch):
-        attempt, calls = _first_call(fake_pass(1), _simplex._solve_attempt)
-        monkeypatch.setattr(_simplex, "_solve_attempt", attempt)
+    def test_uncertified_infeasible_is_retried(self, fake_pass):
+        calls = fake_pass(1, first_only=True)
         st, obj, x = _simplex.solve_bounded(*self.LP)
         assert st == 0 and obj == pytest.approx(1.0)
         np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-6)
         assert len(calls) == 2
 
-    def test_uncertifiable_infeasible_is_a_failure(self, monkeypatch):
-        monkeypatch.setattr(_simplex, "_solve_attempt", fake_pass(1))
+    def test_uncertifiable_infeasible_is_a_failure(self, fake_pass):
+        fake_pass(1)
         st, _, _ = _simplex.solve_bounded(*self.LP)
         assert st == 2
 
-    def test_uncertified_residual_is_retried(self, monkeypatch):
+    def test_uncertified_residual_is_retried(self, fake_pass):
         _, A, b, lo, up = self.LP
-        attempt, calls = _first_call(fake_pass(0), _simplex._solve_attempt)
-        monkeypatch.setattr(_simplex, "_solve_attempt", attempt)
+        calls = fake_pass(0, first_only=True)
         resid, x = _simplex.min_infeasibility(A, b, lo, up)
         assert resid < 1e-8 and len(calls) == 2
 
-    def test_uncertifiable_residual_raises(self, monkeypatch):
+    def test_uncertifiable_residual_raises(self, fake_pass):
         _, A, b, lo, up = self.LP
-        monkeypatch.setattr(_simplex, "_solve_attempt", fake_pass(0))
+        fake_pass(0)
         with pytest.raises(NumericalFailure):
             _simplex.min_infeasibility(A, b, lo, up)
 
@@ -217,17 +197,6 @@ class TestBatch:
     C = np.array([[1.0, 2.0], [2.0, 1.0], [-1.0, -1.0]])
     REGION = TestCertificates.LP[1:]
 
-    @pytest.fixture
-    def phase1_runs(self, monkeypatch):
-        runs = []
-        real = _simplex._phase1
-
-        def phase1(*args):
-            runs.append(args)
-            return real(*args)
-        monkeypatch.setattr(_simplex, "_phase1", phase1)
-        return runs
-
     def _lone(self, region):
         return [_simplex.solve_bounded(c, *region) for c in self.C]
 
@@ -243,14 +212,14 @@ class TestBatch:
         assert [r[1] for r in batch] == pytest.approx([1.0, 1.0, -1.0])
         self.assert_same(batch, self._lone(self.REGION))
 
-    def test_failed_first_pass_falls_back_alone(self, monkeypatch, phase1_runs):
+    def test_failed_first_pass_falls_back_alone(self, fake_pass, phase1_runs):
         lone = self._lone(self.REGION)
         phase1_runs.clear()
-        attempt, calls = _first_call(fake_pass(2), _simplex._solve_attempt)
-        monkeypatch.setattr(_simplex, "_solve_attempt", attempt)
+        calls = fake_pass(2, first_only=True)
         batch = _simplex.solve_bounded_many(self.C, *self.REGION)
-        # row 0: the faked pass, then the first pass of its own retry ladder;
-        # rows 1 and 2: one pass each, sharing one phase 1
+        # rows 0, 1 and 2 share the phase 1 of rung 0, where the faked pass
+        # fails row 0 alone; row 0 is then answered on rung 1, which here
+        # gives it the same answer bit for bit
         assert len(calls) == 4
         assert len(phase1_runs) == 2
         self.assert_same(batch, lone)
@@ -263,7 +232,7 @@ class TestBatch:
         assert len(phase1_runs) == 1
         self.assert_same(batch, self._lone(region))
 
-    def test_kernel_failure_on_every_row(self, monkeypatch):
-        monkeypatch.setattr(_simplex, "_solve_attempt", fake_pass(2))
+    def test_kernel_failure_on_every_row(self, fake_pass):
+        fake_pass(2)
         batch = _simplex.solve_bounded_many(self.C, *self.REGION)
         assert [r[0] for r in batch] == [2, 2, 2]
