@@ -11,8 +11,9 @@ One subcommand per concept, composable through files:
 Result data goes to the output file (or stdout); complexity tuples and
 warnings go to stderr.  Exit codes: 0 success (check-sharp: sharp),
 1 check-sharp not-sharp, 2 parse error or empty set, 3 dimension/form
-mismatch, 4 RLT level out of range, 5 sharpness inconclusive or an LP that
-the kernel could not solve to a certified verdict, 6 plot2d on a non-2D set.
+mismatch, 4 RLT level out of range, 5 sharpness inconclusive, a set past the
+leaf cap, or an LP that the kernel could not solve to a certified verdict,
+6 plot2d on a non-2D set.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
     DimensionMismatch,
     EmptyList,
     EmptySet,
+    EnumerationCapExceeded,
     FormMismatch,
     LevelOutOfRange,
     NumericalFailure,
@@ -46,6 +48,21 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
+def _level_list(text):
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}")
 
 
 def _read_set(path):
@@ -228,8 +245,7 @@ def cmd_demo_levelset(args):
     net = _read_network(args.network) if args.network else relugraph.demo_network()
     X = relugraph.level_set_above(net, args.threshold)
     nb = X.n_b
-    levels = ([int(v) for v in args.rlt_levels.split(",")]
-              if args.rlt_levels else list(range(1, nb + 1)))
+    levels = args.rlt_levels or list(range(1, nb + 1))
     for d in levels:
         if not 1 <= d <= max(nb, 1):
             raise CliError(EXIT_LEVEL, f"RLT level {d} outside 1..{nb}")
@@ -317,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("input")
     p_plot.add_argument("-o", "--output", help="polygon JSON file (default stdout)")
     p_plot.add_argument("--csv", help="also write polygons as CSV here")
-    p_plot.add_argument("--angles", type=int, default=64)
+    p_plot.add_argument("--angles", type=_positive_int, default=64)
     p_plot.add_argument("--cap", type=int, default=core.DEFAULT_LEAF_CAP)
     p_plot.set_defaults(func=cmd_plot2d)
 
@@ -329,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--polygons", help="write overlay polygons JSON here")
     p_demo.add_argument("--csv", help="write overlay polygons CSV here")
     p_demo.add_argument("--threshold", type=float, default=0.5)
-    p_demo.add_argument("--rlt-levels", help="comma-separated levels (default 1..n_b)")
-    p_demo.add_argument("--angles", type=int, default=720)
+    p_demo.add_argument("--rlt-levels", type=_level_list,
+                        help="comma-separated levels (default 1..n_b)")
+    p_demo.add_argument("--angles", type=_positive_int, default=720)
     p_demo.add_argument("--dirs", type=int, default=64)
     p_demo.add_argument("--tol", type=float, default=oracle.SHARP_TOL)
     p_demo.add_argument("--cap", type=int, default=core.DEFAULT_LEAF_CAP)
@@ -352,7 +369,7 @@ def main(argv=None) -> int:
     except EmptySet as exc:
         print(f"error: set is empty ({exc})", file=sys.stderr)
         return EXIT_PARSE
-    except NumericalFailure as exc:
+    except (NumericalFailure, EnumerationCapExceeded) as exc:
         # no verdict could be certified: inconclusive, never "not sharp"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

@@ -83,24 +83,20 @@ def solve_lp(p: LinearProgram) -> LpResult:
 
 # --- feasibility -----------------------------------------------------------
 
-def _cz_residual(L: ConstrainedZonotope) -> float:
-    lo, up = L.factor_bounds()
-    resid, _ = _simplex.min_infeasibility(L.A, L.b, lo, up, tol=FEAS_TOL)
-    return resid
-
-
-def _feas_scale(L: ConstrainedZonotope) -> float:
-    return 1.0 + (np.max(np.abs(L.b)) if L.n_c else 0.0)
+def _leaf_sets(S: AnySet, cap: int) -> list[ConstrainedZonotope]:
+    if isinstance(S, ConstrainedZonotope):
+        return [S]
+    return [L for _, L in leaves(S, cap=cap)]
 
 
 def is_feasible_cz(L: ConstrainedZonotope) -> bool:
-    return _cz_residual(L) <= FEAS_TOL * _feas_scale(L)
+    lo, up = L.factor_bounds()
+    resid, _ = _simplex.min_infeasibility(L.A, L.b, lo, up, tol=FEAS_TOL)
+    return resid <= FEAS_TOL * (1.0 + (np.max(np.abs(L.b)) if L.n_c else 0.0))
 
 
 def is_empty(S: AnySet, cap: int = DEFAULT_LEAF_CAP) -> bool:
-    if isinstance(S, ConstrainedZonotope):
-        return not is_feasible_cz(S)
-    return all(not is_feasible_cz(L) for _, L in leaves(S, cap=cap))
+    return all(not is_feasible_cz(L) for L in _leaf_sets(S, cap))
 
 
 # --- support ---------------------------------------------------------------
@@ -125,12 +121,6 @@ def _support_cz_many(L: ConstrainedZonotope, U: np.ndarray) -> list:
 def _support_cz(L: ConstrainedZonotope, u: np.ndarray):
     """(value, point), or None when the kernel certifies L empty."""
     return _support_cz_many(L, u.reshape(1, -1))[0]
-
-
-def _leaf_sets(S: AnySet, cap: int) -> list[ConstrainedZonotope]:
-    if isinstance(S, ConstrainedZonotope):
-        return [S]
-    return [L for _, L in leaves(S, cap=cap)]
 
 
 def _support_points(leaf_list: list[ConstrainedZonotope], U: np.ndarray) -> list:
@@ -180,9 +170,7 @@ def _cz_contains(L: ConstrainedZonotope, p: np.ndarray, tol: float) -> bool:
 
 def contains(S: AnySet, p, tol: float = 1e-6, cap: int = DEFAULT_LEAF_CAP) -> bool:
     p = np.asarray(p, dtype=np.float64).reshape(-1)
-    if isinstance(S, ConstrainedZonotope):
-        return _cz_contains(S, p, tol)
-    return any(_cz_contains(L, p, tol) for _, L in leaves(S, cap=cap))
+    return any(_cz_contains(L, p, tol) for L in _leaf_sets(S, cap))
 
 
 # --- sharpness -------------------------------------------------------------

@@ -5,8 +5,11 @@ satisfy an affine system A x + B y = beta.  The level-d lift introduces
 products w_J ~ prod_{j in J} x_j and v_{J,k} ~ y_k * prod_{j in J} x_j,
 multiplies the equality system by every monomial of degree <= d, and turns
 the bound-factor product inequalities into equalities with [0,1] slacks.
-Projecting the lift back to the original ambient space gives a set equal to
-the input at every level; at d = n_b its relaxation is the convex hull.
+The lift's sparsity pattern is known from n_b, n_g and d alone, so
+`build_xd` sizes it up front and writes it in one pass of (row, column,
+value) triplets.  Projecting the lift back to the original ambient space
+gives a set equal to the input at every level; at d = n_b its relaxation
+is the convex hull.
 """
 
 from __future__ import annotations
@@ -84,29 +87,23 @@ def f_coefficients(J1: IndexSet, J2: IndexSet) -> dict[IndexSet, int]:
 class RltVariableTable:
     """Column bookkeeping for the lifted factor space.
 
-    Continuous columns: the original y block first, then w_J (|J| >= 2),
-    then v_{J,k} (|J| >= 1), then slacks.  w_empty is the constant 1 and
-    w_{i} is the binary x_i; neither gets a fresh column.
+    Continuous columns: the original y block first, then w_J (|J| >= 2) in
+    ascending masks, then v_{J,k} (|J| >= 1) in ascending masks with k
+    inside J, then the n_slack slacks, one per bound-factor row in row
+    order.  w_empty is the constant 1 and w_{i} is the binary x_i; neither
+    gets a fresh column.
     """
 
     n_bin: int
     n_cont_orig: int
     w_index: dict[int, int] = field(default_factory=dict)
     v_index: dict[tuple[int, int], int] = field(default_factory=dict)
-    slack_index: list[tuple[str, int, int, int]] = field(default_factory=list)
     slack_start: int = 0
-
-    @property
-    def n_slack_nominal(self) -> int:
-        return sum(1 for kind, *_ in self.slack_index if kind != "order_D")
-
-    @property
-    def n_slack_extra(self) -> int:
-        return sum(1 for kind, *_ in self.slack_index if kind == "order_D")
+    n_slack: int = 0
 
     @property
     def n_cols(self) -> int:
-        return self.slack_start + len(self.slack_index)
+        return self.slack_start + self.n_slack
 
 
 def _masks_of_size(n: int, size: int):
@@ -122,8 +119,8 @@ def _order_pairs(n: int, order: int):
             yield J1.mask, union_mask ^ J1.mask
 
 
-def _allocate_table(nb: int, ng: int) -> RltVariableTable:
-    table = RltVariableTable(nb, ng)
+def _allocate_table(nb: int, ng: int, n_slack: int) -> RltVariableTable:
+    table = RltVariableTable(nb, ng, n_slack=n_slack)
     col = ng
     for m in range(1 << nb):
         if m.bit_count() >= 2:
@@ -137,49 +134,17 @@ def _allocate_table(nb: int, ng: int) -> RltVariableTable:
     return table
 
 
-class _RowBuilder:
-    def __init__(self, table: RltVariableTable):
-        self.table = table
-        self.rows: list[tuple[dict[int, float], dict[int, float], float]] = []
-
-    def new_row(self):
-        self.rows.append(({}, {}, 0.0))
-
-    def _bump(self, d: dict, key: int, val: float):
-        d[key] = d.get(key, 0.0) + val
-
-    def add_w(self, mask: int, coef: float):
-        cont, binr, rhs = self.rows[-1]
-        if coef == 0.0:
-            return
-        if mask == 0:
-            # w_empty = 1: constant moves to the right-hand side
-            self.rows[-1] = (cont, binr, rhs - coef)
-        elif mask.bit_count() == 1:
-            self._bump(binr, mask.bit_length() - 1, coef)
-        else:
-            self._bump(cont, self.table.w_index[mask], coef)
-
-    def add_v(self, mask: int, k: int, coef: float):
-        cont, _, _ = self.rows[-1]
-        if coef == 0.0:
-            return
-        if mask == 0:
-            self._bump(cont, k, coef)  # v_{empty,k} = y_k
-        else:
-            self._bump(cont, self.table.v_index[(mask, k)], coef)
-
-    def add_slack(self, kind: str, J1: int, J2: int, k: int):
-        col = self.table.n_cols
-        self.table.slack_index.append((kind, J1, J2, k))
-        cont, _, _ = self.rows[-1]
-        cont[col] = -1.0
-
-
 def build_xd(H: AnySet, d: int) -> tuple[HybridZonotope, RltVariableTable]:
     """Level-d lift of the factor space, as a 01-hybrid zonotope over the
     original (x, y) coordinates (x first).  All lift variables get zero
     generator columns; the ambient map back to R^n is the caller's affine map.
+
+    Rows: (i) the equality system times each monomial of degree <= d;
+    (ii) the order-D bound-factor products, D = min(d + 1, n_b); (iii) two
+    rows per order-d pair and k.  Each row of (ii) and (iii) owns one [0,1]
+    slack, with coefficient -1.  The sizes are known up front: continuous
+    coefficients go in as (row, col, value) triplets, binary ones and
+    right-hand sides straight into Ab and b.  No entry is written twice.
     """
     H = convert_form(H.as_hybrid(), FactorForm.ZO)
     nb, ng, r = H.n_b, H.n_g, H.n_c
@@ -187,61 +152,75 @@ def build_xd(H: AnySet, d: int) -> tuple[HybridZonotope, RltVariableTable]:
         raise LevelOutOfRange(f"level {d} outside 1..{nb}")
     A, B, beta = H.Ab, H.Ac, H.b
 
-    table = _allocate_table(nb, ng)
-    rb = _RowBuilder(table)
-
-    # (i) the equality system multiplied through by each monomial, |J| <= d
-    for size in range(d + 1):
-        for Jm in _masks_of_size(nb, size):
-            members = [j for j in range(nb) if (Jm >> j) & 1]
-            others = [j for j in range(nb) if not (Jm >> j) & 1]
-            for i in range(r):
-                rb.new_row()
-                rb.add_w(Jm, sum(A[i, j] for j in members) - beta[i])
-                for j in others:
-                    rb.add_w(Jm | (1 << j), A[i, j])
-                for k in range(ng):
-                    rb.add_v(Jm, k, B[i, k])
-
-    # (ii) order-D bound-factor products, each pinned to a fresh [0,1] slack
-    D = min(d + 1, nb)
-    for J1m, J2m in _order_pairs(nb, D):
-        coefs = f_coefficients(IndexSet(J1m), IndexSet(J2m))
-        rb.new_row()
-        for J, s in coefs.items():
-            rb.add_w(J.mask, float(s))
-        rb.add_slack("order_D", J1m, J2m, -1)
-
-    # (iii) order-d double inequalities, two slacks per (pair, k)
-    for J1m, J2m in _order_pairs(nb, d):
-        coefs = f_coefficients(IndexSet(J1m), IndexSet(J2m))
-        for k in range(ng):
-            rb.new_row()
-            for J, s in coefs.items():
-                rb.add_v(J.mask, k, float(s))
-            rb.add_slack("pair_low", J1m, J2m, k)
-            rb.new_row()
-            for J, s in coefs.items():
-                rb.add_w(J.mask, float(s))
-                rb.add_v(J.mask, k, -float(s))
-            rb.add_slack("pair_gap", J1m, J2m, k)
-
-    n_cont = table.n_cols
-    n_rows = len(rb.rows)
-    Ac = np.zeros((n_rows, n_cont))
+    monomials = [m for size in range(d + 1) for m in _masks_of_size(nb, size)]
+    pairs_D = list(_order_pairs(nb, min(d + 1, nb)))
+    pairs_d = list(_order_pairs(nb, d))
+    n_eq = r * len(monomials)
+    table = _allocate_table(nb, ng, len(pairs_D) + 2 * ng * len(pairs_d))
+    n_rows = n_eq + table.n_slack
+    Ac = np.zeros((n_rows, table.n_cols))
     Ab = np.zeros((n_rows, nb))
     b = np.zeros(n_rows)
-    for idx, (cont, binr, rhs) in enumerate(rb.rows):
-        for col, val in cont.items():
-            Ac[idx, col] = val
-        for col, val in binr.items():
-            Ab[idx, col] = val
-        b[idx] = rhs
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+
+    def put_w(row: int, mask: int, coef: float):
+        if coef == 0.0:
+            return
+        if mask == 0:
+            b[row] = -coef  # w_empty = 1: constant moves to the right-hand side
+        elif mask.bit_count() == 1:
+            Ab[row, mask.bit_length() - 1] = coef
+        else:
+            rows.append(row)
+            cols.append(table.w_index[mask])
+            vals.append(coef)
+
+    def put_v(row: int, mask: int, k: int, coef: float):
+        if coef == 0.0:
+            return
+        rows.append(row)
+        cols.append(table.v_index[(mask, k)] if mask else k)  # v_{empty,k} = y_k
+        vals.append(coef)
+
+    # (i) the equality system multiplied through by each monomial, |J| <= d
+    row = 0
+    for Jm in monomials:
+        members = [j for j in range(nb) if (Jm >> j) & 1]
+        others = [j for j in range(nb) if not (Jm >> j) & 1]
+        for i in range(r):
+            put_w(row, Jm, sum(A[i, j] for j in members) - beta[i])
+            for j in others:
+                put_w(row, Jm | (1 << j), A[i, j])
+            for k in range(ng):
+                put_v(row, Jm, k, B[i, k])
+            row += 1
+
+    # (ii) order-D bound-factor products
+    for J1m, J2m in pairs_D:
+        for J, s in f_coefficients(IndexSet(J1m), IndexSet(J2m)).items():
+            put_w(row, J.mask, float(s))
+        row += 1
+
+    # (iii) order-d double inequalities: the low row, then the gap row
+    for J1m, J2m in pairs_d:
+        coefs = f_coefficients(IndexSet(J1m), IndexSet(J2m))
+        for k in range(ng):
+            for J, s in coefs.items():
+                put_v(row, J.mask, k, float(s))
+                put_w(row + 1, J.mask, float(s))
+                put_v(row + 1, J.mask, k, -float(s))
+            row += 2
+
+    Ac[rows, cols] = vals
+    slack = np.arange(table.n_slack)
+    Ac[n_eq + slack, table.slack_start + slack] = -1.0
 
     # ambient (x, y): x from the binaries, y from the first ng continuous cols
     dim = nb + ng
     Gb = np.vstack([np.eye(nb), np.zeros((ng, nb))])
-    Gc = np.zeros((dim, n_cont))
+    Gc = np.zeros((dim, table.n_cols))
     Gc[nb:, :ng] = np.eye(ng)
     lifted = HybridZonotope(Gc, Gb, np.zeros(dim), Ac, Ab, b, FactorForm.ZO)
     return lifted, table

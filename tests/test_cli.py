@@ -205,6 +205,22 @@ class TestPlot2d:
         fake_pass(2)
         assert main(["plot2d", square, "-o", str(tmp_path / "p.json")]) == 5
 
+    def test_leaf_cap_exit_5(self, square, square2, tmp_path, capsys):
+        u = str(tmp_path / "u.json")
+        main(["op", "union", square, square2, "-o", u])
+        capsys.readouterr()
+        assert main(["plot2d", u, "--cap", "1", "-o",
+                     str(tmp_path / "p.json")]) == 5
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_nonpositive_angles_exit_2(self, square, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plot2d", square, "--angles", "0", "-o",
+                  str(tmp_path / "p.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--angles" in err and "Traceback" not in err
+
 
 class TestDemoLevelset:
     def test_pipeline_small_angles(self, tmp_path):
@@ -230,3 +246,17 @@ class TestDemoLevelset:
         assert main(["demo-levelset", "-o", str(tmp_path / "x.json"),
                      "--threshold", "100", "--angles", "8", "--dirs", "4"]) == 2
         assert "empty" in capsys.readouterr().err
+
+    def test_leaf_cap_exit_5(self, tmp_path, capsys):
+        assert main(["demo-levelset", "-o", str(tmp_path / "x.json"),
+                     "--cap", "1", "--angles", "16", "--dirs", "4"]) == 5
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag, value", [("--angles", "-3"),
+                                             ("--rlt-levels", "1,x")])
+    def test_bad_argument_exit_2(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo-levelset", "-o", str(tmp_path / "x.json"), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err

@@ -26,7 +26,8 @@ from zonosharp.core import leaves
 from zonosharp.oracle import SharpnessVerdict, _support_cz, direction_set, is_feasible_cz
 
 
-def _random_hz(rng, n, ng, nb, nc):
+def _random_hz_point(rng, n, ng, nb, nc):
+    """01-form set and a feasible factor point (xb, xi) of it."""
     Gc = rng.normal(size=(n, ng))
     Gb = rng.normal(size=(n, nb))
     c = rng.normal(size=n)
@@ -35,7 +36,11 @@ def _random_hz(rng, n, ng, nb, nc):
     xi = rng.uniform(0, 1, size=ng)
     xb = rng.integers(0, 2, size=nb).astype(float)
     b = Ac @ xi + Ab @ xb
-    return HybridZonotope(Gc, Gb, c, Ac, Ab, b, FactorForm.ZO)
+    return HybridZonotope(Gc, Gb, c, Ac, Ab, b, FactorForm.ZO), xb, xi
+
+
+def _random_hz(rng, n, ng, nb, nc):
+    return _random_hz_point(rng, n, ng, nb, nc)[0]
 
 
 def _leaf_support(H, u):
@@ -120,6 +125,42 @@ class TestLift:
     def test_nb_zero_passthrough(self):
         Z = interval(0.0, 1.0, FactorForm.ZO)
         assert rlt_sharpen(Z, 1) is Z
+
+    @pytest.mark.parametrize("nb", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lifted_point_satisfies_rows(self, nb, seed):
+        # the lifted factor point in the documented column order: y, then
+        # w_J (|J| >= 2), then v_{J,k} (|J| >= 1, k inside J), masks ascending
+        H, x, y = _random_hz_point(np.random.default_rng([seed, nb]), 2, 2, nb, 1)
+        mono = np.array([np.prod(x[[j for j in range(nb) if m >> j & 1]])
+                         for m in range(1 << nb)])
+        w = [mono[m] for m in range(1 << nb) if m.bit_count() >= 2]
+        v = [mono[m] * yk for m in range(1, 1 << nb) for yk in y]
+        z = np.concatenate([y, w, v])
+        for d in range(1, nb + 1):
+            X, table = build_xd(H, d)
+            assert table.slack_start == len(z)
+            assert table.n_cols == X.n_g == len(z) + table.n_slack
+            assert sorted(table.w_index) == [m for m in range(1 << nb)
+                                             if m.bit_count() >= 2]
+            assert list(table.w_index.values()) == list(range(2, 2 + len(w)))
+            assert list(table.v_index) == [(m, k) for m in range(1, 1 << nb)
+                                           for k in range(2)]
+            assert list(table.v_index.values()) == \
+                list(range(2 + len(w), len(z)))
+            slack = X.Ac[:, len(z):]
+            resid = X.Ac[:, :len(z)] @ z + X.Ab @ x - X.b
+            bound = np.any(slack != 0.0, axis=1)
+            assert np.count_nonzero(bound) == table.n_slack
+            eq_tol = 1e-12 * (1.0 + np.max(np.abs(X.b)))
+            assert np.all(np.abs(resid[~bound]) <= eq_tol)
+            # each bound-factor row owns one slack: a single -1 in its column
+            assert np.all(np.count_nonzero(slack[bound], axis=1) == 1)
+            cols = np.argmax(slack[bound] != 0.0, axis=1)
+            assert sorted(cols) == list(range(table.n_slack))
+            assert np.all(slack[bound, cols] == -1.0)
+            assert np.all(resid[bound] >= -1e-12)
+            assert np.all(resid[bound] <= 1.0 + 1e-12)
 
 
 class TestSetEquality:
