@@ -5,7 +5,16 @@ test, and emptiness check bottoms out here.  It is plain vectorised numpy.
 
 Pricing is Dantzig (most violated reduced cost) with an automatic switch to
 Bland's rule after a run of degenerate steps, which guarantees termination.
-Phase 1 uses one artificial variable per equality row.
+A pass keeps the explicit inverse of its basis, m x m, updated by one rank-1
+product per pivot and rebuilt by LU every REFACTOR_EVERY pivots; reduced
+costs and the entering column are priced from it.
+
+Phase 1 minimises the total of one artificial variable per equality row.
+It starts from a crash basis (Bixby 1992): a row that a singleton column
+can satisfy within that column's bounds, with every other variable at its
+lower bound, starts with that column basic and its artificial at zero, and
+only the other rows start with their artificial basic.  Each bound-factor
+row of an RLT lift has a singleton slack column.
 
 A pass of the simplex only proposes a verdict.  The entry points
 (`solve_bounded_many`, `solve_bounded`, `min_infeasibility`) return it only
@@ -36,6 +45,10 @@ infeasible phase 1 answers every cost still open.  `solve_bounded` is its
 one-cost case.
 """
 
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .errors import NumericalFailure
@@ -44,32 +57,81 @@ OPT_TOL = 1e-9
 PIV_TOL = 1e-9
 DEGEN_SWITCH = 60  # consecutive degenerate pivots before switching to Bland
 DEGEN_BAIL = 10000  # consecutive degenerate pivots before giving up
+REFACTOR_EVERY = 100  # pivots between rebuilds of the basis inverse
 
 
-def _simplex_loop(T, A_all, b, x, L, U, basis, in_basis, at_upper, cost, max_iter):
-    m, N = T.shape
+@dataclass
+class LpStats:
+    """Counts of the kernel's work while an `lp_stats()` block is open.
+
+    `pivots`, `degenerate` and `bland` are keyed by phase (1 or 2) and count
+    the steps of the simplex loop (a basis change or a bound flip): all of
+    them, those that moved the point by no more than 1e-12, and those taken
+    under Bland's rule.  `artificials` lists, per phase-1 start, the number
+    of rows that start with an artificial basic variable.  `rungs` counts the
+    certified answers by the rung of the retry ladder that gave them, and
+    `status` the answers of `solve_bounded_many` rows by status.
+    """
+
+    phase1_runs: int = 0
+    artificials: list = field(default_factory=list)
+    pivots: Counter = field(default_factory=Counter)
+    degenerate: Counter = field(default_factory=Counter)
+    bland: Counter = field(default_factory=Counter)
+    refactors: int = 0
+    rungs: Counter = field(default_factory=Counter)
+    status: Counter = field(default_factory=Counter)
+
+
+_OPEN_STATS = []  # the LpStats of every open lp_stats() block
+
+
+@contextmanager
+def lp_stats():
+    """Count the kernel's work inside the block: `with lp_stats() as s:`.
+
+    Blocks may nest; each counts everything run inside it.  The counters
+    are plain module state, so one thread at a time may use the kernel
+    while a block is open.
+    """
+    stats = LpStats()
+    _OPEN_STATS.append(stats)
+    try:
+        yield stats
+    finally:
+        _OPEN_STATS.remove(stats)
+
+
+def _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
+                  max_iter, phase):
+    """Bounded-variable primal simplex from the basis `basis` with inverse
+    Binv; every state array is changed in place.  Returns 0 optimal,
+    2 failure or 3 unbounded."""
+    m = Binv.shape[0]
     degen = 0
     bland = False
     it = 0
     pivots_since_refactor = 0
+    steps = degenerate = under_bland = refactors = 0
+    status = 2
     while it < max_iter:
         it += 1
-        if pivots_since_refactor >= 100:
+        if pivots_since_refactor >= REFACTOR_EVERY:
             # refactor from scratch to shed accumulated pivot error; a
             # singular basis cannot be repaired, so bail out and let the
             # driver retry on a perturbed problem
             xn = x.copy()
             xn[basis] = 0.0
             sol = _lu_solve(A_all[:, basis],
-                            np.column_stack([A_all, b - A_all @ xn]))
+                            np.column_stack([np.eye(m), b - A_all @ xn]))
             if sol is None:
-                return 2
-            T[:, :] = sol[:, :N]
-            x[basis] = sol[:, N]
+                break
+            Binv[:, :] = sol[:, :m]
+            x[basis] = sol[:, m]
             pivots_since_refactor = 0
-        cb = cost[basis]
-        y = cb @ T
-        rc = cost - y
+            refactors += 1
+        y = cost[basis] @ Binv
+        rc = cost - y @ A_all
         free = ~in_basis
         mask_low = free & (~at_upper) & (rc < -OPT_TOL)
         mask_up = free & at_upper & (rc > OPT_TOL)
@@ -77,14 +139,17 @@ def _simplex_loop(T, A_all, b, x, L, U, basis, in_basis, at_upper, cost, max_ite
         if bland:
             cand = np.nonzero(viol > 0.0)[0]
             if cand.shape[0] == 0:
-                return 0
+                status = 0
+                break
             enter = cand[0]
         else:
             enter = int(np.argmax(viol))
             if viol[enter] <= 0.0:
-                return 0
+                status = 0
+                break
         sgn = -1.0 if at_upper[enter] else 1.0
-        d = sgn * T[:, enter]
+        alpha = Binv @ A_all[:, enter]
+        d = sgn * alpha
 
         xB = x[basis]
         lB = L[basis]
@@ -99,7 +164,8 @@ def _simplex_loop(T, A_all, b, x, L, U, basis, in_basis, at_upper, cost, max_ite
         t_basic = np.min(t_arr) if m > 0 else np.inf
         t_flip = U[enter] - L[enter]
         if t_basic == np.inf and t_flip == np.inf:
-            return 3
+            status = 3
+            break
         if t_flip < t_basic - 1e-12:
             # entering variable runs to its other bound; basis unchanged
             t = t_flip
@@ -110,59 +176,57 @@ def _simplex_loop(T, A_all, b, x, L, U, basis, in_basis, at_upper, cost, max_ite
             else:
                 x[enter] = U[enter]
                 at_upper[enter] = True
-            if t <= 1e-12:
-                degen += 1
-                if degen > DEGEN_SWITCH:
-                    bland = True
-                if degen > DEGEN_BAIL:
-                    return 2
+        else:
+            t = t_basic
+            cand = np.nonzero(t_arr <= t + 1e-9)[0]
+            if bland:
+                # anti-cycling: leave the smallest variable index
+                leave = cand[int(np.argmin(basis[cand]))]
             else:
-                degen = 0
-                bland = False
-            continue
-        t = t_basic
-        cand = np.nonzero(t_arr <= t + 1e-9)[0]
-        if bland:
-            # anti-cycling: leave the smallest variable index
-            leave = cand[int(np.argmin(basis[cand]))]
-        else:
-            # stability: pivot on the largest eligible element
-            leave = cand[int(np.argmax(np.abs(d[cand])))]
-        lv = basis[leave]
-        enter_val = x[enter] + sgn * t
-        newxB = xB - t * d
-        x[basis] = newxB
-        if d[leave] > 0.0:
-            x[lv] = L[lv]
-            at_upper[lv] = False
-        else:
-            x[lv] = U[lv]
-            at_upper[lv] = True
-        basis[leave] = enter
-        in_basis[enter] = True
-        in_basis[lv] = False
-        at_upper[enter] = False
-        x[enter] = enter_val
-        if np.max(np.abs(newxB)) > 1e9 * (1.0 + np.max(np.abs(U))):
-            if pivots_since_refactor == 0:
-                return 2  # blew up right after a clean refactor: give up
-            pivots_since_refactor = 100  # force a refactor next iteration
-        piv = T[leave, enter]
-        prow = T[leave, :] / piv
-        colv = T[:, enter].copy()
-        T -= colv.reshape(-1, 1) * prow
-        T[leave, :] = prow
-        pivots_since_refactor += 1
+                # stability: pivot on the largest eligible element
+                leave = cand[int(np.argmax(np.abs(d[cand])))]
+            lv = basis[leave]
+            enter_val = x[enter] + sgn * t
+            newxB = xB - t * d
+            x[basis] = newxB
+            if d[leave] > 0.0:
+                x[lv] = L[lv]
+                at_upper[lv] = False
+            else:
+                x[lv] = U[lv]
+                at_upper[lv] = True
+            basis[leave] = enter
+            in_basis[enter] = True
+            in_basis[lv] = False
+            at_upper[enter] = False
+            x[enter] = enter_val
+            if np.max(np.abs(newxB)) > 1e9 * (1.0 + np.max(np.abs(U))):
+                if pivots_since_refactor == 0:
+                    break  # blew up right after a clean refactor: give up
+                pivots_since_refactor = REFACTOR_EVERY  # refactor next
+            # rank-1 update of the inverse: B_new^{-1} = E B^{-1}
+            prow = Binv[leave, :] / alpha[leave]
+            Binv -= alpha.reshape(-1, 1) * prow
+            Binv[leave, :] = prow
+            pivots_since_refactor += 1
+        steps += 1
+        under_bland += bland
         if t <= 1e-12:
+            degenerate += 1
             degen += 1
             if degen > DEGEN_SWITCH:
                 bland = True
             if degen > DEGEN_BAIL:
-                return 2
+                break
         else:
             degen = 0
             bland = False
-    return 2
+    for stats in _OPEN_STATS:
+        stats.pivots[phase] += steps
+        stats.degenerate[phase] += degenerate
+        stats.bland[phase] += under_bland
+        stats.refactors += refactors
+    return status
 
 
 def _lu_solve(B, rhs):
@@ -189,13 +253,43 @@ def _refresh_basic_values(A_all, b, x, basis):
     return True
 
 
+def _crash(A, r, lo, up):
+    """The rows that a singleton column can start basic in, after Bixby.
+
+    A column whose only nonzero a_ij is in row i, solved from row i with
+    every other variable at lo, takes the value lo_j + r_i / a_ij (r = b -
+    A lo).  Where that is within its bounds, the column covers row i.  Each
+    covered row takes the covering column with the largest |a_ij|, then the
+    lowest j.  A singleton column touches no other row, so the rows are
+    covered independently.  Returns (rows, cols, values).
+    """
+    nz = A != 0.0
+    single = np.flatnonzero(np.count_nonzero(nz, axis=0) == 1)
+    rows = np.nonzero(nz[:, single].T)[1]  # the one nonzero of each column
+    a = A[rows, single]
+    v = lo[single] + r[rows] / a
+    ok = (v >= lo[single]) & (v <= up[single])
+    rows, cols, a, v = rows[ok], single[ok], a[ok], v[ok]
+    order = np.lexsort((cols, -np.abs(a), rows))
+    rows, first = np.unique(rows[order], return_index=True)
+    pick = order[first]
+    return rows, cols[pick], v[pick]
+
+
 def _phase1(A, b, lo, up, max_iter):
-    """Phase 1 of a region, from the all-artificial basis.
+    """Phase 1 of a region, from a crash basis.
+
+    Every row has an artificial column, signed so that it starts at |r_i|
+    (r = b - A lo), and phase 1 minimises their total.  A row covered by an
+    in-bounds singleton column (`_crash`) starts with that column basic and
+    its artificial nonbasic at zero; the other rows start with their
+    artificial basic.  The start basis is diagonal, so its inverse is too.
 
     Returns the end (status, A_all, state): status 0 when the artificials'
     total reached its minimum on a nonsingular basis, else 2.  A_all is
-    [A, diag(art_sign)]; state = (T, x, L, U, basis, in_basis, at_upper) are
-    the arrays that a pass goes on to change.
+    [A, diag(art_sign)]; state = (Binv, x, L, U, basis, in_basis, at_upper)
+    are the arrays that a pass goes on to change, Binv the inverse of the
+    basis columns A_all[:, basis].
     """
     m, n = A.shape
     N = n + m
@@ -212,19 +306,26 @@ def _phase1(A, b, lo, up, max_iter):
     A_all = np.zeros((m, N))
     A_all[:, :n] = A
     A_all[arts, n + arts] = art_sign
-    # T = B^{-1} A_all with B = diag(art_sign): scale row i by art_sign[i]
-    T = art_sign[:, None] * A_all
-    T[arts, n + arts] = 1.0
     basis = n + arts
+    pivot = art_sign.copy()
+    rows, cols, vals = _crash(A, r, lo, up)
+    basis[rows] = cols
+    pivot[rows] = A[rows, cols]
+    x[cols] = vals
+    x[n + rows] = 0.0
+    Binv = np.diag(1.0 / pivot)
     in_basis = np.zeros(N, dtype=np.bool_)
-    in_basis[n:] = True
+    in_basis[basis] = True
+    for stats in _OPEN_STATS:
+        stats.phase1_runs += 1
+        stats.artificials.append(m - len(rows))
 
     cost1 = np.zeros(N)
     cost1[n:] = 1.0
-    st = _simplex_loop(T, A_all, b, x, L, U, basis, in_basis, at_upper, cost1,
-                       max_iter)
+    st = _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
+                       cost1, max_iter, 1)
     ok = st == 0 and _refresh_basic_values(A_all, b, x, basis)
-    return (0 if ok else 2), A_all, (T, x, L, U, basis, in_basis, at_upper)
+    return (0 if ok else 2), A_all, (Binv, x, L, U, basis, in_basis, at_upper)
 
 
 def _noise(n, seed):
@@ -309,15 +410,15 @@ def _pass(rung, c, A, b, lo, up, feas_tol):
                 eps, noise = shift
                 c = c + eps * (1.0 + np.max(np.abs(c), initial=0.0)) * noise
             # pin artificials at zero and optimize the true objective
-            T, x, L, U, basis, in_basis, at_upper = (a.copy() for a in state)
+            Binv, x, L, U, basis, in_basis, at_upper = (a.copy() for a in state)
             L[n:] = 0.0
             U[n:] = 0.0
             x[n:] = np.where(in_basis[n:], x[n:], 0.0)
             at_upper[n:] &= in_basis[n:]
             cost2 = np.zeros(n + m)
             cost2[:n] = c
-            st = _simplex_loop(T, A_all, b, x, L, U, basis, in_basis, at_upper,
-                               cost2, max_iter)
+            st = _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis,
+                               at_upper, cost2, max_iter, 2)
             if st == 0 and not _refresh_basic_values(A_all, b, x, basis):
                 st = 2
     x = x[:n].copy()
@@ -421,23 +522,31 @@ def solve_bounded_many(C, A, b, lo, up, feas_tol=1e-8, max_iter=0):
     if A.shape == (0, 0):
         return [(0, 0.0, np.zeros(0)) for _ in C]
     out = [None] * len(C)
+    rung_of = [None] * len(C)  # the rung that certified each row
     todo = list(range(len(C)))
-    for rung in _rungs(A, b, lo, up, max_iter):
+    for k, rung in enumerate(_rungs(A, b, lo, up, max_iter)):
         failed = []
         for i in todo:
             proposal = _pass(rung, C[i], A, b, lo, up, feas_tol)
             verdict = _verdict(C[i], A, b, lo, up, feas_tol, proposal)
             if verdict is None:
                 failed.append(i)
-                verdict = 2, 0.0, proposal[1]  # unless a later rung certifies
+                out[i] = 2, 0.0, proposal[1]  # unless a later rung certifies
             elif verdict[0] == 1:
                 for j in todo:
                     out[j] = 1, 0.0, verdict[2].copy()
-                return out
-            out[i] = verdict
+                    rung_of[j] = k
+                failed = []
+                break
+            else:
+                out[i] = verdict
+                rung_of[i] = k
         todo = failed
         if not todo:
             break
+    for stats in _OPEN_STATS:
+        stats.rungs.update(k for k in rung_of if k is not None)
+        stats.status.update(st for st, _, _ in out)
     return out
 
 
@@ -450,7 +559,8 @@ def min_infeasibility(A, b, lo, up, tol=1e-8, max_iter=0):
     callers compare it with: a residual <= t is witnessed by x, and a
     residual > t comes with a Farkas ray proving that every point of the box
     misses by more than t.  It bounds the minimal violation from above and
-    can exceed it, since phase 1 fixes the sign of each row's violation.
+    can exceed it, since phase 1 fixes the sign of each row's violation to
+    the sign of b - A lo, also on the rows whose crash column starts basic.
     Raises NumericalFailure when no rung of the retry ladder yields such a
     certificate.
     """
@@ -463,12 +573,14 @@ def min_infeasibility(A, b, lo, up, tol=1e-8, max_iter=0):
         return float(np.sum(np.abs(b))), np.zeros(0)
     feas_tol = 1e-8
     t = tol * (1.0 + np.max(np.abs(b)))
-    for rung in _rungs(A, b, lo, up, max_iter):
+    for k, rung in enumerate(_rungs(A, b, lo, up, max_iter)):
         st, x, basis, A_all = _pass(rung, None, A, b, lo, up, feas_tol)
         if st != 0 or not _within_bounds(lo, up, x, feas_tol):
             continue
         resid = float(np.sum(np.abs(A @ x - b)))
         if resid <= t or _proves_infeasible(A, b, lo, up, basis, A_all, t):
+            for stats in _OPEN_STATS:
+                stats.rungs[k] += 1
             return resid, x
     raise NumericalFailure("phase 1 found neither a feasible point nor a "
                            "Farkas ray")

@@ -57,6 +57,14 @@ def _positive_int(text):
     return value
 
 
+def _tolerance(text):
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _level_list(text):
     try:
         return [int(v) for v in text.split(",")]
@@ -324,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cs.add_argument("input")
     p_cs.add_argument("-o", "--output", help="report JSON file (default stdout)")
     p_cs.add_argument("--dirs", type=int, default=64)
-    p_cs.add_argument("--tol", type=float, default=oracle.SHARP_TOL)
+    p_cs.add_argument("--tol", type=_tolerance, default=oracle.SHARP_TOL)
     p_cs.add_argument("--cap", type=int, default=core.DEFAULT_LEAF_CAP)
     p_cs.add_argument("--seed", type=int, default=0)
     p_cs.set_defaults(func=cmd_check_sharp)
@@ -349,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated levels (default 1..n_b)")
     p_demo.add_argument("--angles", type=_positive_int, default=720)
     p_demo.add_argument("--dirs", type=int, default=64)
-    p_demo.add_argument("--tol", type=float, default=oracle.SHARP_TOL)
+    p_demo.add_argument("--tol", type=_tolerance, default=oracle.SHARP_TOL)
     p_demo.add_argument("--cap", type=int, default=core.DEFAULT_LEAF_CAP)
     p_demo.add_argument("--seed", type=int, default=0)
     p_demo.set_defaults(func=cmd_demo_levelset)

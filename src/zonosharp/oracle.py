@@ -228,9 +228,14 @@ def direction_set(n: int, n_dirs: int, seed: int = 0) -> np.ndarray:
 
 def check_sharpness(H: AnySet, n_dirs: int = 64, tol: float = SHARP_TOL,
                     cap: int = DEFAULT_LEAF_CAP, seed: int = 0) -> SharpnessReport:
-    """Compare support of the relaxation against the leafwise convex hull."""
+    """Compare support of the relaxation against the leafwise convex hull.
+
+    Raises ValueError unless tol is a finite number >= 0.
+    """
     from .algebra import convex_relaxation
 
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     dirs = direction_set(H.dim, n_dirs, seed)
     try:
         leaf_list = _leaf_sets(H, cap)

@@ -157,6 +157,15 @@ class TestCheckSharp:
         assert main(["check-sharp", square, "-o", str(tmp_path / "r.json")]) == 5
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3", "abc"])
+    def test_bad_tol_exit_2(self, square, tmp_path, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-sharp", square, "--tol", tol, "-o",
+                  str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--tol" in err and "Traceback" not in err
+
 
 class TestPlot2d:
     def test_square_polygon(self, square, tmp_path):
@@ -253,7 +262,8 @@ class TestDemoLevelset:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("flag, value", [("--angles", "-3"),
-                                             ("--rlt-levels", "1,x")])
+                                             ("--rlt-levels", "1,x"),
+                                             ("--tol", "nan")])
     def test_bad_argument_exit_2(self, tmp_path, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
             main(["demo-levelset", "-o", str(tmp_path / "x.json"), flag, value])

@@ -21,7 +21,8 @@ linprog = pytest.importorskip("scipy.optimize").linprog
 
 HIGHS_STATUS = {0: 0, 2: 1}  # HiGHS optimal / infeasible -> kernel status
 
-LIFTS = [(nb, d) for nb in (2, 3, 4) for d in sorted({1, (nb + 1) // 2, nb})]
+LIFTS = [(nb, d) for nb in (2, 3, 4) for d in sorted({1, (nb + 1) // 2, nb})] \
+    + [(5, 1), (5, 5), (6, 1)]
 
 
 def _assert_agree(c, A, b, lo, up):

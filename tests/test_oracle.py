@@ -263,6 +263,11 @@ class TestSharpness:
         rep = check_sharpness(H)
         assert rep.verdict is SharpnessVerdict.INCONCLUSIVE
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-3])
+    def test_bad_tol_raises(self, tol):
+        with pytest.raises(ValueError):
+            check_sharpness(_two_squares(), tol=tol)
+
     def test_report_serializes(self):
         rep = check_sharpness(_unit_square())
         obj = rep.to_obj()

@@ -236,3 +236,104 @@ class TestBatch:
         fake_pass(2)
         batch = _simplex.solve_bounded_many(self.C, *self.REGION)
         assert [r[0] for r in batch] == [2, 2, 2]
+
+
+def _highs_optimum(c, A, b, lo, up):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    ref = linprog(c, A_eq=A, b_eq=b, bounds=np.column_stack([lo, up]),
+                  method="highs")
+    assert ref.status == 0, ref.message
+    return ref.fun
+
+
+class TestCrashBasis:
+    """Phase 1 starts each row covered by an in-bounds singleton column with
+    that column basic, and keeps B^-1 of the basis through its pivots."""
+
+    def test_fully_covered_region_needs_no_phase1_pivot(self):
+        # [M, I] with slack bounds wide enough that every slack, solved from
+        # its row with the rest at lo, is within them
+        rng = np.random.default_rng(5)
+        m, k = 4, 6
+        A = np.hstack([rng.normal(size=(m, k)), np.eye(m)])
+        lo = np.concatenate([np.zeros(k), np.full(m, -50.0)])
+        up = np.concatenate([np.ones(k), np.full(m, 50.0)])
+        b = A @ rng.uniform(lo, up)
+        c = rng.normal(size=k + m)
+        with _simplex.lp_stats() as stats:
+            st, obj, x = _simplex.solve_bounded(c, A, b, lo, up)
+        assert stats.phase1_runs == 1 and stats.artificials == [0]
+        assert stats.pivots[1] == 0
+        assert st == 0 and stats.rungs == {0: 1}
+        assert abs(obj - _highs_optimum(c, A, b, lo, up)) <= 1e-6 * (1 + abs(obj))
+
+    def test_out_of_bounds_singleton_leaves_an_artificial(self):
+        # x0 + x1 = 1.5 and x1 + x2 = 1 on [0,1]^3: the singleton x0 would
+        # take 1.5 and cannot cover row 0; x2 takes 1 and covers row 1
+        A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        b, lo, up = np.array([1.5, 1.0]), np.zeros(3), np.ones(3)
+        rows, cols, vals = _simplex._crash(A, b - A @ lo, lo, up)
+        assert rows.tolist() == [1] and cols.tolist() == [2]
+        assert vals.tolist() == [1.0]
+        c = np.array([1.0, -1.0, 2.0])
+        feas, ref = brute_force_lp(c, A, b, lo, up)
+        with _simplex.lp_stats() as stats:
+            st, obj, _ = _simplex.solve_bounded(c, A, b, lo, up)
+        assert stats.artificials == [1]
+        assert feas and st == 0 and obj == pytest.approx(ref, abs=1e-9)
+
+    def test_covering_column_is_largest_then_lowest(self):
+        # row 0 has the singletons x0..x3; row 1 has none
+        A = np.array([[1.0, 2.0, 2.0, -4.0, 1.0], [0.0, 0.0, 0.0, 0.0, 1.0]])
+        lo, up = np.zeros(5), np.full(5, 10.0)
+        # x3 = -0.5 is out of bounds; of x1 = x2 = 1 the lower index wins
+        rows, cols, vals = _simplex._crash(A, np.array([2.0, 1.0]), lo, up)
+        assert rows.tolist() == [0] and cols.tolist() == [1]
+        assert vals.tolist() == [1.0]
+        # now only x3 = 0.5 is within its bounds
+        rows, cols, _ = _simplex._crash(A, np.array([-2.0, 1.0]), lo, up)
+        assert rows.tolist() == [0] and cols.tolist() == [3]
+
+    def test_infeasible_region_with_covered_rows_has_a_farkas_ray(self):
+        # x0 + x1 = 0.5 is covered by x0 = 0.5; x1 + x2 = 2.5 is impossible
+        # on [0,1]^3 and keeps its artificial
+        A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        b, lo, up = np.array([0.5, 2.5]), np.zeros(3), np.ones(3)
+        with _simplex.lp_stats() as stats:
+            st, _, _ = _simplex.solve_bounded(np.ones(3), A, b, lo, up)
+        assert stats.artificials == [1] and stats.rungs == {0: 1}
+        assert st == 1  # status 1 is returned only with a verified ray
+        (p1, A_all, state), _, _ = next(_simplex._rungs(A, b, lo, up, 100))
+        assert p1 == 0
+        assert _simplex._proves_infeasible(A, b, lo, up, state[4], A_all, 0.49)
+        # the least 1-norm miss is 0.5; the certified residual bounds it
+        resid, _ = _simplex.min_infeasibility(A, b, lo, up)
+        assert resid >= 0.5 - 1e-12
+
+    def test_inverse_stays_the_basis_inverse(self):
+        # a dense region has no singleton column: phase 1 pivots every
+        # artificial out, past the refactor at REFACTOR_EVERY pivots
+        rng = np.random.default_rng(99)
+        m, n = 60, 120
+        A = rng.normal(size=(m, n))
+        b = A @ rng.uniform(0, 1, size=n)
+        with _simplex.lp_stats() as stats:
+            st, A_all, state = _simplex._phase1(A, b, np.zeros(n), np.ones(n),
+                                                10000)
+        assert st == 0 and stats.artificials == [m]
+        assert stats.pivots[1] > _simplex.REFACTOR_EVERY
+        assert stats.refactors >= 1
+        Binv, basis = state[0], state[4]
+        np.testing.assert_allclose(Binv @ A_all[:, basis], np.eye(m),
+                                   rtol=0, atol=1e-9)
+
+    def test_demo_lift_is_mostly_covered(self):
+        from zonosharp import (convex_relaxation, relugraph, rlt_sharpen)
+        X = relugraph.level_set_above(relugraph.demo_network(), 0.5)
+        R = convex_relaxation(rlt_sharpen(X, 1))
+        lo, up = R.factor_bounds()
+        assert R.A.shape == (113, 139)
+        with _simplex.lp_stats() as stats:
+            st, _, _ = _simplex.solve_bounded(-R.G[0], R.A, R.b, lo, up)
+        assert st == 0
+        assert stats.artificials[0] <= 21
