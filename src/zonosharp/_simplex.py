@@ -5,6 +5,9 @@ test, and emptiness check bottoms out here.  It is plain vectorised numpy.
 
 Pricing is Dantzig (most violated reduced cost) with an automatic switch to
 Bland's rule after a run of degenerate steps, which guarantees termination.
+A fixed variable (equal bounds) is never priced, since its step can only be
+0: neither the artificials that phase 2 pins to zero nor a structural
+column with lo == up ever enters.
 A pass keeps the explicit inverse of its basis, m x m, updated by one rank-1
 product per pivot and rebuilt by LU every REFACTOR_EVERY pivots; reduced
 costs and the entering column are priced from it.
@@ -36,13 +39,18 @@ the point it returns, a large one by a Farkas ray.
 
 Every entry point climbs one retry ladder over one region (A, b, lo, up).
 Phase 1 does not depend on the cost, so each rung runs it once, when a pass
-first climbs there, and every pass on that rung starts from a copy of its
-end: phase 2 for a cost, nothing more for `min_infeasibility`.
-`solve_bounded_many` answers many costs over one region, as the oracles'
-support LPs over many directions ask; a cost whose pass fails or whose
-verdict fails its certificate moves up to the next rung, and a certified
-infeasible phase 1 answers every cost still open.  `solve_bounded` is its
-one-cost case.
+first climbs there.  `solve_bounded_many` answers many costs over one
+region, as the oracles' support LPs over many directions ask.  On each
+rung, a cost starts phase 2 warm, from the final state of the cost before
+it when that one was certified optimal: only the cost differs, so that
+basis is still primal feasible.  The first cost still open, and a cost
+after one that failed, start from a copy of the phase-1 end.  A warm
+answer may be another optimal vertex than a cold start finds, and is
+certified the same way.  A cost whose pass fails or whose verdict fails
+its certificate moves up to the next rung, and a certified infeasible
+phase 1 answers every cost still open.  `solve_bounded` is its one-cost
+case.  `min_infeasibility` reads the phase-1 end of each rung and runs no
+phase 2.
 """
 
 from collections import Counter
@@ -71,6 +79,9 @@ class LpStats:
     of rows that start with an artificial basic variable.  `rungs` counts the
     certified answers by the rung of the retry ladder that gave them, and
     `status` the answers of `solve_bounded_many` rows by status.
+    `max_residual` and `max_gap` are the largest primal residual and duality
+    gap of an optimal verdict that its certificate accepted, each as a
+    fraction of its threshold (so at most 1; 0 while none was accepted).
     """
 
     phase1_runs: int = 0
@@ -81,6 +92,23 @@ class LpStats:
     refactors: int = 0
     rungs: Counter = field(default_factory=Counter)
     status: Counter = field(default_factory=Counter)
+    max_residual: float = 0.0
+    max_gap: float = 0.0
+
+    def to_obj(self):
+        """The counters as a JSON-ready dict; per-phase and per-rung keys
+        become strings."""
+        return {
+            "phase1_runs": self.phase1_runs,
+            "steps": {str(p): {"all": self.pivots[p],
+                               "degenerate": self.degenerate[p],
+                               "bland": self.bland[p]} for p in (1, 2)},
+            "refactors": self.refactors,
+            "rungs": {str(k): v for k, v in sorted(self.rungs.items())},
+            "status": {str(k): v for k, v in sorted(self.status.items())},
+            "max_residual": self.max_residual,
+            "max_gap": self.max_gap,
+        }
 
 
 _OPEN_STATS = []  # the LpStats of every open lp_stats() block
@@ -108,6 +136,8 @@ def _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
     Binv; every state array is changed in place.  Returns 0 optimal,
     2 failure or 3 unbounded."""
     m = Binv.shape[0]
+    movable = U > L  # a fixed variable's step is always 0: never price it
+    blowup = 1e9 * (1.0 + np.max(np.abs(U), initial=0.0))
     degen = 0
     bland = False
     it = 0
@@ -132,7 +162,7 @@ def _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
             refactors += 1
         y = cost[basis] @ Binv
         rc = cost - y @ A_all
-        free = ~in_basis
+        free = movable & ~in_basis
         mask_low = free & (~at_upper) & (rc < -OPT_TOL)
         mask_up = free & at_upper & (rc > OPT_TOL)
         viol = np.where(mask_low, -rc, np.where(mask_up, rc, -1.0))
@@ -200,7 +230,7 @@ def _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
             in_basis[lv] = False
             at_upper[enter] = False
             x[enter] = enter_val
-            if np.max(np.abs(newxB)) > 1e9 * (1.0 + np.max(np.abs(U))):
+            if np.max(np.abs(newxB)) > blowup:
                 if pivots_since_refactor == 0:
                     break  # blew up right after a clean refactor: give up
                 pivots_since_refactor = REFACTOR_EVERY  # refactor next
@@ -384,21 +414,29 @@ def _rungs(A, b, lo, up, max_iter):
                (eps, _noise(n, 101 + 37 * k)))
 
 
-def _pass(rung, c, A, b, lo, up, feas_tol):
-    """One pass on a rung, from a copy of the end of its phase 1: phase 2
-    for the cost c, or nothing more when c is None.
+def _pass(rung, c, A, b, lo, up, feas_tol, start=None):
+    """One pass on a rung: phase 2 for the cost c, or nothing more when c
+    is None.
 
-    Returns (status, x, basis, A_all): the structural part of the final
-    point, the final basis (indices >= n are artificial columns) and the
-    columns [A, diag(art_sign)] it indexes, from which the caller recovers
-    duals.  The status is a proposal that the caller still has to certify.
-    The perturbed problem is not the caller's problem: the point of a
-    perturbed rung is carried back onto the original bounds, and the caller
-    certifies it on the original data.
+    Phase 2 runs in place on `start`, the final state of an earlier pass on
+    this rung, or on a copy of the end of its phase 1 when start is None.
+    Only the cost differs between passes on a rung, so every such state is
+    primal feasible.  Whether the region is infeasible is read from the
+    phase-1 end in either case.
+
+    Returns (proposal, state).  The proposal (status, x, basis, A_all) holds
+    the structural part of the final point, the final basis (indices >= n
+    are artificial columns) and the columns [A, diag(art_sign)] it indexes,
+    from which the caller recovers duals.  Its status is a proposal that the
+    caller still has to certify.  The perturbed problem is not the caller's
+    problem: the point of a perturbed rung is carried back onto the original
+    bounds, and the caller certifies it on the original data.  state is the
+    final state of phase 2 when it ended optimal, else None.
     """
-    (st, A_all, state), max_iter, shift = rung
+    (st, A_all, phase1_end), max_iter, shift = rung
     m, n = A.shape
-    x, basis = state[1], state[4]
+    x, basis = phase1_end[1], phase1_end[4]
+    state = None
     if st == 0 and c is not None:
         # a sequential total: np.sum adds pairwise and rounds differently
         p1 = np.cumsum(np.abs(x[n:]))[-1] if m > 0 else 0.0
@@ -409,8 +447,10 @@ def _pass(rung, c, A, b, lo, up, feas_tol):
             if shift is not None:
                 eps, noise = shift
                 c = c + eps * (1.0 + np.max(np.abs(c), initial=0.0)) * noise
+            if start is None:
+                start = tuple(a.copy() for a in phase1_end)
+            Binv, x, L, U, basis, in_basis, at_upper = state = start
             # pin artificials at zero and optimize the true objective
-            Binv, x, L, U, basis, in_basis, at_upper = (a.copy() for a in state)
             L[n:] = 0.0
             U[n:] = 0.0
             x[n:] = np.where(in_basis[n:], x[n:], 0.0)
@@ -424,7 +464,7 @@ def _pass(rung, c, A, b, lo, up, feas_tol):
     x = x[:n].copy()
     if shift is not None and st == 0:
         x = _onto_original(A, b, lo, up, x, basis, A_all)
-    return st, x, basis, A_all
+    return (st, x, basis, A_all), (state if st == 0 else None)
 
 
 def _farkas_bound(A, b, lo, up, y):
@@ -460,16 +500,22 @@ def _within_bounds(lo, up, x, feas_tol):
 
 
 def _certified_optimal(c, A, b, lo, up, x, y, feas_tol):
-    """Primal residual, bounds and duality gap of (x, y) on the original data."""
-    scale = 1.0 + np.max(np.abs(b), initial=0.0)
-    if np.max(np.abs(A @ x - b), initial=0.0) > 100.0 * feas_tol * scale:
-        return False
-    if not _within_bounds(lo, up, x, feas_tol):
-        return False
+    """Primal residual, bounds and duality gap of (x, y) on the original data.
+
+    Returns (residual, gap), each as a fraction of its threshold, when all
+    three checks pass, else None.
+    """
+    resid = np.max(np.abs(A @ x - b), initial=0.0)
+    resid_tol = 100.0 * feas_tol * (1.0 + np.max(np.abs(b), initial=0.0))
+    if resid > resid_tol or not _within_bounds(lo, up, x, feas_tol):
+        return None
     obj = float(c @ x)
     r = c - A.T @ y
-    dual = float(b @ y) + np.sum(np.minimum(r * lo, r * up))
-    return obj - dual <= 100.0 * feas_tol * (1.0 + abs(obj))
+    gap = obj - (float(b @ y) + np.sum(np.minimum(r * lo, r * up)))
+    gap_tol = 100.0 * feas_tol * (1.0 + abs(obj))
+    if gap > gap_tol:
+        return None
+    return float(resid / resid_tol), float(gap / gap_tol)
 
 
 def _verdict(c, A, b, lo, up, feas_tol, proposal):
@@ -479,7 +525,11 @@ def _verdict(c, A, b, lo, up, feas_tol, proposal):
     if st == 0:
         cost_B = np.append(c, np.zeros(A.shape[0]))[basis]
         y = _solve(A_all[:, basis].T, cost_B)
-        if _certified_optimal(c, A, b, lo, up, x, y, feas_tol):
+        margins = _certified_optimal(c, A, b, lo, up, x, y, feas_tol)
+        if margins is not None:
+            for stats in _OPEN_STATS:
+                stats.max_residual = max(stats.max_residual, margins[0])
+                stats.max_gap = max(stats.max_gap, margins[1])
             return 0, float(c @ x), x
     elif st == 1:
         infeas_tol = feas_tol * (1.0 + np.max(np.abs(b), initial=0.0))
@@ -513,7 +563,9 @@ def solve_bounded_many(C, A, b, lo, up, feas_tol=1e-8, max_iter=0):
     Returns one (status, objective, x) per row of C.  The rows climb the
     retry ladder together: each row still open gets a pass on a rung, and a
     row whose pass fails or whose verdict fails its certificate stays open
-    for the next rung.  An infeasible verdict comes from phase 1 alone, so
+    for the next rung.  A row on a rung starts from the final state of the
+    row before it when that row was certified optimal, else from the end of
+    the rung's phase 1.  An infeasible verdict comes from phase 1 alone, so
     once certified it answers every row still open.  Status 2 means that
     the whole ladder failed for that row.
     """
@@ -526,10 +578,12 @@ def solve_bounded_many(C, A, b, lo, up, feas_tol=1e-8, max_iter=0):
     todo = list(range(len(C)))
     for k, rung in enumerate(_rungs(A, b, lo, up, max_iter)):
         failed = []
+        warm = None  # the final state of the row before, if certified
         for i in todo:
-            proposal = _pass(rung, C[i], A, b, lo, up, feas_tol)
+            proposal, state = _pass(rung, C[i], A, b, lo, up, feas_tol, warm)
             verdict = _verdict(C[i], A, b, lo, up, feas_tol, proposal)
             if verdict is None:
+                warm = None  # the failed pass changed it in place
                 failed.append(i)
                 out[i] = 2, 0.0, proposal[1]  # unless a later rung certifies
             elif verdict[0] == 1:
@@ -541,6 +595,7 @@ def solve_bounded_many(C, A, b, lo, up, feas_tol=1e-8, max_iter=0):
             else:
                 out[i] = verdict
                 rung_of[i] = k
+                warm = state
         todo = failed
         if not todo:
             break
@@ -574,7 +629,7 @@ def min_infeasibility(A, b, lo, up, tol=1e-8, max_iter=0):
     feas_tol = 1e-8
     t = tol * (1.0 + np.max(np.abs(b)))
     for k, rung in enumerate(_rungs(A, b, lo, up, max_iter)):
-        st, x, basis, A_all = _pass(rung, None, A, b, lo, up, feas_tol)
+        (st, x, basis, A_all), _ = _pass(rung, None, A, b, lo, up, feas_tol)
         if st != 0 or not _within_bounds(lo, up, x, feas_tol):
             continue
         resid = float(np.sum(np.abs(A @ x - b)))

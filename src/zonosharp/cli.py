@@ -19,13 +19,14 @@ leaf cap, or an LP that the kernel could not solve to a certified verdict,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict
 
 import numpy as np
 
-from . import algebra, core, oracle, relugraph, rlt
+from . import _simplex, algebra, core, oracle, relugraph, rlt
 from .core import FactorForm
 from .errors import (
     DimensionMismatch,
@@ -209,11 +210,21 @@ def _write_csv(polygons, path):
             fh.write(oracle.polygon_to_csv(np.asarray(entry["vertices"])))
 
 
+def _lp_stats(args):
+    """`_simplex.lp_stats()` when --stats asks for the kernel's counters,
+    else a block that yields None."""
+    return _simplex.lp_stats() if args.stats else contextlib.nullcontext()
+
+
 def cmd_check_sharp(args):
     S = _read_set(args.input)
-    report = oracle.check_sharpness(S, n_dirs=args.dirs, tol=args.tol,
-                                    cap=args.cap, seed=args.seed)
-    _emit_json(report.to_obj(), args.output)
+    with _lp_stats(args) as stats:
+        report = oracle.check_sharpness(S, n_dirs=args.dirs, tol=args.tol,
+                                        cap=args.cap, seed=args.seed)
+    obj = report.to_obj()
+    if stats is not None:
+        obj["lp_stats"] = stats.to_obj()
+    _emit_json(obj, args.output)
     verdict = report.verdict
     if verdict is oracle.SharpnessVerdict.SHARP:
         return 0
@@ -257,41 +268,44 @@ def cmd_demo_levelset(args):
     for d in levels:
         if not 1 <= d <= max(nb, 1):
             raise CliError(EXIT_LEVEL, f"RLT level {d} outside 1..{nb}")
-    pre = oracle.check_sharpness(X, n_dirs=args.dirs, tol=args.tol,
-                                 cap=args.cap, seed=args.seed)
-    hull_poly = oracle.boundary_2d(X, n_angles=args.angles, cap=args.cap)
-    hull_area = oracle.polygon_area(hull_poly)
-    report = {
-        "threshold": args.threshold,
-        "level_set_complexity": asdict(core.complexity(X)),
-        "pre_rlt": {"verdict": pre.verdict.value, "max_gap": pre.max_gap},
-        "hull_area": hull_area,
-        "relax_area": None,
-        "levels": [],
-    }
-    relax_poly = oracle.boundary_2d(algebra.convex_relaxation(X),
-                                    n_angles=args.angles)
-    relax_area = oracle.polygon_area(relax_poly)
-    report["relax_area"] = relax_area
-    report["relax_area_ratio"] = relax_area / hull_area if hull_area else None
-    polygons = [{"tag": "hull", "vertices": hull_poly.tolist()},
-                {"tag": "relaxation", "vertices": relax_poly.tolist()}]
-    for d in levels:
-        Xd, rep_d = rlt.rlt_report(X, d)
-        sharp_d = oracle.check_sharpness(Xd, n_dirs=args.dirs, tol=args.tol,
-                                         cap=args.cap, seed=args.seed)
-        poly_d = oracle.boundary_2d(algebra.convex_relaxation(Xd),
-                                    n_angles=args.angles)
-        area_d = oracle.polygon_area(poly_d)
-        report["levels"].append({
-            "level": d,
-            "complexity": rep_d,
-            "verdict": sharp_d.verdict.value,
-            "max_gap": sharp_d.max_gap,
-            "area": area_d,
-            "area_ratio": area_d / hull_area if hull_area else None,
-        })
-        polygons.append({"tag": f"rlt_d{d}", "vertices": poly_d.tolist()})
+    with _lp_stats(args) as stats:
+        pre = oracle.check_sharpness(X, n_dirs=args.dirs, tol=args.tol,
+                                     cap=args.cap, seed=args.seed)
+        hull_poly = oracle.boundary_2d(X, n_angles=args.angles, cap=args.cap)
+        hull_area = oracle.polygon_area(hull_poly)
+        report = {
+            "threshold": args.threshold,
+            "level_set_complexity": asdict(core.complexity(X)),
+            "pre_rlt": {"verdict": pre.verdict.value, "max_gap": pre.max_gap},
+            "hull_area": hull_area,
+            "relax_area": None,
+            "levels": [],
+        }
+        relax_poly = oracle.boundary_2d(algebra.convex_relaxation(X),
+                                        n_angles=args.angles)
+        relax_area = oracle.polygon_area(relax_poly)
+        report["relax_area"] = relax_area
+        report["relax_area_ratio"] = relax_area / hull_area if hull_area else None
+        polygons = [{"tag": "hull", "vertices": hull_poly.tolist()},
+                    {"tag": "relaxation", "vertices": relax_poly.tolist()}]
+        for d in levels:
+            Xd, rep_d = rlt.rlt_report(X, d)
+            sharp_d = oracle.check_sharpness(Xd, n_dirs=args.dirs, tol=args.tol,
+                                             cap=args.cap, seed=args.seed)
+            poly_d = oracle.boundary_2d(algebra.convex_relaxation(Xd),
+                                        n_angles=args.angles)
+            area_d = oracle.polygon_area(poly_d)
+            report["levels"].append({
+                "level": d,
+                "complexity": rep_d,
+                "verdict": sharp_d.verdict.value,
+                "max_gap": sharp_d.max_gap,
+                "area": area_d,
+                "area_ratio": area_d / hull_area if hull_area else None,
+            })
+            polygons.append({"tag": f"rlt_d{d}", "vertices": poly_d.tolist()})
+    if stats is not None:
+        report["lp_stats"] = stats.to_obj()
     _emit_json(report, args.output)
     if args.polygons:
         _emit_json({"polygons": polygons}, args.polygons)
@@ -335,6 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cs.add_argument("--tol", type=_tolerance, default=oracle.SHARP_TOL)
     p_cs.add_argument("--cap", type=int, default=core.DEFAULT_LEAF_CAP)
     p_cs.add_argument("--seed", type=int, default=0)
+    p_cs.add_argument("--stats", action="store_true",
+                      help="add the LP kernel's counters to the JSON")
     p_cs.set_defaults(func=cmd_check_sharp)
 
     p_plot = sub.add_parser("plot2d", help="polygon data for a 2D set")
@@ -360,6 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--tol", type=_tolerance, default=oracle.SHARP_TOL)
     p_demo.add_argument("--cap", type=int, default=core.DEFAULT_LEAF_CAP)
     p_demo.add_argument("--seed", type=int, default=0)
+    p_demo.add_argument("--stats", action="store_true",
+                        help="add the LP kernel's counters to the JSON")
     p_demo.set_defaults(func=cmd_demo_levelset)
     return p
 

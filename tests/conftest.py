@@ -11,7 +11,7 @@ def _fake(status):
     def one_pass(rung, c, A, b, lo, *rest):
         (_, A_all, _), _, _ = rung
         m, n = A.shape
-        return status, lo.copy(), np.arange(n, n + m), A_all
+        return (status, lo.copy(), np.arange(n, n + m), A_all), None
     return one_pass
 
 

@@ -167,6 +167,21 @@ class TestCheckSharp:
         assert "--tol" in err and "Traceback" not in err
 
 
+    def test_stats(self, square, tmp_path):
+        plain, counted = str(tmp_path / "p.json"), str(tmp_path / "s.json")
+        assert main(["check-sharp", square, "-o", plain]) == 0
+        assert main(["check-sharp", square, "--stats", "-o", counted]) == 0
+        rep = json.load(open(counted))
+        stats = rep.pop("lp_stats")
+        # without the flag the report is what it was
+        assert json.dumps(rep, indent=1) == open(plain).read()
+        assert stats["phase1_runs"] >= 1 and stats["refactors"] == 0
+        assert set(stats["steps"]) == {"1", "2"}
+        assert set(stats["rungs"]) == {"0"} and set(stats["status"]) == {"0"}
+        assert 0.0 <= stats["max_residual"] <= 1.0
+        assert stats["max_gap"] <= 1.0
+
+
 class TestPlot2d:
     def test_square_polygon(self, square, tmp_path):
         out = str(tmp_path / "poly.json")
@@ -270,3 +285,18 @@ class TestDemoLevelset:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
+
+    def test_stats(self, tmp_path):
+        plain, counted = str(tmp_path / "p.json"), str(tmp_path / "s.json")
+        args = ["demo-levelset", "--angles", "16", "--dirs", "4"]
+        assert main(args + ["-o", plain]) == 0
+        assert main(args + ["--stats", "-o", counted]) == 0
+        rep = json.load(open(counted))
+        stats = rep.pop("lp_stats")
+        assert json.dumps(rep, indent=1) == open(plain).read()
+        assert stats["phase1_runs"] >= 1
+        steps = stats["steps"]["2"]
+        assert steps["degenerate"] <= steps["all"]
+        assert steps["bland"] <= steps["all"]
+        assert sum(stats["rungs"].values()) == sum(stats["status"].values())
+        assert set(stats["rungs"]) == {"0"}

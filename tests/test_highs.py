@@ -3,8 +3,10 @@
 The corpus is the brute-force LPs of test_simplex and the support LPs of
 RLT-lift relaxations of seeded random sets.  The kernel and HiGHS must agree
 on the status, and on the optimum to within 1e-6 * (1 + |optimum|).  On the
-lift LPs, `solve_bounded_many` must also return, bit for bit, what one
-`solve_bounded` call per cost returns.
+lift LPs, each row of `solve_bounded_many` must also agree with one
+`solve_bounded` call for its cost: bit for bit on the first row, and on
+later rows, which start warm, to the same tolerance, with a point that
+HiGHS's duals certify.
 Skipped when scipy is missing.
 """
 
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from test_acceptance import _random_hz
-from test_simplex import small_random_lp
+from test_simplex import assert_same_batch, small_random_lp
 
 from zonosharp import _simplex, convex_relaxation, direction_set, rlt_sharpen
 from zonosharp.oracle import FEAS_TOL
@@ -31,6 +33,7 @@ def _assert_agree(c, A, b, lo, up):
 
 
 def _assert_matches_highs(result, c, A, b, lo, up):
+    """Returns HiGHS's result."""
     st, obj, _ = result
     ref = linprog(c, A_eq=A, b_eq=b, bounds=np.column_stack([lo, up]),
                   method="highs")
@@ -38,6 +41,7 @@ def _assert_matches_highs(result, c, A, b, lo, up):
     assert st == HIGHS_STATUS[ref.status]
     if st == 0:
         assert abs(obj - ref.fun) <= 1e-6 * (1.0 + abs(ref.fun))
+    return ref
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -63,9 +67,9 @@ def test_lift_support_batch(nb, d, seed):
     lo, up = R.factor_bounds()
     C = np.array([-(R.G.T @ u) for u in direction_set(2, 8, seed=seed)])
     batch = _simplex.solve_bounded_many(C, R.A, R.b, lo, up, feas_tol=FEAS_TOL)
-    assert len(batch) == len(C)
-    for c, (st, obj, x) in zip(C, batch):
-        lone = _simplex.solve_bounded(c, R.A, R.b, lo, up, feas_tol=FEAS_TOL)
-        assert st == lone[0] and obj == lone[1]
-        np.testing.assert_array_equal(x, lone[2])
-        _assert_matches_highs((st, obj, x), c, R.A, R.b, lo, up)
+    lone = [_simplex.solve_bounded(c, R.A, R.b, lo, up, feas_tol=FEAS_TOL)
+            for c in C]
+    refs = [_assert_matches_highs(answer, c, R.A, R.b, lo, up)
+            for c, answer in zip(C, batch)]
+    duals = [ref.eqlin.marginals if ref.status == 0 else None for ref in refs]
+    assert_same_batch(batch, lone, C, R.A, R.b, lo, up, duals, FEAS_TOL)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from test_simplex import assert_same_batch
 
 from zonosharp import (
     ConstrainedZonotope,
@@ -151,22 +152,36 @@ class TestKernelRegression:
         assert abs(obj - ref.fun) <= 1e-6
 
     def test_batch_runs_each_rung_once(self, rlt_lift, phase1_runs):
-        # some of these rows fail on rung 0 and are answered on rung 1; every
-        # row shares the one phase 1 of each rung
+        # every row is certified on rung 0, so the one phase 1 of rung 0
+        # is the only one
         linprog = pytest.importorskip("scipy.optimize").linprog
         lo, up = rlt_lift.factor_bounds()
         region = (rlt_lift.A, rlt_lift.b, lo, up)
         C = np.array([-(rlt_lift.G.T @ u) for u in direction_set(2, 64)[8:16]])
-        batch = _simplex.solve_bounded_many(C, *region, feas_tol=FEAS_TOL)
-        assert len(phase1_runs) == 2
-        for c, (st, obj, x) in zip(C, batch):
-            lone = _simplex.solve_bounded(c, *region, feas_tol=FEAS_TOL)
-            assert st == lone[0] == 0 and obj == lone[1]
-            np.testing.assert_array_equal(x, lone[2])
+        with _simplex.lp_stats() as stats:
+            batch = _simplex.solve_bounded_many(C, *region, feas_tol=FEAS_TOL)
+        assert len(phase1_runs) == 1 and stats.rungs == {0: len(C)}
+        lone = [_simplex.solve_bounded(c, *region, feas_tol=FEAS_TOL)
+                for c in C]
+        duals = []
+        for c, (st, obj, _) in zip(C, batch):
             ref = linprog(c, A_eq=region[0], b_eq=region[1],
                           bounds=np.column_stack([lo, up]), method="highs")
-            assert ref.status == 0
+            assert ref.status == 0 and st == 0
             assert abs(obj - ref.fun) <= 1e-6 * (1.0 + abs(ref.fun))
+            duals.append(ref.eqlin.marginals)
+        assert_same_batch(batch, lone, C, *region, duals, FEAS_TOL)
+
+    def test_every_direction_on_rung_0(self, rlt_lift):
+        # a batch row starts from the last optimal basis; a cold start on
+        # every row left 16 of these 64 rows to rung 1
+        lo, up = rlt_lift.factor_bounds()
+        C = np.array([-(rlt_lift.G.T @ u) for u in direction_set(2, 64)])
+        with _simplex.lp_stats() as stats:
+            batch = _simplex.solve_bounded_many(C, rlt_lift.A, rlt_lift.b, lo,
+                                                up, feas_tol=FEAS_TOL)
+        assert stats.phase1_runs == 1 and stats.rungs == {0: 64}
+        assert [st for st, _, _ in batch] == [0] * 64
 
 
 class TestSupport:
@@ -337,12 +352,18 @@ class TestBatchedSupport:
             assert h == max(support(L, u) for L in leaf_sets)
 
     def test_boundary_points_are_lone_support_points(self):
+        # the first direction's point is the lone one bit for bit; later
+        # directions start warm and may stop at another point of the same
+        # support line
         L = union([box(np.array([[0.0, 2.0], [0.0, 1.0]]), FactorForm.ZO),
                    box(np.array([[0.0, 1.0], [0.0, 2.0]]), FactorForm.ZO)])
         poly = boundary_2d(L, n_angles=16, dedup_tol=0.0)
-        pts = [support_point(L, [np.cos(th), np.sin(th)])[1]
-               for th in 2.0 * np.pi * np.arange(16) / 16]
-        assert {tuple(p) for p in poly} == {tuple(p) for p in pts}
+        U = [[np.cos(th), np.sin(th)] for th in 2.0 * np.pi * np.arange(16) / 16]
+        lone = [support_point(L, u) for u in U]
+        np.testing.assert_array_equal(poly[0], lone[0][1])
+        assert len(poly) <= 16
+        for u, (h, _) in zip(U, lone):
+            assert np.max(poly @ u) == pytest.approx(h, rel=1e-9, abs=1e-9)
 
     def test_failed_first_pass_falls_back(self, fake_pass):
         sq = convex_relaxation(_unit_square())

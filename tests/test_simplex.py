@@ -189,28 +189,50 @@ class TestCertificates:
         assert _simplex._farkas_bound(A, np.ones(1), lo, up, np.array([1.0])) < 0
 
 
-class TestBatch:
-    """`solve_bounded_many` runs phase 1 once and answers each row exactly
-    as `solve_bounded` does."""
+def assert_same_batch(batch, lone, C, A, b, lo, up, duals, feas_tol=1e-8):
+    """A `solve_bounded_many` batch against one lone `solve_bounded` answer
+    per cost row of C.
 
-    # the segment x1 + x2 = 1 on [0,1]^2, minimised in three directions
+    The first row starts from the phase-1 end, as a lone solve does, and
+    equals its lone answer bit for bit.  A later row starts warm and may
+    stop at another optimal vertex, so it must have the lone status and,
+    when optimal, an objective within 1e-6 (1 + |obj|) of the lone one,
+    attained by its x, and an x that passes the kernel's certificate on the
+    original data with the optimal duals that `duals` gives for its cost.
+    """
+    assert len(batch) == len(lone) == len(C)
+    assert batch[0][:2] == lone[0][:2]
+    np.testing.assert_array_equal(batch[0][2], lone[0][2])
+    for c, (st, obj, x), (st1, obj1, _), y in zip(C, batch, lone, duals):
+        assert st == st1
+        if st == 0:
+            assert abs(obj - obj1) <= 1e-6 * (1.0 + abs(obj))
+            assert float(c @ x) == obj
+            assert _simplex._certified_optimal(c, A, b, lo, up, x, y,
+                                               feas_tol)
+
+
+class TestBatch:
+    """`solve_bounded_many` runs phase 1 once, answers its first row exactly
+    as `solve_bounded` does and every later row to the same optimum."""
+
+    # the segment x1 + x2 = 1 on [0,1]^2, minimised in three directions;
+    # the dual of min c'x on it is min(c1, c2)
     C = np.array([[1.0, 2.0], [2.0, 1.0], [-1.0, -1.0]])
     REGION = TestCertificates.LP[1:]
 
     def _lone(self, region):
         return [_simplex.solve_bounded(c, *region) for c in self.C]
 
-    def assert_same(self, batch, lone):
-        assert len(batch) == len(lone)
-        for (st, obj, x), (st1, obj1, x1) in zip(batch, lone):
-            assert st == st1 and obj == obj1
-            np.testing.assert_array_equal(x, x1)
+    def assert_same(self, batch, lone, region):
+        duals = [np.array([np.min(c)]) for c in self.C]
+        assert_same_batch(batch, lone, self.C, *region, duals)
 
     def test_rows_match_lone_solves(self, phase1_runs):
         batch = _simplex.solve_bounded_many(self.C, *self.REGION)
         assert len(phase1_runs) == 1
         assert [r[1] for r in batch] == pytest.approx([1.0, 1.0, -1.0])
-        self.assert_same(batch, self._lone(self.REGION))
+        self.assert_same(batch, self._lone(self.REGION), self.REGION)
 
     def test_failed_first_pass_falls_back_alone(self, fake_pass, phase1_runs):
         lone = self._lone(self.REGION)
@@ -218,11 +240,10 @@ class TestBatch:
         calls = fake_pass(2, first_only=True)
         batch = _simplex.solve_bounded_many(self.C, *self.REGION)
         # rows 0, 1 and 2 share the phase 1 of rung 0, where the faked pass
-        # fails row 0 alone; row 0 is then answered on rung 1, which here
-        # gives it the same answer bit for bit
+        # fails row 0 alone; row 0 is then answered on rung 1
         assert len(calls) == 4
         assert len(phase1_runs) == 2
-        self.assert_same(batch, lone)
+        self.assert_same(batch, lone, self.REGION)
 
     def test_infeasible_region_answers_every_row(self, phase1_runs):
         # x1 + x2 = 3 is impossible on [0,1]^2
@@ -230,7 +251,27 @@ class TestBatch:
         batch = _simplex.solve_bounded_many(self.C, *region)
         assert [r[0] for r in batch] == [1, 1, 1]
         assert len(phase1_runs) == 1
-        self.assert_same(batch, self._lone(region))
+        self.assert_same(batch, self._lone(region), region)
+
+    def test_row_after_a_failed_pass_starts_cold(self, monkeypatch):
+        # the second pass wrecks the state it ran in place on and reports a
+        # failure: the third row starts from the phase-1 end, not from it
+        real = _simplex._pass
+        starts = []
+
+        def one_pass(rung, c, A, b, lo, up, feas_tol, start=None):
+            starts.append(start)
+            proposal, state = real(rung, c, A, b, lo, up, feas_tol, start)
+            if len(starts) == 2:
+                state[0][:] = np.nan  # the basis inverse
+                return (2,) + proposal[1:], None
+            return proposal, state
+        monkeypatch.setattr(_simplex, "_pass", one_pass)
+        with _simplex.lp_stats() as stats:
+            batch = _simplex.solve_bounded_many(self.C, *self.REGION)
+        assert [s is None for s in starts] == [True, False, True, True]
+        assert stats.rungs == {0: 2, 1: 1}
+        self.assert_same(batch, self._lone(self.REGION), self.REGION)
 
     def test_kernel_failure_on_every_row(self, fake_pass):
         fake_pass(2)
@@ -337,3 +378,21 @@ class TestCrashBasis:
             st, _, _ = _simplex.solve_bounded(-R.G[0], R.A, R.b, lo, up)
         assert st == 0
         assert stats.artificials[0] <= 21
+
+
+class TestPricing:
+    def test_fixed_column_never_enters(self):
+        # x0 + x1 + x2 = 0 with x0 basic at 0 and x1 fixed at lo = up = 0:
+        # x1's reduced cost -1 is violated, but its step can only be 0, so
+        # the basis is already optimal
+        A_all, b = np.ones((1, 3)), np.zeros(1)
+        x, L, U = np.zeros(3), np.zeros(3), np.array([1.0, 0.0, 1.0])
+        basis = np.array([0])
+        in_basis = np.array([True, False, False])
+        at_upper = np.zeros(3, dtype=np.bool_)
+        with _simplex.lp_stats() as stats:
+            st = _simplex._simplex_loop(np.eye(1), A_all, b, x, L, U, basis,
+                                        in_basis, at_upper,
+                                        np.array([0.0, -1.0, 1.0]), 100, 2)
+        assert st == 0 and stats.pivots[2] == 0
+        assert basis.tolist() == [0] and not at_upper.any()
