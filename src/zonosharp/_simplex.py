@@ -37,14 +37,19 @@ duals recovered from the pass's final basis:
 `min_infeasibility` certifies its residual in the same way: a small one by
 the point it returns, a large one by a Farkas ray.
 
-Every entry point climbs one retry ladder over one region (A, b, lo, up).
-Phase 1 does not depend on the cost, so each rung runs it once, when a pass
-first climbs there.  `solve_bounded_many` answers many costs over one
-region, as the oracles' support LPs over many directions ask.  On each
-rung, a cost starts phase 2 warm, from the final state of the cost before
-it when that one was certified optimal: only the cost differs, so that
-basis is still primal feasible.  The first cost still open, and a cost
-after one that failed, start from a copy of the phase-1 end.  A warm
+Every entry point climbs one retry ladder over one region (A, b, lo, up),
+a `Ladder`.  Phase 1 does not depend on the cost, so each rung runs it
+once per ladder, when a pass first climbs there, and the ladder keeps its
+end.  The entry points on raw arrays climb a new ladder per call; a
+constrained zonotope keeps the ladder of its factor box
+(`ConstrainedZonotope.lp_ladder`), so phase 1 runs once per region per set
+object, however many queries follow.  `solve_bounded_many` answers many
+costs over one region, as the oracles' support LPs over many directions
+ask.  On each rung, a cost starts phase 2 warm, from the final state of
+the cost before it in the same call when that one was certified optimal:
+only the cost differs, so that basis is still primal feasible.  The first
+cost still open, and a cost after one that failed, start from a copy of
+the phase-1 end; no phase-2 state carries over between calls.  A warm
 answer may be another optimal vertex than a cold start finds, and is
 certified the same way.  A cost whose pass fails or whose verdict fails
 its certificate moves up to the next rung, and a certified infeasible
@@ -75,16 +80,22 @@ class LpStats:
     `pivots`, `degenerate` and `bland` are keyed by phase (1 or 2) and count
     the steps of the simplex loop (a basis change or a bound flip): all of
     them, those that moved the point by no more than 1e-12, and those taken
-    under Bland's rule.  `artificials` lists, per phase-1 start, the number
-    of rows that start with an artificial basic variable.  `rungs` counts the
-    certified answers by the rung of the retry ladder that gave them, and
-    `status` the answers of `solve_bounded_many` rows by status.
+    under Bland's rule.  `phase1_runs` counts the phase 1s run, and
+    `phase1_reused` the rung starts read from a `Ladder` that had run that
+    rung's phase 1 in an earlier call.  `artificials` lists, per phase-1
+    start, the number of rows that start with an artificial basic variable.
+    `rows` counts the LPs answered: each cost row of a `solve_bounded_many`
+    batch and each `min_infeasibility` call that returns.  `rungs` counts
+    the certified answers by the rung of the retry ladder that gave them,
+    and `status` the answers of `solve_bounded_many` rows by status.
     `max_residual` and `max_gap` are the largest primal residual and duality
     gap of an optimal verdict that its certificate accepted, each as a
     fraction of its threshold (so at most 1; 0 while none was accepted).
     """
 
+    rows: int = 0
     phase1_runs: int = 0
+    phase1_reused: int = 0
     artificials: list = field(default_factory=list)
     pivots: Counter = field(default_factory=Counter)
     degenerate: Counter = field(default_factory=Counter)
@@ -99,7 +110,9 @@ class LpStats:
         """The counters as a JSON-ready dict; per-phase and per-rung keys
         become strings."""
         return {
+            "rows": self.rows,
             "phase1_runs": self.phase1_runs,
+            "phase1_reused": self.phase1_reused,
             "steps": {str(p): {"all": self.pivots[p],
                                "degenerate": self.degenerate[p],
                                "bland": self.bland[p]} for p in (1, 2)},
@@ -306,6 +319,15 @@ def _crash(A, r, lo, up):
     return rows, cols[pick], v[pick]
 
 
+def _with_artificials(A, art_sign):
+    """[A, diag(art_sign)]: the columns of A, then one artificial per row."""
+    m, n = A.shape
+    A_all = np.zeros((m, n + m))
+    A_all[:, :n] = A
+    A_all[np.arange(m), n + np.arange(m)] = art_sign
+    return A_all
+
+
 def _phase1(A, b, lo, up, max_iter):
     """Phase 1 of a region, from a crash basis.
 
@@ -332,11 +354,8 @@ def _phase1(A, b, lo, up, max_iter):
     x = np.concatenate([lo, np.abs(r)])
     at_upper = np.zeros(N, dtype=np.bool_)
     art_sign = np.where(r >= 0.0, 1.0, -1.0)
-    arts = np.arange(m)
-    A_all = np.zeros((m, N))
-    A_all[:, :n] = A
-    A_all[arts, n + arts] = art_sign
-    basis = n + arts
+    A_all = _with_artificials(A, art_sign)
+    basis = n + np.arange(m)
     pivot = art_sign.copy()
     rows, cols, vals = _crash(A, r, lo, up)
     basis[rows] = cols
@@ -394,24 +413,23 @@ def _onto_original(A, b, lo, up, x, basis, A_all):
     return x
 
 
-def _rungs(A, b, lo, up, max_iter):
-    """The retry ladder over one region: the problem as given, then perturbed.
+def _rung_region(k, lo, up, max_iter):
+    """Bounds, iteration budget and cost shift of rung k of the retry ladder.
 
-    A pass can fail (a degenerate crawl ending in a drifted basis) or propose
+    Rung 0 is the problem as given; rungs 1 to 5 are perturbed copies.  A
+    pass can fail (a degenerate crawl ending in a drifted basis) or propose
     a verdict its certificate rejects (a phase 1 that stalls just above the
     feasibility threshold).  Shifting the objective and widening the bounds
-    by O(1e-9) breaks the ties that cause the stall.  Yields each rung as
-    (phase-1 end, iteration budget, cost shift); its phase 1 runs when the
-    caller climbs to it.
+    by O(1e-9) breaks the ties that cause the stall.
     """
-    yield _phase1(A, b, lo, up, max_iter), max_iter, None
-    n = A.shape[1]
-    for k in range(5):
-        eps = 1e-9 * 10.0 ** (k // 2)
-        lop = lo - eps * np.abs(_noise(n, 211 + 37 * k))
-        upp = up + eps * np.abs(_noise(n, 307 + 37 * k))
-        yield (_phase1(A, b, lop, upp, 2 * max_iter), 2 * max_iter,
-               (eps, _noise(n, 101 + 37 * k)))
+    if k == 0:
+        return lo, up, max_iter, None
+    n = lo.shape[0]
+    j = k - 1
+    eps = 1e-9 * 10.0 ** (j // 2)
+    lop = lo - eps * np.abs(_noise(n, 211 + 37 * j))
+    upp = up + eps * np.abs(_noise(n, 307 + 37 * j))
+    return lop, upp, 2 * max_iter, (eps, _noise(n, 101 + 37 * j))
 
 
 def _pass(rung, c, A, b, lo, up, feas_tol, start=None):
@@ -546,6 +564,132 @@ def _default_max_iter(A, max_iter):
     return max_iter if max_iter > 0 else 200 * sum(A.shape) + 2000
 
 
+def _pack(M):
+    """The entries of M other than +0.0, as (flat indices, values); -0.0 is
+    kept, so `_unpack` rebuilds M bit for bit."""
+    flat = M.ravel()
+    idx = np.flatnonzero((flat != 0.0) | np.signbit(flat))
+    return idx, flat[idx]
+
+
+def _unpack(m, idx, values):
+    """The m x m matrix that `_pack` gave (idx, values) for."""
+    M = np.zeros(m * m)
+    M[idx] = values
+    return M.reshape(m, m)
+
+
+class Ladder:
+    """The retry ladder of one region {x : Ax = b, lo <= x <= up}.
+
+    It has six rungs, the problem as given and then five perturbed copies
+    (`_rung_region`).  Rung k's phase 1 runs the first time a call climbs to
+    it, and its end is kept for every later call on this object, since
+    phase 1 does not depend on the cost.  A later call reads it from here
+    (`LpStats.phase1_reused`) and runs its passes on copies of it.  Only
+    phase-1 ends are kept, read-only: no state of a phase 2 outlives its
+    call, so an answer does not depend on the calls made before it.  The
+    columns A_all = [A, diag(art_sign)] of a rung are rebuilt from A and
+    the rung's artificial signs when it is read, and the basis inverse,
+    mostly zeros after a crash start and a few pivots, is kept as its
+    entries other than +0.0 (`_pack`), from which it is rebuilt bit for
+    bit.  A ladder holds arrays and numbers only, so it pickles and
+    deep-copies.
+    """
+
+    def __init__(self, A, b, lo, up, max_iter=0):
+        self.A, self.b, self.lo, self.up = _as_arrays(A, b, lo, up)
+        self.max_iter = _default_max_iter(self.A, max_iter)
+        self._ends = [None] * 6  # per rung, once climbed to
+
+    def __len__(self):
+        return len(self._ends)
+
+    def rung(self, k):
+        """Rung k as ((phase-1 status, A_all, phase-1 end), iteration
+        budget, cost shift); see `_phase1` and `_pass`."""
+        kept = self._ends[k]
+        if kept is None:
+            lo, up, budget, shift = _rung_region(k, self.lo, self.up,
+                                                 self.max_iter)
+            st, A_all, end = _phase1(self.A, self.b, lo, up, budget)
+            art_sign = A_all[:, self.A.shape[1]:].diagonal().copy()
+            Binv_kept = _pack(end[0])
+            for a in (art_sign, *Binv_kept, *end[1:]):
+                a.setflags(write=False)
+            self._ends[k] = st, art_sign, Binv_kept, end[1:], budget, shift
+            return (st, A_all, end), budget, shift
+        st, art_sign, Binv_kept, rest, budget, shift = kept
+        for stats in _OPEN_STATS:
+            stats.phase1_reused += 1
+        end = (_unpack(len(art_sign), *Binv_kept), *rest)
+        return (st, _with_artificials(self.A, art_sign), end), budget, shift
+
+    def solve_many(self, C, feas_tol=1e-8):
+        """`solve_bounded_many` over this region."""
+        (C,) = _as_arrays(C)
+        A, b, lo, up = self.A, self.b, self.lo, self.up
+        if A.shape == (0, 0):
+            return [(0, 0.0, np.zeros(0)) for _ in C]
+        out = [None] * len(C)
+        rung_of = [None] * len(C)  # the rung that certified each row
+        todo = list(range(len(C)))
+        for k in range(len(self)):
+            rung = self.rung(k)
+            failed = []
+            warm = None  # the final state of the row before, if certified
+            for i in todo:
+                proposal, state = _pass(rung, C[i], A, b, lo, up, feas_tol,
+                                        warm)
+                verdict = _verdict(C[i], A, b, lo, up, feas_tol, proposal)
+                if verdict is None:
+                    warm = None  # the failed pass changed it in place
+                    failed.append(i)
+                    out[i] = 2, 0.0, proposal[1]  # unless a later rung certifies
+                elif verdict[0] == 1:
+                    for j in todo:
+                        out[j] = 1, 0.0, verdict[2].copy()
+                        rung_of[j] = k
+                    failed = []
+                    break
+                else:
+                    out[i] = verdict
+                    rung_of[i] = k
+                    warm = state
+            todo = failed
+            if not todo:
+                break
+        for stats in _OPEN_STATS:
+            stats.rows += len(C)
+            stats.rungs.update(k for k in rung_of if k is not None)
+            stats.status.update(st for st, _, _ in out)
+        return out
+
+    def min_infeasibility(self, tol=1e-8):
+        """`min_infeasibility` over this region."""
+        A, b, lo, up = self.A, self.b, self.lo, self.up
+        m, n = A.shape
+        if m == 0:
+            return 0.0, lo.copy()
+        if n == 0:
+            return float(np.sum(np.abs(b))), np.zeros(0)
+        feas_tol = 1e-8
+        t = tol * (1.0 + np.max(np.abs(b)))
+        for k in range(len(self)):
+            (st, x, basis, A_all), _ = _pass(self.rung(k), None, A, b, lo, up,
+                                             feas_tol)
+            if st != 0 or not _within_bounds(lo, up, x, feas_tol):
+                continue
+            resid = float(np.sum(np.abs(A @ x - b)))
+            if resid <= t or _proves_infeasible(A, b, lo, up, basis, A_all, t):
+                for stats in _OPEN_STATS:
+                    stats.rows += 1
+                    stats.rungs[k] += 1
+                return resid, x
+        raise NumericalFailure("phase 1 found neither a feasible point nor a "
+                               "Farkas ray")
+
+
 def solve_bounded(c, A, b, lo, up, feas_tol=1e-8, max_iter=0):
     """Solve min c'x s.t. Ax=b, lo<=x<=up (all bounds finite).
 
@@ -567,42 +711,10 @@ def solve_bounded_many(C, A, b, lo, up, feas_tol=1e-8, max_iter=0):
     row before it when that row was certified optimal, else from the end of
     the rung's phase 1.  An infeasible verdict comes from phase 1 alone, so
     once certified it answers every row still open.  Status 2 means that
-    the whole ladder failed for that row.
+    the whole ladder failed for that row.  Each call climbs a new `Ladder`;
+    `Ladder.solve_many` answers on a kept one.
     """
-    C, A, b, lo, up = _as_arrays(C, A, b, lo, up)
-    max_iter = _default_max_iter(A, max_iter)
-    if A.shape == (0, 0):
-        return [(0, 0.0, np.zeros(0)) for _ in C]
-    out = [None] * len(C)
-    rung_of = [None] * len(C)  # the rung that certified each row
-    todo = list(range(len(C)))
-    for k, rung in enumerate(_rungs(A, b, lo, up, max_iter)):
-        failed = []
-        warm = None  # the final state of the row before, if certified
-        for i in todo:
-            proposal, state = _pass(rung, C[i], A, b, lo, up, feas_tol, warm)
-            verdict = _verdict(C[i], A, b, lo, up, feas_tol, proposal)
-            if verdict is None:
-                warm = None  # the failed pass changed it in place
-                failed.append(i)
-                out[i] = 2, 0.0, proposal[1]  # unless a later rung certifies
-            elif verdict[0] == 1:
-                for j in todo:
-                    out[j] = 1, 0.0, verdict[2].copy()
-                    rung_of[j] = k
-                failed = []
-                break
-            else:
-                out[i] = verdict
-                rung_of[i] = k
-                warm = state
-        todo = failed
-        if not todo:
-            break
-    for stats in _OPEN_STATS:
-        stats.rungs.update(k for k in rung_of if k is not None)
-        stats.status.update(st for st, _, _ in out)
-    return out
+    return Ladder(A, b, lo, up, max_iter).solve_many(C, feas_tol)
 
 
 def min_infeasibility(A, b, lo, up, tol=1e-8, max_iter=0):
@@ -617,25 +729,7 @@ def min_infeasibility(A, b, lo, up, tol=1e-8, max_iter=0):
     can exceed it, since phase 1 fixes the sign of each row's violation to
     the sign of b - A lo, also on the rows whose crash column starts basic.
     Raises NumericalFailure when no rung of the retry ladder yields such a
-    certificate.
+    certificate.  Each call climbs a new `Ladder`;
+    `Ladder.min_infeasibility` answers on a kept one.
     """
-    A, b, lo, up = _as_arrays(A, b, lo, up)
-    m, n = A.shape
-    max_iter = _default_max_iter(A, max_iter)
-    if m == 0:
-        return 0.0, lo.copy()
-    if n == 0:
-        return float(np.sum(np.abs(b))), np.zeros(0)
-    feas_tol = 1e-8
-    t = tol * (1.0 + np.max(np.abs(b)))
-    for k, rung in enumerate(_rungs(A, b, lo, up, max_iter)):
-        (st, x, basis, A_all), _ = _pass(rung, None, A, b, lo, up, feas_tol)
-        if st != 0 or not _within_bounds(lo, up, x, feas_tol):
-            continue
-        resid = float(np.sum(np.abs(A @ x - b)))
-        if resid <= t or _proves_infeasible(A, b, lo, up, basis, A_all, t):
-            for stats in _OPEN_STATS:
-                stats.rungs[k] += 1
-            return resid, x
-    raise NumericalFailure("phase 1 found neither a feasible point nor a "
-                           "Farkas ray")
+    return Ladder(A, b, lo, up, max_iter).min_infeasibility(tol)

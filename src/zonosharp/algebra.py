@@ -14,6 +14,7 @@ from .core import (
     ConstrainedZonotope,
     FactorForm,
     HybridZonotope,
+    _kept,
     convert_form,
     point,
 )
@@ -166,8 +167,13 @@ def union(Z_list) -> HybridZonotope:
 
 
 def convex_relaxation(H: AnySet) -> ConstrainedZonotope:
-    """Binary factors become continuous over their interval hull."""
+    """Binary factors become continuous over their interval hull.
+
+    The relaxation is made once and kept on H: every call on H returns the
+    same object, so queries on it share its LP work.
+    """
     if isinstance(H, ConstrainedZonotope):
         return H
-    return ConstrainedZonotope(np.hstack([H.Gc, H.Gb]), H.c,
-                               np.hstack([H.Ac, H.Ab]), H.b, H.factor_form)
+    return _kept(H, "relaxation", lambda: ConstrainedZonotope(
+        np.hstack([H.Gc, H.Gb]), H.c, np.hstack([H.Ac, H.Ab]), H.b,
+        H.factor_form))

@@ -58,6 +58,13 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
+    return value
+
+
 def _tolerance(text):
     value = float(text)
     if not (np.isfinite(value) and value >= 0.0):
@@ -106,11 +113,12 @@ def _emit_set(S, output):
 
 
 def _emit_json(obj, output):
+    # allow_nan=False: NaN and Infinity are not JSON; a report writes null
     if output:
         with open(output, "w") as fh:
-            json.dump(obj, fh, indent=1)
+            json.dump(obj, fh, indent=1, allow_nan=False)
     else:
-        json.dump(obj, sys.stdout, indent=1)
+        json.dump(obj, sys.stdout, indent=1, allow_nan=False)
         sys.stdout.write("\n")
 
 
@@ -345,9 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cs = sub.add_parser("check-sharp", help="empirical sharpness certificate")
     p_cs.add_argument("input")
     p_cs.add_argument("-o", "--output", help="report JSON file (default stdout)")
-    p_cs.add_argument("--dirs", type=int, default=64)
+    p_cs.add_argument("--dirs", type=_positive_int, default=64)
     p_cs.add_argument("--tol", type=_tolerance, default=oracle.SHARP_TOL)
-    p_cs.add_argument("--cap", type=int, default=core.DEFAULT_LEAF_CAP)
+    p_cs.add_argument("--cap", type=_nonnegative_int, default=core.DEFAULT_LEAF_CAP)
     p_cs.add_argument("--seed", type=int, default=0)
     p_cs.add_argument("--stats", action="store_true",
                       help="add the LP kernel's counters to the JSON")
@@ -358,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("-o", "--output", help="polygon JSON file (default stdout)")
     p_plot.add_argument("--csv", help="also write polygons as CSV here")
     p_plot.add_argument("--angles", type=_positive_int, default=64)
-    p_plot.add_argument("--cap", type=int, default=core.DEFAULT_LEAF_CAP)
+    p_plot.add_argument("--cap", type=_nonnegative_int, default=core.DEFAULT_LEAF_CAP)
     p_plot.set_defaults(func=cmd_plot2d)
 
     p_demo = sub.add_parser("demo-levelset",
@@ -372,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--rlt-levels", type=_level_list,
                         help="comma-separated levels (default 1..n_b)")
     p_demo.add_argument("--angles", type=_positive_int, default=720)
-    p_demo.add_argument("--dirs", type=int, default=64)
+    p_demo.add_argument("--dirs", type=_positive_int, default=64)
     p_demo.add_argument("--tol", type=_tolerance, default=oracle.SHARP_TOL)
-    p_demo.add_argument("--cap", type=int, default=core.DEFAULT_LEAF_CAP)
+    p_demo.add_argument("--cap", type=_nonnegative_int, default=core.DEFAULT_LEAF_CAP)
     p_demo.add_argument("--seed", type=int, default=0)
     p_demo.add_argument("--stats", action="store_true",
                         help="add the LP kernel's counters to the JSON")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _simplex
 from .errors import DimensionMismatch, EnumerationCapExceeded
 
 DEFAULT_LEAF_CAP = 20  # max n_b for exhaustive leaf enumeration
@@ -22,6 +23,20 @@ DEFAULT_LEAF_CAP = 20  # max n_b for exhaustive leaf enumeration
 class FactorForm(enum.Enum):
     PM1 = "pm1"
     ZO = "01"
+
+
+def _kept(S, key, make):
+    """The value that make() returns, made on the first call for key and
+    kept on the set S for as long as S lives.
+
+    A set is immutable, so what is derived from it stays valid.  The value
+    belongs to the object, not to its content: two equal sets each make
+    their own.  It travels with S through pickle and deepcopy.
+    """
+    kept = S._kept
+    if key not in kept:
+        kept[key] = make()
+    return kept[key]
 
 
 def _as_matrix(M, rows=None, cols=None) -> np.ndarray:
@@ -89,6 +104,7 @@ class ConstrainedZonotope:
         for name, arr in (("G", G), ("c", c), ("A", A), ("b", b)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_kept", {})
 
     @property
     def dim(self) -> int:
@@ -107,6 +123,13 @@ class ConstrainedZonotope:
         if self.factor_form is FactorForm.PM1:
             return -np.ones(self.n_g), np.ones(self.n_g)
         return np.zeros(self.n_g), np.ones(self.n_g)
+
+    def lp_ladder(self) -> _simplex.Ladder:
+        """The LP kernel's retry ladder over the factor region {xi in the
+        factor box : A xi = b}, kept on this set: each rung's phase 1 runs
+        at most once per set object, whatever the queries that climb it."""
+        return _kept(self, "lp_ladder",
+                     lambda: _simplex.Ladder(self.A, self.b, *self.factor_bounds()))
 
     def as_hybrid(self) -> "HybridZonotope":
         n, nc = self.dim, self.n_c
@@ -141,6 +164,7 @@ class HybridZonotope:
                           ("Ac", Ac), ("Ab", Ab), ("b", b)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_kept", {})
 
     @property
     def dim(self) -> int:
@@ -223,10 +247,16 @@ def leaf_of(H: HybridZonotope, assignment: BinaryAssignment) -> ConstrainedZonot
 
 def leaves(H: HybridZonotope,
            cap: int = DEFAULT_LEAF_CAP) -> list[tuple[BinaryAssignment, ConstrainedZonotope]]:
-    """Decompose into the union of 2^n_b constrained zonotopes."""
+    """Decompose into the union of 2^n_b constrained zonotopes.
+
+    The leaves are made on the first call and kept on H, so every call on H
+    hands out the same leaf objects, with the LP work each leaf keeps, in a
+    new list.  The cap is checked on every call.
+    """
     if H.n_b > cap:
         raise EnumerationCapExceeded(f"n_b={H.n_b} exceeds enumeration cap {cap}")
-    return [(a, leaf_of(H, a)) for a in binary_assignments(H)]
+    return list(_kept(H, "leaves",
+                      lambda: [(a, leaf_of(H, a)) for a in binary_assignments(H)]))
 
 
 # --- JSON set format -------------------------------------------------------

@@ -3,6 +3,14 @@
 Support functions, membership, emptiness, empirical sharpness certification,
 and 2D boundary/area extraction.  Hybrid zonotope queries decompose into
 per-leaf LPs over the continuous factor box; convex queries are single LPs.
+
+A set keeps the work that does not depend on the query: its leaves
+(`core.leaves`), its relaxation (`algebra.convex_relaxation`) and, for each
+constrained zonotope, the retry ladder of its factor box
+(`ConstrainedZonotope.lp_ladder`).  So `support`, `support_point`,
+`boundary_2d`, `check_sharpness`, `is_feasible_cz` and `is_empty` run
+phase 1 once per region per set object, and repeated queries on a set run
+phase 2 alone.  `contains` poses a new region per point and keeps nothing.
 """
 
 from __future__ import annotations
@@ -90,8 +98,7 @@ def _leaf_sets(S: AnySet, cap: int) -> list[ConstrainedZonotope]:
 
 
 def is_feasible_cz(L: ConstrainedZonotope) -> bool:
-    lo, up = L.factor_bounds()
-    resid, _ = _simplex.min_infeasibility(L.A, L.b, lo, up, tol=FEAS_TOL)
+    resid, _ = L.lp_ladder().min_infeasibility(tol=FEAS_TOL)
     return resid <= FEAS_TOL * (1.0 + (np.max(np.abs(L.b)) if L.n_c else 0.0))
 
 
@@ -104,11 +111,9 @@ def is_empty(S: AnySet, cap: int = DEFAULT_LEAF_CAP) -> bool:
 def _support_cz_many(L: ConstrainedZonotope, U: np.ndarray) -> list:
     """(value, point) of L in each direction (row) of U, or None where the
     kernel certifies L empty; one batch of LPs over L's factor box."""
-    lo, up = L.factor_bounds()
     C = np.array([-(L.G.T @ u) for u in U])
     out = []
-    for u, (st, obj, xi) in zip(U, _simplex.solve_bounded_many(
-            C, L.A, L.b, lo, up, feas_tol=FEAS_TOL)):
+    for u, (st, obj, xi) in zip(U, L.lp_ladder().solve_many(C, feas_tol=FEAS_TOL)):
         if st == 1:
             out.append(None)
         elif st != 0:
@@ -175,6 +180,11 @@ def contains(S: AnySet, p, tol: float = 1e-6, cap: int = DEFAULT_LEAF_CAP) -> bo
 
 # --- sharpness -------------------------------------------------------------
 
+def _finite_or_none(v):
+    v = float(v)
+    return v if np.isfinite(v) else None
+
+
 class SharpnessVerdict(enum.Enum):
     SHARP = "sharp"
     NOT_SHARP = "not_sharp"
@@ -191,13 +201,16 @@ class SharpnessReport:
     tol: float
 
     def to_obj(self) -> dict:
+        """The report as a JSON-ready dict; a NaN or infinite number (an
+        inconclusive check, a direction in which every leaf is empty)
+        becomes None."""
         return {
             "verdict": self.verdict.value,
-            "max_gap": self.max_gap,
+            "max_gap": _finite_or_none(self.max_gap),
             "tol": self.tol,
             "directions": self.directions.tolist(),
-            "relax_support": self.relax_support.tolist(),
-            "hull_support": self.hull_support.tolist(),
+            "relax_support": [_finite_or_none(v) for v in self.relax_support],
+            "hull_support": [_finite_or_none(v) for v in self.hull_support],
         }
 
     def to_json(self) -> str:

@@ -214,6 +214,15 @@ class TestConvexRelaxation:
         np.testing.assert_array_equal(R.G[:, :3], H.Gc)
         np.testing.assert_array_equal(R.G[:, 3:], H.Gb)
 
+    def test_kept_on_the_set(self):
+        from zonosharp import HybridZonotope
+        H = _random_hz(np.random.default_rng(7), ng=3, nb=2, nc=1)
+        assert convex_relaxation(H) is convex_relaxation(H)
+        twin = HybridZonotope(H.Gc, H.Gb, H.c, H.Ac, H.Ab, H.b, H.factor_form)
+        assert convex_relaxation(twin) is not convex_relaxation(H)
+        R = convex_relaxation(H)
+        assert convex_relaxation(R) is R
+
     def test_superset(self):
         rng = np.random.default_rng(8)
         H = _random_hz(rng)

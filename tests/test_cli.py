@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from zonosharp import FactorForm, box, core, interval, read_set
+from zonosharp import FactorForm, _simplex, box, core, interval, read_set
 from zonosharp.cli import main
 
 
@@ -19,6 +19,30 @@ def square2(tmp_path):
     path = tmp_path / "sq2.json"
     core.write_set(path, box(np.array([[2.0, 3.0], [0.0, 1.0]]), FactorForm.ZO))
     return str(path)
+
+
+@pytest.fixture
+def two_squares(square, square2, tmp_path):
+    path = str(tmp_path / "u.json")
+    assert main(["op", "union", square, square2, "-o", path]) == 0
+    return path
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("check-sharp", "--cap", "-1"), ("check-sharp", "--dirs", "-3"),
+    ("check-sharp", "--dirs", "0"), ("plot2d", "--cap", "-1"),
+    ("demo-levelset", "--cap", "-1"), ("demo-levelset", "--dirs", "-3")])
+def test_negative_count_exit_2(square, tmp_path, capsys, command, flag, value):
+    args = [command] + ([square] if command != "demo-levelset" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(args + [flag, value, "-o", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
 
 
 class TestOp:
@@ -142,6 +166,14 @@ class TestCheckSharp:
         core.write_set(p, H)
         assert main(["check-sharp", p, "-o", str(tmp_path / "r.json")]) == 5
 
+    def test_inconclusive_report_is_strict_json(self, two_squares, tmp_path):
+        rep = str(tmp_path / "r.json")
+        assert main(["check-sharp", two_squares, "--cap", "0", "--dirs", "8",
+                     "-o", rep]) == 5
+        obj = json.loads(open(rep).read(), parse_constant=_reject_constant)
+        assert obj["verdict"] == "inconclusive" and obj["max_gap"] is None
+        assert obj["relax_support"] == [None] * 8
+
     def test_empty_set_exit_2(self, tmp_path, capsys):
         from zonosharp import ConstrainedZonotope
         E = ConstrainedZonotope(np.eye(2), np.zeros(2),
@@ -200,6 +232,14 @@ class TestPlot2d:
         tags = [p["tag"] for p in json.load(open(out))["polygons"]]
         assert tags.count("leaf") == 2
         assert "hull" in tags and "relaxation" in tags
+
+    def test_one_phase1_per_region(self, two_squares, tmp_path):
+        # 4 leaves and the relaxation: the hull polygon reuses the leaves
+        # that the leaf polygons were drawn from
+        with _simplex.lp_stats() as stats:
+            assert main(["plot2d", two_squares, "-o",
+                         str(tmp_path / "p.json")]) == 0
+        assert stats.phase1_runs == 5
 
     def test_not_2d_exit_6(self, tmp_path):
         p = str(tmp_path / "i.json")
@@ -300,3 +340,14 @@ class TestDemoLevelset:
         assert steps["bland"] <= steps["all"]
         assert sum(stats["rungs"].values()) == sum(stats["status"].values())
         assert set(stats["rungs"]) == {"0"}
+
+    def test_one_phase1_per_region(self, tmp_path):
+        # 4 leaves and the relaxation of the level set, then 4 + 1 per RLT
+        # level on its two levels: the hull reuses the leaves of the
+        # sharpness check, and each relaxation polygon its relaxation
+        out = str(tmp_path / "s.json")
+        assert main(["demo-levelset", "--angles", "32", "--dirs", "8",
+                     "--stats", "-o", out]) == 0
+        stats = json.load(open(out))["lp_stats"]
+        assert stats["phase1_runs"] == 15
+        assert stats["phase1_reused"] > 0 and stats["rows"] > 0

@@ -131,6 +131,21 @@ class TestLeaves:
         with pytest.raises(EnumerationCapExceeded):
             leaves(H, cap=2)
 
+    def test_leaves_are_kept_on_the_set(self):
+        H = _random_hz(np.random.default_rng(2), nb=3)
+        first, second = leaves(H), leaves(H)
+        assert first is not second
+        assert all(a is a2 and L is L2
+                   for (a, L), (a2, L2) in zip(first, second, strict=True))
+        first.clear()  # each caller's list is its own
+        assert len(leaves(H)) == 8
+        # the cap is checked on every call, also once the leaves are kept
+        with pytest.raises(EnumerationCapExceeded):
+            leaves(H, cap=2)
+        # an equal set keeps leaves of its own
+        twin = HybridZonotope(H.Gc, H.Gb, H.c, H.Ac, H.Ab, H.b, H.factor_form)
+        assert all(L is not L2 for (_, L), (_, L2) in zip(leaves(twin), second))
+
     def test_union_of_leaves_is_the_set(self):
         rng = np.random.default_rng(4)
         H = _random_hz(rng)

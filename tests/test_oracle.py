@@ -1,3 +1,7 @@
+import copy
+import json
+import pickle
+
 import numpy as np
 import pytest
 from test_simplex import assert_same_batch
@@ -24,6 +28,7 @@ from zonosharp import (
     leaves,
     point,
     polygon_area,
+    relugraph,
     rlt_sharpen,
     solve_lp,
     support,
@@ -289,6 +294,15 @@ class TestSharpness:
         assert obj["verdict"] == "sharp"
         rep.to_json()
 
+    def test_inconclusive_report_is_strict_json(self):
+        # NaN is not JSON: an inconclusive report writes null instead
+        rep = check_sharpness(_two_squares(), n_dirs=8, cap=0)
+        assert rep.verdict is SharpnessVerdict.INCONCLUSIVE
+        obj = rep.to_obj()
+        assert obj["max_gap"] is None
+        assert obj["relax_support"] == obj["hull_support"] == [None] * 8
+        json.dumps(obj, allow_nan=False)
+
     def test_direction_set_contains_axes(self):
         dirs = direction_set(3, 16)
         assert dirs.shape == (16, 3)
@@ -371,3 +385,106 @@ class TestBatchedSupport:
         calls = fake_pass(2, first_only=True)
         np.testing.assert_array_equal(boundary_2d(sq, n_angles=16), expected)
         assert len(calls) == 16 + 1
+
+
+def _level_set():
+    """The demo network's 0.5 level set: n_b = 2, four leaves."""
+    return relugraph.level_set_above(relugraph.demo_network(), 0.5)
+
+
+def _answers(S):
+    """Every LP-backed answer of the queries that keep work on a set."""
+    U = direction_set(2, 16)
+    out = [support_point(S, u) for u in U]
+    rep = check_sharpness(S, n_dirs=8)
+    out += [rep.relax_support, rep.hull_support, is_empty(S),
+            boundary_2d(S, n_angles=16),
+            boundary_2d(convex_relaxation(S), n_angles=16)]
+    return out
+
+
+def _assert_bit_identical(first, second):
+    assert len(first) == len(second)
+    for a, b in zip(first, second):
+        if isinstance(a, tuple):
+            assert a[0] == b[0]
+            np.testing.assert_array_equal(a[1], b[1])
+        else:
+            np.testing.assert_array_equal(a, b)
+
+
+class TestKeptLpWork:
+    """A set keeps its leaves, its relaxation and the phase-1 ends of each
+    leaf's retry ladder; no answer depends on what was asked before."""
+
+    def test_queried_set_answers_as_a_fresh_copy(self):
+        X = _level_set()
+        first = _answers(X)
+        with _simplex.lp_stats() as stats:
+            again = _answers(X)
+        assert stats.phase1_runs == 0 and stats.phase1_reused > 0
+        fresh = HybridZonotope(X.Gc, X.Gb, X.c, X.Ac, X.Ab, X.b, X.factor_form)
+        _assert_bit_identical(again, first)
+        _assert_bit_identical(_answers(fresh), first)
+
+    def test_equal_sets_run_their_own_phase1(self):
+        X = _level_set()
+        twin = HybridZonotope(X.Gc, X.Gb, X.c, X.Ac, X.Ab, X.b, X.factor_form)
+        for S in (X, twin):
+            with _simplex.lp_stats() as stats:
+                support_point(S, [1.0, 0.0])
+            assert stats.phase1_runs == 4 and stats.phase1_reused == 0
+
+    def test_sixteen_support_points_run_phase1_once_per_leaf(self):
+        X = _level_set()
+        with _simplex.lp_stats() as stats:
+            for u in direction_set(2, 16):
+                support_point(X, u)
+        assert stats.rows == 64
+        assert stats.phase1_runs == 4 and stats.phase1_reused == 60
+
+    def test_emptiness_and_support_share_phase1(self):
+        X = _level_set()
+        with _simplex.lp_stats() as stats:
+            assert not is_empty(X)
+            support_point(X, [0.0, 1.0])
+        # is_empty stops at the first nonempty leaf, the second; the
+        # support LPs reuse the phase 1 of both leaves it read
+        assert stats.phase1_runs == 4 and stats.phase1_reused == 2
+
+    def test_kept_phase1_end_is_read_only_after_a_failed_row(self, fake_pass):
+        R = convex_relaxation(_level_set())
+        boundary_2d(R, n_angles=8)
+        ladder = R.lp_ladder()
+        kept = ladder._ends[0]  # (status, art_sign, packed B^-1, rest of end, ...)
+        arrays = [kept[1], *kept[2], *kept[3]]
+        before = [a.copy() for a in arrays]
+        (_, _, end), _, _ = ladder.rung(0)
+        calls = fake_pass(2, first_only=True)
+        boundary_2d(R, n_angles=8)
+        # the faked row fails rung 0 and is answered on rung 1; the other
+        # rows run phase 2 on rung 0, each on a copy of its phase-1 end
+        assert len(calls) == 8 + 1
+        assert ladder._ends[0] is kept
+        for a, b in zip(arrays, before, strict=True):
+            assert not a.flags.writeable
+            np.testing.assert_array_equal(a, b)
+        with pytest.raises(ValueError):
+            kept[2][1][0] = 0.0
+        (_, _, again), _, _ = ladder.rung(0)
+        for a, b in zip(end, again, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("clone", [lambda S: pickle.loads(pickle.dumps(S)),
+                                       copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_queried_set_round_trips(self, clone):
+        X = _level_set()
+        first = _answers(X)
+        Y = clone(X)
+        assert Y is not X
+        # the kept work travels with the set
+        with _simplex.lp_stats() as stats:
+            again = _answers(Y)
+        assert stats.phase1_runs == 0
+        _assert_bit_identical(again, first)

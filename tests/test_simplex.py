@@ -279,6 +279,42 @@ class TestBatch:
         assert [r[0] for r in batch] == [2, 2, 2]
 
 
+class TestLadder:
+    """A `Ladder` runs each rung's phase 1 once and hands every later call
+    the same phase-1 end, bit for bit."""
+
+    def test_kept_end_is_the_phase1_end(self):
+        rng = np.random.default_rng(99)
+        m, n = 60, 120
+        A = rng.normal(size=(m, n))
+        b = A @ rng.uniform(0, 1, size=n)
+        ladder = _simplex.Ladder(A, b, np.zeros(n), np.ones(n))
+        with _simplex.lp_stats() as stats:
+            (st, A_all, end), _, _ = ladder.rung(0)
+            first = [a.copy() for a in (A_all, *end)]
+            (st2, A_all2, end2), _, _ = ladder.rung(0)
+        assert st == st2 == 0
+        assert stats.phase1_runs == 1 and stats.phase1_reused == 1
+        for a, b in zip(first, (A_all2, *end2), strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_pack_keeps_signed_zeros(self):
+        M = np.array([[1.0, -0.0, 0.0], [0.0, 2.5, -0.0], [0.0, 0.0, -3.0]])
+        idx, values = _simplex._pack(M)
+        assert len(idx) == 5
+        assert _simplex._unpack(3, idx, values).tobytes() == M.tobytes()
+
+    def test_solves_match_fresh_ladders(self):
+        # a kept ladder answers as one made for the call
+        C = TestBatch.C
+        ladder = _simplex.Ladder(*TestBatch.REGION)
+        for _ in range(2):
+            kept = ladder.solve_many(C)
+            fresh = _simplex.solve_bounded_many(C, *TestBatch.REGION)
+            for (st, obj, x), (st2, obj2, x2) in zip(kept, fresh, strict=True):
+                assert (st, obj) == (st2, obj2) and x.tobytes() == x2.tobytes()
+
+
 def _highs_optimum(c, A, b, lo, up):
     linprog = pytest.importorskip("scipy.optimize").linprog
     ref = linprog(c, A_eq=A, b_eq=b, bounds=np.column_stack([lo, up]),
@@ -344,7 +380,7 @@ class TestCrashBasis:
             st, _, _ = _simplex.solve_bounded(np.ones(3), A, b, lo, up)
         assert stats.artificials == [1] and stats.rungs == {0: 1}
         assert st == 1  # status 1 is returned only with a verified ray
-        (p1, A_all, state), _, _ = next(_simplex._rungs(A, b, lo, up, 100))
+        (p1, A_all, state), _, _ = _simplex.Ladder(A, b, lo, up, 100).rung(0)
         assert p1 == 0
         assert _simplex._proves_infeasible(A, b, lo, up, state[4], A_all, 0.49)
         # the least 1-norm miss is 0.5; the certified residual bounds it
