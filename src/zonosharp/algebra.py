@@ -16,6 +16,7 @@ from .core import (
     HybridZonotope,
     _kept,
     convert_form,
+    leaves,
     point,
 )
 from .errors import DimensionMismatch, EmptyList, FormMismatch
@@ -170,10 +171,13 @@ def convex_relaxation(H: AnySet) -> ConstrainedZonotope:
     """Binary factors become continuous over their interval hull.
 
     The relaxation is made once and kept on H: every call on H returns the
-    same object, so queries on it share its LP work.
+    same object, so queries on it share its LP work.  With no binaries it is
+    H's one leaf, so the leaf and the relaxation share one LP ladder.
     """
     if isinstance(H, ConstrainedZonotope):
         return H
+    if H.n_b == 0:
+        return leaves(H)[0][1]
     return _kept(H, "relaxation", lambda: ConstrainedZonotope(
         np.hstack([H.Gc, H.Gb]), H.c, np.hstack([H.Ac, H.Ab]), H.b,
         H.factor_form))

@@ -196,6 +196,7 @@ def cmd_rlt(args):
             report["nominal"] = rep["nominal"]
         out = algebra.convex_relaxation(lifted)
         report["actual"] = asdict(core.complexity(out))
+        report["nnz"] = int(np.count_nonzero(out.A))
     else:
         if args.level is None:
             raise CliError(EXIT_PARSE, "rlt requires --level or --hull")

@@ -6,15 +6,17 @@ products w_J ~ prod_{j in J} x_j and v_{J,k} ~ y_k * prod_{j in J} x_j,
 multiplies the equality system by every monomial of degree <= d, and turns
 the bound-factor product inequalities into equalities with [0,1] slacks.
 The lift's sparsity pattern is known from n_b, n_g and d alone, so
-`build_xd` sizes it up front and writes it in one pass of (row, column,
-value) triplets.  Projecting the lift back to the original ambient space
-gives a set equal to the input at every level; at d = n_b its relaxation
-is the convex hull.
+`build_xd` sizes it up front, computes every (row, column, value) triplet
+as whole index arrays from bit tables of the masks, with no loop over
+entries, and writes them with one fancy assignment each into Ac, Ab and b.
+Projecting the lift back to the original ambient space gives a set equal
+to the input at every level; at d = n_b its relaxation is the convex hull.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -106,32 +108,22 @@ class RltVariableTable:
         return self.slack_start + self.n_slack
 
 
-def _masks_of_size(n: int, size: int):
-    for m in range(1 << n):
-        if m.bit_count() == size:
-            yield m
+def _pair_terms(bits: np.ndarray, size: np.ndarray, o: int):
+    """(pair, J, sign) of every term of the order-o bound-factor products.
 
-
-def _order_pairs(n: int, order: int):
-    """Disjoint (J1, J2) with |J1 u J2| = order, deterministic order."""
-    for union_mask in _masks_of_size(n, order):
-        for J1 in IndexSet(union_mask).subsets():
-            yield J1.mask, union_mask ^ J1.mask
-
-
-def _allocate_table(nb: int, ng: int, n_slack: int) -> RltVariableTable:
-    table = RltVariableTable(nb, ng, n_slack=n_slack)
-    col = ng
-    for m in range(1 << nb):
-        if m.bit_count() >= 2:
-            table.w_index[m] = col
-            col += 1
-    for m in range(1, 1 << nb):
-        for k in range(ng):
-            table.v_index[(m, k)] = col
-            col += 1
-    table.slack_start = col
-    return table
+    Pairs (J1, J2), |J1 u J2| = o, are numbered by ascending union mask,
+    then by J1 over the union's subsets in ascending order; a pair's terms
+    are f_coefficients(J1, J2).  The t-th subset of a union holds its q-th
+    member when bit q of t is set, so subsets t1 and t1 | ti, for ti
+    disjoint from t1, are J1 and J1 u I.
+    """
+    t = np.arange(1 << o)
+    t1, ti = np.nonzero((t[:, None] & t) == 0)
+    members = np.nonzero(bits[size == o])[1].reshape(-1, o)
+    subset = (1 << members) @ bits[:1 << o, :o].T  # (union, t)
+    pair = (np.arange(len(members))[:, None] << o) + t1
+    sign = np.tile(1.0 - 2.0 * (size[ti] & 1), len(members))
+    return pair.ravel(), subset[:, t1 | ti].ravel(), sign
 
 
 def build_xd(H: AnySet, d: int) -> tuple[HybridZonotope, RltVariableTable]:
@@ -139,88 +131,93 @@ def build_xd(H: AnySet, d: int) -> tuple[HybridZonotope, RltVariableTable]:
     original (x, y) coordinates (x first).  All lift variables get zero
     generator columns; the ambient map back to R^n is the caller's affine map.
 
-    Rows: (i) the equality system times each monomial of degree <= d;
-    (ii) the order-D bound-factor products, D = min(d + 1, n_b); (iii) two
-    rows per order-d pair and k.  Each row of (ii) and (iii) owns one [0,1]
-    slack, with coefficient -1.  The sizes are known up front: continuous
-    coefficients go in as (row, col, value) triplets, binary ones and
-    right-hand sides straight into Ab and b.  No entry is written twice.
+    Rows: (i) the equality system times each monomial of degree <= d, by
+    monomial (size, then mask) and then equality row; (ii) the order-D
+    bound-factor products, D = min(d + 1, n_b); (iii) two rows per order-d
+    pair and k, the low row and then the gap row.  Each row of (ii) and
+    (iii) owns one [0,1] slack, with coefficient -1, in row order.  The
+    constant of a family (i) row is the sequential sum of A over the
+    monomial's members in ascending order, minus beta.
+
+    The sizes are known up front.  The terms are index arrays computed from
+    bit tables of the masks, with no loop over entries: a term sits at
+    row * W + its column in [Ac | Ab | b] (w_J: its own column for |J| >= 2,
+    x_j's column of Ab for J = {j}, b for J empty), and one fancy assignment
+    each into Ac, Ab and b writes them.  Zero coefficients are skipped and
+    no entry is written twice.  Row order, slack order, the sequential sum
+    and the skipped zeros are those of the row-by-row construction that
+    tests/test_rlt.py keeps as the reference, byte for byte.
     """
     H = convert_form(H.as_hybrid(), FactorForm.ZO)
     nb, ng, r = H.n_b, H.n_g, H.n_c
     if not 1 <= d <= nb:
         raise LevelOutOfRange(f"level {d} outside 1..{nb}")
-    A, B, beta = H.Ab, H.Ac, H.b
+    D, N, n_w = min(d + 1, nb), 1 << nb, (1 << nb) - nb - 1
+    n_mono = sum(comb(nb, i) for i in range(d + 1))
+    n_eq, n_D = r * n_mono, comb(nb, D) << D
+    table = RltVariableTable(nb, ng, slack_start=n_w + ng * N,
+                             n_slack=n_D + 2 * ng * (comb(nb, d) << d))
+    n_rows, n_cols = n_eq + table.n_slack, table.n_cols
+    W = n_cols + nb + 1
 
-    monomials = [m for size in range(d + 1) for m in _masks_of_size(nb, size)]
-    pairs_D = list(_order_pairs(nb, min(d + 1, nb)))
-    pairs_d = list(_order_pairs(nb, d))
-    n_eq = r * len(monomials)
-    table = _allocate_table(nb, ng, len(pairs_D) + 2 * ng * len(pairs_d))
-    n_rows = n_eq + table.n_slack
-    Ac = np.zeros((n_rows, table.n_cols))
+    # bits[J, j]: j is in J; the ng columns past nb are 0 and stand for the
+    # y_k that family (i) multiplies
+    bit = np.arange(nb)
+    bits = np.arange(N)[:, None] >> np.arange(nb + ng) & 1
+    size = bits.sum(axis=1)
+    wide = np.flatnonzero(size >= 2)
+    table.w_index = dict(zip(wide.tolist(), range(ng, ng + n_w)))
+    table.v_index = dict(zip(product(range(1, N), range(ng)),
+                             range(ng + n_w, table.slack_start)))
+    w_at = np.full(N, n_cols + nb)  # w_empty = 1: the constant
+    w_at[wide] = np.arange(ng, ng + n_w)
+    w_at[1 << bit] = n_cols + bit  # w_{j} is the binary x_j
+    v_at = n_w + np.arange(ng * N).reshape(N, ng)
+    v_at[0] -= n_w  # v_{empty,k} = y_k
+
+    # (i) row i times monomial J: the constant (the sequential sum of A over
+    # J's members, ascending, minus beta), w_{J u j} for j outside J
+    # (members get 0.0, which is skipped), then v_{J,k}
+    mono = np.argsort(size, kind="stable")[:n_mono]
+    inside = bits[mono][:, None]
+    AB = np.hstack([H.Ab, H.Ac])
+    const = np.cumsum(np.where(inside, AB, 0.0), axis=2)[..., nb - 1:nb] - H.b[:, None]
+    at = np.hstack([w_at[mono[:, None] | np.append(0, 1 << bit)], v_at[mono]])
+    pos = [np.arange(n_eq).reshape(n_mono, r, 1) * W + at[:, None]]
+    val = [np.concatenate([const, np.where(inside, 0.0, AB)], axis=2)]
+
+    # (ii) the order-D products; (iii) per order-d pair and k, the low row
+    # on v_{J,k} and the gap row on w_J - v_{J,k}
+    pair, J, sign = _pair_terms(bits, size, D)
+    pos.append((n_eq + pair) * W + w_at[J])
+    val.append(sign)
+    if d < D:
+        pair, J, sign = _pair_terms(bits, size, d)
+    low = (n_eq + n_D + 2 * (pair[:, None] * ng + np.arange(ng))) * W
+    sign = np.repeat(sign, ng)
+    pos += [low + v_at[J], low + (W + w_at[J])[:, None], low + W + v_at[J]]
+    val += [sign, sign, -sign]
+    # the slacks: -1 on the diagonal of the last n_slack rows and columns
+    pos.append(np.arange(n_eq * W + table.slack_start, n_rows * W, W + 1))
+    val.append(np.full(table.n_slack, -1.0))
+
+    val = np.concatenate(val, axis=None)
+    keep = val != 0.0
+    row, col = np.divmod(np.concatenate(pos, axis=None)[keep], W)
+    val = val[keep]
+    to_ac, to_b = col < n_cols, col == n_cols + nb
+    to_ab = ~(to_ac | to_b)
+    Ac = np.zeros((n_rows, n_cols))
     Ab = np.zeros((n_rows, nb))
     b = np.zeros(n_rows)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-
-    def put_w(row: int, mask: int, coef: float):
-        if coef == 0.0:
-            return
-        if mask == 0:
-            b[row] = -coef  # w_empty = 1: constant moves to the right-hand side
-        elif mask.bit_count() == 1:
-            Ab[row, mask.bit_length() - 1] = coef
-        else:
-            rows.append(row)
-            cols.append(table.w_index[mask])
-            vals.append(coef)
-
-    def put_v(row: int, mask: int, k: int, coef: float):
-        if coef == 0.0:
-            return
-        rows.append(row)
-        cols.append(table.v_index[(mask, k)] if mask else k)  # v_{empty,k} = y_k
-        vals.append(coef)
-
-    # (i) the equality system multiplied through by each monomial, |J| <= d
-    row = 0
-    for Jm in monomials:
-        members = [j for j in range(nb) if (Jm >> j) & 1]
-        others = [j for j in range(nb) if not (Jm >> j) & 1]
-        for i in range(r):
-            put_w(row, Jm, sum(A[i, j] for j in members) - beta[i])
-            for j in others:
-                put_w(row, Jm | (1 << j), A[i, j])
-            for k in range(ng):
-                put_v(row, Jm, k, B[i, k])
-            row += 1
-
-    # (ii) order-D bound-factor products
-    for J1m, J2m in pairs_D:
-        for J, s in f_coefficients(IndexSet(J1m), IndexSet(J2m)).items():
-            put_w(row, J.mask, float(s))
-        row += 1
-
-    # (iii) order-d double inequalities: the low row, then the gap row
-    for J1m, J2m in pairs_d:
-        coefs = f_coefficients(IndexSet(J1m), IndexSet(J2m))
-        for k in range(ng):
-            for J, s in coefs.items():
-                put_v(row, J.mask, k, float(s))
-                put_w(row + 1, J.mask, float(s))
-                put_v(row + 1, J.mask, k, -float(s))
-            row += 2
-
-    Ac[rows, cols] = vals
-    slack = np.arange(table.n_slack)
-    Ac[n_eq + slack, table.slack_start + slack] = -1.0
+    Ac[row[to_ac], col[to_ac]] = val[to_ac]
+    Ab[row[to_ab], col[to_ab] - n_cols] = val[to_ab]
+    b[row[to_b]] = -val[to_b]  # the constant moves to the right-hand side
 
     # ambient (x, y): x from the binaries, y from the first ng continuous cols
     dim = nb + ng
     Gb = np.vstack([np.eye(nb), np.zeros((ng, nb))])
-    Gc = np.zeros((dim, table.n_cols))
+    Gc = np.zeros((dim, n_cols))
     Gc[nb:, :ng] = np.eye(ng)
     lifted = HybridZonotope(Gc, Gb, np.zeros(dim), Ac, Ab, b, FactorForm.ZO)
     return lifted, table
@@ -262,11 +259,13 @@ def rlt_report(H: AnySet, d: int) -> tuple[HybridZonotope, dict]:
     """Sharpened set plus a complexity report.
 
     The closed-form count omits the slacks of the order-D rows, so the
-    constructed set is slightly larger; both tuples are reported.
+    constructed set is slightly larger; both tuples are reported, with
+    "nnz", the nonzeros of the output's [Ac Ab].
     """
     H = H.as_hybrid()
     nominal = rlt_complexity(complexity(H), d)
     out = rlt_sharpen(H, d)
     report = {"level": d, "nominal": asdict(nominal),
-              "actual": asdict(complexity(out))}
+              "actual": asdict(complexity(out)),
+              "nnz": int(np.count_nonzero(out.Ac) + np.count_nonzero(out.Ab))}
     return out, report

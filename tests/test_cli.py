@@ -128,6 +128,20 @@ class TestRlt:
         S = read_set(out)
         assert S.n_b == read_set(u).n_b
 
+    def test_report_nnz(self, two_squares, tmp_path):
+        out = str(tmp_path / "s.json")
+        rep = str(tmp_path / "rep.json")
+        assert main(["rlt", two_squares, "--level", "2", "-o", out,
+                     "--report", rep]) == 0
+        S = read_set(out)
+        nnz = json.load(open(rep))["nnz"]
+        assert nnz == np.count_nonzero(S.Ac) + np.count_nonzero(S.Ab) > 0
+        # the hull is the relaxation of the level-n_b lift: A = [Ac Ab]
+        assert main(["rlt", two_squares, "--hull", "-o", out,
+                     "--report", rep]) == 0
+        hull_nnz = json.load(open(rep))["nnz"]
+        assert hull_nnz == np.count_nonzero(read_set(out).A) == nnz
+
     def test_hull(self, square, square2, tmp_path):
         u = str(tmp_path / "u.json")
         main(["op", "union", square, square2, "-o", u])
@@ -240,6 +254,18 @@ class TestPlot2d:
             assert main(["plot2d", two_squares, "-o",
                          str(tmp_path / "p.json")]) == 0
         assert stats.phase1_runs == 5
+
+    def test_no_binaries_one_phase1(self, tmp_path):
+        # the segment x1 + x2 = 1 of the unit square: its leaf, relaxation
+        # and hull are one region
+        from zonosharp import ConstrainedZonotope
+        p = str(tmp_path / "seg.json")
+        core.write_set(p, ConstrainedZonotope(np.eye(2), np.zeros(2),
+                                              np.array([[1.0, 1.0]]),
+                                              np.array([1.0]), FactorForm.ZO))
+        with _simplex.lp_stats() as stats:
+            assert main(["plot2d", p, "-o", str(tmp_path / "p.json")]) == 0
+        assert stats.phase1_runs == 1
 
     def test_not_2d_exit_6(self, tmp_path):
         p = str(tmp_path / "i.json")

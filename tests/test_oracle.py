@@ -443,6 +443,17 @@ class TestKeptLpWork:
         assert stats.rows == 64
         assert stats.phase1_runs == 4 and stats.phase1_reused == 60
 
+    def test_no_binaries_one_phase1(self):
+        # with n_b = 0 the one leaf is the relaxation: one region, one ladder
+        S = ConstrainedZonotope(np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]),
+                                np.array([1.0]), FactorForm.ZO)
+        H = S.as_hybrid()
+        with _simplex.lp_stats() as stats:
+            rep = check_sharpness(H, n_dirs=8)
+        assert rep.verdict is SharpnessVerdict.SHARP
+        assert stats.phase1_runs == 1
+        assert convex_relaxation(H) is leaves(H)[0][1]
+
     def test_emptiness_and_support_share_phase1(self):
         X = _level_set()
         with _simplex.lp_stats() as stats:

@@ -18,11 +18,12 @@ from zonosharp import (
     rlt_complexity,
     rlt_convex_hull,
     rlt_report,
+    relugraph,
     rlt_sharpen,
     support,
     union,
 )
-from zonosharp.core import leaves
+from zonosharp.core import convert_form, leaves
 from zonosharp.oracle import SharpnessVerdict, _support_cz, direction_set, is_feasible_cz
 
 
@@ -161,6 +162,125 @@ class TestLift:
             assert np.all(slack[bound, cols] == -1.0)
             assert np.all(resid[bound] >= -1e-12)
             assert np.all(resid[bound] <= 1.0 + 1e-12)
+
+
+def _reference_lift(H, d):
+    """The level-d lift built row by row, straight from f_coefficients and
+    the documented row and column order: the slow reference for build_xd."""
+    H = convert_form(H.as_hybrid(), FactorForm.ZO)
+    nb, ng, r = H.n_b, H.n_g, H.n_c
+    A, B, beta = H.Ab, H.Ac, H.b
+    masks = range(1 << nb)
+    wide = [m for m in masks if m.bit_count() >= 2]
+    w_col = {m: ng + i for i, m in enumerate(wide)}
+    v_col = {(m, k): ng + len(wide) + (m - 1) * ng + k
+             for m in masks if m for k in range(ng)}
+    rows = []  # (continuous coefficients, binary coefficients, rhs, slack?)
+
+    def new_row(slack):
+        rows.append(({}, {}, [0.0], slack))
+        return rows[-1]
+
+    def put_w(row, mask, coef):
+        if coef == 0.0:
+            return
+        if mask == 0:
+            row[2][0] = -coef
+        elif mask.bit_count() == 1:
+            row[1][mask.bit_length() - 1] = coef
+        else:
+            row[0][w_col[mask]] = coef
+
+    def put_v(row, mask, k, coef):
+        if coef != 0.0:
+            row[0][v_col[mask, k] if mask else k] = coef
+
+    def pairs(order):
+        for U in (m for m in masks if m.bit_count() == order):
+            for J1 in IndexSet(U).subsets():
+                yield f_coefficients(J1, IndexSet(U ^ J1.mask))
+
+    for J in sorted((m for m in masks if m.bit_count() <= d), key=int.bit_count):
+        members = [j for j in range(nb) if J >> j & 1]
+        for i in range(r):
+            row = new_row(False)
+            put_w(row, J, sum(A[i, j] for j in members) - beta[i])
+            for j in range(nb):
+                if j not in members:
+                    put_w(row, J | 1 << j, A[i, j])
+            for k in range(ng):
+                put_v(row, J, k, B[i, k])
+    for coefs in pairs(min(d + 1, nb)):
+        row = new_row(True)
+        for J, s in coefs.items():
+            put_w(row, J.mask, float(s))
+    for coefs in pairs(d):
+        for k in range(ng):
+            low, gap = new_row(True), new_row(True)
+            for J, s in coefs.items():
+                put_v(low, J.mask, k, float(s))
+                put_w(gap, J.mask, float(s))
+                put_v(gap, J.mask, k, -float(s))
+
+    slack_start = ng + len(wide) + len(v_col)
+    n_slack = sum(row[3] for row in rows)
+    Ac = np.zeros((len(rows), slack_start + n_slack))
+    Ab = np.zeros((len(rows), nb))
+    b = np.zeros(len(rows))
+    slack = slack_start
+    for i, (cont, binary, rhs, has_slack) in enumerate(rows):
+        for col, v in cont.items():
+            Ac[i, col] = v
+        for col, v in binary.items():
+            Ab[i, col] = v
+        b[i] = rhs[0]
+        if has_slack:
+            Ac[i, slack] = -1.0
+            slack += 1
+    Gc = np.zeros((nb + ng, Ac.shape[1]))
+    Gc[nb:, :ng] = np.eye(ng)
+    Gb = np.vstack([np.eye(nb), np.zeros((ng, nb))])
+    return Gc, Gb, np.zeros(nb + ng), Ac, Ab, b
+
+
+def _assert_same_bytes(X, reference):
+    for name, ref in zip(("Gc", "Gb", "c", "Ac", "Ab", "b"), reference):
+        got = getattr(X, name)
+        assert (got.shape, got.dtype) == (ref.shape, ref.dtype), name
+        assert got.tobytes() == ref.tobytes(), name
+
+
+class TestLiftParity:
+    """build_xd against the row-by-row reference, byte for byte (signed
+    zeros count), including n_b = 1 (D = d), n_c = 0 (no family (i)) and
+    n_g = 0 (no v columns and no family (iii))."""
+
+    @pytest.mark.parametrize("nc", [0, 1, 2])
+    @pytest.mark.parametrize("ng", [0, 1, 3])
+    @pytest.mark.parametrize("nb", [1, 2, 3, 4, 5])
+    def test_random_sets_every_level(self, nb, ng, nc):
+        H = _random_hz(np.random.default_rng([nb, ng, nc]), 2, ng, nb, nc)
+        for d in range(1, nb + 1):
+            _assert_same_bytes(build_xd(H, d)[0], _reference_lift(H, d))
+
+    def test_pm1_input(self):
+        H = convert_form(_random_hz(np.random.default_rng(5), 2, 3, 3, 2),
+                         FactorForm.PM1)
+        for d in (1, 2, 3):
+            _assert_same_bytes(build_xd(H, d)[0], _reference_lift(H, d))
+
+    def test_zero_and_signed_zero_data(self):
+        H = _random_hz(np.random.default_rng(6), 2, 2, 3, 2)
+        Ab, Ac, b = H.Ab.copy(), H.Ac.copy(), H.b.copy()
+        Ab[0, 1], Ab[1, 0], Ac[0, 0], Ac[1, 1], b[1] = -0.0, 0.0, -0.0, 0.0, -0.0
+        Z = HybridZonotope(H.Gc, H.Gb, H.c, Ac, Ab, b, FactorForm.ZO)
+        for d in (1, 2, 3):
+            _assert_same_bytes(build_xd(Z, d)[0], _reference_lift(Z, d))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_demo_level_set(self, d):
+        X = relugraph.level_set_above(relugraph.demo_network(), 0.5)
+        _assert_same_bytes(build_xd(X, d)[0], _reference_lift(X, d))
 
 
 class TestSetEquality:
