@@ -51,11 +51,13 @@ only the cost differs, so that basis is still primal feasible.  The first
 cost still open, and a cost after one that failed, start from a copy of
 the phase-1 end; no phase-2 state carries over between calls.  A warm
 answer may be another optimal vertex than a cold start finds, and is
-certified the same way.  A cost whose pass fails or whose verdict fails
-its certificate moves up to the next rung, and a certified infeasible
-phase 1 answers every cost still open.  `solve_bounded` is its one-cost
-case.  `min_infeasibility` reads the phase-1 end of each rung and runs no
-phase 2.
+certified the same way.  A warm pass that fails, or whose verdict fails its
+certificate, is run once more from the phase-1 end on the same rung: the
+basis it started from may be degenerate enough to stall it.  A cost whose
+cold pass fails or whose verdict fails its certificate moves up to the
+next rung, and a certified infeasible phase 1 answers every cost still
+open.  `solve_bounded` is its one-cost case.  `min_infeasibility` reads
+the phase-1 end of each rung and runs no phase 2.
 """
 
 from collections import Counter
@@ -642,6 +644,12 @@ class Ladder:
                 proposal, state = _pass(rung, C[i], A, b, lo, up, feas_tol,
                                         warm)
                 verdict = _verdict(C[i], A, b, lo, up, feas_tol, proposal)
+                if verdict is None and warm is not None:
+                    # a warm start may crawl from a degenerate basis until
+                    # its pass fails: retry from the phase-1 end first
+                    proposal, state = _pass(rung, C[i], A, b, lo, up,
+                                            feas_tol)
+                    verdict = _verdict(C[i], A, b, lo, up, feas_tol, proposal)
                 if verdict is None:
                     warm = None  # the failed pass changed it in place
                     failed.append(i)
@@ -709,8 +717,10 @@ def solve_bounded_many(C, A, b, lo, up, feas_tol=1e-8, max_iter=0):
     row whose pass fails or whose verdict fails its certificate stays open
     for the next rung.  A row on a rung starts from the final state of the
     row before it when that row was certified optimal, else from the end of
-    the rung's phase 1.  An infeasible verdict comes from phase 1 alone, so
-    once certified it answers every row still open.  Status 2 means that
+    the rung's phase 1; a warm row that is not certified gets one more pass
+    on the same rung, from the phase-1 end, before it climbs.  An
+    infeasible verdict comes from phase 1 alone, so once certified it
+    answers every row still open.  Status 2 means that
     the whole ladder failed for that row.  Each call climbs a new `Ladder`;
     `Ladder.solve_many` answers on a kept one.
     """

@@ -285,7 +285,8 @@ def cmd_demo_levelset(args):
         report = {
             "threshold": args.threshold,
             "level_set_complexity": asdict(core.complexity(X)),
-            "pre_rlt": {"verdict": pre.verdict.value, "max_gap": pre.max_gap},
+            "pre_rlt": {"verdict": pre.verdict.value, "max_gap": pre.max_gap,
+                        "closed_directions": int(np.sum(pre.closed))},
             "hull_area": hull_area,
             "relax_area": None,
             "levels": [],
@@ -309,6 +310,7 @@ def cmd_demo_levelset(args):
                 "complexity": rep_d,
                 "verdict": sharp_d.verdict.value,
                 "max_gap": sharp_d.max_gap,
+                "closed_directions": int(np.sum(sharp_d.closed)),
                 "area": area_d,
                 "area_ratio": area_d / hull_area if hull_area else None,
             })

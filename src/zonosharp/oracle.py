@@ -3,6 +3,10 @@
 Support functions, membership, emptiness, empirical sharpness certification,
 and 2D boundary/area extraction.  Hybrid zonotope queries decompose into
 per-leaf LPs over the continuous factor box; convex queries are single LPs.
+`check_sharpness` solves the relaxation first and runs leaf LPs only in the
+directions where the relaxation's optimum is not already a point of a leaf
+(binaries integral, the leaf's equalities met): on a sharp set that is
+often none, and then no leaf LP runs.
 
 A set keeps the work that does not depend on the query: its leaves
 (`core.leaves`), its relaxation (`algebra.convex_relaxation`) and, for each
@@ -108,9 +112,10 @@ def is_empty(S: AnySet, cap: int = DEFAULT_LEAF_CAP) -> bool:
 
 # --- support ---------------------------------------------------------------
 
-def _support_cz_many(L: ConstrainedZonotope, U: np.ndarray) -> list:
-    """(value, point) of L in each direction (row) of U, or None where the
-    kernel certifies L empty; one batch of LPs over L's factor box."""
+def _factor_optima(L: ConstrainedZonotope, U: np.ndarray) -> list:
+    """(value, factor point xi) of L in each direction (row) of U, or None
+    where the kernel certifies L empty; one batch of LPs over L's factor
+    box."""
     C = np.array([-(L.G.T @ u) for u in U])
     out = []
     for u, (st, obj, xi) in zip(U, L.lp_ladder().solve_many(C, feas_tol=FEAS_TOL)):
@@ -119,8 +124,15 @@ def _support_cz_many(L: ConstrainedZonotope, U: np.ndarray) -> list:
         elif st != 0:
             raise NumericalFailure(f"support LP failed with status {st}")
         else:
-            out.append((float(u @ L.c) - obj, L.G @ xi + L.c))
+            out.append((float(u @ L.c) - obj, xi))
     return out
+
+
+def _support_cz_many(L: ConstrainedZonotope, U: np.ndarray) -> list:
+    """(value, point) of L in each direction (row) of U, or None where the
+    kernel certifies L empty."""
+    return [None if out is None else (out[0], L.G @ out[1] + L.c)
+            for out in _factor_optima(L, U)]
 
 
 def _support_cz(L: ConstrainedZonotope, u: np.ndarray):
@@ -196,6 +208,7 @@ class SharpnessReport:
     directions: np.ndarray  # (n_dirs, n)
     relax_support: np.ndarray
     hull_support: np.ndarray
+    closed: np.ndarray  # (n_dirs,) bool: answered by the relaxation alone
     max_gap: float
     verdict: SharpnessVerdict
     tol: float
@@ -211,6 +224,7 @@ class SharpnessReport:
             "directions": self.directions.tolist(),
             "relax_support": [_finite_or_none(v) for v in self.relax_support],
             "hull_support": [_finite_or_none(v) for v in self.hull_support],
+            "closed_by_relaxation": self.closed.tolist(),
         }
 
     def to_json(self) -> str:
@@ -239,9 +253,39 @@ def direction_set(n: int, n_dirs: int, seed: int = 0) -> np.ndarray:
     return np.asarray(dirs)
 
 
+def _in_a_leaf(H: AnySet, R: ConstrainedZonotope, XI: np.ndarray) -> np.ndarray:
+    """Whether each row of XI, a certified optimum of H's relaxation R over
+    its factors (continuous, then binary), lies in a leaf of H.
+
+    Its binaries, snapped to the nearer end of the binary domain, must each
+    be within FEAS_TOL of that end, and the snapped point must satisfy the
+    leaf's equality system Ac y + Ab x = b within the kernel's certificate
+    threshold.  With no binaries the relaxation is H's one leaf, so every
+    row lies in it.
+    """
+    n_b = 0 if isinstance(H, ConstrainedZonotope) else H.n_b
+    if n_b == 0:
+        return np.ones(len(XI), dtype=bool)
+    lo, hi = H.binary_domain()
+    x = XI[:, -n_b:]
+    snapped = np.where(x - lo <= hi - x, lo, hi)
+    integral = np.all(np.abs(x - snapped) <= FEAS_TOL, axis=1)
+    resid = np.abs(np.hstack([XI[:, :-n_b], snapped]) @ R.A.T - R.b)
+    threshold = 100.0 * FEAS_TOL * (1.0 + np.max(np.abs(R.b), initial=0.0))
+    return integral & np.all(resid <= threshold, axis=1)
+
+
 def check_sharpness(H: AnySet, n_dirs: int = 64, tol: float = SHARP_TOL,
                     cap: int = DEFAULT_LEAF_CAP, seed: int = 0) -> SharpnessReport:
     """Compare support of the relaxation against the leafwise convex hull.
+
+    The relaxation is solved first, in every direction.  A direction whose
+    optimum lies in a leaf (`_in_a_leaf`: its binaries integral, the leaf's
+    equalities met) is closed by the relaxation: that optimum is a point of
+    H, so the hull's support is the relaxation's, and the gap is exactly 0.
+    Only the other directions run LPs on the leaves, one batch per leaf; a
+    check in which every direction closes touches no leaf's LP ladder.  A
+    set past the leaf cap is INCONCLUSIVE before any LP runs.
 
     Raises ValueError unless tol is a finite number >= 0.
     """
@@ -254,17 +298,21 @@ def check_sharpness(H: AnySet, n_dirs: int = 64, tol: float = SHARP_TOL,
         leaf_list = _leaf_sets(H, cap)
     except EnumerationCapExceeded:
         nan = np.full(len(dirs), np.nan)
-        return SharpnessReport(dirs, nan, nan, np.nan,
-                               SharpnessVerdict.INCONCLUSIVE, tol)
-    relaxed = _support_points([convex_relaxation(H)], dirs)
+        return SharpnessReport(dirs, nan, nan, np.zeros(len(dirs), dtype=bool),
+                               np.nan, SharpnessVerdict.INCONCLUSIVE, tol)
+    R = convex_relaxation(H)
+    relaxed = _factor_optima(R, dirs)
     if any(out is None for out in relaxed):
         raise EmptySet("sharpness check on an empty set")
     rs = np.array([v for v, _ in relaxed])
-    hs = np.array([-np.inf if out is None else out[0]
-                   for out in _support_points(leaf_list, dirs)])
+    closed = _in_a_leaf(H, R, np.array([xi for _, xi in relaxed]))
+    hs = rs.copy()
+    if not np.all(closed):
+        hs[~closed] = [-np.inf if out is None else out[0]
+                       for out in _support_points(leaf_list, dirs[~closed])]
     max_gap = float(np.max(rs - hs))
     verdict = SharpnessVerdict.SHARP if max_gap <= tol else SharpnessVerdict.NOT_SHARP
-    return SharpnessReport(dirs, rs, hs, max_gap, verdict, tol)
+    return SharpnessReport(dirs, rs, hs, closed, max_gap, verdict, tol)
 
 
 # --- 2D boundary and area --------------------------------------------------

@@ -17,16 +17,19 @@ def _fake(status):
 
 @pytest.fixture
 def fake_pass(monkeypatch):
-    """`fake_pass(status, first_only=False)` routes every simplex pass, or
-    only the first, to a fake that proposes `status`; it returns the list of
+    """`fake_pass(status, first_only=False, passes=None)` routes every
+    simplex pass, only the first, or only those whose numbers (from 1) are
+    in `passes`, to a fake that proposes `status`; it returns the list of
     the arguments of every pass made."""
-    def install(status, first_only=False):
+    def install(status, first_only=False, passes=None):
         real = _simplex._pass
         calls = []
+        if first_only:
+            passes = {1}
 
         def one_pass(*args):
             calls.append(args)
-            faked = len(calls) == 1 or not first_only
+            faked = passes is None or len(calls) in passes
             return (_fake(status) if faked else real)(*args)
         monkeypatch.setattr(_simplex, "_pass", one_pass)
         return calls

@@ -169,7 +169,14 @@ class TestCheckSharp:
                                      np.array([[0.0, 1.0]]))
         p = str(tmp_path / "ns.json")
         core.write_set(p, H)
-        assert main(["check-sharp", p, "-o", str(tmp_path / "r.json")]) == 1
+        rep = str(tmp_path / "r.json")
+        assert main(["check-sharp", p, "-o", rep]) == 1
+        # the directions that needed leaf LPs are those not closed
+        obj = json.load(open(rep))
+        closed = obj["closed_by_relaxation"]
+        assert len(closed) == len(obj["directions"]) and False in closed
+        assert all(h == r for h, r, c in zip(obj["hull_support"],
+                                              obj["relax_support"], closed) if c)
 
     def test_inconclusive_exit_5(self, tmp_path):
         from zonosharp import HybridZonotope
@@ -368,12 +375,21 @@ class TestDemoLevelset:
         assert set(stats["rungs"]) == {"0"}
 
     def test_one_phase1_per_region(self, tmp_path):
-        # 4 leaves and the relaxation of the level set, then 4 + 1 per RLT
-        # level on its two levels: the hull reuses the leaves of the
+        # the relaxation and 4 leaves of the level set, the relaxation and 4
+        # leaves of the d = 1 lift, and the d = 2 lift's relaxation alone,
+        # which closes every direction: the hull reuses the leaves of the
         # sharpness check, and each relaxation polygon its relaxation
         out = str(tmp_path / "s.json")
         assert main(["demo-levelset", "--angles", "32", "--dirs", "8",
                      "--stats", "-o", out]) == 0
         stats = json.load(open(out))["lp_stats"]
-        assert stats["phase1_runs"] == 15
+        assert stats["phase1_runs"] == 11
         assert stats["phase1_reused"] > 0 and stats["rows"] > 0
+
+    def test_closed_directions_per_level(self, tmp_path):
+        out = str(tmp_path / "s.json")
+        assert main(["demo-levelset", "--angles", "16", "--dirs", "4",
+                     "-o", out]) == 0
+        rep = json.load(open(out))
+        assert rep["pre_rlt"]["closed_directions"] == 1
+        assert [lv["closed_directions"] for lv in rep["levels"]] == [3, 4]

@@ -21,6 +21,7 @@ from zonosharp import (
     box,
     check_sharpness,
     contains,
+    convert_form,
     convex_relaxation,
     direction_set,
     interval,
@@ -35,7 +36,8 @@ from zonosharp import (
     support_point,
     union,
 )
-from zonosharp.oracle import FEAS_TOL, polygon_to_csv
+from zonosharp.oracle import (FEAS_TOL, _in_a_leaf, _support_points,
+                              polygon_to_csv)
 
 
 def _unit_square(form=FactorForm.ZO):
@@ -301,6 +303,7 @@ class TestSharpness:
         obj = rep.to_obj()
         assert obj["max_gap"] is None
         assert obj["relax_support"] == obj["hull_support"] == [None] * 8
+        assert obj["closed_by_relaxation"] == [False] * 8
         json.dumps(obj, allow_nan=False)
 
     def test_direction_set_contains_axes(self):
@@ -310,6 +313,70 @@ class TestSharpness:
             e = np.eye(3)[i]
             assert any(np.allclose(d, e) for d in dirs)
             assert any(np.allclose(d, -e) for d in dirs)
+
+
+class TestClosedByRelaxation:
+    """A direction in which the relaxation's optimum is a point of a leaf
+    is answered by the relaxation; only the other directions run leaf LPs."""
+
+    def test_sharp_lift_runs_the_relaxation_alone(self):
+        X2 = rlt_sharpen(_level_set(), 2)
+        with _simplex.lp_stats() as stats:
+            rep = check_sharpness(X2, n_dirs=8)
+        assert rep.verdict is SharpnessVerdict.SHARP and rep.max_gap == 0.0
+        assert rep.closed.all()
+        np.testing.assert_array_equal(rep.hull_support, rep.relax_support)
+        assert stats.phase1_runs == 1
+        assert all("lp_ladder" not in L._kept for _, L in leaves(X2))
+        assert rep.to_obj()["closed_by_relaxation"] == [True] * 8
+
+    def test_pm1_form_closes(self):
+        # the binaries of the pm1 form end at -1 and 1, not at 0 and 1
+        X2 = convert_form(rlt_sharpen(_level_set(), 2), FactorForm.PM1)
+        with _simplex.lp_stats() as stats:
+            rep = check_sharpness(X2, n_dirs=8)
+        assert rep.verdict is SharpnessVerdict.SHARP and rep.closed.all()
+        assert stats.phase1_runs == 1
+
+    def test_open_directions_are_the_leaf_maximum(self):
+        X = _level_set()
+        rep = check_sharpness(X, n_dirs=16)
+        leaf_list = [L for _, L in leaves(X)]
+        assert 0 < rep.closed.sum() < len(rep.closed)
+        opened = ~rep.closed
+        best = _support_points(leaf_list, rep.directions[opened])
+        np.testing.assert_array_equal(rep.hull_support[opened],
+                                      [v for v, _ in best])
+        np.testing.assert_array_equal(rep.hull_support[rep.closed],
+                                      rep.relax_support[rep.closed])
+        for u, h in zip(rep.directions, rep.hull_support):
+            lone = [support(L, u) for L in leaf_list if not is_empty(L)]
+            assert abs(h - max(lone)) <= 1e-9
+
+    def test_a_leaf_point_needs_integral_binaries_and_the_leaf_equalities(self):
+        X = _level_set()
+        R = convex_relaxation(X)
+        # a factor point of a nonempty leaf: its y from phase 1, its binaries
+        a, L = [(a, L) for a, L in leaves(X) if not is_empty(L)][0]
+        _, y = L.lp_ladder().min_infeasibility()
+        xi = np.concatenate([y, a.as_array()])
+        assert _in_a_leaf(X, R, xi[None]).all()
+        # one binary off its end by more than FEAS_TOL
+        lo, _ = X.binary_domain()
+        fractional = xi.copy()
+        fractional[-1] += 10.0 * FEAS_TOL * (1.0 if xi[-1] == lo else -1.0)
+        # binaries on their ends, but y moved off the leaf's equalities
+        j = int(np.argmax(np.abs(X.Ac).sum(axis=0)))
+        shifted = xi.copy()
+        shifted[j] += 0.1 if shifted[j] < 0.5 else -0.1
+        assert not _in_a_leaf(X, R, np.array([fractional, shifted])).any()
+
+    def test_without_binaries_every_direction_closes(self):
+        S = ConstrainedZonotope(np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]),
+                                np.array([1.0]), FactorForm.ZO)
+        for T in (S, S.as_hybrid()):
+            rep = check_sharpness(T, n_dirs=8)
+            assert rep.closed.all() and rep.max_gap == 0.0
 
 
 class TestBoundary2d:

@@ -253,9 +253,23 @@ class TestBatch:
         assert len(phase1_runs) == 1
         self.assert_same(batch, self._lone(region), region)
 
+    def test_warm_failure_is_retried_cold_before_it_climbs(self, fake_pass,
+                                                            phase1_runs):
+        # pass 2 is row 1's warm pass; its failure sends row 1 back to the
+        # phase-1 end of rung 0, where the real pass answers it
+        calls = fake_pass(2, passes={2})
+        with _simplex.lp_stats() as stats:
+            batch = _simplex.solve_bounded_many(self.C, *self.REGION)
+        starts = [args[7] if len(args) > 7 else None for args in calls]
+        assert [s is None for s in starts] == [True, False, True, False]
+        assert len(phase1_runs) == 1
+        assert stats.rungs == {0: 3}
+        self.assert_same(batch, self._lone(self.REGION), self.REGION)
+
     def test_row_after_a_failed_pass_starts_cold(self, monkeypatch):
-        # the second pass wrecks the state it ran in place on and reports a
-        # failure: the third row starts from the phase-1 end, not from it
+        # the second pass, row 1's warm one, wrecks the state it ran in
+        # place on and reports a failure: row 1 runs again from the phase-1
+        # end on the same rung, and row 2 starts warm from that pass's end
         real = _simplex._pass
         starts = []
 
@@ -269,8 +283,8 @@ class TestBatch:
         monkeypatch.setattr(_simplex, "_pass", one_pass)
         with _simplex.lp_stats() as stats:
             batch = _simplex.solve_bounded_many(self.C, *self.REGION)
-        assert [s is None for s in starts] == [True, False, True, True]
-        assert stats.rungs == {0: 2, 1: 1}
+        assert [s is None for s in starts] == [True, False, True, False]
+        assert stats.rungs == {0: 3}
         self.assert_same(batch, self._lone(self.REGION), self.REGION)
 
     def test_kernel_failure_on_every_row(self, fake_pass):
