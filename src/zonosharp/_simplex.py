@@ -10,7 +10,12 @@ A fixed variable (equal bounds) is never priced, since its step can only be
 column with lo == up ever enters.
 A pass keeps the explicit inverse of its basis, m x m, updated by one rank-1
 product per pivot and rebuilt by LU every REFACTOR_EVERY pivots; reduced
-costs and the entering column are priced from it.
+costs and the entering column are priced from it.  That rebuild is the
+kernel's only LU: a pass also reads its final values and its duals from
+the inverse it carries (`_settle`, `_duals`), each with one step of
+refinement, so a pass that needs no rebuild solves no linear system: one
+`levelset_hull` pass of the benchmark solves none, where it solved 272
+when each optimal row factorised its final basis twice.
 
 Phase 1 minimises the total of one artificial variable per equality row.
 It starts from a crash basis (Bixby 1992): a row that a singleton column
@@ -19,10 +24,12 @@ lower bound, starts with that column basic and its artificial at zero, and
 only the other rows start with their artificial basic.  Each bound-factor
 row of an RLT lift has a singleton slack column.
 
-A pass of the simplex only proposes a verdict.  The entry points
+A pass of the simplex only proposes a verdict, with the duals y of its
+final basis read from the inverse it carries.  The entry points
 (`solve_bounded_many`, `solve_bounded`, `min_infeasibility`) return it only
-after checking it against the caller's original, unperturbed data, with
-duals recovered from the pass's final basis:
+after checking it against the caller's original, unperturbed data.  Each
+check is a proof for any y, so an inaccurate y, or a drifted inverse, can
+only fail its certificate, never pass a wrong verdict:
 
 - status 0, optimal: x is within the bounds and satisfies Ax = b to
   100*feas_tol (scaled by the data), and the dual bound from y proves that
@@ -283,19 +290,28 @@ def _lu_solve(B, rhs):
     return sol if np.all(np.isfinite(sol)) else None
 
 
-def _refresh_basic_values(A_all, b, x, basis):
-    """Re-solve the basic system to shed accumulated pivot drift; False when
-    the basis is singular."""
-    m = A_all.shape[0]
-    if m == 0:
-        return True
-    xn = x.copy()
-    xn[basis] = 0.0
-    x_B = _lu_solve(A_all[:, basis], b - A_all @ xn)
-    if x_B is None:
+def _settle(Binv, A_all, b, x, basis):
+    """Put the basic values of x onto A_all x = b by one step from the
+    carried inverse, x[basis] += Binv (b - A_all x), in place; False, with x
+    unchanged, when the step is not finite.
+
+    It sheds the drift of the pivots' updates of x.  With the exact inverse
+    the step solves the basic system outright; with an inverse that is off
+    by E = I - B Binv it leaves E times the residual it started from.
+    """
+    step = Binv @ (b - A_all @ x)
+    if not np.all(np.isfinite(step)):
         return False
-    x[basis] = x_B
+    x[basis] += step
     return True
+
+
+def _duals(Binv, A_all, basis, cost_B):
+    """The duals y with y B = cost_B, B = A_all[:, basis], from the carried
+    inverse and one step of refinement; None when they are not finite."""
+    y = cost_B @ Binv
+    y += (cost_B - y @ A_all[:, basis]) @ Binv
+    return y if np.all(np.isfinite(y)) else None
 
 
 def _crash(A, r, lo, up):
@@ -375,7 +391,7 @@ def _phase1(A, b, lo, up, max_iter):
     cost1[n:] = 1.0
     st = _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
                        cost1, max_iter, 1)
-    ok = st == 0 and _refresh_basic_values(A_all, b, x, basis)
+    ok = st == 0 and _settle(Binv, A_all, b, x, basis)
     return (0 if ok else 2), A_all, (Binv, x, L, U, basis, in_basis, at_upper)
 
 
@@ -391,28 +407,19 @@ def _noise(n, seed):
 
 # --- retry ladder and certificates, on the original data ------------------
 
-def _solve(M, rhs):
-    # LU is an order of magnitude cheaper than the SVD behind lstsq; what it
-    # returns is checked by a certificate, never trusted
-    try:
-        return np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(M, rhs, rcond=None)[0]
-
-
-def _onto_original(A, b, lo, up, x, basis, A_all):
-    """Carry the final basis of a perturbed pass over to the original data.
+def _onto_original(A_all, b, lo, up, x, basis, Binv):
+    """Carry the final point x of a perturbed pass over to the original data.
 
     Nonbasic variables sit on a perturbed bound and move to the original
-    one; the basic values are solved for again.
+    one, nonbasic artificials to 0; the basic values then take one step from
+    the pass's inverse (`_settle`).  Returns the structural part, or None
+    when the step is not finite.
     """
-    n = A.shape[1]
-    x = np.clip(x, lo, up)
-    struct = basis[basis < n]
-    x[struct] = 0.0
-    x_B = _solve(A_all[:, basis], b - A @ x)
-    x[struct] = x_B[basis < n]
-    return x
+    n = lo.shape[0]
+    onto = np.zeros_like(x)
+    onto[:n] = np.clip(x[:n], lo, up)
+    onto[basis] = x[basis]
+    return onto[:n] if _settle(Binv, A_all, b, onto, basis) else None
 
 
 def _rung_region(k, lo, up, max_iter):
@@ -444,18 +451,23 @@ def _pass(rung, c, A, b, lo, up, feas_tol, start=None):
     primal feasible.  Whether the region is infeasible is read from the
     phase-1 end in either case.
 
-    Returns (proposal, state).  The proposal (status, x, basis, A_all) holds
-    the structural part of the final point, the final basis (indices >= n
-    are artificial columns) and the columns [A, diag(art_sign)] it indexes,
-    from which the caller recovers duals.  Its status is a proposal that the
-    caller still has to certify.  The perturbed problem is not the caller's
-    problem: the point of a perturbed rung is carried back onto the original
-    bounds, and the caller certifies it on the original data.  state is the
-    final state of phase 2 when it ended optimal, else None.
+    Returns (proposal, state).  The proposal (status, x, y) holds the
+    structural part of the final point and the duals of the final basis,
+    both read from the basis inverse that the pass carries: after phase 2,
+    the duals of the caller's cost c (status 0), and otherwise those of the
+    phase-1 cost, a candidate Farkas ray (status 1, or c None).  y is None
+    for status 2, which is also the status of a pass whose final values or
+    duals are not finite.  Its status is a proposal that the caller still
+    has to certify, with y as the certificate's duals.  The perturbed
+    problem is not the caller's problem: the point of a perturbed rung is
+    carried back onto the original bounds (`_onto_original`), and the
+    caller certifies it on the original data.  state is the final state of
+    phase 2 when it ended optimal, else None.
     """
     (st, A_all, phase1_end), max_iter, shift = rung
     m, n = A.shape
-    x, basis = phase1_end[1], phase1_end[4]
+    Binv, x, basis = phase1_end[0], phase1_end[1], phase1_end[4]
+    cost_B = (basis >= n).astype(np.float64)  # the phase-1 cost of the basis
     state = None
     if st == 0 and c is not None:
         # a sequential total: np.sum adds pairwise and rounds differently
@@ -464,9 +476,6 @@ def _pass(rung, c, A, b, lo, up, feas_tol, start=None):
         if p1 > feas_tol * scale:
             st = 1
         else:
-            if shift is not None:
-                eps, noise = shift
-                c = c + eps * (1.0 + np.max(np.abs(c), initial=0.0)) * noise
             if start is None:
                 start = tuple(a.copy() for a in phase1_end)
             Binv, x, L, U, basis, in_basis, at_upper = state = start
@@ -477,14 +486,22 @@ def _pass(rung, c, A, b, lo, up, feas_tol, start=None):
             at_upper[n:] &= in_basis[n:]
             cost2 = np.zeros(n + m)
             cost2[:n] = c
+            if shift is not None:
+                eps, noise = shift
+                cost2[:n] += eps * (1.0 + np.max(np.abs(c), initial=0.0)) * noise
             st = _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis,
                                at_upper, cost2, max_iter, 2)
-            if st == 0 and not _refresh_basic_values(A_all, b, x, basis):
+            if st == 0 and not _settle(Binv, A_all, b, x, basis):
                 st = 2
-    x = x[:n].copy()
+            # the duals of the caller's cost: the certificate's objective
+            cost_B = np.append(c, np.zeros(m))[basis]
+    point = x[:n].copy()
     if shift is not None and st == 0:
-        x = _onto_original(A, b, lo, up, x, basis, A_all)
-    return (st, x, basis, A_all), (state if st == 0 else None)
+        point = _onto_original(A_all, b, lo, up, x, basis, Binv)
+    y = _duals(Binv, A_all, basis, cost_B) if st in (0, 1) else None
+    if point is None or y is None:
+        st, point = 2, x[:n].copy()
+    return (st, point, y), (state if st == 0 else None)
 
 
 def _farkas_bound(A, b, lo, up, y):
@@ -502,14 +519,6 @@ def _farkas_bound(A, b, lo, up, y):
     hi_y = np.sum(np.maximum(a * lo, a * up))
     yb = float(y @ b)
     return max(yb - hi_y, lo_y - yb) / ny
-
-
-def _proves_infeasible(A, b, lo, up, basis, A_all, tol):
-    """Whether the duals of a final phase-1 basis are a Farkas ray showing
-    that every point of the box misses Ax = b by more than tol in the 1-norm.
-    """
-    y = _solve(A_all[:, basis].T, (basis >= A.shape[1]).astype(np.float64))
-    return _farkas_bound(A, b, lo, up, y) > tol
 
 
 def _within_bounds(lo, up, x, feas_tol):
@@ -540,11 +549,15 @@ def _certified_optimal(c, A, b, lo, up, x, y, feas_tol):
 
 def _verdict(c, A, b, lo, up, feas_tol, proposal):
     """(status, objective, x) of a pass's proposal once certified on the
-    original data, or None when its certificate fails."""
-    st, x, basis, A_all = proposal
+    original data, or None when its certificate fails.
+
+    The proposal's duals y enter only as a proof: weak duality bounds the
+    optimum, and `_farkas_bound` the 1-norm miss, for every y.  So duals
+    from a drifted inverse can fail a certificate but not pass a wrong
+    verdict.
+    """
+    st, x, y = proposal
     if st == 0:
-        cost_B = np.append(c, np.zeros(A.shape[0]))[basis]
-        y = _solve(A_all[:, basis].T, cost_B)
         margins = _certified_optimal(c, A, b, lo, up, x, y, feas_tol)
         if margins is not None:
             for stats in _OPEN_STATS:
@@ -553,7 +566,7 @@ def _verdict(c, A, b, lo, up, feas_tol, proposal):
             return 0, float(c @ x), x
     elif st == 1:
         infeas_tol = feas_tol * (1.0 + np.max(np.abs(b), initial=0.0))
-        if _proves_infeasible(A, b, lo, up, basis, A_all, infeas_tol):
+        if _farkas_bound(A, b, lo, up, y) > infeas_tol:
             return 1, 0.0, x
     return None
 
@@ -684,12 +697,11 @@ class Ladder:
         feas_tol = 1e-8
         t = tol * (1.0 + np.max(np.abs(b)))
         for k in range(len(self)):
-            (st, x, basis, A_all), _ = _pass(self.rung(k), None, A, b, lo, up,
-                                             feas_tol)
+            (st, x, y), _ = _pass(self.rung(k), None, A, b, lo, up, feas_tol)
             if st != 0 or not _within_bounds(lo, up, x, feas_tol):
                 continue
             resid = float(np.sum(np.abs(A @ x - b)))
-            if resid <= t or _proves_infeasible(A, b, lo, up, basis, A_all, t):
+            if resid <= t or _farkas_bound(A, b, lo, up, y) > t:
                 for stats in _OPEN_STATS:
                     stats.rows += 1
                     stats.rungs[k] += 1

@@ -7,11 +7,23 @@ from zonosharp import _simplex
 
 
 def _fake(status):
-    """A simplex pass that proposes `status` from an all-artificial basis."""
+    """A simplex pass that proposes `status` from an all-artificial basis.
+
+    Its point is lo, and its duals are those of that basis, diag(art_sign):
+    for the phase-1 cost (a candidate Farkas ray, art_sign) when status is 1
+    or c is None, for the phase-2 cost (0 on every artificial) otherwise,
+    and None for status 2.
+    """
     def one_pass(rung, c, A, b, lo, *rest):
         (_, A_all, _), _, _ = rung
-        m, n = A.shape
-        return (status, lo.copy(), np.arange(n, n + m), A_all), None
+        art_sign = A_all[:, A.shape[1]:].diagonal().copy()
+        if status == 2:
+            y = None
+        elif status == 1 or c is None:
+            y = art_sign
+        else:
+            y = np.zeros_like(art_sign)
+        return (status, lo.copy(), y), None
     return one_pass
 
 

@@ -190,6 +190,31 @@ class TestKernelRegression:
         assert stats.phase1_runs == 1 and stats.rungs == {0: 64}
         assert [st for st, _, _ in batch] == [0] * 64
 
+    def test_certified_on_a_perturbed_rung(self):
+        # the n_b = 5, d = 5 lift on which `support` once raised
+        # NumericalFailure: rung 0 fails, and a perturbed rung's point is
+        # carried back onto the original data and certified there.  Which
+        # perturbed rung depends on the BLAS thread count, since the pivots
+        # follow the rounding of the matrix products: rung 1 with one
+        # OpenBLAS thread, rung 2 with two.
+        from test_acceptance import _random_hz
+        H = _random_hz(np.random.default_rng(1), 2, 2, 5, 1)
+        R = convex_relaxation(rlt_sharpen(H, 5))
+        assert R.A.shape == (192, 255)
+        u = np.array([np.cos(0.1), np.sin(0.1)])
+        with _simplex.lp_stats() as stats:
+            v = support(R, u)
+        assert sum(stats.rungs.values()) == 1 and min(stats.rungs) >= 1
+        highs = 1.9179378788803025  # HiGHS's optimum, as below
+        assert abs(v - highs) <= 1e-6 * (1.0 + abs(highs))
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        lo, up = R.factor_bounds()
+        ref = linprog(-(R.G.T @ u), A_eq=R.A, b_eq=R.b,
+                      bounds=np.column_stack([lo, up]), method="highs")
+        assert ref.status == 0
+        ref_v = float(u @ R.c) - ref.fun
+        assert abs(v - ref_v) <= 1e-6 * (1.0 + abs(ref_v))
+
 
 class TestSupport:
     def test_box_support_analytic(self):

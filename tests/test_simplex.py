@@ -394,9 +394,11 @@ class TestCrashBasis:
             st, _, _ = _simplex.solve_bounded(np.ones(3), A, b, lo, up)
         assert stats.artificials == [1] and stats.rungs == {0: 1}
         assert st == 1  # status 1 is returned only with a verified ray
-        (p1, A_all, state), _, _ = _simplex.Ladder(A, b, lo, up, 100).rung(0)
+        # the duals of the final phase-1 basis are the ray
+        rung = _simplex.Ladder(A, b, lo, up, 100).rung(0)
+        (p1, _, y), _ = _simplex._pass(rung, None, A, b, lo, up, 1e-8)
         assert p1 == 0
-        assert _simplex._proves_infeasible(A, b, lo, up, state[4], A_all, 0.49)
+        assert _simplex._farkas_bound(A, b, lo, up, y) > 0.49
         # the least 1-norm miss is 0.5; the certified residual bounds it
         resid, _ = _simplex.min_infeasibility(A, b, lo, up)
         assert resid >= 0.5 - 1e-12
@@ -446,3 +448,113 @@ class TestPricing:
                                         np.array([0.0, -1.0, 1.0]), 100, 2)
         assert st == 0 and stats.pivots[2] == 0
         assert basis.tolist() == [0] and not at_upper.any()
+
+
+def _demo_lift():
+    """The demo level set's d = 1 lift; its relaxation is 113 x 139."""
+    from zonosharp import relugraph, rlt_sharpen
+    X = relugraph.level_set_above(relugraph.demo_network(), 0.5)
+    return rlt_sharpen(X, 1)
+
+
+@pytest.fixture
+def lu_solves(monkeypatch):
+    """The number of `numpy.linalg.solve` calls made so far, as a list of
+    one int."""
+    count = [0]
+    real = np.linalg.solve
+
+    def solve(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    return count
+
+
+def _scale_inverse(Binv):
+    Binv *= 1.01
+
+
+def _randomise_inverse(Binv):
+    Binv[:] = np.random.default_rng(7).normal(size=Binv.shape)
+
+
+SPOILS = [_scale_inverse, _randomise_inverse]
+
+
+class TestCarriedInverse:
+    """A pass reads its final values and its duals from the basis inverse it
+    carries: the only LU is the rebuild every REFACTOR_EVERY pivots, and an
+    inverse gone wrong can fail a certificate but never pass a wrong
+    verdict."""
+
+    def test_no_lu_on_the_demo_lift(self, lu_solves):
+        from zonosharp import boundary_2d, check_sharpness, convex_relaxation
+        Xd = _demo_lift()
+        with _simplex.lp_stats() as stats:
+            check_sharpness(Xd, n_dirs=4, seed=0)
+            boundary_2d(convex_relaxation(Xd), n_angles=16)
+        assert stats.rows > 0 and stats.refactors == 0
+        assert lu_solves[0] == stats.refactors
+
+    def test_lu_only_in_the_rebuild(self, lu_solves):
+        # a dense region pivots past REFACTOR_EVERY in phase 1
+        rng = np.random.default_rng(99)
+        m, n = 60, 120
+        A = rng.normal(size=(m, n))
+        b = A @ rng.uniform(0, 1, size=n)
+        with _simplex.lp_stats() as stats:
+            st, _, _ = _simplex.solve_bounded(rng.normal(size=n), A, b,
+                                              np.zeros(n), np.ones(n))
+        assert st == 0 and stats.refactors >= 1
+        assert lu_solves[0] == stats.refactors
+
+    @pytest.fixture(scope="class")
+    def demo_batch(self):
+        """(region, costs, certified answers) of 8 support LPs on the
+        relaxation of the demo lift."""
+        from zonosharp import convex_relaxation, direction_set
+        R = convex_relaxation(_demo_lift())
+        region = (R.A, R.b, *R.factor_bounds())
+        C = np.array([-(R.G.T @ u) for u in direction_set(2, 8)])
+        true = _simplex.solve_bounded_many(C, *region)
+        assert [st for st, _, _ in true] == [0] * len(C)
+        return region, C, true
+
+    @staticmethod
+    def _spoil_after(monkeypatch, spoil, phases):
+        """Spoil the carried inverse at the end of every simplex loop of the
+        given phases, before the pass reads its values and duals."""
+        real = _simplex._simplex_loop
+
+        def loop(Binv, *args):
+            st = real(Binv, *args)
+            if args[-1] in phases:
+                spoil(Binv)
+            return st
+        monkeypatch.setattr(_simplex, "_simplex_loop", loop)
+
+    @pytest.mark.parametrize("spoil", SPOILS)
+    def test_wrong_inverse_is_rejected_or_right(self, monkeypatch, demo_batch,
+                                                spoil):
+        region, C, true = demo_batch
+        self._spoil_after(monkeypatch, spoil, {2})
+        rung = _simplex.Ladder(*region).rung(0)
+        verdicts = [_simplex._verdict(c, *region, 1e-8,
+                                      _simplex._pass(rung, c, *region, 1e-8)[0])
+                    for c in C]
+        # a verdict passes only if its duals still prove its optimum
+        assert any(v is None for v in verdicts)
+        for v, (_, obj, _) in zip(verdicts, true):
+            assert v is None or abs(v[1] - obj) <= 1e-6 * (1.0 + abs(obj))
+
+    @pytest.mark.parametrize("spoil", SPOILS)
+    def test_wrong_inverse_in_every_pass_is_never_a_wrong_answer(
+            self, monkeypatch, demo_batch, spoil):
+        region, C, true = demo_batch
+        self._spoil_after(monkeypatch, spoil, {1, 2})
+        batch = _simplex.solve_bounded_many(C, *region)
+        assert any(st == 2 for st, _, _ in batch)
+        for (st, obj, _), (_, ref, _) in zip(batch, true):
+            assert st in (0, 2)
+            assert st == 2 or abs(obj - ref) <= 1e-6 * (1.0 + abs(ref))

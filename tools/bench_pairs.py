@@ -12,7 +12,11 @@ other, and the side that runs first alternates from pair to pair.  Every
 run's JSON line is kept under "runs", and "summary" gives, per metric, the
 median and quartiles (numpy.percentile 25/75) of each side, the number of
 pairs in which each side is lower, and the change's median relative to the
-parent's in percent.
+parent's in percent.  Its "checks" entry counts, per side, the runs whose
+answers failed the benchmark's checks ("incorrect_runs") and the failed and
+attempted operations summed over the runs.  A run with incorrect answers is
+kept, so the evidence stays in the file, but the script then exits 1 once
+the file is written.
 
 An existing --out file is updated: the workloads run now replace theirs,
 the others stay, and --what and --claim replace their fields when given.
@@ -67,6 +71,7 @@ def run_once(side_dir, workload, seed, seconds):
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=side_dir, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
+    # exit 1 is a run whose answers failed their checks: kept, and counted
     if out.returncode not in (0, 1) or not lines:
         raise RuntimeError(f"{workload} seed {seed} in {side_dir} exited "
                            f"{out.returncode}: {out.stderr[-2000:]}")
@@ -76,6 +81,9 @@ def run_once(side_dir, workload, seed, seconds):
 
 
 def summarize(runs):
+    """Per metric, the quartiles of each side and the pairs each side wins;
+    under "checks", each side's incorrect runs and failed/attempted
+    operations."""
     summary = {}
     for metric in runs[0]["parent"]["metrics"]:
         vals = {side: [r[side]["metrics"][metric] for r in runs]
@@ -90,6 +98,11 @@ def summarize(runs):
         entry["median_change_pct"] = 100.0 * (
             entry["change"]["median"] / entry["parent"]["median"] - 1.0)
         summary[metric] = entry
+    summary["checks"] = {
+        side: {"incorrect_runs": sum(not r[side]["correct"] for r in runs),
+               "failed_ops": sum(r[side]["failed"] for r in runs),
+               "attempted_ops": sum(r[side]["attempted"] for r in runs)}
+        for side in ("parent", "change")}
     return summary
 
 
@@ -123,6 +136,7 @@ def main(argv=None):
         if getattr(args, key) is not None:
             bench[key] = getattr(args, key)
 
+    incorrect = 0
     if args.workload:
         work = tempfile.mkdtemp(prefix="bench_pairs_")
         try:
@@ -140,9 +154,12 @@ def main(argv=None):
                         print(f"{workload} seed {seed} {side}: "
                               f"{json.dumps(run[side]['metrics'])}", file=sys.stderr)
                     runs.append(run)
+                summary = summarize(runs)
+                incorrect += sum(c["incorrect_runs"]
+                                 for c in summary["checks"].values())
                 bench["workloads"][workload] = {
                     "pairs": len(runs), "seeds": list(args.seeds),
-                    "summary": summarize(runs), "runs": runs}
+                    "summary": summary, "runs": runs}
         finally:
             shutil.rmtree(work, ignore_errors=True)
         change = "the working tree" if args.change == "." else args.change
@@ -159,6 +176,10 @@ def main(argv=None):
     with open(args.out, "w") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
+    if incorrect:
+        print(f"{incorrect} run(s) gave answers that failed their checks; "
+              f"see 'checks' in {args.out}", file=sys.stderr)
+        return 1
     return 0
 
 
