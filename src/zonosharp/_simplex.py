@@ -32,11 +32,11 @@ check is a proof for any y, so an inaccurate y, or a drifted inverse, can
 only fail its certificate, never pass a wrong verdict:
 
 - status 0, optimal: x is within the bounds and satisfies Ax = b to
-  100*feas_tol (scaled by the data), and the dual bound from y proves that
-  c'x is within 100*feas_tol*(1 + |c'x|) of the true optimum;
+  100*FEAS_TOL (scaled by the data), and the dual bound from y proves that
+  c'x is within 100*FEAS_TOL*(1 + |c'x|) of the true optimum;
 - status 1, infeasible: a Farkas ray y from the final phase-1 basis proves
   that every point of the box misses Ax = b by more than
-  feas_tol*(1 + max|b|) in the 1-norm;
+  FEAS_TOL*(1 + max|b|) in the 1-norm;
 - status 2, numerical failure: no rung of the retry ladder (the original
   problem, then tinily perturbed copies) produced a verdict that passed its
   certificate.
@@ -75,6 +75,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 
+FEAS_TOL = 1e-8  # the certificates' feasibility tolerance
 OPT_TOL = 1e-9
 PIV_TOL = 1e-9
 DEGEN_SWITCH = 60  # consecutive degenerate pivots before switching to Bland
@@ -355,11 +356,12 @@ def _phase1(A, b, lo, up, max_iter):
     its artificial nonbasic at zero; the other rows start with their
     artificial basic.  The start basis is diagonal, so its inverse is too.
 
-    Returns the end (status, A_all, state): status 0 when the artificials'
-    total reached its minimum on a nonsingular basis, else 2.  A_all is
-    [A, diag(art_sign)]; state = (Binv, x, L, U, basis, in_basis, at_upper)
-    are the arrays that a pass goes on to change, Binv the inverse of the
-    basis columns A_all[:, basis].
+    Returns the end (status, art_sign, state): status 0 when the
+    artificials' total reached its minimum on a nonsingular basis, else 2.
+    The columns of the region are A_all = [A, diag(art_sign)]
+    (`_with_artificials`); state = (Binv, x, L, U, basis, in_basis,
+    at_upper) are the arrays that a pass goes on to change, Binv the
+    inverse of the basis columns A_all[:, basis].
     """
     m, n = A.shape
     N = n + m
@@ -392,7 +394,8 @@ def _phase1(A, b, lo, up, max_iter):
     st = _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
                        cost1, max_iter, 1)
     ok = st == 0 and _settle(Binv, A_all, b, x, basis)
-    return (0 if ok else 2), A_all, (Binv, x, L, U, basis, in_basis, at_upper)
+    return (0 if ok else 2), art_sign, (Binv, x, L, U, basis, in_basis,
+                                        at_upper)
 
 
 def _noise(n, seed):
@@ -441,7 +444,7 @@ def _rung_region(k, lo, up, max_iter):
     return lop, upp, 2 * max_iter, (eps, _noise(n, 101 + 37 * j))
 
 
-def _pass(rung, c, A, b, lo, up, feas_tol, start=None):
+def _pass(rung, c, A, b, lo, up, start=None):
     """One pass on a rung: phase 2 for the cost c, or nothing more when c
     is None.
 
@@ -473,7 +476,7 @@ def _pass(rung, c, A, b, lo, up, feas_tol, start=None):
         # a sequential total: np.sum adds pairwise and rounds differently
         p1 = np.cumsum(np.abs(x[n:]))[-1] if m > 0 else 0.0
         scale = 1.0 + np.max(np.abs(b)) if m > 0 else 1.0
-        if p1 > feas_tol * scale:
+        if p1 > FEAS_TOL * scale:
             st = 1
         else:
             if start is None:
@@ -521,33 +524,33 @@ def _farkas_bound(A, b, lo, up, y):
     return max(yb - hi_y, lo_y - yb) / ny
 
 
-def _within_bounds(lo, up, x, feas_tol):
+def _within_bounds(lo, up, x):
     bscale = 1.0 + max(np.max(np.abs(lo), initial=0.0),
                        np.max(np.abs(up), initial=0.0))
     bviol = np.max(np.maximum(lo - x, x - up), initial=0.0)
-    return bviol <= 100.0 * feas_tol * bscale
+    return bviol <= 100.0 * FEAS_TOL * bscale
 
 
-def _certified_optimal(c, A, b, lo, up, x, y, feas_tol):
+def _certified_optimal(c, A, b, lo, up, x, y):
     """Primal residual, bounds and duality gap of (x, y) on the original data.
 
     Returns (residual, gap), each as a fraction of its threshold, when all
     three checks pass, else None.
     """
     resid = np.max(np.abs(A @ x - b), initial=0.0)
-    resid_tol = 100.0 * feas_tol * (1.0 + np.max(np.abs(b), initial=0.0))
-    if resid > resid_tol or not _within_bounds(lo, up, x, feas_tol):
+    resid_tol = 100.0 * FEAS_TOL * (1.0 + np.max(np.abs(b), initial=0.0))
+    if resid > resid_tol or not _within_bounds(lo, up, x):
         return None
     obj = float(c @ x)
     r = c - A.T @ y
     gap = obj - (float(b @ y) + np.sum(np.minimum(r * lo, r * up)))
-    gap_tol = 100.0 * feas_tol * (1.0 + abs(obj))
+    gap_tol = 100.0 * FEAS_TOL * (1.0 + abs(obj))
     if gap > gap_tol:
         return None
     return float(resid / resid_tol), float(gap / gap_tol)
 
 
-def _verdict(c, A, b, lo, up, feas_tol, proposal):
+def _verdict(c, A, b, lo, up, proposal):
     """(status, objective, x) of a pass's proposal once certified on the
     original data, or None when its certificate fails.
 
@@ -558,14 +561,14 @@ def _verdict(c, A, b, lo, up, feas_tol, proposal):
     """
     st, x, y = proposal
     if st == 0:
-        margins = _certified_optimal(c, A, b, lo, up, x, y, feas_tol)
+        margins = _certified_optimal(c, A, b, lo, up, x, y)
         if margins is not None:
             for stats in _OPEN_STATS:
                 stats.max_residual = max(stats.max_residual, margins[0])
                 stats.max_gap = max(stats.max_gap, margins[1])
             return 0, float(c @ x), x
     elif st == 1:
-        infeas_tol = feas_tol * (1.0 + np.max(np.abs(b), initial=0.0))
+        infeas_tol = FEAS_TOL * (1.0 + np.max(np.abs(b), initial=0.0))
         if _farkas_bound(A, b, lo, up, y) > infeas_tol:
             return 1, 0.0, x
     return None
@@ -573,25 +576,6 @@ def _verdict(c, A, b, lo, up, feas_tol, proposal):
 
 def _as_arrays(*arrays):
     return [np.ascontiguousarray(a, dtype=np.float64) for a in arrays]
-
-
-def _default_max_iter(A, max_iter):
-    return max_iter if max_iter > 0 else 200 * sum(A.shape) + 2000
-
-
-def _pack(M):
-    """The entries of M other than +0.0, as (flat indices, values); -0.0 is
-    kept, so `_unpack` rebuilds M bit for bit."""
-    flat = M.ravel()
-    idx = np.flatnonzero((flat != 0.0) | np.signbit(flat))
-    return idx, flat[idx]
-
-
-def _unpack(m, idx, values):
-    """The m x m matrix that `_pack` gave (idx, values) for."""
-    M = np.zeros(m * m)
-    M[idx] = values
-    return M.reshape(m, m)
 
 
 class Ladder:
@@ -603,18 +587,19 @@ class Ladder:
     phase 1 does not depend on the cost.  A later call reads it from here
     (`LpStats.phase1_reused`) and runs its passes on copies of it.  Only
     phase-1 ends are kept, read-only: no state of a phase 2 outlives its
-    call, so an answer does not depend on the calls made before it.  The
-    columns A_all = [A, diag(art_sign)] of a rung are rebuilt from A and
-    the rung's artificial signs when it is read, and the basis inverse,
-    mostly zeros after a crash start and a few pivots, is kept as its
-    entries other than +0.0 (`_pack`), from which it is rebuilt bit for
-    bit.  A ladder holds arrays and numbers only, so it pickles and
+    call, so an answer does not depend on the calls made before it.  A rung
+    keeps its phase-1 status, its artificial signs and its end, the basis
+    inverse included, and every read returns that same end; the columns
+    A_all = [A, diag(art_sign)], the largest array of a rung, are not kept
+    but rebuilt from A and the signs on each read.  A pass may take
+    200 (m + n) + 2000 steps on rung 0, and twice as many on a perturbed
+    rung.  A ladder holds arrays and numbers only, so it pickles and
     deep-copies.
     """
 
-    def __init__(self, A, b, lo, up, max_iter=0):
+    def __init__(self, A, b, lo, up):
         self.A, self.b, self.lo, self.up = _as_arrays(A, b, lo, up)
-        self.max_iter = _default_max_iter(self.A, max_iter)
+        self.max_iter = 200 * sum(self.A.shape) + 2000
         self._ends = [None] * 6  # per rung, once climbed to
 
     def __len__(self):
@@ -622,25 +607,22 @@ class Ladder:
 
     def rung(self, k):
         """Rung k as ((phase-1 status, A_all, phase-1 end), iteration
-        budget, cost shift); see `_phase1` and `_pass`."""
-        kept = self._ends[k]
-        if kept is None:
+        budget, cost shift); see `_phase1` and `_pass`.  Every read returns
+        the same read-only end and a new A_all."""
+        if self._ends[k] is None:
             lo, up, budget, shift = _rung_region(k, self.lo, self.up,
                                                  self.max_iter)
-            st, A_all, end = _phase1(self.A, self.b, lo, up, budget)
-            art_sign = A_all[:, self.A.shape[1]:].diagonal().copy()
-            Binv_kept = _pack(end[0])
-            for a in (art_sign, *Binv_kept, *end[1:]):
+            st, art_sign, end = _phase1(self.A, self.b, lo, up, budget)
+            for a in (art_sign, *end):
                 a.setflags(write=False)
-            self._ends[k] = st, art_sign, Binv_kept, end[1:], budget, shift
-            return (st, A_all, end), budget, shift
-        st, art_sign, Binv_kept, rest, budget, shift = kept
-        for stats in _OPEN_STATS:
-            stats.phase1_reused += 1
-        end = (_unpack(len(art_sign), *Binv_kept), *rest)
+            self._ends[k] = st, art_sign, end, budget, shift
+        else:
+            for stats in _OPEN_STATS:
+                stats.phase1_reused += 1
+        st, art_sign, end, budget, shift = self._ends[k]
         return (st, _with_artificials(self.A, art_sign), end), budget, shift
 
-    def solve_many(self, C, feas_tol=1e-8):
+    def solve_many(self, C):
         """`solve_bounded_many` over this region."""
         (C,) = _as_arrays(C)
         A, b, lo, up = self.A, self.b, self.lo, self.up
@@ -654,15 +636,13 @@ class Ladder:
             failed = []
             warm = None  # the final state of the row before, if certified
             for i in todo:
-                proposal, state = _pass(rung, C[i], A, b, lo, up, feas_tol,
-                                        warm)
-                verdict = _verdict(C[i], A, b, lo, up, feas_tol, proposal)
+                proposal, state = _pass(rung, C[i], A, b, lo, up, warm)
+                verdict = _verdict(C[i], A, b, lo, up, proposal)
                 if verdict is None and warm is not None:
                     # a warm start may crawl from a degenerate basis until
                     # its pass fails: retry from the phase-1 end first
-                    proposal, state = _pass(rung, C[i], A, b, lo, up,
-                                            feas_tol)
-                    verdict = _verdict(C[i], A, b, lo, up, feas_tol, proposal)
+                    proposal, state = _pass(rung, C[i], A, b, lo, up)
+                    verdict = _verdict(C[i], A, b, lo, up, proposal)
                 if verdict is None:
                     warm = None  # the failed pass changed it in place
                     failed.append(i)
@@ -686,7 +666,7 @@ class Ladder:
             stats.status.update(st for st, _, _ in out)
         return out
 
-    def min_infeasibility(self, tol=1e-8):
+    def min_infeasibility(self, tol=FEAS_TOL):
         """`min_infeasibility` over this region."""
         A, b, lo, up = self.A, self.b, self.lo, self.up
         m, n = A.shape
@@ -694,11 +674,10 @@ class Ladder:
             return 0.0, lo.copy()
         if n == 0:
             return float(np.sum(np.abs(b))), np.zeros(0)
-        feas_tol = 1e-8
         t = tol * (1.0 + np.max(np.abs(b)))
         for k in range(len(self)):
-            (st, x, y), _ = _pass(self.rung(k), None, A, b, lo, up, feas_tol)
-            if st != 0 or not _within_bounds(lo, up, x, feas_tol):
+            (st, x, y), _ = _pass(self.rung(k), None, A, b, lo, up)
+            if st != 0 or not _within_bounds(lo, up, x):
                 continue
             resid = float(np.sum(np.abs(A @ x - b)))
             if resid <= t or _farkas_bound(A, b, lo, up, y) > t:
@@ -710,7 +689,7 @@ class Ladder:
                                "Farkas ray")
 
 
-def solve_bounded(c, A, b, lo, up, feas_tol=1e-8, max_iter=0):
+def solve_bounded(c, A, b, lo, up):
     """Solve min c'x s.t. Ax=b, lo<=x<=up (all bounds finite).
 
     Returns (status, objective, x) with status 0 optimal, 1 infeasible or
@@ -718,10 +697,10 @@ def solve_bounded(c, A, b, lo, up, feas_tol=1e-8, max_iter=0):
     It is the one-cost case of `solve_bounded_many`.
     """
     c = np.asarray(c, dtype=np.float64)
-    return solve_bounded_many(c[None], A, b, lo, up, feas_tol, max_iter)[0]
+    return solve_bounded_many(c[None], A, b, lo, up)[0]
 
 
-def solve_bounded_many(C, A, b, lo, up, feas_tol=1e-8, max_iter=0):
+def solve_bounded_many(C, A, b, lo, up):
     """`solve_bounded` for each cost row of C over one feasible region.
 
     Returns one (status, objective, x) per row of C.  The rows climb the
@@ -736,10 +715,10 @@ def solve_bounded_many(C, A, b, lo, up, feas_tol=1e-8, max_iter=0):
     the whole ladder failed for that row.  Each call climbs a new `Ladder`;
     `Ladder.solve_many` answers on a kept one.
     """
-    return Ladder(A, b, lo, up, max_iter).solve_many(C, feas_tol)
+    return Ladder(A, b, lo, up).solve_many(C)
 
 
-def min_infeasibility(A, b, lo, up, tol=1e-8, max_iter=0):
+def min_infeasibility(A, b, lo, up, tol=FEAS_TOL):
     """Phase-1 optimum: small total equality violation over the box.
 
     Returns (residual, x): x is in the box up to the bound tolerance of an
@@ -754,4 +733,4 @@ def min_infeasibility(A, b, lo, up, tol=1e-8, max_iter=0):
     certificate.  Each call climbs a new `Ladder`;
     `Ladder.min_infeasibility` answers on a kept one.
     """
-    return Ladder(A, b, lo, up, max_iter).min_infeasibility(tol)
+    return Ladder(A, b, lo, up).min_infeasibility(tol)

@@ -275,7 +275,7 @@ def cmd_demo_levelset(args):
     nb = X.n_b
     levels = args.rlt_levels or list(range(1, nb + 1))
     for d in levels:
-        if not 1 <= d <= max(nb, 1):
+        if not 1 <= d <= nb:
             raise CliError(EXIT_LEVEL, f"RLT level {d} outside 1..{nb}")
     with _lp_stats(args) as stats:
         pre = oracle.check_sharpness(X, n_dirs=args.dirs, tol=args.tol,

@@ -33,10 +33,12 @@ from .core import (
     FactorForm,
     leaves,
 )
-from .errors import EmptySet, EnumerationCapExceeded, NumericalFailure
+from .errors import (DimensionMismatch, EmptySet, EnumerationCapExceeded,
+                     NumericalFailure)
 
-FEAS_TOL = 1e-8
+FEAS_TOL = _simplex.FEAS_TOL
 SHARP_TOL = 1e-6
+DEDUP_TOL = 1e-9  # boundary_2d: relative distance below which points merge
 
 
 class LpStatus(enum.Enum):
@@ -85,7 +87,7 @@ class LpResult:
 
 def solve_lp(p: LinearProgram) -> LpResult:
     st, obj, x = _simplex.solve_bounded(p.objective, p.A_eq, p.b_eq,
-                                        p.lower, p.upper, feas_tol=FEAS_TOL)
+                                        p.lower, p.upper)
     if st == 0:
         return LpResult(LpStatus.OPTIMAL, obj, x)
     if st == 1:
@@ -118,7 +120,7 @@ def _factor_optima(L: ConstrainedZonotope, U: np.ndarray) -> list:
     box."""
     C = np.array([-(L.G.T @ u) for u in U])
     out = []
-    for u, (st, obj, xi) in zip(U, L.lp_ladder().solve_many(C, feas_tol=FEAS_TOL)):
+    for u, (st, obj, xi) in zip(U, L.lp_ladder().solve_many(C)):
         if st == 1:
             out.append(None)
         elif st != 0:
@@ -152,9 +154,18 @@ def _support_points(leaf_list: list[ConstrainedZonotope], U: np.ndarray) -> list
     return best
 
 
+def _vector(v, S: AnySet, what: str) -> np.ndarray:
+    """v as a float vector of length S.dim; DimensionMismatch otherwise."""
+    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    if v.shape[0] != S.dim:
+        raise DimensionMismatch(f"{what} of length {v.shape[0]} for a set "
+                                f"of dimension {S.dim}")
+    return v
+
+
 def support_point(S: AnySet, u, cap: int = DEFAULT_LEAF_CAP):
     """Support value and a maximizing point of S in direction u."""
-    u = np.asarray(u, dtype=np.float64).reshape(1, -1)
+    u = _vector(u, S, "direction").reshape(1, -1)
     out = _support_points(_leaf_sets(S, cap), u)[0]
     if out is None:
         raise EmptySet("support of an empty set")
@@ -186,7 +197,7 @@ def _cz_contains(L: ConstrainedZonotope, p: np.ndarray, tol: float) -> bool:
 
 
 def contains(S: AnySet, p, tol: float = 1e-6, cap: int = DEFAULT_LEAF_CAP) -> bool:
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
+    p = _vector(p, S, "point")
     return any(_cz_contains(L, p, tol) for L in _leaf_sets(S, cap))
 
 
@@ -317,12 +328,13 @@ def check_sharpness(H: AnySet, n_dirs: int = 64, tol: float = SHARP_TOL,
 
 # --- 2D boundary and area --------------------------------------------------
 
-def boundary_2d(S: AnySet, n_angles: int = 64, dedup_tol: float = 1e-9,
+def boundary_2d(S: AnySet, n_angles: int = 64,
                 cap: int = DEFAULT_LEAF_CAP) -> np.ndarray:
     """Counterclockwise polygon of support-touching points of a 2D set.
 
     The polygon is inscribed in the convex hull of S (S itself when S is
-    convex); its accuracy improves with n_angles.
+    convex); its accuracy improves with n_angles.  A point within
+    DEDUP_TOL * (1 + max|point|) of the one before it is dropped.
     """
     if S.dim != 2:
         raise ValueError("boundary_2d requires a 2D set")
@@ -336,9 +348,9 @@ def boundary_2d(S: AnySet, n_angles: int = 64, dedup_tol: float = 1e-9,
     scale = 1.0 + np.max(np.abs(pts))
     keep = [pts[0]]
     for p in pts[1:]:
-        if np.linalg.norm(p - keep[-1]) > dedup_tol * scale:
+        if np.linalg.norm(p - keep[-1]) > DEDUP_TOL * scale:
             keep.append(p)
-    if len(keep) > 1 and np.linalg.norm(keep[0] - keep[-1]) <= dedup_tol * scale:
+    if len(keep) > 1 and np.linalg.norm(keep[0] - keep[-1]) <= DEDUP_TOL * scale:
         keep.pop()
     return np.asarray(keep)
 

@@ -1,9 +1,21 @@
-"""Seams into the LP kernel shared by the test modules."""
+"""Seams into the LP kernel shared by the test modules.
 
-import numpy as np
-import pytest
+The BLAS runs one thread, as in `perfbench/run.py` and
+`tools/lift_stats.py`: the kernel's pivots follow the rounding of its
+matrix products, which depends on the thread count, so a count that a test
+pins holds at one thread count only.  The variables are set before numpy is
+first imported, which is when the BLAS reads them.
+"""
 
-from zonosharp import _simplex
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from zonosharp import _simplex  # noqa: E402
 
 
 def _fake(status):

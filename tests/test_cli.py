@@ -339,6 +339,29 @@ class TestDemoLevelset:
         assert main(["demo-levelset", "-o", str(tmp_path / "x.json"),
                      "--rlt-levels", "7"]) == 4
 
+    @pytest.fixture
+    def no_binaries(self, tmp_path):
+        """A network whose one hidden unit, x1 + 5, is active on the whole
+        input box, so that its level set N(x) >= 5 has n_b = 0."""
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({
+            "layers": [{"W": [[1.0, 0.0]], "b": [5.0]},
+                       {"W": [[1.0]], "b": [0.0]}],
+            "input_box": [[-1, 1], [-1, 1]]}))
+        return str(path)
+
+    def test_no_binaries_has_no_levels(self, tmp_path, no_binaries):
+        out = str(tmp_path / "x.json")
+        assert main(["demo-levelset", no_binaries, "--threshold", "5.0",
+                     "--angles", "16", "--dirs", "4", "-o", out]) == 0
+        assert json.load(open(out))["levels"] == []
+
+    def test_level_without_binaries_exit_4(self, tmp_path, capsys,
+                                           no_binaries):
+        assert main(["demo-levelset", no_binaries, "--threshold", "5.0",
+                     "--rlt-levels", "1", "-o", str(tmp_path / "x.json")]) == 4
+        assert "RLT level 1 outside 1..0" in capsys.readouterr().err
+
     def test_empty_level_set_exit_2(self, tmp_path, capsys):
         assert main(["demo-levelset", "-o", str(tmp_path / "x.json"),
                      "--threshold", "100", "--angles", "8", "--dirs", "4"]) == 2

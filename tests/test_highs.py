@@ -17,7 +17,6 @@ from test_acceptance import _random_hz
 from test_simplex import assert_same_batch, small_random_lp
 
 from zonosharp import _simplex, convex_relaxation, direction_set, rlt_sharpen
-from zonosharp.oracle import FEAS_TOL
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -28,7 +27,7 @@ LIFTS = [(nb, d) for nb in (2, 3, 4) for d in sorted({1, (nb + 1) // 2, nb})] \
 
 
 def _assert_agree(c, A, b, lo, up):
-    _assert_matches_highs(_simplex.solve_bounded(c, A, b, lo, up, feas_tol=FEAS_TOL),
+    _assert_matches_highs(_simplex.solve_bounded(c, A, b, lo, up),
                           c, A, b, lo, up)
 
 
@@ -66,10 +65,9 @@ def test_lift_support_batch(nb, d, seed):
     R = convex_relaxation(rlt_sharpen(H, d))
     lo, up = R.factor_bounds()
     C = np.array([-(R.G.T @ u) for u in direction_set(2, 8, seed=seed)])
-    batch = _simplex.solve_bounded_many(C, R.A, R.b, lo, up, feas_tol=FEAS_TOL)
-    lone = [_simplex.solve_bounded(c, R.A, R.b, lo, up, feas_tol=FEAS_TOL)
-            for c in C]
+    batch = _simplex.solve_bounded_many(C, R.A, R.b, lo, up)
+    lone = [_simplex.solve_bounded(c, R.A, R.b, lo, up) for c in C]
     refs = [_assert_matches_highs(answer, c, R.A, R.b, lo, up)
             for c, answer in zip(C, batch)]
     duals = [ref.eqlin.marginals if ref.status == 0 else None for ref in refs]
-    assert_same_batch(batch, lone, C, R.A, R.b, lo, up, duals, FEAS_TOL)
+    assert_same_batch(batch, lone, C, R.A, R.b, lo, up, duals)
