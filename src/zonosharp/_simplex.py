@@ -4,7 +4,8 @@ This is the hot loop of the package: every support evaluation, membership
 test, and emptiness check bottoms out here.  It is plain vectorised numpy.
 
 Pricing is Dantzig (most violated reduced cost) with an automatic switch to
-Bland's rule after a run of degenerate steps, which guarantees termination.
+Bland's rule after a run of degenerate steps, which guarantees termination;
+the dual pass below picks its leaving row and entering column the same way.
 A fixed variable (equal bounds) is never priced, since its step can only be
 0: neither the artificials that phase 2 pins to zero nor a structural
 column with lo == up ever enters.
@@ -65,6 +66,21 @@ cold pass fails or whose verdict fails its certificate moves up to the
 next rung, and a certified infeasible phase 1 answers every cost still
 open.  `solve_bounded` is its one-cost case.  `min_infeasibility` reads
 the phase-1 end of each rung and runs no phase 2.
+
+`Ladder.children` answers the children of one LP: the same region with
+chosen columns pinned to given values, as a leaf of a hybrid zonotope is
+its relaxation with the binary factors pinned.  The parent, the LP without
+pins, is solved on rung 0 from the kept phase-1 end; pinning changes no
+cost and frees no column, so its optimal basis stays dual feasible for
+every child, and a dual simplex pass (`_dual_pass`, `_dual_loop`) restores
+primal feasibility from a copy of it, with no phase 1.  The pass ends
+optimal, or with the row of a basic variable that no column can move back
+into its bounds, whose row of the inverse is a candidate Farkas ray.  Its
+proposal is certified by `_verdict` on the original A and b with the
+pinned bounds, which is the child's LP exactly, so a child's verdict
+certifies what the module's other verdicts do.  A child that is not
+certified, and every child of a parent not certified on rung 0, is
+returned as None, for the caller to answer on a ladder of its own.
 """
 
 from collections import Counter
@@ -87,17 +103,21 @@ REFACTOR_EVERY = 100  # pivots between rebuilds of the basis inverse
 class LpStats:
     """Counts of the kernel's work while an `lp_stats()` block is open.
 
-    `pivots`, `degenerate` and `bland` are keyed by phase (1 or 2) and count
-    the steps of the simplex loop (a basis change or a bound flip): all of
-    them, those that moved the point by no more than 1e-12, and those taken
-    under Bland's rule.  `phase1_runs` counts the phase 1s run, and
-    `phase1_reused` the rung starts read from a `Ladder` that had run that
+    `pivots`, `degenerate` and `bland` are keyed by phase (1 or 2, or
+    "dual" for the dual passes of `Ladder.children`) and count the steps of
+    the simplex loops (a basis change or a bound flip): all of them, those
+    whose step (primal, or dual in a dual pass) was no more than 1e-12, and
+    those taken under Bland's rule.  `phase1_runs` counts the phase 1s run,
+    and `phase1_reused` the rung starts read from a `Ladder` that had run that
     rung's phase 1 in an earlier call.  `artificials` lists, per phase-1
     start, the number of rows that start with an artificial basic variable.
     `rows` counts the LPs answered: each cost row of a `solve_bounded_many`
     batch and each `min_infeasibility` call that returns.  `rungs` counts
     the certified answers by the rung of the retry ladder that gave them,
     and `status` the answers of `solve_bounded_many` rows by status.
+    `children` counts the children of `Ladder.children` that a dual pass
+    answered with a certified verdict, and `child_fallbacks` those it left
+    uncertified, which its caller answers on the child's own ladder.
     `max_residual` and `max_gap` are the largest primal residual and duality
     gap of an optimal verdict that its certificate accepted, each as a
     fraction of its threshold (so at most 1; 0 while none was accepted).
@@ -111,6 +131,8 @@ class LpStats:
     degenerate: Counter = field(default_factory=Counter)
     bland: Counter = field(default_factory=Counter)
     refactors: int = 0
+    children: int = 0
+    child_fallbacks: int = 0
     rungs: Counter = field(default_factory=Counter)
     status: Counter = field(default_factory=Counter)
     max_residual: float = 0.0
@@ -125,8 +147,11 @@ class LpStats:
             "phase1_reused": self.phase1_reused,
             "steps": {str(p): {"all": self.pivots[p],
                                "degenerate": self.degenerate[p],
-                               "bland": self.bland[p]} for p in (1, 2)},
+                               "bland": self.bland[p]}
+                      for p in (1, 2, "dual")},
             "refactors": self.refactors,
+            "children": self.children,
+            "child_fallbacks": self.child_fallbacks,
             "rungs": {str(k): v for k, v in sorted(self.rungs.items())},
             "status": {str(k): v for k, v in sorted(self.status.items())},
             "max_residual": self.max_residual,
@@ -170,17 +195,10 @@ def _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
     while it < max_iter:
         it += 1
         if pivots_since_refactor >= REFACTOR_EVERY:
-            # refactor from scratch to shed accumulated pivot error; a
-            # singular basis cannot be repaired, so bail out and let the
+            # a singular basis cannot be repaired, so bail out and let the
             # driver retry on a perturbed problem
-            xn = x.copy()
-            xn[basis] = 0.0
-            sol = _lu_solve(A_all[:, basis],
-                            np.column_stack([np.eye(m), b - A_all @ xn]))
-            if sol is None:
+            if not _rebuild(Binv, A_all, b, x, basis):
                 break
-            Binv[:, :] = sol[:, :m]
-            x[basis] = sol[:, m]
             pivots_since_refactor = 0
             refactors += 1
         y = cost[basis] @ Binv
@@ -257,10 +275,7 @@ def _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
                 if pivots_since_refactor == 0:
                     break  # blew up right after a clean refactor: give up
                 pivots_since_refactor = REFACTOR_EVERY  # refactor next
-            # rank-1 update of the inverse: B_new^{-1} = E B^{-1}
-            prow = Binv[leave, :] / alpha[leave]
-            Binv -= alpha.reshape(-1, 1) * prow
-            Binv[leave, :] = prow
+            _update_inverse(Binv, alpha, leave)
             pivots_since_refactor += 1
         steps += 1
         under_bland += bland
@@ -274,12 +289,145 @@ def _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
         else:
             degen = 0
             bland = False
+    _count_steps(phase, steps, degenerate, under_bland, refactors)
+    return status
+
+
+def _dual_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
+               max_iter):
+    """Bounded-variable dual simplex from the basis `basis` with inverse
+    Binv, dual feasible for `cost`; every state array is changed in place.
+
+    Each step takes the basic variable furthest outside its bounds (by more
+    than FEAS_TOL) out of the basis, onto the bound it violates.  Its row
+    of B^-1 A_all is the pivot row, and the dual ratio test over the
+    movable nonbasic columns picks the entering one, the largest pivot
+    element among the ties, so that every reduced cost keeps its sign.
+    Degenerate steps, the switch to Bland's rule (lowest index, for the
+    leaving row and among the tied entering columns), the rebuild every
+    REFACTOR_EVERY pivots and the blow-up guard are those of
+    `_simplex_loop`.  Returns (status, row): 0 when every basic value is
+    within its bounds, so the basis is optimal; 1 when no column can enter
+    for the basic variable of `row`, whose row of Binv is then a candidate
+    Farkas ray; 2 on failure.
+    """
+    movable = U > L
+    blowup = 1e9 * (1.0 + np.max(np.abs(U), initial=0.0))
+    degen = 0
+    bland = False
+    it = 0
+    pivots_since_refactor = 0
+    steps = degenerate = under_bland = refactors = 0
+    status, row = 2, -1
+    while it < max_iter:
+        it += 1
+        if pivots_since_refactor >= REFACTOR_EVERY:
+            if not _rebuild(Binv, A_all, b, x, basis):
+                break
+            pivots_since_refactor = 0
+            refactors += 1
+        xB = x[basis]
+        below = L[basis] - xB
+        viol = np.maximum(below, xB - U[basis])
+        cand = np.nonzero(viol > FEAS_TOL)[0]
+        if cand.shape[0] == 0:
+            status = 0
+            break
+        if bland:
+            leave = cand[int(np.argmin(basis[cand]))]
+        else:
+            leave = cand[int(np.argmax(viol[cand]))]
+        # +1 when the leaving variable rises to its lower bound, -1 when it
+        # falls to its upper one
+        s = 1.0 if below[leave] > 0.0 else -1.0
+        alpha_r = Binv[leave] @ A_all
+        y = cost[basis] @ Binv
+        rc = cost - y @ A_all
+        # a column at its lower bound can enter when it would rise (g < 0),
+        # one at its upper bound when it would fall (g > 0); its ratio is
+        # the dual step at which its reduced cost reaches 0
+        g = s * alpha_r
+        rate = np.where(at_upper, g, -g)
+        room = np.maximum(np.where(at_upper, -rc, rc), 0.0)
+        eligible = movable & ~in_basis & (rate > PIV_TOL)
+        ratio = np.where(eligible, room / np.where(eligible, rate, 1.0),
+                         np.inf)
+        t = np.min(ratio)
+        if t == np.inf:
+            status, row = 1, leave
+            break
+        ties = np.nonzero(ratio <= t + 1e-9)[0]
+        if bland:
+            enter = ties[0]
+        else:
+            enter = ties[int(np.argmax(np.abs(alpha_r[ties])))]
+        alpha = Binv @ A_all[:, enter]
+        lv = basis[leave]
+        bound = L[lv] if s > 0.0 else U[lv]
+        theta = (x[lv] - bound) / alpha[leave]
+        newxB = xB - theta * alpha
+        x[basis] = newxB
+        x[enter] += theta
+        x[lv] = bound
+        at_upper[lv] = s < 0.0
+        basis[leave] = enter
+        in_basis[enter] = True
+        in_basis[lv] = False
+        at_upper[enter] = False
+        if np.max(np.abs(newxB)) > blowup:
+            if pivots_since_refactor == 0:
+                break  # blew up right after a clean refactor: give up
+            pivots_since_refactor = REFACTOR_EVERY  # refactor next
+        _update_inverse(Binv, alpha, leave)
+        pivots_since_refactor += 1
+        steps += 1
+        under_bland += bland
+        if t <= 1e-12:
+            degenerate += 1
+            degen += 1
+            if degen > DEGEN_SWITCH:
+                bland = True
+            if degen > DEGEN_BAIL:
+                break
+        else:
+            degen = 0
+            bland = False
+    _count_steps("dual", steps, degenerate, under_bland, refactors)
+    return status, row
+
+
+def _count_steps(phase, steps, degenerate, under_bland, refactors):
     for stats in _OPEN_STATS:
         stats.pivots[phase] += steps
         stats.degenerate[phase] += degenerate
         stats.bland[phase] += under_bland
         stats.refactors += refactors
-    return status
+
+
+def _rebuild(Binv, A_all, b, x, basis):
+    """Refactor the basis from scratch by LU, in place, to shed the error
+    that the rank-1 updates accumulate: Binv and the basic values of x are
+    solved again from the nonbasic ones.  False, with both unchanged, when
+    the basis is singular."""
+    m = Binv.shape[0]
+    xn = x.copy()
+    xn[basis] = 0.0
+    sol = _lu_solve(A_all[:, basis],
+                    np.column_stack([np.eye(m), b - A_all @ xn]))
+    if sol is None:
+        return False
+    Binv[:, :] = sol[:, :m]
+    x[basis] = sol[:, m]
+    return True
+
+
+def _update_inverse(Binv, alpha, leave):
+    """Rank-1 update of the inverse, in place, after the column with
+    alpha = Binv a replaces the basic variable of row `leave`:
+    B_new^{-1} = E B^{-1}."""
+    prow = Binv[leave, :] / alpha[leave]
+    Binv -= alpha.reshape(-1, 1) * prow
+    Binv[leave, :] = prow
 
 
 def _lu_solve(B, rhs):
@@ -507,6 +655,42 @@ def _pass(rung, c, A, b, lo, up, start=None):
     return (st, point, y), (state if st == 0 else None)
 
 
+def _dual_pass(parent, A_all, b, c, cols, v, max_iter):
+    """One dual pass: the LP of a parent's final phase-2 state, with the
+    columns `cols` pinned to the values v.
+
+    It runs on a copy of `parent`, an optimal state of phase 2 for the
+    cost c on rung 0 (see `_pass`): the pinned columns get L = U = v, the
+    nonbasic ones move to v, and the basic values are settled onto
+    A_all x = b from the carried inverse (`_settle`).  Pinning changes no
+    cost and frees no column, so the parent's basis stays dual feasible,
+    and `_dual_loop` restores primal feasibility from it.
+
+    Returns a proposal (status, x, y) as `_pass` does: for status 0 the
+    duals of c, read from the final inverse; for status 1 the row of the
+    final inverse at the basic variable that no column could move, a
+    candidate Farkas ray; y is None for status 2.
+    """
+    m = A_all.shape[0]
+    n = A_all.shape[1] - m
+    Binv, x, L, U, basis, in_basis, at_upper = (a.copy() for a in parent)
+    L[cols] = v
+    U[cols] = v
+    x[cols] = np.where(in_basis[cols], x[cols], v)
+    cost = np.zeros(n + m)
+    cost[:n] = c
+    st, row = 2, -1
+    if _settle(Binv, A_all, b, x, basis):
+        st, row = _dual_loop(Binv, A_all, b, x, L, U, basis, in_basis,
+                             at_upper, cost, max_iter)
+    y = None
+    if st == 0 and _settle(Binv, A_all, b, x, basis):
+        y = _duals(Binv, A_all, basis, cost[basis])
+    elif st == 1 and np.all(np.isfinite(Binv[row])):
+        y = Binv[row].copy()
+    return (2 if y is None else st), x[:n].copy(), y
+
+
 def _farkas_bound(A, b, lo, up, y):
     """Lower bound on min ||Ax - b||_1 over the box, proven by the ray y.
 
@@ -664,6 +848,42 @@ class Ladder:
             stats.rows += len(C)
             stats.rungs.update(k for k in rung_of if k is not None)
             stats.status.update(st for st, _, _ in out)
+        return out
+
+    def children(self, c, cols, V):
+        """min c'x over this region with the columns `cols` pinned to each
+        row of V: one (status, objective, x) per row, or None where it is
+        not certified.
+
+        The parent is the LP without pins, solved on rung 0 from the kept
+        phase-1 end.  Each child starts from a copy of the parent's certified
+        optimal state and runs one dual pass (`_dual_pass`) on rung 0 alone,
+        with no phase 1 and no ladder of its own.  Its proposal is
+        certified by `_verdict` on the original A and b with lo and up
+        pinned, which is the child's LP exactly, so a child that is not None
+        is as certain as any answer of `solve_many`.  When the parent is
+        not certified optimal on rung 0, every child is None.  No state
+        outlives the call.
+        """
+        c, V = _as_arrays(c, V)
+        cols = np.asarray(cols, dtype=np.intp)
+        A, b, lo, up = self.A, self.b, self.lo, self.up
+        out = [None] * len(V)
+        rung = self.rung(0)
+        proposal, parent = _pass(rung, c, A, b, lo, up)
+        verdict = _verdict(c, A, b, lo, up, proposal)
+        if verdict is not None and verdict[0] == 0:
+            (_, A_all, _), budget, _ = rung
+            for i, v in enumerate(V):
+                lo_v, up_v = lo.copy(), up.copy()
+                lo_v[cols] = v
+                up_v[cols] = v
+                proposal = _dual_pass(parent, A_all, b, c, cols, v, budget)
+                out[i] = _verdict(c, A, b, lo_v, up_v, proposal)
+        answered = sum(o is not None for o in out)
+        for stats in _OPEN_STATS:
+            stats.children += answered
+            stats.child_fallbacks += len(out) - answered
         return out
 
     def min_infeasibility(self, tol=FEAS_TOL):

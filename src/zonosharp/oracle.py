@@ -6,7 +6,11 @@ per-leaf LPs over the continuous factor box; convex queries are single LPs.
 `check_sharpness` solves the relaxation first and runs leaf LPs only in the
 directions where the relaxation's optimum is not already a point of a leaf
 (binaries integral, the leaf's equalities met): on a sharp set that is
-often none, and then no leaf LP runs.
+often none, and then no leaf LP runs.  In the other, open, directions each
+leaf LP is a child of the relaxation's LP, its binary columns pinned, and
+the kernel answers it by a dual pass from the relaxation's optimal basis
+(`_simplex.Ladder.children`), with no phase 1 on the leaf; only a child
+that the kernel does not certify runs on its leaf's own retry ladder.
 
 A set keeps the work that does not depend on the query: its leaves
 (`core.leaves`), its relaxation (`algebra.convex_relaxation`) and, for each
@@ -15,6 +19,8 @@ constrained zonotope, the retry ladder of its factor box
 `boundary_2d`, `check_sharpness`, `is_feasible_cz` and `is_empty` run
 phase 1 once per region per set object, and repeated queries on a set run
 phase 2 alone.  `contains` poses a new region per point and keeps nothing.
+`support_point`, `boundary_2d`, `contains` and `is_empty` still solve
+every leaf on its own ladder.
 """
 
 from __future__ import annotations
@@ -196,7 +202,17 @@ def _cz_contains(L: ConstrainedZonotope, p: np.ndarray, tol: float) -> bool:
     return resid <= tol * (1.0 + np.max(np.abs(b), initial=0.0))
 
 
+def _check_tol(tol) -> None:
+    """ValueError unless tol is a finite number >= 0."""
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def contains(S: AnySet, p, tol: float = 1e-6, cap: int = DEFAULT_LEAF_CAP) -> bool:
+    """Whether p lies in S, up to a 1-norm miss of tol*(1 + max|b|) on a
+    leaf's equalities.  Raises ValueError unless tol is a finite number
+    >= 0."""
+    _check_tol(tol)
     p = _vector(p, S, "point")
     return any(_cz_contains(L, p, tol) for L in _leaf_sets(S, cap))
 
@@ -286,6 +302,41 @@ def _in_a_leaf(H: AnySet, R: ConstrainedZonotope, XI: np.ndarray) -> np.ndarray:
     return integral & np.all(resid <= threshold, axis=1)
 
 
+def _leaf_maxima(pairs: list, R: ConstrainedZonotope,
+                 U: np.ndarray) -> np.ndarray:
+    """The support of the union of a hybrid zonotope's leaves, `pairs` from
+    `leaves(H)`, in each direction (row) of U, -inf where every leaf is
+    empty; R is H's relaxation.
+
+    A leaf's LP is the LP of R with its binary factors, R's last n_b
+    columns, pinned to the leaf's assignment.  So in each direction the
+    leaves, in the order of `pairs`, are the children of R's LP, answered
+    by the kernel's dual pass from R's optimal basis (`Ladder.children`),
+    with no phase 1.  A child that the kernel does not certify is answered
+    on its leaf's own retry ladder (`_support_cz_many`), which raises
+    NumericalFailure if it fails too.
+    """
+    V = np.array([a.as_array() for a, _ in pairs])
+    cols = np.arange(R.n_g - V.shape[1], R.n_g)
+    ladder = R.lp_ladder()
+    values = np.full((len(U), len(pairs)), -np.inf)
+    fallback = [[] for _ in pairs]  # per leaf, the directions left open
+    for i, u in enumerate(U):
+        offset = float(u @ R.c)
+        for j, out in enumerate(ladder.children(-(R.G.T @ u), cols, V)):
+            if out is None:
+                fallback[j].append(i)
+            elif out[0] == 0:
+                values[i, j] = offset - out[1]
+    for j, (_, L) in enumerate(pairs):
+        rows = fallback[j]
+        if rows:
+            for i, out in zip(rows, _support_cz_many(L, U[rows])):
+                if out is not None:
+                    values[i, j] = out[0]
+    return np.max(values, axis=1)
+
+
 def check_sharpness(H: AnySet, n_dirs: int = 64, tol: float = SHARP_TOL,
                     cap: int = DEFAULT_LEAF_CAP, seed: int = 0) -> SharpnessReport:
     """Compare support of the relaxation against the leafwise convex hull.
@@ -294,19 +345,21 @@ def check_sharpness(H: AnySet, n_dirs: int = 64, tol: float = SHARP_TOL,
     optimum lies in a leaf (`_in_a_leaf`: its binaries integral, the leaf's
     equalities met) is closed by the relaxation: that optimum is a point of
     H, so the hull's support is the relaxation's, and the gap is exactly 0.
-    Only the other directions run LPs on the leaves, one batch per leaf; a
-    check in which every direction closes touches no leaf's LP ladder.  A
-    set past the leaf cap is INCONCLUSIVE before any LP runs.
+    In each other, open, direction the hull's support is the maximum over
+    the leaves, whose LPs are answered as children of the relaxation's LP
+    by a dual pass from its optimal basis (`_leaf_maxima`); a child that
+    the kernel does not certify is answered on its leaf's own retry
+    ladder.  A check touches no leaf's LP ladder unless a child falls back
+    to it.  A set past the leaf cap is INCONCLUSIVE before any LP runs.
 
     Raises ValueError unless tol is a finite number >= 0.
     """
     from .algebra import convex_relaxation
 
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    _check_tol(tol)
     dirs = direction_set(H.dim, n_dirs, seed)
     try:
-        leaf_list = _leaf_sets(H, cap)
+        pairs = [] if isinstance(H, ConstrainedZonotope) else leaves(H, cap=cap)
     except EnumerationCapExceeded:
         nan = np.full(len(dirs), np.nan)
         return SharpnessReport(dirs, nan, nan, np.zeros(len(dirs), dtype=bool),
@@ -319,8 +372,7 @@ def check_sharpness(H: AnySet, n_dirs: int = 64, tol: float = SHARP_TOL,
     closed = _in_a_leaf(H, R, np.array([xi for _, xi in relaxed]))
     hs = rs.copy()
     if not np.all(closed):
-        hs[~closed] = [-np.inf if out is None else out[0]
-                       for out in _support_points(leaf_list, dirs[~closed])]
+        hs[~closed] = _leaf_maxima(pairs, R, dirs[~closed])
     max_gap = float(np.max(rs - hs))
     verdict = SharpnessVerdict.SHARP if max_gap <= tol else SharpnessVerdict.NOT_SHARP
     return SharpnessReport(dirs, rs, hs, closed, max_gap, verdict, tol)

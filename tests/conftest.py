@@ -41,11 +41,12 @@ def _fake(status):
 
 @pytest.fixture
 def fake_pass(monkeypatch):
-    """`fake_pass(status, first_only=False, passes=None)` routes every
-    simplex pass, only the first, or only those whose numbers (from 1) are
-    in `passes`, to a fake that proposes `status`; it returns the list of
-    the arguments of every pass made."""
-    def install(status, first_only=False, passes=None):
+    """`fake_pass(status, first_only=False, passes=None, columns=None)`
+    routes every simplex pass, only the first, or only those whose numbers
+    (from 1) are in `passes`, to a fake that proposes `status`; with
+    `columns`, only the passes over a region with that many columns.  It
+    returns the list of the arguments of every pass made."""
+    def install(status, first_only=False, passes=None, columns=None):
         real = _simplex._pass
         calls = []
         if first_only:
@@ -53,9 +54,31 @@ def fake_pass(monkeypatch):
 
         def one_pass(*args):
             calls.append(args)
-            faked = passes is None or len(calls) in passes
+            faked = (passes is None or len(calls) in passes) and \
+                (columns is None or args[2].shape[1] == columns)
             return (_fake(status) if faked else real)(*args)
         monkeypatch.setattr(_simplex, "_pass", one_pass)
+        return calls
+    return install
+
+
+@pytest.fixture
+def fake_dual_pass(monkeypatch):
+    """`fake_dual_pass(status)` routes every dual pass of
+    `Ladder.children` to a fake that proposes `status` with the parent's
+    own point, whose pinned columns are not at their pins in general, and
+    no ray that proves anything: zero duals, or None for status 2.  It
+    returns the list of the arguments of every dual pass made."""
+    def install(status):
+        calls = []
+
+        def dual_pass(parent, A_all, *rest):
+            calls.append((parent, A_all, *rest))
+            m = A_all.shape[0]
+            n = A_all.shape[1] - m
+            y = None if status == 2 else np.zeros(m)
+            return status, parent[1][:n].copy(), y
+        monkeypatch.setattr(_simplex, "_dual_pass", dual_pass)
         return calls
     return install
 

@@ -229,7 +229,9 @@ class TestCheckSharp:
         # without the flag the report is what it was
         assert json.dumps(rep, indent=1) == open(plain).read()
         assert stats["phase1_runs"] >= 1 and stats["refactors"] == 0
-        assert set(stats["steps"]) == {"1", "2"}
+        assert set(stats["steps"]) == {"1", "2", "dual"}
+        # a box closes every direction at its relaxation: no leaf LP
+        assert stats["children"] == stats["child_fallbacks"] == 0
         assert set(stats["rungs"]) == {"0"} and set(stats["status"]) == {"0"}
         assert 0.0 <= stats["max_residual"] <= 1.0
         assert stats["max_gap"] <= 1.0
@@ -396,17 +398,22 @@ class TestDemoLevelset:
         assert steps["bland"] <= steps["all"]
         assert sum(stats["rungs"].values()) == sum(stats["status"].values())
         assert set(stats["rungs"]) == {"0"}
+        # the open directions' leaves, answered from the relaxations' bases
+        assert stats["children"] > 0 and stats["child_fallbacks"] == 0
+        dual = stats["steps"]["dual"]
+        assert dual["all"] > 0 and dual["degenerate"] <= dual["all"]
 
     def test_one_phase1_per_region(self, tmp_path):
-        # the relaxation and 4 leaves of the level set, the relaxation and 4
-        # leaves of the d = 1 lift, and the d = 2 lift's relaxation alone,
-        # which closes every direction: the hull reuses the leaves of the
-        # sharpness check, and each relaxation polygon its relaxation
+        # the relaxation and 4 leaves of the level set, the relaxation of the
+        # d = 1 lift, whose open directions' leaves are children of its LP,
+        # and the d = 2 lift's relaxation, which closes every direction: the
+        # hull polygon runs the level set's leaves, and each relaxation
+        # polygon reuses its relaxation
         out = str(tmp_path / "s.json")
         assert main(["demo-levelset", "--angles", "32", "--dirs", "8",
                      "--stats", "-o", out]) == 0
         stats = json.load(open(out))["lp_stats"]
-        assert stats["phase1_runs"] == 11
+        assert stats["phase1_runs"] == 7
         assert stats["phase1_reused"] > 0 and stats["rows"] > 0
 
     def test_closed_directions_per_level(self, tmp_path):

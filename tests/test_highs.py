@@ -6,7 +6,9 @@ on the status, and on the optimum to within 1e-6 * (1 + |optimum|).  On the
 lift LPs, each row of `solve_bounded_many` must also agree with one
 `solve_bounded` call for its cost: bit for bit on the first row, and on
 later rows, which start warm, to the same tolerance, with a point that
-HiGHS's duals certify.
+HiGHS's duals certify.  The hull supports that a sharpness check answers
+from the relaxation's basis must agree with HiGHS's leaf LPs to the same
+tolerance.
 Skipped when scipy is missing.
 """
 
@@ -16,7 +18,8 @@ import pytest
 from test_acceptance import _random_hz
 from test_simplex import assert_same_batch, small_random_lp
 
-from zonosharp import _simplex, convex_relaxation, direction_set, rlt_sharpen
+from zonosharp import (_simplex, check_sharpness, convex_relaxation,
+                       direction_set, leaves, rlt_sharpen)
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -71,3 +74,24 @@ def test_lift_support_batch(nb, d, seed):
             for c, answer in zip(C, batch)]
     duals = [ref.eqlin.marginals if ref.status == 0 else None for ref in refs]
     assert_same_batch(batch, lone, C, R.A, R.b, lo, up, duals)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("nb,d", LIFTS)
+def test_children_match_highs(nb, d, seed):
+    # the open directions of a sharpness check on the lift are answered as
+    # children of its relaxation's LP; HiGHS solves each leaf LP on its own
+    H = _random_hz(np.random.default_rng([seed, nb, d]), 2, 2, nb, 1)
+    H = rlt_sharpen(H, d)
+    rep = check_sharpness(H, n_dirs=8, seed=seed)
+    opened = ~rep.closed
+    for u, h in zip(rep.directions[opened], rep.hull_support[opened]):
+        best = -np.inf
+        for _, L in leaves(H):
+            lo, up = L.factor_bounds()
+            ref = linprog(-(L.G.T @ u), A_eq=L.A, b_eq=L.b,
+                          bounds=np.column_stack([lo, up]), method="highs")
+            assert ref.status in HIGHS_STATUS, ref.message
+            if ref.status == 0:
+                best = max(best, float(u @ L.c) - ref.fun)
+        assert abs(h - best) <= 1e-6 * (1.0 + abs(best))

@@ -263,6 +263,21 @@ class TestMembership:
         assert contains(P, [1.0, -2.0])
         assert not contains(P, [1.0, -1.99])
 
+    UNIT_BOX = ConstrainedZonotope(np.eye(2), np.zeros(2), np.zeros((0, 2)),
+                                   np.zeros(0), FactorForm.ZO)
+
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, -1e-12, np.inf])
+    @pytest.mark.parametrize("p", [[0.5, 0.5], [5.0, 5.0]],
+                             ids=["inside", "outside"])
+    def test_bad_tol_raises(self, tol, p):
+        # a bad tol is the caller's error, not an answer or a kernel failure
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            contains(self.UNIT_BOX, p, tol=tol)
+
+    def test_zero_tol(self):
+        assert contains(self.UNIT_BOX, [0.5, 0.5], tol=0.0)
+        assert not contains(self.UNIT_BOX, [5.0, 5.0], tol=0.0)
+
 
 @pytest.mark.parametrize("query", [contains, support, support_point])
 @pytest.mark.parametrize("v", [[1.5], [0.5], [0.5, 0.5, 0.5]],
@@ -351,6 +366,16 @@ class TestSharpness:
             assert any(np.allclose(d, -e) for d in dirs)
 
 
+def _assert_within(values, ref, rel):
+    """Each value within rel * (1 + |ref|) of its reference; -inf (every
+    leaf empty) only where the reference is -inf too."""
+    values, ref = np.asarray(values), np.asarray(ref)
+    empty = np.isneginf(ref)
+    np.testing.assert_array_equal(np.isneginf(values), empty)
+    err = np.abs(values[~empty] - ref[~empty])
+    assert np.all(err <= rel * (1.0 + np.abs(ref[~empty]))), np.max(err)
+
+
 class TestClosedByRelaxation:
     """A direction in which the relaxation's optimum is a point of a leaf
     is answered by the relaxation; only the other directions run leaf LPs."""
@@ -380,9 +405,11 @@ class TestClosedByRelaxation:
         leaf_list = [L for _, L in leaves(X)]
         assert 0 < rep.closed.sum() < len(rep.closed)
         opened = ~rep.closed
-        best = _support_points(leaf_list, rep.directions[opened])
-        np.testing.assert_array_equal(rep.hull_support[opened],
-                                      [v for v, _ in best])
+        # open directions are answered as children of the relaxation's LP,
+        # a different computation from the leaves' own LPs
+        best = np.array([v for v, _ in
+                         _support_points(leaf_list, rep.directions[opened])])
+        _assert_within(rep.hull_support[opened], best, 1e-9)
         np.testing.assert_array_equal(rep.hull_support[rep.closed],
                                       rep.relax_support[rep.closed])
         for u, h in zip(rep.directions, rep.hull_support):
@@ -602,3 +629,109 @@ class TestKeptLpWork:
             again = _answers(Y)
         assert stats.phase1_runs == 0
         _assert_bit_identical(again, first)
+
+
+def _leaf_enumeration(S, U):
+    """The support of the union of S's leaves in each row of U from each
+    leaf's own LPs, -inf where every leaf is empty."""
+    return np.array([-np.inf if out is None else out[0] for out in
+                     _support_points([L for _, L in leaves(S)], U)])
+
+
+def _acceptance_corpus():
+    """The random sets of the acceptance suite's RLT tests (n_b = 1 to 4,
+    drawn from `default_rng(50)`), each followed by its RLT lifts."""
+    from test_acceptance import _random_hz
+    rng = np.random.default_rng(50)
+    for i in range(20):
+        H = _random_hz(rng, 2, 2, 1 + i % 4, 1)
+        yield H
+        for d in range(1, H.n_b + 1):
+            yield rlt_sharpen(H, d)
+
+
+def _children_args(S, u):
+    """(relaxation ladder, cost, pinned columns, pinned values) of the leaf
+    LPs of S in direction u as children of its relaxation's LP."""
+    R = convex_relaxation(S)
+    V = np.array([a.as_array() for a, _ in leaves(S)])
+    return (R.lp_ladder(), -(R.G.T @ u), np.arange(S.n_g, S.n_g + S.n_b), V)
+
+
+class TestChildren:
+    """In a direction that the relaxation does not close, the leaf LPs are
+    children of the relaxation's LP: its binary columns pinned, answered by
+    a dual pass from its optimal basis with no phase 1.  A child that is
+    not certified is answered on its leaf's own ladder."""
+
+    @pytest.mark.parametrize("form", [FactorForm.ZO, FactorForm.PM1])
+    def test_children_are_leaf_enumeration(self, form):
+        children = 0
+        for H in _acceptance_corpus():
+            S = convert_form(H, form)
+            with _simplex.lp_stats() as stats:
+                rep = check_sharpness(S, n_dirs=8)
+            children += stats.children
+            opened = ~rep.closed
+            if opened.any():
+                _assert_within(rep.hull_support[opened],
+                               _leaf_enumeration(S, rep.directions[opened]),
+                               1e-9)
+        assert children > 0
+
+    def test_d1_lift_runs_one_phase1(self):
+        X1 = rlt_sharpen(_level_set(), 1)
+        with _simplex.lp_stats() as stats:
+            rep = check_sharpness(X1, n_dirs=4)
+        n_open = int(np.sum(~rep.closed))
+        assert n_open > 0
+        assert stats.phase1_runs == 1  # the relaxation's; it was 5
+        assert stats.children == 4 * n_open and stats.child_fallbacks == 0
+        assert stats.pivots["dual"] > 0
+        assert all("lp_ladder" not in L._kept for _, L in leaves(X1))
+
+    def test_empty_leaf_is_certified_infeasible_by_the_dual_ray(self):
+        X = _level_set()
+        ladder, c, cols, V = _children_args(X, direction_set(2, 8)[4])
+        with _simplex.lp_stats() as stats:
+            out = ladder.children(c, cols, V)
+        empty = [is_empty(L) for _, L in leaves(X)]
+        assert 0 < sum(empty) < len(empty)
+        assert [o[0] for o in out] == [1 if e else 0 for e in empty]
+        # the relaxation's phase 1 alone
+        assert stats.phase1_runs == 1 and stats.child_fallbacks == 0
+
+    @pytest.mark.parametrize("status", [0, 1, 2])
+    def test_failed_dual_pass_falls_back_to_the_leaf_ladder(
+            self, fake_dual_pass, status):
+        X1 = rlt_sharpen(_level_set(), 1)
+        dirs = direction_set(2, 4)
+        calls = fake_dual_pass(status)
+        with _simplex.lp_stats() as stats:
+            rep = check_sharpness(X1, n_dirs=4)
+        opened = ~rep.closed
+        # every proposal is wrong for its leaf: the parent's point, whose
+        # binaries are fractional, or a ray that proves nothing
+        assert stats.children == 0
+        assert stats.child_fallbacks == len(calls) == 4 * int(opened.sum())
+        assert stats.phase1_runs == 1 + 4
+        np.testing.assert_array_equal(
+            rep.hull_support[opened], _leaf_enumeration(X1, dirs[opened]))
+
+    def test_failed_dual_pass_and_leaf_ladder_raise(self, fake_dual_pass,
+                                                    fake_pass):
+        X1 = rlt_sharpen(_level_set(), 1)
+        fake_dual_pass(2)
+        fake_pass(2, columns=X1.n_g)  # every pass on a leaf's region
+        with pytest.raises(NumericalFailure):
+            check_sharpness(X1, n_dirs=4)
+
+    def test_uncertified_parent_leaves_every_child_open(self, fake_pass):
+        X1 = rlt_sharpen(_level_set(), 1)
+        ladder, c, cols, V = _children_args(X1, np.array([0.6, 0.8]))
+        calls = fake_pass(2, first_only=True)
+        with _simplex.lp_stats() as stats:
+            out = ladder.children(c, cols, V)
+        assert out == [None] * len(V) and len(calls) == 1
+        assert stats.children == 0 and stats.child_fallbacks == len(V)
+        assert stats.pivots["dual"] == 0

@@ -122,6 +122,68 @@ class TestRandomAgainstBruteForce:
             assert st == 1
 
 
+def _pinned(lo, up, cols, v):
+    lo_v, up_v = lo.copy(), up.copy()
+    lo_v[cols] = v
+    up_v[cols] = v
+    return lo_v, up_v
+
+
+class TestDualPass:
+    """`Ladder.children`: the LP of a region with some columns pinned,
+    answered by a dual pass from the optimal basis of the LP without pins."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_small_random(self, seed):
+        c, A, b, lo, up = small_random_lp(seed)
+        cols = [0, 1]
+        # every corner of the pinned columns, and their midpoint
+        V = np.array(list(itertools.product(*[(lo[j], up[j]) for j in cols])))
+        V = np.vstack([V, 0.5 * (lo[cols] + up[cols])])
+        parent, _, _ = _simplex.solve_bounded(c, A, b, lo, up)
+        out = _simplex.Ladder(A, b, lo, up).children(c, cols, V)
+        for v, child in zip(V, out):
+            if parent != 0:
+                assert child is None
+                continue
+            lo_v, up_v = _pinned(lo, up, cols, v)
+            feas, ref = brute_force_lp(c, A, b, lo_v, up_v)
+            assert child is not None and child[0] == (0 if feas else 1)
+            if feas:
+                st, obj, x = child
+                assert obj == pytest.approx(ref, abs=1e-6)
+                np.testing.assert_allclose(x[cols], v, rtol=0.0, atol=1e-6)
+                assert np.all(x >= lo_v - 1e-6) and np.all(x <= up_v + 1e-6)
+                if A.shape[0]:
+                    assert np.max(np.abs(A @ x - b)) < 1e-6
+
+    def test_binary_children_of_a_dense_region(self):
+        # the shape of a leaf LP: a box region with binary-like columns,
+        # feasible at one 0/1 assignment by construction
+        rng = np.random.default_rng(0)
+        m, n, nb = 20, 30, 4
+        A = rng.normal(size=(m, n))
+        lo, up = np.zeros(n), np.ones(n)
+        x0 = rng.uniform(0.2, 0.8, size=n)
+        x0[n - nb:] = rng.integers(0, 2, size=nb)
+        b = A @ x0
+        c = rng.normal(size=n)
+        cols = np.arange(n - nb, n)
+        V = np.array(list(itertools.product((0.0, 1.0), repeat=nb)))
+        with _simplex.lp_stats() as stats:
+            out = _simplex.Ladder(A, b, lo, up).children(c, cols, V)
+        assert stats.phase1_runs == 1 and stats.child_fallbacks == 0
+        assert stats.pivots["dual"] > 0
+        statuses = set()
+        for v, child in zip(V, out):
+            ref = _simplex.solve_bounded(c, A, b, *_pinned(lo, up, cols, v))
+            assert child[0] == ref[0]
+            statuses.add(ref[0])
+            if ref[0] == 0:
+                assert abs(child[1] - ref[1]) <= 1e-9 * (1.0 + abs(ref[1]))
+        assert statuses == {0, 1}
+
+
 class TestMinInfeasibility:
     def test_feasible_system(self):
         rng = np.random.default_rng(11)
@@ -548,6 +610,35 @@ class TestCarriedInverse:
         assert any(v is None for v in verdicts)
         for v, (_, obj, _) in zip(verdicts, true):
             assert v is None or abs(v[1] - obj) <= 1e-6 * (1.0 + abs(obj))
+
+    @pytest.mark.parametrize("spoil", SPOILS)
+    def test_wrong_inverse_after_a_dual_pass_is_rejected_or_right(
+            self, monkeypatch, spoil):
+        from zonosharp import convex_relaxation, direction_set, leaves
+        X = _demo_lift()
+        R = convex_relaxation(X)
+        lo, up = R.factor_bounds()
+        cols = np.arange(X.n_g, X.n_g + X.n_b)
+        V = np.array([a.as_array() for a, _ in leaves(X)])
+        C = np.array([-(R.G.T @ u) for u in direction_set(2, 8)])
+        true = [[_simplex.solve_bounded(c, R.A, R.b, *_pinned(lo, up, cols, v))
+                 for v in V] for c in C]
+        real = _simplex._dual_loop
+
+        def loop(Binv, *args):
+            out = real(Binv, *args)
+            spoil(Binv)
+            return out
+        monkeypatch.setattr(_simplex, "_dual_loop", loop)
+        ladder = _simplex.Ladder(R.A, R.b, lo, up)
+        verdicts = [v for c in C for v in ladder.children(c, cols, V)]
+        # a verdict passes only if its duals or its ray still prove it
+        assert any(v is None for v in verdicts)
+        for v, (st, obj, _) in zip(verdicts, [r for row in true for r in row]):
+            assert st in (0, 1)
+            assert v is None or v[0] == st
+            if v is not None and st == 0:
+                assert abs(v[1] - obj) <= 1e-6 * (1.0 + abs(obj))
 
     @pytest.mark.parametrize("spoil", SPOILS)
     def test_wrong_inverse_in_every_pass_is_never_a_wrong_answer(

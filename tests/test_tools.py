@@ -68,6 +68,25 @@ def test_lift_stats_prints_one_record_per_lift():
         assert len(r["shape"]) == 2 and r["seconds"] >= 0.0
         stats = r["lp_stats"]
         assert stats["rows"] == 8 and sum(stats["status"].values()) == 8
-        assert stats["phase1_runs"] >= 1 and set(stats["steps"]) == {"1", "2"}
+        assert stats["phase1_runs"] >= 1
+        assert set(stats["steps"]) == {"1", "2", "dual"}
         assert len(r["objectives"]) == 8
         assert all(repr(float(v)) == v for v in r["objectives"])  # exact
+        sharp = r["sharpness"]
+        assert sharp["verdict"] in ("sharp", "not_sharp")
+        assert repr(float(sharp["max_gap"])) == sharp["max_gap"]
+        assert sharp["phase1_runs"] >= 1 and sharp["seconds"] >= 0.0
+        assert 0 <= sharp["closed"] <= 8
+
+
+def test_lift_stats_counts_children():
+    # seed 0's (4, 1) lift has 2 open directions of 8, 16 leaves each
+    lift_stats = _tool("lift_stats")
+    first, again = (lift_stats.lift_stats(4, 1) for _ in range(2))
+    sharp = first["sharpness"]
+    assert sharp["verdict"] == "not_sharp" and sharp["closed"] == 6
+    assert sharp["children"] == 2 * 16 and sharp["child_fallbacks"] == 0
+    assert sharp["dual_steps"] > 0 and sharp["phase1_runs"] == 1
+    for r in (first, again):
+        del r["seconds"], r["sharpness"]["seconds"]
+    assert first == again

@@ -14,7 +14,15 @@ line is printed per lift: the shape of the region, the batch's wall time,
 the counters of `LpStats.to_obj()` (statuses, rungs, steps per phase with
 the degenerate ones and those under Bland's rule, phase-1 runs, refactors)
 and the 8 objectives as `repr` strings, so that two revisions can be
-compared bit for bit.  Everything but "seconds" repeats exactly.
+compared bit for bit.  Its "sharpness" entry is `check_sharpness` on the
+lifted hybrid zonotope in the same 8 directions, run on the lift alone:
+its wall time, verdict, `max_gap` as a `repr` string, the directions
+closed by the relaxation, the leaf LPs of the open directions answered as
+children of the relaxation's LP and those that fell back to the leaf's own
+ladder, the steps of the dual passes and the phase-1 runs; a check that
+raises NumericalFailure has its message as the verdict and null for the
+gap and the closed directions.  Everything but the two "seconds" repeats
+exactly.
 
 The BLAS runs one thread, as in `perfbench/run.py`: the kernel's pivots
 follow the rounding of its matrix products, which depends on the thread
@@ -37,7 +45,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 from test_acceptance import _random_hz  # noqa: E402
 
-from zonosharp import (_simplex, convex_relaxation, direction_set,  # noqa: E402
+from zonosharp import (NumericalFailure, _simplex,  # noqa: E402
+                       check_sharpness, convex_relaxation, direction_set,
                        rlt_sharpen)
 
 
@@ -50,7 +59,8 @@ def lift_pair(text):
 def lift_stats(nb, d, seed=0):
     """The JSON-ready record of one lift's 8-direction batch."""
     H = _random_hz(np.random.default_rng([seed, nb, d]), 2, 2, nb, 1)
-    R = convex_relaxation(rlt_sharpen(H, d))
+    lift = rlt_sharpen(H, d)
+    R = convex_relaxation(lift)
     lo, up = R.factor_bounds()
     C = np.array([-(R.G.T @ u) for u in direction_set(2, 8, seed=seed)])
     t0 = time.perf_counter()
@@ -59,7 +69,29 @@ def lift_stats(nb, d, seed=0):
     seconds = time.perf_counter() - t0
     return {"nb": nb, "d": d, "seed": seed, "shape": list(R.A.shape),
             "seconds": round(seconds, 3), "lp_stats": stats.to_obj(),
-            "objectives": [repr(obj) for _, obj, _ in batch]}
+            "objectives": [repr(obj) for _, obj, _ in batch],
+            "sharpness": sharpness_stats(lift, seed)}
+
+
+def sharpness_stats(lift, seed):
+    """The JSON-ready record of `check_sharpness` on a lift, 8 directions;
+    the batch above solves on a ladder of its own, so this check runs its
+    relaxation's phase 1 afresh."""
+    t0 = time.perf_counter()
+    with _simplex.lp_stats() as stats:
+        try:
+            rep = check_sharpness(lift, n_dirs=8, seed=seed)
+            verdict = rep.verdict.value
+            max_gap, closed = repr(rep.max_gap), int(rep.closed.sum())
+        except NumericalFailure as exc:
+            verdict, max_gap, closed = f"NumericalFailure: {exc}", None, None
+    seconds = time.perf_counter() - t0
+    return {"seconds": round(seconds, 3), "verdict": verdict,
+            "max_gap": max_gap, "closed": closed,
+            "children": stats.children,
+            "child_fallbacks": stats.child_fallbacks,
+            "dual_steps": stats.pivots["dual"],
+            "phase1_runs": stats.phase1_runs}
 
 
 def main(argv=None):
