@@ -17,6 +17,13 @@ the inverse it carries (`_settle`, `_duals`), each with one step of
 refinement, so a pass that needs no rebuild solves no linear system: one
 `levelset_hull` pass of the benchmark solves none, where it solved 272
 when each optimal row factorised its final basis twice.
+A step of either loop keeps what a pivot barely changes instead of
+rebuilding it: the mask of priced columns (nonbasic and movable) and the
+sign of each column's bound, two entries per pivot, and the bounds and
+costs of the basic variables, one entry (`_swap`); the rank-1 term of the
+update goes into one buffer per loop.  No value changes: the pivots, x and
+the inverse are those of loops that rebuild this state at every step, bit
+for bit (`tests/test_simplex.py::TestLoopParity`).
 
 Phase 1 minimises the total of one artificial variable per equality row.
 It starts from a crash basis (Bixby 1992): a row that a singleton column
@@ -185,11 +192,15 @@ def _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
     2 failure or 3 unbounded."""
     m = Binv.shape[0]
     movable = U > L  # a fixed variable's step is always 0: never price it
-    blowup = 1e9 * (1.0 + np.max(np.abs(U), initial=0.0))
-    degen = 0
+    blowup = 1e9 * (1.0 + np.abs(U).max(initial=0.0))
+    # kept up to date step by step (`_swap`): the columns priced, the sign
+    # of each column's bound (+1 upper, -1 lower), and the basic variables'
+    # bounds and costs
+    priced, sign = movable & ~in_basis, np.where(at_upper, 1.0, -1.0)
+    lB, uB, cB = L[basis], U[basis], cost[basis]
+    t_arr, outer = np.empty(m), np.empty_like(Binv)
+    degen = it = pivots_since_refactor = 0
     bland = False
-    it = 0
-    pivots_since_refactor = 0
     steps = degenerate = under_bland = refactors = 0
     status = 2
     while it < max_iter:
@@ -201,38 +212,24 @@ def _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
                 break
             pivots_since_refactor = 0
             refactors += 1
-        y = cost[basis] @ Binv
-        rc = cost - y @ A_all
-        free = movable & ~in_basis
-        mask_low = free & (~at_upper) & (rc < -OPT_TOL)
-        mask_up = free & at_upper & (rc > OPT_TOL)
-        viol = np.where(mask_low, -rc, np.where(mask_up, rc, -1.0))
-        if bland:
-            cand = np.nonzero(viol > 0.0)[0]
-            if cand.shape[0] == 0:
-                status = 0
-                break
-            enter = cand[0]
-        else:
-            enter = int(np.argmax(viol))
-            if viol[enter] <= 0.0:
-                status = 0
-                break
-        sgn = -1.0 if at_upper[enter] else 1.0
+        # sign * rc is the rate at which a nonbasic column's move off its
+        # bound lowers the cost: a violation where it exceeds OPT_TOL
+        src = sign * (cost - (cB @ Binv) @ A_all)
+        viol = np.where(priced & (src > OPT_TOL), src, -1.0)
+        enter = int((viol > 0.0 if bland else viol).argmax())
+        if viol[enter] <= 0.0:
+            status = 0
+            break
+        sgn = -sign[enter]
         alpha = Binv @ A_all[:, enter]
         d = sgn * alpha
-
         xB = x[basis]
-        lB = L[basis]
-        uB = U[basis]
-        pos = d > PIV_TOL
-        neg = d < -PIV_TOL
-        safe_pos = np.where(pos, d, 1.0)
-        safe_neg = np.where(neg, -d, 1.0)
-        t_arr = np.where(pos, (xB - lB) / safe_pos,
-                         np.where(neg, (uB - xB) / safe_neg, np.inf))
-        t_arr = np.maximum(t_arr, 0.0)
-        t_basic = np.min(t_arr) if m > 0 else np.inf
+        ad = np.abs(d)
+        t_arr.fill(np.inf)
+        np.divide(np.where(d > 0.0, xB - lB, uB - xB), ad, out=t_arr,
+                  where=ad > PIV_TOL)
+        np.maximum(t_arr, 0.0, out=t_arr)
+        t_basic = t_arr.min() if m > 0 else np.inf
         t_flip = U[enter] - L[enter]
         if t_basic == np.inf and t_flip == np.inf:
             status = 3
@@ -241,54 +238,41 @@ def _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
             # entering variable runs to its other bound; basis unchanged
             t = t_flip
             x[basis] = xB - t * d
-            if at_upper[enter]:
-                x[enter] = L[enter]
-                at_upper[enter] = False
-            else:
-                x[enter] = U[enter]
-                at_upper[enter] = True
+            at_upper[enter] = up = not at_upper[enter]
+            x[enter] = U[enter] if up else L[enter]
+            sign[enter] = -sign[enter]
         else:
             t = t_basic
-            cand = np.nonzero(t_arr <= t + 1e-9)[0]
+            cand = (t_arr <= t + 1e-9).nonzero()[0]
             if bland:
                 # anti-cycling: leave the smallest variable index
-                leave = cand[int(np.argmin(basis[cand]))]
+                leave = cand[basis[cand].argmin()]
             else:
                 # stability: pivot on the largest eligible element
-                leave = cand[int(np.argmax(np.abs(d[cand])))]
+                leave = cand[ad[cand].argmax()]
             lv = basis[leave]
             enter_val = x[enter] + sgn * t
             newxB = xB - t * d
             x[basis] = newxB
-            if d[leave] > 0.0:
-                x[lv] = L[lv]
-                at_upper[lv] = False
-            else:
-                x[lv] = U[lv]
-                at_upper[lv] = True
-            basis[leave] = enter
-            in_basis[enter] = True
-            in_basis[lv] = False
-            at_upper[enter] = False
+            up = not d[leave] > 0.0
+            x[lv] = uB[leave] if up else lB[leave]
+            _swap(leave, enter, lv, up, L, U, cost, movable, basis, in_basis,
+                  at_upper, priced, sign, lB, uB, cB)
             x[enter] = enter_val
-            if np.max(np.abs(newxB)) > blowup:
+            if np.abs(newxB).max() > blowup:
                 if pivots_since_refactor == 0:
                     break  # blew up right after a clean refactor: give up
                 pivots_since_refactor = REFACTOR_EVERY  # refactor next
-            _update_inverse(Binv, alpha, leave)
+            _update_inverse(Binv, alpha, leave, outer)
             pivots_since_refactor += 1
         steps += 1
         under_bland += bland
-        if t <= 1e-12:
-            degenerate += 1
-            degen += 1
-            if degen > DEGEN_SWITCH:
-                bland = True
-            if degen > DEGEN_BAIL:
-                break
-        else:
-            degen = 0
-            bland = False
+        # a run of degenerate steps switches to Bland's rule until it ends
+        degen = degen + 1 if t <= 1e-12 else 0
+        degenerate += degen > 0
+        bland = degen > DEGEN_SWITCH
+        if degen > DEGEN_BAIL:
+            break
     _count_steps(phase, steps, degenerate, under_bland, refactors)
     return status
 
@@ -312,11 +296,12 @@ def _dual_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
     Farkas ray; 2 on failure.
     """
     movable = U > L
-    blowup = 1e9 * (1.0 + np.max(np.abs(U), initial=0.0))
-    degen = 0
+    blowup = 1e9 * (1.0 + np.abs(U).max(initial=0.0))
+    priced, sign = movable & ~in_basis, np.where(at_upper, 1.0, -1.0)
+    lB, uB, cB = L[basis], U[basis], cost[basis]
+    ratio, outer = np.empty(U.shape[0]), np.empty_like(Binv)
+    degen = it = pivots_since_refactor = 0
     bland = False
-    it = 0
-    pivots_since_refactor = 0
     steps = degenerate = under_bland = refactors = 0
     status, row = 2, -1
     while it < max_iter:
@@ -327,73 +312,75 @@ def _dual_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
             pivots_since_refactor = 0
             refactors += 1
         xB = x[basis]
-        below = L[basis] - xB
-        viol = np.maximum(below, xB - U[basis])
-        cand = np.nonzero(viol > FEAS_TOL)[0]
+        below = lB - xB
+        viol = np.maximum(below, xB - uB)
+        cand = (viol > FEAS_TOL).nonzero()[0]
         if cand.shape[0] == 0:
             status = 0
             break
         if bland:
-            leave = cand[int(np.argmin(basis[cand]))]
+            leave = cand[basis[cand].argmin()]
         else:
-            leave = cand[int(np.argmax(viol[cand]))]
-        # +1 when the leaving variable rises to its lower bound, -1 when it
-        # falls to its upper one
+            leave = cand[viol[cand].argmax()]
+        # s = +1 when the leaving variable rises to its lower bound, -1 when
+        # it falls to its upper one
         s = 1.0 if below[leave] > 0.0 else -1.0
         alpha_r = Binv[leave] @ A_all
-        y = cost[basis] @ Binv
-        rc = cost - y @ A_all
-        # a column at its lower bound can enter when it would rise (g < 0),
-        # one at its upper bound when it would fall (g > 0); its ratio is
-        # the dual step at which its reduced cost reaches 0
-        g = s * alpha_r
-        rate = np.where(at_upper, g, -g)
-        room = np.maximum(np.where(at_upper, -rc, rc), 0.0)
-        eligible = movable & ~in_basis & (rate > PIV_TOL)
-        ratio = np.where(eligible, room / np.where(eligible, rate, 1.0),
-                         np.inf)
-        t = np.min(ratio)
+        # a column at its lower bound can enter when it would rise, one at
+        # its upper bound when it would fall: then its rate is positive, and
+        # its ratio is the dual step at which its reduced cost reaches 0
+        rate = sign * (s * alpha_r)
+        room = np.maximum(-(sign * (cost - (cB @ Binv) @ A_all)), 0.0)
+        eligible = priced & (rate > PIV_TOL)
+        ratio.fill(np.inf)
+        np.divide(room, rate, out=ratio, where=eligible)
+        t = ratio.min()
         if t == np.inf:
             status, row = 1, leave
             break
-        ties = np.nonzero(ratio <= t + 1e-9)[0]
-        if bland:
-            enter = ties[0]
-        else:
-            enter = ties[int(np.argmax(np.abs(alpha_r[ties])))]
+        tie = ratio <= t + 1e-9
+        enter = int((tie if bland
+                     else np.where(tie, np.abs(alpha_r), -1.0)).argmax())
         alpha = Binv @ A_all[:, enter]
         lv = basis[leave]
-        bound = L[lv] if s > 0.0 else U[lv]
-        theta = (x[lv] - bound) / alpha[leave]
+        bound = lB[leave] if s > 0.0 else uB[leave]
+        theta = (xB[leave] - bound) / alpha[leave]
         newxB = xB - theta * alpha
         x[basis] = newxB
         x[enter] += theta
         x[lv] = bound
-        at_upper[lv] = s < 0.0
-        basis[leave] = enter
-        in_basis[enter] = True
-        in_basis[lv] = False
-        at_upper[enter] = False
-        if np.max(np.abs(newxB)) > blowup:
+        _swap(leave, enter, lv, s < 0.0, L, U, cost, movable, basis, in_basis,
+              at_upper, priced, sign, lB, uB, cB)
+        if np.abs(newxB).max() > blowup:
             if pivots_since_refactor == 0:
                 break  # blew up right after a clean refactor: give up
             pivots_since_refactor = REFACTOR_EVERY  # refactor next
-        _update_inverse(Binv, alpha, leave)
+        _update_inverse(Binv, alpha, leave, outer)
         pivots_since_refactor += 1
         steps += 1
         under_bland += bland
-        if t <= 1e-12:
-            degenerate += 1
-            degen += 1
-            if degen > DEGEN_SWITCH:
-                bland = True
-            if degen > DEGEN_BAIL:
-                break
-        else:
-            degen = 0
-            bland = False
+        # a run of degenerate steps switches to Bland's rule until it ends
+        degen = degen + 1 if t <= 1e-12 else 0
+        degenerate += degen > 0
+        bland = degen > DEGEN_SWITCH
+        if degen > DEGEN_BAIL:
+            break
     _count_steps("dual", steps, degenerate, under_bland, refactors)
     return status, row
+
+
+def _swap(leave, enter, lv, up, L, U, cost, movable, basis, in_basis,
+          at_upper, priced, sign, lB, uB, cB):
+    """Column `enter` takes row `leave` of the basis from `lv`, which
+    leaves onto its upper bound if `up`, else onto its lower one: the
+    bookkeeping of a pivot, the values of x aside."""
+    basis[leave] = enter
+    in_basis[enter] = True
+    in_basis[lv] = priced[enter] = at_upper[enter] = False
+    priced[lv] = movable[lv]
+    at_upper[lv] = up
+    sign[lv] = 1.0 if up else -1.0
+    lB[leave], uB[leave], cB[leave] = L[enter], U[enter], cost[enter]
 
 
 def _count_steps(phase, steps, degenerate, under_bland, refactors):
@@ -421,13 +408,14 @@ def _rebuild(Binv, A_all, b, x, basis):
     return True
 
 
-def _update_inverse(Binv, alpha, leave):
+def _update_inverse(Binv, alpha, leave, outer):
     """Rank-1 update of the inverse, in place, after the column with
     alpha = Binv a replaces the basic variable of row `leave`:
-    B_new^{-1} = E B^{-1}."""
-    prow = Binv[leave, :] / alpha[leave]
-    Binv -= alpha.reshape(-1, 1) * prow
-    Binv[leave, :] = prow
+    B_new^{-1} = E B^{-1}.  `outer`, an array of Binv's shape, takes the
+    rank-1 term, so that no step allocates one."""
+    prow = Binv[leave] / alpha[leave]
+    Binv -= np.multiply(alpha[:, None], prow, out=outer)
+    Binv[leave] = prow
 
 
 def _lu_solve(B, rhs):
@@ -449,7 +437,7 @@ def _settle(Binv, A_all, b, x, basis):
     by E = I - B Binv it leaves E times the residual it started from.
     """
     step = Binv @ (b - A_all @ x)
-    if not np.all(np.isfinite(step)):
+    if not np.isfinite(step).all():
         return False
     x[basis] += step
     return True
@@ -460,7 +448,7 @@ def _duals(Binv, A_all, basis, cost_B):
     inverse and one step of refinement; None when they are not finite."""
     y = cost_B @ Binv
     y += (cost_B - y @ A_all[:, basis]) @ Binv
-    return y if np.all(np.isfinite(y)) else None
+    return y if np.isfinite(y).all() else None
 
 
 def _crash(A, r, lo, up):
@@ -698,20 +686,20 @@ def _farkas_bound(A, b, lo, up, y):
     least the distance of y'b from that interval, and ||Ax - b||_1 is at
     least that distance over ||y||_inf.  Returns -inf when y proves nothing.
     """
-    ny = np.max(np.abs(y), initial=0.0)
+    ny = np.abs(y).max(initial=0.0)
     if not ny > 0.0:
         return -np.inf
     a = A.T @ y
-    lo_y = np.sum(np.minimum(a * lo, a * up))
-    hi_y = np.sum(np.maximum(a * lo, a * up))
+    lo_y = np.minimum(a * lo, a * up).sum()
+    hi_y = np.maximum(a * lo, a * up).sum()
     yb = float(y @ b)
     return max(yb - hi_y, lo_y - yb) / ny
 
 
 def _within_bounds(lo, up, x):
-    bscale = 1.0 + max(np.max(np.abs(lo), initial=0.0),
-                       np.max(np.abs(up), initial=0.0))
-    bviol = np.max(np.maximum(lo - x, x - up), initial=0.0)
+    bscale = 1.0 + max(np.abs(lo).max(initial=0.0),
+                       np.abs(up).max(initial=0.0))
+    bviol = np.maximum(lo - x, x - up).max(initial=0.0)
     return bviol <= 100.0 * FEAS_TOL * bscale
 
 
@@ -719,17 +707,17 @@ def _certified_optimal(c, A, b, lo, up, x, y):
     """Primal residual, bounds and duality gap of (x, y) on the original data.
 
     Returns (residual, gap), each as a fraction of its threshold, when all
-    three checks pass, else None.
+    three checks pass, else None.  A NaN residual or gap fails its check.
     """
-    resid = np.max(np.abs(A @ x - b), initial=0.0)
-    resid_tol = 100.0 * FEAS_TOL * (1.0 + np.max(np.abs(b), initial=0.0))
-    if resid > resid_tol or not _within_bounds(lo, up, x):
+    resid = np.abs(A @ x - b).max(initial=0.0)
+    resid_tol = 100.0 * FEAS_TOL * (1.0 + np.abs(b).max(initial=0.0))
+    if not resid <= resid_tol or not _within_bounds(lo, up, x):
         return None
     obj = float(c @ x)
     r = c - A.T @ y
-    gap = obj - (float(b @ y) + np.sum(np.minimum(r * lo, r * up)))
+    gap = obj - (float(b @ y) + np.minimum(r * lo, r * up).sum())
     gap_tol = 100.0 * FEAS_TOL * (1.0 + abs(obj))
-    if gap > gap_tol:
+    if not gap <= gap_tol:
         return None
     return float(resid / resid_tol), float(gap / gap_tol)
 
@@ -760,6 +748,12 @@ def _verdict(c, A, b, lo, up, proposal):
 
 def _as_arrays(*arrays):
     return [np.ascontiguousarray(a, dtype=np.float64) for a in arrays]
+
+
+def _check_cost(C):
+    """ValueError unless every entry of the costs C is finite."""
+    if not np.isfinite(C).all():
+        raise ValueError("a cost must have finite entries")
 
 
 class Ladder:
@@ -809,6 +803,7 @@ class Ladder:
     def solve_many(self, C):
         """`solve_bounded_many` over this region."""
         (C,) = _as_arrays(C)
+        _check_cost(C)
         A, b, lo, up = self.A, self.b, self.lo, self.up
         if A.shape == (0, 0):
             return [(0, 0.0, np.zeros(0)) for _ in C]
@@ -863,9 +858,11 @@ class Ladder:
         pinned, which is the child's LP exactly, so a child that is not None
         is as certain as any answer of `solve_many`.  When the parent is
         not certified optimal on rung 0, every child is None.  No state
-        outlives the call.
+        outlives the call.  Raises ValueError, as `solve_many` does, for a
+        cost with a NaN or infinite entry.
         """
         c, V = _as_arrays(c, V)
+        _check_cost(c)
         cols = np.asarray(cols, dtype=np.intp)
         A, b, lo, up = self.A, self.b, self.lo, self.up
         out = [None] * len(V)
@@ -914,7 +911,8 @@ def solve_bounded(c, A, b, lo, up):
 
     Returns (status, objective, x) with status 0 optimal, 1 infeasible or
     2 numerical failure; what 0 and 1 certify is in the module docstring.
-    It is the one-cost case of `solve_bounded_many`.
+    Raises ValueError for a cost with a NaN or infinite entry.  It is the
+    one-cost case of `solve_bounded_many`.
     """
     c = np.asarray(c, dtype=np.float64)
     return solve_bounded_many(c[None], A, b, lo, up)[0]
@@ -931,8 +929,9 @@ def solve_bounded_many(C, A, b, lo, up):
     the rung's phase 1; a warm row that is not certified gets one more pass
     on the same rung, from the phase-1 end, before it climbs.  An
     infeasible verdict comes from phase 1 alone, so once certified it
-    answers every row still open.  Status 2 means that
-    the whole ladder failed for that row.  Each call climbs a new `Ladder`;
+    answers every row still open.  Status 2 means that the whole ladder
+    failed for that row.  A cost row with a NaN or infinite entry raises
+    ValueError before any pass runs.  Each call climbs a new `Ladder`;
     `Ladder.solve_many` answers on a kept one.
     """
     return Ladder(A, b, lo, up).solve_many(C)

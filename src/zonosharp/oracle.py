@@ -161,11 +161,14 @@ def _support_points(leaf_list: list[ConstrainedZonotope], U: np.ndarray) -> list
 
 
 def _vector(v, S: AnySet, what: str) -> np.ndarray:
-    """v as a float vector of length S.dim; DimensionMismatch otherwise."""
+    """v as a float vector of length S.dim; DimensionMismatch for another
+    length, ValueError for a NaN or infinite entry."""
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if v.shape[0] != S.dim:
         raise DimensionMismatch(f"{what} of length {v.shape[0]} for a set "
                                 f"of dimension {S.dim}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{what} must have finite entries, got {v.tolist()}")
     return v
 
 
@@ -386,10 +389,15 @@ def boundary_2d(S: AnySet, n_angles: int = 64,
 
     The polygon is inscribed in the convex hull of S (S itself when S is
     convex); its accuracy improves with n_angles.  A point within
-    DEDUP_TOL * (1 + max|point|) of the one before it is dropped.
+    DEDUP_TOL * (1 + max|point|) of the one before it is dropped.  Raises
+    ValueError, before any LP runs, unless n_angles is a positive integer.
     """
     if S.dim != 2:
         raise ValueError("boundary_2d requires a 2D set")
+    if not (isinstance(n_angles, (int, np.integer))
+            and not isinstance(n_angles, bool) and n_angles >= 1):
+        raise ValueError(f"n_angles must be a positive integer, got "
+                         f"{n_angles!r}")
     U = np.array([[np.cos(th), np.sin(th)]
                   for th in (2.0 * np.pi * k / n_angles for k in range(n_angles))])
     best = _support_points(_leaf_sets(S, cap), U)

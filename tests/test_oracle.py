@@ -290,6 +290,27 @@ def test_wrong_length_vector_raises(S, query, v):
         query(S, v)
 
 
+@pytest.mark.parametrize("query", [contains, support, support_point])
+@pytest.mark.parametrize("v", [[np.nan, 0.5], [np.inf, 0.5], [0.5, -np.inf]],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("S", [box(np.array([[0.0, 1.0], [0.0, 2.0]])),
+                               _two_squares()], ids=["box", "union"])
+def test_nonfinite_vector_raises(S, query, v):
+    # a NaN point once ran the whole retry ladder into NumericalFailure, and
+    # a NaN direction was answered nan
+    with _simplex.lp_stats() as stats:
+        with pytest.raises(ValueError, match="must have finite entries"):
+            query(S, v)
+    assert stats.phase1_runs == 0
+
+
+def test_nonfinite_objective_raises():
+    p = LinearProgram(np.array([np.nan, 1.0]), np.ones((1, 2)), np.ones(1),
+                      np.zeros(2), np.ones(2))
+    with pytest.raises(ValueError, match="finite entries"):
+        solve_lp(p)
+
+
 class TestEmptiness:
     def test_nonempty(self):
         assert not is_empty(_unit_square())
@@ -475,6 +496,17 @@ class TestBoundary2d:
     def test_requires_2d(self):
         with pytest.raises(ValueError):
             boundary_2d(convex_relaxation(interval(0, 1)))
+
+    @pytest.mark.parametrize("n_angles", [0, -3, 2.0, True])
+    def test_bad_n_angles_raises(self, n_angles):
+        # 0 once failed in numpy ("zero-size array to reduction operation")
+        sq = convex_relaxation(_unit_square())
+        with _simplex.lp_stats() as stats:
+            with pytest.raises(ValueError, match="positive integer"):
+                boundary_2d(sq, n_angles=n_angles)
+            with pytest.raises(ValueError, match="positive integer"):
+                area_2d(sq, n_angles)
+        assert stats.phase1_runs == 0 and stats.rows == 0
 
     def test_csv_format(self):
         poly = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])

@@ -7,11 +7,14 @@ geometry for the structured cases.
 """
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from zonosharp import NumericalFailure, _simplex
+from zonosharp._simplex import (DEGEN_BAIL, DEGEN_SWITCH, FEAS_TOL, OPT_TOL,
+                               PIV_TOL, REFACTOR_EVERY)
 
 
 def brute_force_lp(c, A, b, lo, up, tol=1e-9):
@@ -243,6 +246,40 @@ class TestCertificates:
         fake_pass(0)
         with pytest.raises(NumericalFailure):
             _simplex.min_infeasibility(A, b, lo, up)
+
+    NONFINITE = [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]]
+
+    @pytest.mark.parametrize("c", NONFINITE)
+    def test_nonfinite_cost_raises_before_any_pass(self, c):
+        # such a cost was once answered (0, nan, x) or (0, -inf, x)
+        _, A, b, lo, up = self.LP
+        with _simplex.lp_stats() as stats:
+            with pytest.raises(ValueError, match="finite entries"):
+                _simplex.solve_bounded(c, A, b, lo, up)
+            with pytest.raises(ValueError, match="finite entries"):
+                _simplex.solve_bounded_many([[1.0, 2.0], c], A, b, lo, up)
+            with pytest.raises(ValueError, match="finite entries"):
+                _simplex.Ladder(A, b, lo, up).children(c, [0], [[0.0]])
+        assert stats.phase1_runs == 0 and stats.rows == 0
+
+    @pytest.mark.parametrize("c", NONFINITE)
+    def test_nan_gap_fails_the_certificate(self, c):
+        # x = (0, 1) and y = 1 prove the optimum of the cost (2, 1); a
+        # non-finite cost entry makes the gap NaN
+        _, A, b, lo, up = self.LP
+        x, y = np.array([0.0, 1.0]), np.array([1.0])
+        assert _simplex._certified_optimal(np.array([2.0, 1.0]), A, b, lo, up,
+                                           x, y) == (0.0, 0.0)
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN
+            assert _simplex._certified_optimal(np.array(c), A, b, lo, up,
+                                               x, y) is None
+
+    def test_nan_residual_fails_the_certificate(self):
+        _, A, b, lo, up = self.LP
+        A = np.array([[np.nan, 1.0]])
+        assert _simplex._certified_optimal(np.array([2.0, 1.0]), A, b, lo, up,
+                                           np.array([0.0, 1.0]),
+                                           np.array([1.0])) is None
 
     def test_farkas_bound_is_the_1norm_miss(self):
         # x1 + x2 = 3 on [0,1]^2 misses by 1 in the 1-norm
@@ -650,3 +687,340 @@ class TestCarriedInverse:
         for (st, obj, _), (_, ref, _) in zip(batch, true):
             assert st in (0, 2)
             assert st == 2 or abs(obj - ref) <= 1e-6 * (1.0 + abs(ref))
+
+
+# --- the loops against a reference ----------------------------------------
+#
+# The simplex loops as they stood before they kept their per-step state
+# (priced columns, bound signs, basic bounds and costs) up to date between
+# steps; only the names of the functions they call, and the wording of one
+# comment, differ.  The kernel's loops must take the same pivots to the same
+# bits.
+
+_REFERENCE_COUNTS = []  # (phase, steps, degenerate, bland, refactors) per loop
+
+
+def _reference_count_steps(phase, steps, degenerate, under_bland, refactors):
+    _REFERENCE_COUNTS.append((phase, steps, degenerate, under_bland,
+                              refactors))
+
+
+def _reference_update_inverse(Binv, alpha, leave):
+    """Rank-1 update of the inverse, in place, after the column with
+    alpha = Binv a replaces the basic variable of row `leave`:
+    B_new^{-1} = E B^{-1}."""
+    prow = Binv[leave, :] / alpha[leave]
+    Binv -= alpha.reshape(-1, 1) * prow
+    Binv[leave, :] = prow
+
+
+def _reference_simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis,
+                             at_upper, cost, max_iter, phase):
+    """Bounded-variable primal simplex from the basis `basis` with inverse
+    Binv; every state array is changed in place.  Returns 0 optimal,
+    2 failure or 3 unbounded."""
+    m = Binv.shape[0]
+    movable = U > L  # a fixed variable's step is always 0: never price it
+    blowup = 1e9 * (1.0 + np.max(np.abs(U), initial=0.0))
+    degen = 0
+    bland = False
+    it = 0
+    pivots_since_refactor = 0
+    steps = degenerate = under_bland = refactors = 0
+    status = 2
+    while it < max_iter:
+        it += 1
+        if pivots_since_refactor >= REFACTOR_EVERY:
+            # a singular basis cannot be repaired, so bail out and let the
+            # retry ladder try a perturbed problem
+            if not _simplex._rebuild(Binv, A_all, b, x, basis):
+                break
+            pivots_since_refactor = 0
+            refactors += 1
+        y = cost[basis] @ Binv
+        rc = cost - y @ A_all
+        free = movable & ~in_basis
+        mask_low = free & (~at_upper) & (rc < -OPT_TOL)
+        mask_up = free & at_upper & (rc > OPT_TOL)
+        viol = np.where(mask_low, -rc, np.where(mask_up, rc, -1.0))
+        if bland:
+            cand = np.nonzero(viol > 0.0)[0]
+            if cand.shape[0] == 0:
+                status = 0
+                break
+            enter = cand[0]
+        else:
+            enter = int(np.argmax(viol))
+            if viol[enter] <= 0.0:
+                status = 0
+                break
+        sgn = -1.0 if at_upper[enter] else 1.0
+        alpha = Binv @ A_all[:, enter]
+        d = sgn * alpha
+
+        xB = x[basis]
+        lB = L[basis]
+        uB = U[basis]
+        pos = d > PIV_TOL
+        neg = d < -PIV_TOL
+        safe_pos = np.where(pos, d, 1.0)
+        safe_neg = np.where(neg, -d, 1.0)
+        t_arr = np.where(pos, (xB - lB) / safe_pos,
+                         np.where(neg, (uB - xB) / safe_neg, np.inf))
+        t_arr = np.maximum(t_arr, 0.0)
+        t_basic = np.min(t_arr) if m > 0 else np.inf
+        t_flip = U[enter] - L[enter]
+        if t_basic == np.inf and t_flip == np.inf:
+            status = 3
+            break
+        if t_flip < t_basic - 1e-12:
+            # entering variable runs to its other bound; basis unchanged
+            t = t_flip
+            x[basis] = xB - t * d
+            if at_upper[enter]:
+                x[enter] = L[enter]
+                at_upper[enter] = False
+            else:
+                x[enter] = U[enter]
+                at_upper[enter] = True
+        else:
+            t = t_basic
+            cand = np.nonzero(t_arr <= t + 1e-9)[0]
+            if bland:
+                # anti-cycling: leave the smallest variable index
+                leave = cand[int(np.argmin(basis[cand]))]
+            else:
+                # stability: pivot on the largest eligible element
+                leave = cand[int(np.argmax(np.abs(d[cand])))]
+            lv = basis[leave]
+            enter_val = x[enter] + sgn * t
+            newxB = xB - t * d
+            x[basis] = newxB
+            if d[leave] > 0.0:
+                x[lv] = L[lv]
+                at_upper[lv] = False
+            else:
+                x[lv] = U[lv]
+                at_upper[lv] = True
+            basis[leave] = enter
+            in_basis[enter] = True
+            in_basis[lv] = False
+            at_upper[enter] = False
+            x[enter] = enter_val
+            if np.max(np.abs(newxB)) > blowup:
+                if pivots_since_refactor == 0:
+                    break  # blew up right after a clean refactor: give up
+                pivots_since_refactor = REFACTOR_EVERY  # refactor next
+            _reference_update_inverse(Binv, alpha, leave)
+            pivots_since_refactor += 1
+        steps += 1
+        under_bland += bland
+        if t <= 1e-12:
+            degenerate += 1
+            degen += 1
+            if degen > DEGEN_SWITCH:
+                bland = True
+            if degen > DEGEN_BAIL:
+                break
+        else:
+            degen = 0
+            bland = False
+    _reference_count_steps(phase, steps, degenerate, under_bland, refactors)
+    return status
+
+
+def _reference_dual_loop(Binv, A_all, b, x, L, U, basis, in_basis,
+                          at_upper, cost, max_iter):
+    """Bounded-variable dual simplex from the basis `basis` with inverse
+    Binv, dual feasible for `cost`; every state array is changed in place.
+
+    Each step takes the basic variable furthest outside its bounds (by more
+    than FEAS_TOL) out of the basis, onto the bound it violates.  Its row
+    of B^-1 A_all is the pivot row, and the dual ratio test over the
+    movable nonbasic columns picks the entering one, the largest pivot
+    element among the ties, so that every reduced cost keeps its sign.
+    Degenerate steps, the switch to Bland's rule (lowest index, for the
+    leaving row and among the tied entering columns), the rebuild every
+    REFACTOR_EVERY pivots and the blow-up guard are those of
+    `_simplex_loop`.  Returns (status, row): 0 when every basic value is
+    within its bounds, so the basis is optimal; 1 when no column can enter
+    for the basic variable of `row`, whose row of Binv is then a candidate
+    Farkas ray; 2 on failure.
+    """
+    movable = U > L
+    blowup = 1e9 * (1.0 + np.max(np.abs(U), initial=0.0))
+    degen = 0
+    bland = False
+    it = 0
+    pivots_since_refactor = 0
+    steps = degenerate = under_bland = refactors = 0
+    status, row = 2, -1
+    while it < max_iter:
+        it += 1
+        if pivots_since_refactor >= REFACTOR_EVERY:
+            if not _simplex._rebuild(Binv, A_all, b, x, basis):
+                break
+            pivots_since_refactor = 0
+            refactors += 1
+        xB = x[basis]
+        below = L[basis] - xB
+        viol = np.maximum(below, xB - U[basis])
+        cand = np.nonzero(viol > FEAS_TOL)[0]
+        if cand.shape[0] == 0:
+            status = 0
+            break
+        if bland:
+            leave = cand[int(np.argmin(basis[cand]))]
+        else:
+            leave = cand[int(np.argmax(viol[cand]))]
+        # +1 when the leaving variable rises to its lower bound, -1 when it
+        # falls to its upper one
+        s = 1.0 if below[leave] > 0.0 else -1.0
+        alpha_r = Binv[leave] @ A_all
+        y = cost[basis] @ Binv
+        rc = cost - y @ A_all
+        # a column at its lower bound can enter when it would rise (g < 0),
+        # one at its upper bound when it would fall (g > 0); its ratio is
+        # the dual step at which its reduced cost reaches 0
+        g = s * alpha_r
+        rate = np.where(at_upper, g, -g)
+        room = np.maximum(np.where(at_upper, -rc, rc), 0.0)
+        eligible = movable & ~in_basis & (rate > PIV_TOL)
+        ratio = np.where(eligible, room / np.where(eligible, rate, 1.0),
+                         np.inf)
+        t = np.min(ratio)
+        if t == np.inf:
+            status, row = 1, leave
+            break
+        ties = np.nonzero(ratio <= t + 1e-9)[0]
+        if bland:
+            enter = ties[0]
+        else:
+            enter = ties[int(np.argmax(np.abs(alpha_r[ties])))]
+        alpha = Binv @ A_all[:, enter]
+        lv = basis[leave]
+        bound = L[lv] if s > 0.0 else U[lv]
+        theta = (x[lv] - bound) / alpha[leave]
+        newxB = xB - theta * alpha
+        x[basis] = newxB
+        x[enter] += theta
+        x[lv] = bound
+        at_upper[lv] = s < 0.0
+        basis[leave] = enter
+        in_basis[enter] = True
+        in_basis[lv] = False
+        at_upper[enter] = False
+        if np.max(np.abs(newxB)) > blowup:
+            if pivots_since_refactor == 0:
+                break  # blew up right after a clean refactor: give up
+            pivots_since_refactor = REFACTOR_EVERY  # refactor next
+        _reference_update_inverse(Binv, alpha, leave)
+        pivots_since_refactor += 1
+        steps += 1
+        under_bland += bland
+        if t <= 1e-12:
+            degenerate += 1
+            degen += 1
+            if degen > DEGEN_SWITCH:
+                bland = True
+            if degen > DEGEN_BAIL:
+                break
+        else:
+            degen = 0
+            bland = False
+    _reference_count_steps("dual", steps, degenerate, under_bland, refactors)
+    return status, row
+
+
+def _assert_state_invariants(x, L, U, basis, in_basis, at_upper):
+    """in_basis is the membership of basis, no basic column is at its upper
+    bound, and each nonbasic x sits on the bound at_upper names."""
+    member = np.zeros_like(in_basis)
+    member[basis] = True
+    assert len(set(basis.tolist())) == len(basis)
+    assert np.array_equal(in_basis, member)
+    assert not at_upper[basis].any()
+    nonbasic = ~in_basis
+    assert np.array_equal(x[nonbasic], np.where(at_upper, U, L)[nonbasic])
+
+
+class TestLoopParity:
+    """Every simplex loop that a test runs is run twice from the same start
+    state, by the reference loop on a copy and by the kernel, and the
+    status, every state array and the step counts must match bit for bit."""
+
+    @pytest.fixture
+    def loops(self, monkeypatch):
+        """Counter of the loops compared ("primal", "dual") and of their
+        steps ("primal steps", "dual steps")."""
+        seen = Counter()
+        kernel_counts = []
+        real_count = _simplex._count_steps
+
+        def count(*counts):
+            kernel_counts.append(counts)
+            real_count(*counts)
+
+        def compared(kernel, reference, kind):
+            def loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
+                     *rest):
+                state = (Binv, x, L, U, basis, in_basis, at_upper)
+                copies = [a.copy() for a in state]
+                del _REFERENCE_COUNTS[:]
+                ref_out = reference(copies[0], A_all, b, *copies[1:], *rest)
+                out = kernel(*state[:1], A_all, b, *state[1:], *rest)
+                assert out == ref_out
+                for a, r in zip(state, copies, strict=True):
+                    assert a.dtype == r.dtype and a.tobytes() == r.tobytes()
+                assert [kernel_counts[-1]] == _REFERENCE_COUNTS
+                _assert_state_invariants(*state[1:])
+                seen[kind] += 1
+                seen[kind + " steps"] += kernel_counts[-1][1]
+                return out
+            return loop
+        monkeypatch.setattr(_simplex, "_count_steps", count)
+        monkeypatch.setattr(_simplex, "_simplex_loop", compared(
+            _simplex._simplex_loop, _reference_simplex_loop, "primal"))
+        monkeypatch.setattr(_simplex, "_dual_loop", compared(
+            _simplex._dual_loop, _reference_dual_loop, "dual"))
+        return seen
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_lps(self, loops, seed):
+        _simplex.solve_bounded(*small_random_lp(seed))
+        assert loops["primal"] >= 1
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_dual_passes(self, loops, seed):
+        c, A, b, lo, up = small_random_lp(seed)
+        V = np.array(list(itertools.product(*[(lo[j], up[j])
+                                              for j in (0, 1)])))
+        _simplex.Ladder(A, b, lo, up).children(c, [0, 1], V)
+        assert loops["primal"] >= 1
+
+    def test_dense_region_with_binary_children(self, loops):
+        rng = np.random.default_rng(0)
+        m, n, nb = 20, 30, 4
+        A = rng.normal(size=(m, n))
+        x0 = rng.uniform(0.2, 0.8, size=n)
+        x0[n - nb:] = rng.integers(0, 2, size=nb)
+        V = np.array(list(itertools.product((0.0, 1.0), repeat=nb)))
+        _simplex.Ladder(A, A @ x0, np.zeros(n), np.ones(n)).children(
+            rng.normal(size=n), np.arange(n - nb, n), V)
+        assert loops["dual"] == len(V) and loops["dual steps"] > 0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_demo_lift_relaxations(self, loops, d):
+        # phase 1 and a 16-direction batch, then the sharpness check, whose
+        # open directions run dual passes on the d = 1 lift
+        from zonosharp import (check_sharpness, convex_relaxation,
+                               direction_set, relugraph, rlt_sharpen)
+        X = relugraph.level_set_above(relugraph.demo_network(), 0.5)
+        Xd = rlt_sharpen(X, d)
+        R = convex_relaxation(Xd)
+        C = np.array([-(R.G.T @ u) for u in direction_set(2, 16)])
+        _simplex.solve_bounded_many(C, R.A, R.b, *R.factor_bounds())
+        assert loops["primal"] >= 1 + len(C) and loops["primal steps"] > 0
+        check_sharpness(Xd, n_dirs=4, seed=0)
+        if d == 1:
+            assert loops["dual steps"] > 0

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+from zonosharp import _simplex
+
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "tools")
 
@@ -66,6 +68,7 @@ def test_lift_stats_prints_one_record_per_lift():
     assert [(r["nb"], r["d"], r["seed"]) for r in records] == [(2, 1, 0), (3, 2, 0)]
     for r in records:
         assert len(r["shape"]) == 2 and r["seconds"] >= 0.0
+        assert r["us_per_step"] > 0.0  # every batch runs phase 1 steps
         stats = r["lp_stats"]
         assert stats["rows"] == 8 and sum(stats["status"].values()) == 8
         assert stats["phase1_runs"] >= 1
@@ -76,6 +79,7 @@ def test_lift_stats_prints_one_record_per_lift():
         assert sharp["verdict"] in ("sharp", "not_sharp")
         assert repr(float(sharp["max_gap"])) == sharp["max_gap"]
         assert sharp["phase1_runs"] >= 1 and sharp["seconds"] >= 0.0
+        assert sharp["us_per_step"] is None or sharp["us_per_step"] > 0.0
         assert 0 <= sharp["closed"] <= 8
 
 
@@ -89,4 +93,13 @@ def test_lift_stats_counts_children():
     assert sharp["dual_steps"] > 0 and sharp["phase1_runs"] == 1
     for r in (first, again):
         del r["seconds"], r["sharpness"]["seconds"]
+        del r["us_per_step"], r["sharpness"]["us_per_step"]
     assert first == again
+
+
+def test_us_per_step_is_the_time_over_all_loop_steps():
+    lift_stats = _tool("lift_stats")
+    stats = _simplex.LpStats()
+    assert lift_stats.us_per_step(0.5, stats) is None
+    stats.pivots.update({1: 100, 2: 300, "dual": 100})
+    assert lift_stats.us_per_step(0.01, stats) == 20.0

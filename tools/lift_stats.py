@@ -21,8 +21,11 @@ closed by the relaxation, the leaf LPs of the open directions answered as
 children of the relaxation's LP and those that fell back to the leaf's own
 ladder, the steps of the dual passes and the phase-1 runs; a check that
 raises NumericalFailure has its message as the verdict and null for the
-gap and the closed directions.  Everything but the two "seconds" repeats
-exactly.
+gap and the closed directions.  The batch and the check each also give
+"us_per_step", their wall time over the steps of all their simplex loops
+(phase 1, phase 2 and dual) in microseconds, or null with no step: the
+cost of a step on that lift.  Everything but the two "seconds" and the
+two "us_per_step" repeats exactly.
 
 The BLAS runs one thread, as in `perfbench/run.py`: the kernel's pivots
 follow the rounding of its matrix products, which depends on the thread
@@ -56,6 +59,13 @@ def lift_pair(text):
     return nb, d
 
 
+def us_per_step(seconds, stats):
+    """seconds over the loop steps counted in stats, in microseconds to
+    0.1, or None when there were none."""
+    steps = sum(stats.pivots.values())
+    return round(1e6 * seconds / steps, 1) if steps else None
+
+
 def lift_stats(nb, d, seed=0):
     """The JSON-ready record of one lift's 8-direction batch."""
     H = _random_hz(np.random.default_rng([seed, nb, d]), 2, 2, nb, 1)
@@ -68,7 +78,9 @@ def lift_stats(nb, d, seed=0):
         batch = _simplex.solve_bounded_many(C, R.A, R.b, lo, up)
     seconds = time.perf_counter() - t0
     return {"nb": nb, "d": d, "seed": seed, "shape": list(R.A.shape),
-            "seconds": round(seconds, 3), "lp_stats": stats.to_obj(),
+            "seconds": round(seconds, 3),
+            "us_per_step": us_per_step(seconds, stats),
+            "lp_stats": stats.to_obj(),
             "objectives": [repr(obj) for _, obj, _ in batch],
             "sharpness": sharpness_stats(lift, seed)}
 
@@ -86,7 +98,8 @@ def sharpness_stats(lift, seed):
         except NumericalFailure as exc:
             verdict, max_gap, closed = f"NumericalFailure: {exc}", None, None
     seconds = time.perf_counter() - t0
-    return {"seconds": round(seconds, 3), "verdict": verdict,
+    return {"seconds": round(seconds, 3),
+            "us_per_step": us_per_step(seconds, stats), "verdict": verdict,
             "max_gap": max_gap, "closed": closed,
             "children": stats.children,
             "child_fallbacks": stats.child_fallbacks,
