@@ -1,22 +1,20 @@
-"""Bounded-variable primal simplex kernel.
+"""Bounded-variable simplex kernel.
 
 This is the hot loop of the package: every support evaluation, membership
 test, and emptiness check bottoms out here.  It is plain vectorised numpy.
 
 Pricing is Dantzig (most violated reduced cost) with an automatic switch to
 Bland's rule after a run of degenerate steps, which guarantees termination;
-the dual pass below picks its leaving row and entering column the same way.
+the dual loop below picks its leaving row and entering column the same way.
 A fixed variable (equal bounds) is never priced, since its step can only be
-0: neither the artificials that phase 2 pins to zero nor a structural
-column with lo == up ever enters.
-A pass keeps the explicit inverse of its basis, m x m, updated by one rank-1
-product per pivot and rebuilt by LU every REFACTOR_EVERY pivots; reduced
-costs and the entering column are priced from it.  That rebuild is the
-kernel's only LU: a pass also reads its final values and its duals from
-the inverse it carries (`_settle`, `_duals`), each with one step of
-refinement, so a pass that needs no rebuild solves no linear system: one
-`levelset_hull` pass of the benchmark solves none, where it solved 272
-when each optimal row factorised its final basis twice.
+0: neither an artificial, which is fixed at zero, nor a structural column
+with lo == up ever enters.
+A loop keeps the explicit inverse of its basis, m x m, updated by one
+rank-1 product per pivot and rebuilt by LU every REFACTOR_EVERY pivots;
+reduced costs and the entering column are priced from it.  That rebuild is
+the kernel's only LU: a pass also reads its final values and its duals
+from the inverse it carries (`_settle`, `_duals`), each with one step of
+refinement, so a pass that needs no rebuild solves no linear system.
 A step of either loop keeps what a pivot barely changes instead of
 rebuilding it: the mask of priced columns (nonbasic and movable) and the
 sign of each column's bound, two entries per pivot, and the bounds and
@@ -25,12 +23,20 @@ update goes into one buffer per loop.  No value changes: the pivots, x and
 the inverse are those of loops that rebuild this state at every step, bit
 for bit (`tests/test_simplex.py::TestLoopParity`).
 
-Phase 1 minimises the total of one artificial variable per equality row.
-It starts from a crash basis (Bixby 1992): a row that a singleton column
-can satisfy within that column's bounds, with every other variable at its
-lower bound, starts with that column basic and its artificial at zero, and
-only the other rows start with their artificial basic.  Each bound-factor
-row of an RLT lift has a singleton slack column.
+An LP starts cold by the dual simplex (`_start`; Koberstein 2005, Huangfu
+& Hall 2018).  Its columns are A_all = [A, I], one artificial per row,
+each fixed at zero.  The start basis is diagonal: a row that a singleton
+column covers within that column's bounds (`_crash`, after Bixby 1992)
+starts with that column basic, every other row with its artificial.  Each
+nonbasic column sits at the bound its reduced cost favours, so the basis
+is dual feasible, and each nonbasic cost is moved by a tiny amount away
+from zero reduced cost, which keeps the dual simplex off the degenerate
+ties that the many zero costs of a support LP would make.  The dual loop
+then drives every basic value into its bounds, an artificial to zero,
+and ends optimal for the moved costs, or at a row that no column can
+enter, whose row of the inverse is a candidate Farkas ray.  From an
+optimal end the primal loop finishes on the true costs.  No phase 1 runs:
+the dual loop's end is primal feasible by construction.
 
 A pass of the simplex only proposes a verdict, with the duals y of its
 final basis read from the inverse it carries.  The entry points
@@ -42,52 +48,51 @@ only fail its certificate, never pass a wrong verdict:
 - status 0, optimal: x is within the bounds and satisfies Ax = b to
   100*FEAS_TOL (scaled by the data), and the dual bound from y proves that
   c'x is within 100*FEAS_TOL*(1 + |c'x|) of the true optimum;
-- status 1, infeasible: a Farkas ray y from the final phase-1 basis proves
-  that every point of the box misses Ax = b by more than
-  FEAS_TOL*(1 + max|b|) in the 1-norm;
-- status 2, numerical failure: no rung of the retry ladder (the original
-  problem, then tinily perturbed copies) produced a verdict that passed its
+- status 1, infeasible: a Farkas ray y proves that every point of the box
+  misses Ax = b by more than FEAS_TOL*(1 + max|b|) in the 1-norm;
+- status 2, numerical failure: neither the passes from the region's kept
+  start nor the LP's own cold start produced a verdict that passed its
   certificate.
 
-`min_infeasibility` certifies its residual in the same way: a small one by
-the point it returns, a large one by a Farkas ray.
+`min_infeasibility` solves the elastic LP, min sum(s+ + s-) subject to
+Ax + s+ - s- = b over the box, by the same dual start, and certifies its
+answer in the same way: a small miss by the point it returns, a large one
+by a Farkas ray.
 
-Every entry point climbs one retry ladder over one region (A, b, lo, up),
-a `Ladder`.  Phase 1 does not depend on the cost, so each rung runs it
-once per ladder, when a pass first climbs there, and the ladder keeps its
-end.  The entry points on raw arrays climb a new ladder per call; a
-constrained zonotope keeps the ladder of its factor box
-(`ConstrainedZonotope.lp_ladder`), so phase 1 runs once per region per set
-object, however many queries follow.  `solve_bounded_many` answers many
-costs over one region, as the oracles' support LPs over many directions
-ask.  On each rung, a cost starts phase 2 warm, from the final state of
-the cost before it in the same call when that one was certified optimal:
-only the cost differs, so that basis is still primal feasible.  The first
-cost still open, and a cost after one that failed, start from a copy of
-the phase-1 end; no phase-2 state carries over between calls.  A warm
-answer may be another optimal vertex than a cold start finds, and is
-certified the same way.  A warm pass that fails, or whose verdict fails its
-certificate, is run once more from the phase-1 end on the same rung: the
-basis it started from may be degenerate enough to stall it.  A cost whose
-cold pass fails or whose verdict fails its certificate moves up to the
-next rung, and a certified infeasible phase 1 answers every cost still
-open.  `solve_bounded` is its one-cost case.  `min_infeasibility` reads
-the phase-1 end of each rung and runs no phase 2.
+Every entry point works on one region (A, b, lo, up), a `Ladder`.  A
+ladder keeps one start that does not depend on any cost: the dual start
+for the cost 0, made the first time a call needs it.  The entry points on
+raw arrays make a new ladder per call; a constrained zonotope keeps the
+ladder of its factor box (`ConstrainedZonotope.lp_ladder`), so the start
+is made once per region per set object, however many queries follow.
+`solve_bounded_many` answers many costs over one region, as the oracles'
+support LPs over many directions ask.  A cost runs phase 2, the primal
+loop, warm from the final state of the cost before it in the same call
+when that one was certified optimal: only the cost differs, so that basis
+is still primal feasible.  The first cost, and a cost after one that
+failed, run from a copy of the kept start; no phase-2 state carries over
+between calls.  A warm answer may be another optimal vertex than a cold
+start finds, and is certified the same way.  A warm pass that is not
+certified runs once more from the kept start.  A cost that no pass
+answers, warm or from the kept start, gets one cold retry: the dual start
+for its own cost; when the kept start itself is not certified, that is
+every cost with no warm state to start from.  A certified infeasible start
+answers every cost.  `solve_bounded` is the one-cost case.
 
 `Ladder.children` answers the children of one LP: the same region with
 chosen columns pinned to given values, as a leaf of a hybrid zonotope is
 its relaxation with the binary factors pinned.  The parent, the LP without
-pins, is solved on rung 0 from the kept phase-1 end; pinning changes no
+pins, is solved as a cost of `solve_bounded_many` is; pinning changes no
 cost and frees no column, so its optimal basis stays dual feasible for
 every child, and a dual simplex pass (`_dual_pass`, `_dual_loop`) restores
-primal feasibility from a copy of it, with no phase 1.  The pass ends
-optimal, or with the row of a basic variable that no column can move back
-into its bounds, whose row of the inverse is a candidate Farkas ray.  Its
-proposal is certified by `_verdict` on the original A and b with the
+primal feasibility from a copy of it, with no start of its own.  The pass
+ends optimal, or with the row of a basic variable that no column can move
+back into its bounds, whose row of the inverse is a candidate Farkas ray.
+Its proposal is certified by `_verdict` on the original A and b with the
 pinned bounds, which is the child's LP exactly, so a child's verdict
 certifies what the module's other verdicts do.  A child that is not
-certified, and every child of a parent not certified on rung 0, is
-returned as None, for the caller to answer on a ladder of its own.
+certified, and every child of a parent not certified optimal, is returned
+as None, for the caller to answer on a ladder of its own.
 """
 
 from collections import Counter
@@ -104,23 +109,28 @@ PIV_TOL = 1e-9
 DEGEN_SWITCH = 60  # consecutive degenerate pivots before switching to Bland
 DEGEN_BAIL = 10000  # consecutive degenerate pivots before giving up
 REFACTOR_EVERY = 100  # pivots between rebuilds of the basis inverse
+PERTURB = 1e-7  # the dual start's cost move, relative to 1 + max|c|
+_GOLDEN = 0.6180339887498949  # frac(j * _GOLDEN) spreads the moves apart
 
 
 @dataclass
 class LpStats:
     """Counts of the kernel's work while an `lp_stats()` block is open.
 
-    `pivots`, `degenerate` and `bland` are keyed by phase (1 or 2, or
-    "dual" for the dual passes of `Ladder.children`) and count the steps of
-    the simplex loops (a basis change or a bound flip): all of them, those
-    whose step (primal, or dual in a dual pass) was no more than 1e-12, and
-    those taken under Bland's rule.  `phase1_runs` counts the phase 1s run,
-    and `phase1_reused` the rung starts read from a `Ladder` that had run that
-    rung's phase 1 in an earlier call.  `artificials` lists, per phase-1
-    start, the number of rows that start with an artificial basic variable.
-    `rows` counts the LPs answered: each cost row of a `solve_bounded_many`
-    batch and each `min_infeasibility` call that returns.  `rungs` counts
-    the certified answers by the rung of the retry ladder that gave them,
+    `pivots`, `degenerate` and `bland` are keyed by phase and count the
+    steps of the simplex loops (a basis change or a bound flip): all of
+    them, those whose step (primal, or dual in a dual loop) was no more
+    than 1e-12, and those taken under Bland's rule.  Phase 1 is the dual
+    starts, both their loops; phase 2 the primal passes from a start or
+    from the row before; "dual" the dual passes of `Ladder.children`.
+    `phase1_runs` counts the dual starts made, and `phase1_reused` the
+    reads of a start, or of a `min_infeasibility` answer, that a `Ladder`
+    kept from an earlier call.  `artificials` lists, per start, the number
+    of rows that start with an artificial basic variable.  `rows` counts the
+    LPs answered: each cost row of a `solve_bounded_many` batch and each
+    `min_infeasibility` call that returns.  `cold_retries` counts the LPs
+    (batch rows, and parents of `Ladder.children`) answered by their own
+    cold start, since no pass from the region's kept start was certified,
     and `status` the answers of `solve_bounded_many` rows by status.
     `children` counts the children of `Ladder.children` that a dual pass
     answered with a certified verdict, and `child_fallbacks` those it left
@@ -140,13 +150,13 @@ class LpStats:
     refactors: int = 0
     children: int = 0
     child_fallbacks: int = 0
-    rungs: Counter = field(default_factory=Counter)
+    cold_retries: int = 0
     status: Counter = field(default_factory=Counter)
     max_residual: float = 0.0
     max_gap: float = 0.0
 
     def to_obj(self):
-        """The counters as a JSON-ready dict; per-phase and per-rung keys
+        """The counters as a JSON-ready dict; per-phase and per-status keys
         become strings."""
         return {
             "rows": self.rows,
@@ -159,7 +169,7 @@ class LpStats:
             "refactors": self.refactors,
             "children": self.children,
             "child_fallbacks": self.child_fallbacks,
-            "rungs": {str(k): v for k, v in sorted(self.rungs.items())},
+            "cold_retries": self.cold_retries,
             "status": {str(k): v for k, v in sorted(self.status.items())},
             "max_residual": self.max_residual,
             "max_gap": self.max_gap,
@@ -207,7 +217,7 @@ def _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
         it += 1
         if pivots_since_refactor >= REFACTOR_EVERY:
             # a singular basis cannot be repaired, so bail out and let the
-            # driver retry on a perturbed problem
+            # caller retry from a cold start
             if not _rebuild(Binv, A_all, b, x, basis):
                 break
             pivots_since_refactor = 0
@@ -278,7 +288,7 @@ def _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
 
 
 def _dual_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
-               max_iter):
+               max_iter, phase):
     """Bounded-variable dual simplex from the basis `basis` with inverse
     Binv, dual feasible for `cost`; every state array is changed in place.
 
@@ -293,7 +303,7 @@ def _dual_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
     `_simplex_loop`.  Returns (status, row): 0 when every basic value is
     within its bounds, so the basis is optimal; 1 when no column can enter
     for the basic variable of `row`, whose row of Binv is then a candidate
-    Farkas ray; 2 on failure.
+    Farkas ray; 2 on failure.  Its steps count under `phase`.
     """
     movable = U > L
     blowup = 1e9 * (1.0 + np.abs(U).max(initial=0.0))
@@ -365,7 +375,7 @@ def _dual_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
         bland = degen > DEGEN_SWITCH
         if degen > DEGEN_BAIL:
             break
-    _count_steps("dual", steps, degenerate, under_bland, refactors)
+    _count_steps(phase, steps, degenerate, under_bland, refactors)
     return status, row
 
 
@@ -459,7 +469,7 @@ def _crash(A, r, lo, up):
     A lo).  Where that is within its bounds, the column covers row i.  Each
     covered row takes the covering column with the largest |a_ij|, then the
     lowest j.  A singleton column touches no other row, so the rows are
-    covered independently.  Returns (rows, cols, values).
+    covered independently.  Returns (rows, cols).
     """
     nz = A != 0.0
     single = np.flatnonzero(np.count_nonzero(nz, axis=0) == 1)
@@ -467,217 +477,136 @@ def _crash(A, r, lo, up):
     a = A[rows, single]
     v = lo[single] + r[rows] / a
     ok = (v >= lo[single]) & (v <= up[single])
-    rows, cols, a, v = rows[ok], single[ok], a[ok], v[ok]
+    rows, cols, a = rows[ok], single[ok], a[ok]
     order = np.lexsort((cols, -np.abs(a), rows))
     rows, first = np.unique(rows[order], return_index=True)
-    pick = order[first]
-    return rows, cols[pick], v[pick]
+    return rows, cols[order[first]]
 
 
-def _with_artificials(A, art_sign):
-    """[A, diag(art_sign)]: the columns of A, then one artificial per row."""
-    m, n = A.shape
-    A_all = np.zeros((m, n + m))
-    A_all[:, :n] = A
-    A_all[np.arange(m), n + np.arange(m)] = art_sign
-    return A_all
+def _with_artificials(A):
+    """[A, I]: the columns of A, then one artificial per row."""
+    return np.hstack([A, np.eye(A.shape[0])])
 
 
-def _phase1(A, b, lo, up, max_iter):
-    """Phase 1 of a region, from a crash basis.
+def _proposal(st, row, Binv, A_all, b, x, basis, cost):
+    """The proposal (status, x, y) of a loop that ended with status st.
 
-    Every row has an artificial column, signed so that it starts at |r_i|
-    (r = b - A lo), and phase 1 minimises their total.  A row covered by an
-    in-bounds singleton column (`_crash`) starts with that column basic and
-    its artificial nonbasic at zero; the other rows start with their
-    artificial basic.  The start basis is diagonal, so its inverse is too.
+    For status 0 the basic values are settled onto A_all x = b (`_settle`)
+    and y are the duals of `cost`, the caller's true cost; for status 1 y
+    is the row of the inverse at the basic variable of `row`, a candidate
+    Farkas ray.  x is the structural part of the final point.  Any other
+    status, or values or duals that are not finite, propose status 2 with
+    y None.
+    """
+    y = None
+    if st == 0 and _settle(Binv, A_all, b, x, basis):
+        y = _duals(Binv, A_all, basis, cost[basis])
+    elif st == 1 and np.isfinite(Binv[row]).all():
+        y = Binv[row].copy()
+    return (2 if y is None else st), x[:A_all.shape[1] - b.shape[0]].copy(), y
 
-    Returns the end (status, art_sign, state): status 0 when the
-    artificials' total reached its minimum on a nonsingular basis, else 2.
-    The columns of the region are A_all = [A, diag(art_sign)]
-    (`_with_artificials`); state = (Binv, x, L, U, basis, in_basis,
-    at_upper) are the arrays that a pass goes on to change, Binv the
-    inverse of the basis columns A_all[:, basis].
+
+def _start(c, A, b, lo, up, max_iter):
+    """The dual start: min c'x over {Ax = b, lo <= x <= up}, cold.
+
+    The columns are A_all = [A, I] (`_with_artificials`), each artificial
+    fixed at [0, 0].  The start basis is diagonal: the crash columns
+    (`_crash`) in the rows they cover, the artificials in the others.  The
+    cost of each nonbasic column is moved by delta_j = PERTURB * (1 +
+    max|c|) * (1 + frac(j * _GOLDEN)) away from zero reduced cost, on the
+    side of its reduced cost, and the column sits at the bound that side
+    favours: lo for a reduced cost >= 0, up otherwise.  So the start is
+    dual feasible for the moved costs, with no reduced cost at 0.  Its
+    basic values are solved from the nonbasic ones, and `_dual_loop` runs
+    on the moved costs.  When it ends optimal, `_simplex_loop` finishes on
+    the true costs from that primal feasible basis.  Both loops count as
+    phase 1.
+
+    Returns (proposal, state): the proposal (status, x, y) of `_proposal`,
+    and, when it is optimal, the final state (Binv, x, L, U, basis,
+    in_basis, at_upper) over A_all, from which `_pass` runs phase 2 for
+    another cost; else None.
     """
     m, n = A.shape
     N = n + m
-    r = b - A @ lo
-    # loose artificial bound: a tight bound would start every artificial at
-    # its upper bound and block all progress with degenerate ratios
-    art_cap = np.sum(np.abs(r)) + 1.0
+    A_all = _with_artificials(A)
     L = np.concatenate([lo, np.zeros(m)])
-    U = np.concatenate([up, np.full(m, art_cap)])
-    x = np.concatenate([lo, np.abs(r)])
-    at_upper = np.zeros(N, dtype=np.bool_)
-    art_sign = np.where(r >= 0.0, 1.0, -1.0)
-    A_all = _with_artificials(A, art_sign)
+    U = np.concatenate([up, np.zeros(m)])
     basis = n + np.arange(m)
-    pivot = art_sign.copy()
-    rows, cols, vals = _crash(A, r, lo, up)
+    pivot = np.ones(m)
+    rows, cols = _crash(A, b - A @ lo, lo, up)
     basis[rows] = cols
     pivot[rows] = A[rows, cols]
-    x[cols] = vals
-    x[n + rows] = 0.0
     Binv = np.diag(1.0 / pivot)
     in_basis = np.zeros(N, dtype=np.bool_)
     in_basis[basis] = True
+    cost = np.zeros(N)
+    cost[:n] = c
+    d = cost - (cost[basis] @ Binv) @ A_all
+    at_upper = ~in_basis & (d < 0.0)
+    delta = PERTURB * (1.0 + np.abs(c).max(initial=0.0)) \
+        * (1.0 + np.arange(N) * _GOLDEN % 1.0)
+    moved = cost + np.where(in_basis, 0.0, np.where(at_upper, -delta, delta))
+    x = np.where(at_upper, U, L)
+    x[basis] = 0.0
     for stats in _OPEN_STATS:
         stats.phase1_runs += 1
         stats.artificials.append(m - len(rows))
+    st, row = 2, -1
+    if _settle(Binv, A_all, b, x, basis):
+        st, row = _dual_loop(Binv, A_all, b, x, L, U, basis, in_basis,
+                             at_upper, moved, max_iter, 1)
+    if st == 0:
+        st = _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis,
+                           at_upper, cost, max_iter, 1)
+    proposal = _proposal(st, row, Binv, A_all, b, x, basis, cost)
+    state = Binv, x, L, U, basis, in_basis, at_upper
+    return proposal, (state if proposal[0] == 0 else None)
 
-    cost1 = np.zeros(N)
-    cost1[n:] = 1.0
+
+def _pass(start, c, A_all, b, max_iter):
+    """Phase 2 for the cost c, in place on `start`, a primal feasible state
+    over the columns A_all = [A, I] that `_start` or an earlier pass left.
+
+    Returns (proposal, state) as `_start` does; state is `start` itself,
+    changed, when the proposal is optimal, else None.  Phase 2 starts
+    feasible, so it never proposes status 1.
+    """
+    Binv, x, L, U, basis, in_basis, at_upper = start
+    cost = np.zeros(A_all.shape[1])
+    cost[:c.shape[0]] = c
     st = _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
-                       cost1, max_iter, 1)
-    ok = st == 0 and _settle(Binv, A_all, b, x, basis)
-    return (0 if ok else 2), art_sign, (Binv, x, L, U, basis, in_basis,
-                                        at_upper)
-
-
-def _noise(n, seed):
-    """Deterministic pseudo-noise in [-0.5, 0.5) (linear congruential)."""
-    out = np.empty(n)
-    s = seed
-    for i in range(n):
-        s = (1103515245 * s + 12345) % 2147483648
-        out[i] = s / 2147483648.0 - 0.5
-    return out
-
-
-# --- retry ladder and certificates, on the original data ------------------
-
-def _onto_original(A_all, b, lo, up, x, basis, Binv):
-    """Carry the final point x of a perturbed pass over to the original data.
-
-    Nonbasic variables sit on a perturbed bound and move to the original
-    one, nonbasic artificials to 0; the basic values then take one step from
-    the pass's inverse (`_settle`).  Returns the structural part, or None
-    when the step is not finite.
-    """
-    n = lo.shape[0]
-    onto = np.zeros_like(x)
-    onto[:n] = np.clip(x[:n], lo, up)
-    onto[basis] = x[basis]
-    return onto[:n] if _settle(Binv, A_all, b, onto, basis) else None
-
-
-def _rung_region(k, lo, up, max_iter):
-    """Bounds, iteration budget and cost shift of rung k of the retry ladder.
-
-    Rung 0 is the problem as given; rungs 1 to 5 are perturbed copies.  A
-    pass can fail (a degenerate crawl ending in a drifted basis) or propose
-    a verdict its certificate rejects (a phase 1 that stalls just above the
-    feasibility threshold).  Shifting the objective and widening the bounds
-    by O(1e-9) breaks the ties that cause the stall.
-    """
-    if k == 0:
-        return lo, up, max_iter, None
-    n = lo.shape[0]
-    j = k - 1
-    eps = 1e-9 * 10.0 ** (j // 2)
-    lop = lo - eps * np.abs(_noise(n, 211 + 37 * j))
-    upp = up + eps * np.abs(_noise(n, 307 + 37 * j))
-    return lop, upp, 2 * max_iter, (eps, _noise(n, 101 + 37 * j))
-
-
-def _pass(rung, c, A, b, lo, up, start=None):
-    """One pass on a rung: phase 2 for the cost c, or nothing more when c
-    is None.
-
-    Phase 2 runs in place on `start`, the final state of an earlier pass on
-    this rung, or on a copy of the end of its phase 1 when start is None.
-    Only the cost differs between passes on a rung, so every such state is
-    primal feasible.  Whether the region is infeasible is read from the
-    phase-1 end in either case.
-
-    Returns (proposal, state).  The proposal (status, x, y) holds the
-    structural part of the final point and the duals of the final basis,
-    both read from the basis inverse that the pass carries: after phase 2,
-    the duals of the caller's cost c (status 0), and otherwise those of the
-    phase-1 cost, a candidate Farkas ray (status 1, or c None).  y is None
-    for status 2, which is also the status of a pass whose final values or
-    duals are not finite.  Its status is a proposal that the caller still
-    has to certify, with y as the certificate's duals.  The perturbed
-    problem is not the caller's problem: the point of a perturbed rung is
-    carried back onto the original bounds (`_onto_original`), and the
-    caller certifies it on the original data.  state is the final state of
-    phase 2 when it ended optimal, else None.
-    """
-    (st, A_all, phase1_end), max_iter, shift = rung
-    m, n = A.shape
-    Binv, x, basis = phase1_end[0], phase1_end[1], phase1_end[4]
-    cost_B = (basis >= n).astype(np.float64)  # the phase-1 cost of the basis
-    state = None
-    if st == 0 and c is not None:
-        # a sequential total: np.sum adds pairwise and rounds differently
-        p1 = np.cumsum(np.abs(x[n:]))[-1] if m > 0 else 0.0
-        scale = 1.0 + np.max(np.abs(b)) if m > 0 else 1.0
-        if p1 > FEAS_TOL * scale:
-            st = 1
-        else:
-            if start is None:
-                start = tuple(a.copy() for a in phase1_end)
-            Binv, x, L, U, basis, in_basis, at_upper = state = start
-            # pin artificials at zero and optimize the true objective
-            L[n:] = 0.0
-            U[n:] = 0.0
-            x[n:] = np.where(in_basis[n:], x[n:], 0.0)
-            at_upper[n:] &= in_basis[n:]
-            cost2 = np.zeros(n + m)
-            cost2[:n] = c
-            if shift is not None:
-                eps, noise = shift
-                cost2[:n] += eps * (1.0 + np.max(np.abs(c), initial=0.0)) * noise
-            st = _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis,
-                               at_upper, cost2, max_iter, 2)
-            if st == 0 and not _settle(Binv, A_all, b, x, basis):
-                st = 2
-            # the duals of the caller's cost: the certificate's objective
-            cost_B = np.append(c, np.zeros(m))[basis]
-    point = x[:n].copy()
-    if shift is not None and st == 0:
-        point = _onto_original(A_all, b, lo, up, x, basis, Binv)
-    y = _duals(Binv, A_all, basis, cost_B) if st in (0, 1) else None
-    if point is None or y is None:
-        st, point = 2, x[:n].copy()
-    return (st, point, y), (state if st == 0 else None)
+                       cost, max_iter, 2)
+    proposal = _proposal(st, -1, Binv, A_all, b, x, basis, cost)
+    return proposal, (start if proposal[0] == 0 else None)
 
 
 def _dual_pass(parent, A_all, b, c, cols, v, max_iter):
-    """One dual pass: the LP of a parent's final phase-2 state, with the
+    """One dual pass: the LP of a parent's final optimal state, with the
     columns `cols` pinned to the values v.
 
-    It runs on a copy of `parent`, an optimal state of phase 2 for the
-    cost c on rung 0 (see `_pass`): the pinned columns get L = U = v, the
-    nonbasic ones move to v, and the basic values are settled onto
-    A_all x = b from the carried inverse (`_settle`).  Pinning changes no
-    cost and frees no column, so the parent's basis stays dual feasible,
-    and `_dual_loop` restores primal feasibility from it.
-
-    Returns a proposal (status, x, y) as `_pass` does: for status 0 the
-    duals of c, read from the final inverse; for status 1 the row of the
-    final inverse at the basic variable that no column could move, a
-    candidate Farkas ray; y is None for status 2.
+    It runs on a copy of `parent`, an optimal state for the cost c (see
+    `_pass`): the pinned columns get L = U = v, the nonbasic ones move to
+    v, and the basic values are settled onto A_all x = b from the carried
+    inverse (`_settle`).  Pinning changes no cost and frees no column, so
+    the parent's basis stays dual feasible, and `_dual_loop` restores
+    primal feasibility from it.  Returns the proposal (status, x, y) of
+    `_proposal`.
     """
-    m = A_all.shape[0]
-    n = A_all.shape[1] - m
     Binv, x, L, U, basis, in_basis, at_upper = (a.copy() for a in parent)
     L[cols] = v
     U[cols] = v
     x[cols] = np.where(in_basis[cols], x[cols], v)
-    cost = np.zeros(n + m)
-    cost[:n] = c
+    cost = np.zeros(A_all.shape[1])
+    cost[:c.shape[0]] = c
     st, row = 2, -1
     if _settle(Binv, A_all, b, x, basis):
         st, row = _dual_loop(Binv, A_all, b, x, L, U, basis, in_basis,
-                             at_upper, cost, max_iter)
-    y = None
-    if st == 0 and _settle(Binv, A_all, b, x, basis):
-        y = _duals(Binv, A_all, basis, cost[basis])
-    elif st == 1 and np.all(np.isfinite(Binv[row])):
-        y = Binv[row].copy()
-    return (2 if y is None else st), x[:n].copy(), y
+                             at_upper, cost, max_iter, "dual")
+    return _proposal(st, row, Binv, A_all, b, x, basis, cost)
 
+
+# --- certificates, on the original data ----------------------------------
 
 def _farkas_bound(A, b, lo, up, y):
     """Lower bound on min ||Ax - b||_1 over the box, proven by the ray y.
@@ -757,91 +686,99 @@ def _check_cost(C):
 
 
 class Ladder:
-    """The retry ladder of one region {x : Ax = b, lo <= x <= up}.
+    """The LP work of one region {x : Ax = b, lo <= x <= up}, kept between
+    calls.
 
-    It has six rungs, the problem as given and then five perturbed copies
-    (`_rung_region`).  Rung k's phase 1 runs the first time a call climbs to
-    it, and its end is kept for every later call on this object, since
-    phase 1 does not depend on the cost.  A later call reads it from here
-    (`LpStats.phase1_reused`) and runs its passes on copies of it.  Only
-    phase-1 ends are kept, read-only: no state of a phase 2 outlives its
-    call, so an answer does not depend on the calls made before it.  A rung
-    keeps its phase-1 status, its artificial signs and its end, the basis
-    inverse included, and every read returns that same end; the columns
-    A_all = [A, diag(art_sign)], the largest array of a rung, are not kept
-    but rebuilt from A and the signs on each read.  A pass may take
-    200 (m + n) + 2000 steps on rung 0, and twice as many on a perturbed
-    rung.  A ladder holds arrays and numbers only, so it pickles and
+    A ladder has two rungs.  Rung 0 is the region's kept start: the dual
+    start (`_start`) for the cost 0, made the first time a call needs it,
+    and kept with its certified verdict and, when optimal, its final state,
+    read-only.  It does not depend on any cost, so every later call reads
+    the same start (`LpStats.phase1_reused`) and runs its passes on copies
+    of it.  Rung 1 is a cost's own cold start, the dual start for that
+    cost, run only for a cost that no pass from rung 0 answers and kept by
+    no one.  The answer of `min_infeasibility`, the elastic LP's, is kept
+    too, since it does not depend on the query either.  No state of a
+    phase 2 outlives its call, so an answer does not depend on the calls
+    made before it.  The columns A_all = [A, I] are not kept but rebuilt
+    from A on each call.  Every loop run may take 200 (m + n) + 2000
+    steps.  A ladder holds arrays and numbers only, so it pickles and
     deep-copies.
     """
 
     def __init__(self, A, b, lo, up):
         self.A, self.b, self.lo, self.up = _as_arrays(A, b, lo, up)
         self.max_iter = 200 * sum(self.A.shape) + 2000
-        self._ends = [None] * 6  # per rung, once climbed to
+        self._kept = None  # (verdict, state) of rung 0, once made
+        self._elastic = None  # the elastic LP's answer, once solved
 
-    def __len__(self):
-        return len(self._ends)
-
-    def rung(self, k):
-        """Rung k as ((phase-1 status, A_all, phase-1 end), iteration
-        budget, cost shift); see `_phase1` and `_pass`.  Every read returns
-        the same read-only end and a new A_all."""
-        if self._ends[k] is None:
-            lo, up, budget, shift = _rung_region(k, self.lo, self.up,
-                                                 self.max_iter)
-            st, art_sign, end = _phase1(self.A, self.b, lo, up, budget)
-            for a in (art_sign, *end):
-                a.setflags(write=False)
-            self._ends[k] = st, art_sign, end, budget, shift
+    def kept_start(self):
+        """(verdict, state) of rung 0: the certified verdict of the dual
+        start for the cost 0, or None, and its read-only final state when
+        that verdict is optimal, else None.  Every read returns the same
+        pair."""
+        if self._kept is None:
+            A, b, lo, up = self.A, self.b, self.lo, self.up
+            zero = np.zeros(A.shape[1])
+            proposal, state = _start(zero, A, b, lo, up, self.max_iter)
+            verdict = _verdict(zero, A, b, lo, up, proposal)
+            if verdict is None or verdict[0] != 0:
+                state = None
+            else:
+                for a in state:
+                    a.setflags(write=False)
+            self._kept = verdict, state
         else:
             for stats in _OPEN_STATS:
                 stats.phase1_reused += 1
-        st, art_sign, end, budget, shift = self._ends[k]
-        return (st, _with_artificials(self.A, art_sign), end), budget, shift
+        return self._kept
+
+    def _row(self, c, A_all, kept, warm):
+        """(verdict, state) of the cost c: phase 2 from `warm`, the state of
+        the row before (or None), then from a copy of the kept start when it
+        is optimal, and then the cold start for c.  state is the final state
+        of a certified optimal answer, else None; an answer that none
+        certifies is (2, 0.0, x) for the last proposal's x.  A certified
+        infeasible kept start answers at once."""
+        A, b, lo, up = self.A, self.b, self.lo, self.up
+        verdict, state = kept
+        if verdict is not None and verdict[0] == 1:
+            return verdict, None
+        for start in (warm, state):
+            if start is not None:
+                if start is state:
+                    start = tuple(a.copy() for a in state)  # kept read-only
+                proposal, out = _pass(start, c, A_all, b, self.max_iter)
+                verdict = _verdict(c, A, b, lo, up, proposal)
+                if verdict is not None:
+                    return verdict, out
+        proposal, out = _start(c, A, b, lo, up, self.max_iter)
+        verdict = _verdict(c, A, b, lo, up, proposal)
+        if verdict is None:
+            return (2, 0.0, proposal[1]), None
+        for stats in _OPEN_STATS:
+            stats.cold_retries += 1
+        return verdict, (out if verdict[0] == 0 else None)
 
     def solve_many(self, C):
         """`solve_bounded_many` over this region."""
         (C,) = _as_arrays(C)
         _check_cost(C)
-        A, b, lo, up = self.A, self.b, self.lo, self.up
+        A = self.A
         if A.shape == (0, 0):
             return [(0, 0.0, np.zeros(0)) for _ in C]
-        out = [None] * len(C)
-        rung_of = [None] * len(C)  # the rung that certified each row
-        todo = list(range(len(C)))
-        for k in range(len(self)):
-            rung = self.rung(k)
-            failed = []
-            warm = None  # the final state of the row before, if certified
-            for i in todo:
-                proposal, state = _pass(rung, C[i], A, b, lo, up, warm)
-                verdict = _verdict(C[i], A, b, lo, up, proposal)
-                if verdict is None and warm is not None:
-                    # a warm start may crawl from a degenerate basis until
-                    # its pass fails: retry from the phase-1 end first
-                    proposal, state = _pass(rung, C[i], A, b, lo, up)
-                    verdict = _verdict(C[i], A, b, lo, up, proposal)
-                if verdict is None:
-                    warm = None  # the failed pass changed it in place
-                    failed.append(i)
-                    out[i] = 2, 0.0, proposal[1]  # unless a later rung certifies
-                elif verdict[0] == 1:
-                    for j in todo:
-                        out[j] = 1, 0.0, verdict[2].copy()
-                        rung_of[j] = k
-                    failed = []
-                    break
-                else:
-                    out[i] = verdict
-                    rung_of[i] = k
-                    warm = state
-            todo = failed
-            if not todo:
+        kept = self.kept_start()
+        A_all = _with_artificials(A)
+        out = []
+        warm = None  # the final state of the row before, if certified
+        for c in C:
+            verdict, warm = self._row(c, A_all, kept, warm)
+            if verdict[0] == 1:
+                # infeasibility does not depend on the cost
+                out = [(1, 0.0, verdict[2].copy()) for _ in C]
                 break
+            out.append(verdict)
         for stats in _OPEN_STATS:
             stats.rows += len(C)
-            stats.rungs.update(k for k in rung_of if k is not None)
             stats.status.update(st for st, _, _ in out)
         return out
 
@@ -850,32 +787,31 @@ class Ladder:
         row of V: one (status, objective, x) per row, or None where it is
         not certified.
 
-        The parent is the LP without pins, solved on rung 0 from the kept
-        phase-1 end.  Each child starts from a copy of the parent's certified
-        optimal state and runs one dual pass (`_dual_pass`) on rung 0 alone,
-        with no phase 1 and no ladder of its own.  Its proposal is
-        certified by `_verdict` on the original A and b with lo and up
-        pinned, which is the child's LP exactly, so a child that is not None
-        is as certain as any answer of `solve_many`.  When the parent is
-        not certified optimal on rung 0, every child is None.  No state
-        outlives the call.  Raises ValueError, as `solve_many` does, for a
-        cost with a NaN or infinite entry.
+        The parent is the LP without pins, solved as a row of `solve_many`
+        is: from the kept start, then by its own cold start.  Each child
+        starts from a copy of the parent's certified optimal state and runs
+        one dual pass (`_dual_pass`), with no start and no ladder of its
+        own.  Its proposal is certified by `_verdict` on the original A and
+        b with lo and up pinned, which is the child's LP exactly, so a
+        child that is not None is as certain as any answer of
+        `solve_many`.  When the parent is not certified optimal, every
+        child is None.  No state outlives the call.  Raises ValueError, as
+        `solve_many` does, for a cost with a NaN or infinite entry.
         """
         c, V = _as_arrays(c, V)
         _check_cost(c)
         cols = np.asarray(cols, dtype=np.intp)
         A, b, lo, up = self.A, self.b, self.lo, self.up
         out = [None] * len(V)
-        rung = self.rung(0)
-        proposal, parent = _pass(rung, c, A, b, lo, up)
-        verdict = _verdict(c, A, b, lo, up, proposal)
-        if verdict is not None and verdict[0] == 0:
-            (_, A_all, _), budget, _ = rung
+        A_all = _with_artificials(A)
+        verdict, parent = self._row(c, A_all, self.kept_start(), None)
+        if verdict[0] == 0:
             for i, v in enumerate(V):
                 lo_v, up_v = lo.copy(), up.copy()
                 lo_v[cols] = v
                 up_v[cols] = v
-                proposal = _dual_pass(parent, A_all, b, c, cols, v, budget)
+                proposal = _dual_pass(parent, A_all, b, c, cols, v,
+                                      self.max_iter)
                 out[i] = _verdict(c, A, b, lo_v, up_v, proposal)
         answered = sum(o is not None for o in out)
         for stats in _OPEN_STATS:
@@ -884,26 +820,48 @@ class Ladder:
         return out
 
     def min_infeasibility(self, tol=FEAS_TOL):
-        """`min_infeasibility` over this region."""
+        """`min_infeasibility` over this region.  The elastic LP is solved
+        once per ladder; each call certifies the kept answer against its
+        own tol."""
         A, b, lo, up = self.A, self.b, self.lo, self.up
         m, n = A.shape
         if m == 0:
             return 0.0, lo.copy()
         if n == 0:
             return float(np.sum(np.abs(b))), np.zeros(0)
+        if self._elastic is None:
+            self._elastic = self._solve_elastic()
+        else:
+            for stats in _OPEN_STATS:
+                stats.phase1_reused += 1
+        resid, x, witness, proven = self._elastic
         t = tol * (1.0 + np.max(np.abs(b)))
-        for k in range(len(self)):
-            (st, x, y), _ = _pass(self.rung(k), None, A, b, lo, up)
-            if st != 0 or not _within_bounds(lo, up, x):
-                continue
-            resid = float(np.sum(np.abs(A @ x - b)))
-            if resid <= t or _farkas_bound(A, b, lo, up, y) > t:
-                for stats in _OPEN_STATS:
-                    stats.rows += 1
-                    stats.rungs[k] += 1
-                return resid, x
-        raise NumericalFailure("phase 1 found neither a feasible point nor a "
-                               "Farkas ray")
+        if (witness and resid <= t) or proven > t:
+            for stats in _OPEN_STATS:
+                stats.rows += 1
+            return resid, x.copy()
+        raise NumericalFailure("the elastic LP found neither a feasible point "
+                               "nor a Farkas ray")
+
+    def _solve_elastic(self):
+        """(miss, x, witness, proven) of the elastic LP min sum(s+ + s-)
+        over [A, I, -I], with each slack in [0, sum|b - A lo| + 1]: the
+        1-norm miss ||Ax - b||_1 of its final point x on the original data,
+        whether x is within the box, and the miss that the elastic duals
+        prove as a Farkas ray (`_farkas_bound`), -inf without duals."""
+        A, b, lo, up = self.A, self.b, self.lo, self.up
+        m, n = A.shape
+        eye = np.eye(m)
+        cap = np.sum(np.abs(b - A @ lo)) + 1.0
+        (st, x, y), _ = _start(
+            np.concatenate([np.zeros(n), np.ones(2 * m)]),
+            np.hstack([A, eye, -eye]), b,
+            np.concatenate([lo, np.zeros(2 * m)]),
+            np.concatenate([up, np.full(2 * m, cap)]), self.max_iter)
+        x = x[:n]
+        witness = st == 0 and _within_bounds(lo, up, x)
+        proven = _farkas_bound(A, b, lo, up, y) if st == 0 else -np.inf
+        return float(np.sum(np.abs(A @ x - b))), x, witness, proven
 
 
 def solve_bounded(c, A, b, lo, up):
@@ -921,35 +879,31 @@ def solve_bounded(c, A, b, lo, up):
 def solve_bounded_many(C, A, b, lo, up):
     """`solve_bounded` for each cost row of C over one feasible region.
 
-    Returns one (status, objective, x) per row of C.  The rows climb the
-    retry ladder together: each row still open gets a pass on a rung, and a
-    row whose pass fails or whose verdict fails its certificate stays open
-    for the next rung.  A row on a rung starts from the final state of the
-    row before it when that row was certified optimal, else from the end of
-    the rung's phase 1; a warm row that is not certified gets one more pass
-    on the same rung, from the phase-1 end, before it climbs.  An
-    infeasible verdict comes from phase 1 alone, so once certified it
-    answers every row still open.  Status 2 means that the whole ladder
-    failed for that row.  A cost row with a NaN or infinite entry raises
-    ValueError before any pass runs.  Each call climbs a new `Ladder`;
-    `Ladder.solve_many` answers on a kept one.
+    Returns one (status, objective, x) per row of C.  A row runs phase 2
+    from the final state of the row before it when that row was certified
+    optimal, else from the region's kept start, the dual start for the
+    cost 0; a warm row that is not certified runs once more from the kept
+    start.  A row that no pass from the kept start answers gets one cold
+    retry, the dual start for its own cost.  An infeasible verdict does not
+    depend on the cost, so once certified it answers every row.  Status 2
+    means that the cold retry failed too.  A cost row with a NaN or
+    infinite entry raises ValueError before any pass runs.  Each call
+    makes a new `Ladder`; `Ladder.solve_many` answers on a kept one.
     """
     return Ladder(A, b, lo, up).solve_many(C)
 
 
 def min_infeasibility(A, b, lo, up, tol=FEAS_TOL):
-    """Phase-1 optimum: small total equality violation over the box.
+    """The least 1-norm miss of Ax = b over the box.
 
     Returns (residual, x): x is in the box up to the bound tolerance of an
-    optimal point, and residual = ||Ax - b||_1 on the original data.  The
-    residual is certified against the threshold t = tol*(1 + max|b|) that
-    callers compare it with: a residual <= t is witnessed by x, and a
-    residual > t comes with a Farkas ray proving that every point of the box
-    misses by more than t.  It bounds the minimal violation from above and
-    can exceed it, since phase 1 fixes the sign of each row's violation to
-    the sign of b - A lo, also on the rows whose crash column starts basic.
-    Raises NumericalFailure when no rung of the retry ladder yields such a
-    certificate.  Each call climbs a new `Ladder`;
-    `Ladder.min_infeasibility` answers on a kept one.
+    optimal point, and residual = ||Ax - b||_1 on the original data, the
+    optimum of the elastic LP min sum(s+ + s-) subject to Ax + s+ - s- = b.
+    The residual is certified against the threshold t = tol*(1 + max|b|)
+    that callers compare it with: a residual <= t is witnessed by x, and a
+    residual > t comes with a Farkas ray, the elastic LP's duals, proving
+    that every point of the box misses by more than t.  Raises
+    NumericalFailure when the elastic LP yields neither.  Each call makes a
+    new `Ladder`; `Ladder.min_infeasibility` answers on a kept one.
     """
     return Ladder(A, b, lo, up).min_infeasibility(tol)

@@ -172,7 +172,8 @@ def convex_relaxation(H: AnySet) -> ConstrainedZonotope:
 
     The relaxation is made once and kept on H: every call on H returns the
     same object, so queries on it share its LP work.  With no binaries it is
-    H's one leaf, so the leaf and the relaxation share one LP ladder.
+    H's one leaf, so the leaf and the relaxation share one LP ladder, the
+    kernel's kept start over their factor region.
     """
     if isinstance(H, ConstrainedZonotope):
         return H

@@ -125,9 +125,10 @@ class ConstrainedZonotope:
         return np.zeros(self.n_g), np.ones(self.n_g)
 
     def lp_ladder(self) -> _simplex.Ladder:
-        """The LP kernel's retry ladder over the factor region {xi in the
-        factor box : A xi = b}, kept on this set: each rung's phase 1 runs
-        at most once per set object, whatever the queries that climb it."""
+        """The LP kernel's kept work over the factor region {xi in the
+        factor box : A xi = b}, kept on this set: its dual start for the
+        cost 0, and its `min_infeasibility` answer, are each made at most
+        once per set object, whatever the queries that read them."""
         return _kept(self, "lp_ladder",
                      lambda: _simplex.Ladder(self.A, self.b, *self.factor_bounds()))
 

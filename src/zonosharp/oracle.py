@@ -9,16 +9,18 @@ directions where the relaxation's optimum is not already a point of a leaf
 often none, and then no leaf LP runs.  In the other, open, directions each
 leaf LP is a child of the relaxation's LP, its binary columns pinned, and
 the kernel answers it by a dual pass from the relaxation's optimal basis
-(`_simplex.Ladder.children`), with no phase 1 on the leaf; only a child
-that the kernel does not certify runs on its leaf's own retry ladder.
+(`_simplex.Ladder.children`), with no start of its own on the leaf; only
+a child that the kernel does not certify runs on its leaf's own ladder.
 
 A set keeps the work that does not depend on the query: its leaves
 (`core.leaves`), its relaxation (`algebra.convex_relaxation`) and, for each
-constrained zonotope, the retry ladder of its factor box
-(`ConstrainedZonotope.lp_ladder`).  So `support`, `support_point`,
-`boundary_2d`, `check_sharpness`, `is_feasible_cz` and `is_empty` run
-phase 1 once per region per set object, and repeated queries on a set run
-phase 2 alone.  `contains` poses a new region per point and keeps nothing.
+constrained zonotope, the LP ladder of its factor box
+(`ConstrainedZonotope.lp_ladder`), which holds the kernel's dual start for
+the cost 0 and its `min_infeasibility` answer.  So `support`,
+`support_point`, `boundary_2d` and `check_sharpness` make one start per
+region per set object, `is_feasible_cz` and `is_empty` solve one elastic
+LP per region per set object, and repeated queries on a set run phase 2
+alone.  `contains` poses a new region per point and keeps nothing.
 `support_point`, `boundary_2d`, `contains` and `is_empty` still solve
 every leaf on its own ladder.
 """
@@ -315,8 +317,8 @@ def _leaf_maxima(pairs: list, R: ConstrainedZonotope,
     columns, pinned to the leaf's assignment.  So in each direction the
     leaves, in the order of `pairs`, are the children of R's LP, answered
     by the kernel's dual pass from R's optimal basis (`Ladder.children`),
-    with no phase 1.  A child that the kernel does not certify is answered
-    on its leaf's own retry ladder (`_support_cz_many`), which raises
+    with no start of its own.  A child that the kernel does not certify is
+    answered on its leaf's own ladder (`_support_cz_many`), which raises
     NumericalFailure if it fails too.
     """
     V = np.array([a.as_array() for a, _ in pairs])
@@ -351,9 +353,9 @@ def check_sharpness(H: AnySet, n_dirs: int = 64, tol: float = SHARP_TOL,
     In each other, open, direction the hull's support is the maximum over
     the leaves, whose LPs are answered as children of the relaxation's LP
     by a dual pass from its optimal basis (`_leaf_maxima`); a child that
-    the kernel does not certify is answered on its leaf's own retry
-    ladder.  A check touches no leaf's LP ladder unless a child falls back
-    to it.  A set past the leaf cap is INCONCLUSIVE before any LP runs.
+    the kernel does not certify is answered on its leaf's own LP ladder.
+    A check touches no leaf's LP ladder unless a child falls back to it.
+    A set past the leaf cap is INCONCLUSIVE before any LP runs.
 
     Raises ValueError unless tol is a finite number >= 0.
     """

@@ -18,46 +18,49 @@ import pytest  # noqa: E402
 from zonosharp import _simplex  # noqa: E402
 
 
-def _fake(status):
-    """A simplex pass that proposes `status` from an all-artificial basis.
+def _region(name, args):
+    """(cost, lower bounds, right-hand side) of the LP of a `_start` or a
+    `_pass` call; a pass's lower bounds are its start state's L."""
+    if name == "_start":  # _start(c, A, b, lo, up, max_iter)
+        return args[0], args[3], args[2]
+    return args[1], args[0][2], args[3]  # _pass(start, c, A_all, b, max_iter)
 
-    Its point is lo, and its duals are those of that basis, diag(art_sign):
-    for the phase-1 cost (a candidate Farkas ray, art_sign) when status is 1
-    or c is None, for the phase-2 cost (0 on every artificial) otherwise,
-    and None for status 2.
-    """
-    def one_pass(rung, c, A, b, lo, *rest):
-        (_, A_all, _), _, _ = rung
-        art_sign = A_all[:, A.shape[1]:].diagonal().copy()
-        if status == 2:
-            y = None
-        elif status == 1 or c is None:
-            y = art_sign
-        else:
-            y = np.zeros_like(art_sign)
-        return (status, lo.copy(), y), None
-    return one_pass
+
+def _fake(status, name, args):
+    """The (proposal, state) of a fake `_start` or `_pass` that proposes
+    `status` with the structural lower bounds as its point and duals that
+    prove nothing: zeros, or None for status 2."""
+    c, lo, b = _region(name, args)
+    y = None if status == 2 else np.zeros(b.shape[0])
+    return (status, lo[:c.shape[0]].copy(), y), None
 
 
 @pytest.fixture
 def fake_pass(monkeypatch):
     """`fake_pass(status, first_only=False, passes=None, columns=None)`
-    routes every simplex pass, only the first, or only those whose numbers
-    (from 1) are in `passes`, to a fake that proposes `status`; with
-    `columns`, only the passes over a region with that many columns.  It
-    returns the list of the arguments of every pass made."""
+    routes every simplex run, a dual start (`_start`) or a phase-2 pass
+    (`_pass`), to a fake that proposes `status`; or only the first run, or
+    only those whose numbers (from 1, in call order) are in `passes`; with
+    `columns`, only the runs over a region with that many structural
+    columns.  It returns the list of (name, arguments) of every run
+    made."""
     def install(status, first_only=False, passes=None, columns=None):
-        real = _simplex._pass
         calls = []
         if first_only:
             passes = {1}
 
-        def one_pass(*args):
-            calls.append(args)
-            faked = (passes is None or len(calls) in passes) and \
-                (columns is None or args[2].shape[1] == columns)
-            return (_fake(status) if faked else real)(*args)
-        monkeypatch.setattr(_simplex, "_pass", one_pass)
+        def routed(name):
+            real = getattr(_simplex, name)
+
+            def run(*args):
+                calls.append((name, args))
+                faked = (passes is None or len(calls) in passes) and \
+                    (columns is None or
+                     _region(name, args)[0].shape[0] == columns)
+                return _fake(status, name, args) if faked else real(*args)
+            return run
+        for name in ("_start", "_pass"):
+            monkeypatch.setattr(_simplex, name, routed(name))
         return calls
     return install
 
@@ -85,12 +88,13 @@ def fake_dual_pass(monkeypatch):
 
 @pytest.fixture
 def phase1_runs(monkeypatch):
-    """The arguments of every phase 1 that the kernel runs."""
+    """The arguments of every dual start (`_start`) that the kernel makes:
+    a region's kept start, a row's cold retry or an elastic LP."""
     runs = []
-    real = _simplex._phase1
+    real = _simplex._start
 
-    def phase1(*args):
+    def start(*args):
         runs.append(args)
         return real(*args)
-    monkeypatch.setattr(_simplex, "_phase1", phase1)
+    monkeypatch.setattr(_simplex, "_start", start)
     return runs

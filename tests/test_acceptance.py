@@ -21,6 +21,7 @@ from zonosharp import (
     HybridZonotope,
     LinearProgram,
     LpStatus,
+    ReluNetwork,
     affine_map,
     cartesian_product,
     check_sharpness,
@@ -71,6 +72,22 @@ def _random_zonotope(rng, n=2, ng=3):
     return HybridZonotope(rng.normal(size=(n, ng)), np.zeros((n, 0)),
                           rng.normal(size=n), np.zeros((0, ng)),
                           np.zeros((0, 0)), np.zeros(0), FactorForm.ZO)
+
+
+def _seeded_network(widths, seed):
+    """A ReLU network from R^2 through hidden layers of the given widths to
+    one output, over the input box [-1, 1]^2, drawn from
+    `numpy.random.default_rng(seed)`: each layer of k units over an input
+    of width w draws W = normal(size=(k, w)) / sqrt(w), then bias =
+    normal(size=k) * 0.1.  The 0 level set of widths [4] at seed 0 (the
+    2-4-1 network) is empty."""
+    rng = np.random.default_rng(seed)
+    layers, w = [], 2
+    for k in [*widths, 1]:
+        W = rng.normal(size=(k, w)) / np.sqrt(w)
+        layers.append((W, rng.normal(size=k) * 0.1))
+        w = k
+    return ReluNetwork(tuple(layers), np.array([[-1.0, 1.0], [-1.0, 1.0]]))
 
 
 def _leaf_support(H, u):

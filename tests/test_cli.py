@@ -232,7 +232,7 @@ class TestCheckSharp:
         assert set(stats["steps"]) == {"1", "2", "dual"}
         # a box closes every direction at its relaxation: no leaf LP
         assert stats["children"] == stats["child_fallbacks"] == 0
-        assert set(stats["rungs"]) == {"0"} and set(stats["status"]) == {"0"}
+        assert stats["cold_retries"] == 0 and set(stats["status"]) == {"0"}
         assert 0.0 <= stats["max_residual"] <= 1.0
         assert stats["max_gap"] <= 1.0
 
@@ -396,8 +396,8 @@ class TestDemoLevelset:
         steps = stats["steps"]["2"]
         assert steps["degenerate"] <= steps["all"]
         assert steps["bland"] <= steps["all"]
-        assert sum(stats["rungs"].values()) == sum(stats["status"].values())
-        assert set(stats["rungs"]) == {"0"}
+        assert stats["rows"] == sum(stats["status"].values())
+        assert stats["cold_retries"] == 0
         # the open directions' leaves, answered from the relaxations' bases
         assert stats["children"] > 0 and stats["child_fallbacks"] == 0
         dual = stats["steps"]["dual"]
@@ -413,7 +413,8 @@ class TestDemoLevelset:
         assert main(["demo-levelset", "--angles", "32", "--dirs", "8",
                      "--stats", "-o", out]) == 0
         stats = json.load(open(out))["lp_stats"]
-        assert stats["phase1_runs"] == 7
+        # one kept start per region, and no row needs its cold retry
+        assert stats["phase1_runs"] == 7 and stats["cold_retries"] == 0
         assert stats["phase1_reused"] > 0 and stats["rows"] > 0
 
     def test_closed_directions_per_level(self, tmp_path):

@@ -8,18 +8,20 @@ lift LPs, each row of `solve_bounded_many` must also agree with one
 later rows, which start warm, to the same tolerance, with a point that
 HiGHS's duals certify.  The hull supports that a sharpness check answers
 from the relaxation's basis must agree with HiGHS's leaf LPs to the same
-tolerance.
+tolerance.  Three lifts outside `LIFTS`, at one seed each, are the ones a
+retry ladder of perturbed copies failed on: the (6, 6) batch, the (5, 3)
+sharpness check and the empty level-4 lift of a seeded ReLU network.
 Skipped when scipy is missing.
 """
 
 import numpy as np
 import pytest
 
-from test_acceptance import _random_hz
+from test_acceptance import _random_hz, _seeded_network
 from test_simplex import assert_same_batch, small_random_lp
 
 from zonosharp import (_simplex, check_sharpness, convex_relaxation,
-                       direction_set, leaves, rlt_sharpen)
+                       direction_set, leaves, level_set_above, rlt_sharpen)
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -64,10 +66,30 @@ def test_lift_support(nb, d, seed):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("nb,d", LIFTS)
 def test_lift_support_batch(nb, d, seed):
+    _assert_batch_agrees(nb, d, seed)
+
+
+def test_6_6_lift_support_batch():
+    # a retry ladder of perturbed copies certified these rows only on its
+    # last rung, after 16.9 s
+    R, C = _lift_batch(6, 6, 1)
+    lo, up = R.factor_bounds()
+    batch = _simplex.solve_bounded_many(C, R.A, R.b, lo, up)
+    for c, answer in zip(C, batch):
+        assert answer[0] == 0
+        _assert_matches_highs(answer, c, R.A, R.b, lo, up)
+
+
+def _lift_batch(nb, d, seed):
+    """The relaxation of `test_lift_support`'s lift and its 8 costs."""
     H = _random_hz(np.random.default_rng([seed, nb, d]), 2, 2, nb, 1)
     R = convex_relaxation(rlt_sharpen(H, d))
+    return R, np.array([-(R.G.T @ u) for u in direction_set(2, 8, seed=seed)])
+
+
+def _assert_batch_agrees(nb, d, seed):
+    R, C = _lift_batch(nb, d, seed)
     lo, up = R.factor_bounds()
-    C = np.array([-(R.G.T @ u) for u in direction_set(2, 8, seed=seed)])
     batch = _simplex.solve_bounded_many(C, R.A, R.b, lo, up)
     lone = [_simplex.solve_bounded(c, R.A, R.b, lo, up) for c in C]
     refs = [_assert_matches_highs(answer, c, R.A, R.b, lo, up)
@@ -76,9 +98,37 @@ def test_lift_support_batch(nb, d, seed):
     assert_same_batch(batch, lone, C, R.A, R.b, lo, up, duals)
 
 
+def test_empty_lift_is_infeasible():
+    # the level-4 lift of the seeded 2-4-1 network's empty 0 level set,
+    # 832 x 943: a retry ladder of perturbed copies ended every row in
+    # status 2; one dual start now proves it empty
+    H = level_set_above(_seeded_network([4], 0), 0.0)
+    R = convex_relaxation(rlt_sharpen(H, 4))
+    lo, up = R.factor_bounds()
+    assert R.A.shape == (832, 943)
+    C = np.array([-(R.G.T @ u) for u in direction_set(2, 8)])
+    with _simplex.lp_stats() as stats:
+        batch = _simplex.solve_bounded_many(C, R.A, R.b, lo, up)
+    assert [st for st, _, _ in batch] == [1] * 8
+    assert stats.phase1_runs == 1
+    _assert_matches_highs(batch[0], C[0], R.A, R.b, lo, up)
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("nb,d", LIFTS)
 def test_children_match_highs(nb, d, seed):
+    _assert_children_agree(nb, d, seed)
+
+
+def test_5_3_children_match_highs():
+    # the children of the one open direction, 32 leaves, once fell back to
+    # leaf ladders that failed, and the check raised NumericalFailure
+    with _simplex.lp_stats() as stats:
+        _assert_children_agree(5, 3, 0)
+    assert stats.children == 32 and stats.child_fallbacks == 0
+
+
+def _assert_children_agree(nb, d, seed):
     # the open directions of a sharpness check on the lift are answered as
     # children of its relaxation's LP; HiGHS solves each leaf LP on its own
     H = _random_hz(np.random.default_rng([seed, nb, d]), 2, 2, nb, 1)

@@ -159,16 +159,16 @@ class TestKernelRegression:
         assert ref.status == 0 and st == 0
         assert abs(obj - ref.fun) <= 1e-6
 
-    def test_batch_runs_each_rung_once(self, rlt_lift, phase1_runs):
-        # every row is certified on rung 0, so the one phase 1 of rung 0
-        # is the only one
+    def test_batch_runs_one_start(self, rlt_lift, phase1_runs):
+        # every row is certified by a pass from the kept start, so the kept
+        # start is the only one
         linprog = pytest.importorskip("scipy.optimize").linprog
         lo, up = rlt_lift.factor_bounds()
         region = (rlt_lift.A, rlt_lift.b, lo, up)
         C = np.array([-(rlt_lift.G.T @ u) for u in direction_set(2, 64)[8:16]])
         with _simplex.lp_stats() as stats:
             batch = _simplex.solve_bounded_many(C, *region)
-        assert len(phase1_runs) == 1 and stats.rungs == {0: len(C)}
+        assert len(phase1_runs) == 1 and stats.cold_retries == 0
         lone = [_simplex.solve_bounded(c, *region) for c in C]
         duals = []
         for c, (st, obj, _) in zip(C, batch):
@@ -180,23 +180,24 @@ class TestKernelRegression:
         assert_same_batch(batch, lone, C, *region, duals)
 
     def test_every_direction_on_rung_0(self, rlt_lift):
-        # a batch row starts from the last optimal basis; a cold start on
-        # every row left 16 of these 64 rows to rung 1
+        # rung 0 is the kept start: a batch row starts from the last optimal
+        # basis, and no row needs its cold retry; a cold phase 1 and phase
+        # 2 on every row once left 16 of these 64 rows uncertified
         lo, up = rlt_lift.factor_bounds()
         C = np.array([-(rlt_lift.G.T @ u) for u in direction_set(2, 64)])
         with _simplex.lp_stats() as stats:
             batch = _simplex.solve_bounded_many(C, rlt_lift.A, rlt_lift.b, lo,
                                                 up)
-        assert stats.phase1_runs == 1 and stats.rungs == {0: 64}
+        assert stats.phase1_runs == 1 and stats.cold_retries == 0
         assert [st for st, _, _ in batch] == [0] * 64
 
-    def test_certified_on_a_perturbed_rung(self):
+    def test_certified_by_a_cold_retry(self):
         # the n_b = 5, d = 5 lift on which `support` once raised
-        # NumericalFailure: rung 0 fails, and a perturbed rung's point is
-        # carried back onto the original data and certified there.  Which
-        # perturbed rung depends on the BLAS thread count, since the pivots
-        # follow the rounding of the matrix products: rung 1 with one
-        # OpenBLAS thread, which conftest pins, and rung 2 with two.
+        # NumericalFailure, and which a retry ladder later answered only on
+        # a perturbed copy: phase 2 from the kept start crawls and is not
+        # certified, and the row's own dual start answers it.  The pivots
+        # follow the rounding of the matrix products, so this holds at the
+        # one OpenBLAS thread that conftest pins.
         from test_acceptance import _random_hz
         H = _random_hz(np.random.default_rng(1), 2, 2, 5, 1)
         R = convex_relaxation(rlt_sharpen(H, 5))
@@ -204,7 +205,7 @@ class TestKernelRegression:
         u = np.array([np.cos(0.1), np.sin(0.1)])
         with _simplex.lp_stats() as stats:
             v = support(R, u)
-        assert stats.rungs == {1: 1} and stats.phase1_runs == 2
+        assert stats.cold_retries == 1 and stats.phase1_runs == 2
         highs = 1.9179378788803025  # HiGHS's optimum, as below
         assert abs(v - highs) <= 1e-6 * (1.0 + abs(highs))
         linprog = pytest.importorskip("scipy.optimize").linprog
@@ -277,6 +278,15 @@ class TestMembership:
     def test_zero_tol(self):
         assert contains(self.UNIT_BOX, [0.5, 0.5], tol=0.0)
         assert not contains(self.UNIT_BOX, [5.0, 5.0], tol=0.0)
+
+    def test_point_within_tol_of_the_set(self):
+        # the set {1}: ten rows pin the factor to 1.  The point 1 - 5e-7
+        # misses by 5e-7 in the 1-norm, under the threshold 1e-6 * (1 + 1);
+        # a phase 1 that signed each row by b - A lo raised NumericalFailure
+        S = ConstrainedZonotope(np.ones((1, 1)), np.zeros(1), np.ones((10, 1)),
+                                np.ones(10), FactorForm.ZO)
+        assert contains(S, [1.0 - 5e-7], tol=1e-6)
+        assert not contains(S, [1.0 - 5e-6], tol=1e-6)
 
 
 @pytest.mark.parametrize("query", [contains, support, support_point])
@@ -616,37 +626,38 @@ class TestKeptLpWork:
         assert stats.phase1_runs == 1
         assert convex_relaxation(H) is leaves(H)[0][1]
 
-    def test_emptiness_and_support_share_phase1(self):
+    def test_emptiness_and_support_keep_their_work(self):
         X = _level_set()
         with _simplex.lp_stats() as stats:
             assert not is_empty(X)
             support_point(X, [0.0, 1.0])
-        # is_empty stops at the first nonempty leaf, the second; the
-        # support LPs reuse the phase 1 of both leaves it read
-        assert stats.phase1_runs == 4 and stats.phase1_reused == 2
+            assert not is_empty(X)
+            support_point(X, [1.0, 0.0])
+        # is_empty stops at the first nonempty leaf, the second, with an
+        # elastic LP on each leaf it reads; the support LPs make each
+        # leaf's kept start; then is_empty reads its two kept answers, and
+        # the support LPs their four kept starts
+        assert stats.phase1_runs == 2 + 4 and stats.phase1_reused == 2 + 4
 
     def test_kept_phase1_end_is_read_only_after_a_failed_row(self, fake_pass):
         R = convex_relaxation(_level_set())
         boundary_2d(R, n_angles=8)
         ladder = R.lp_ladder()
-        kept = ladder._ends[0]  # (status, art_sign, phase-1 end, budget, shift)
-        arrays = [kept[1], *kept[2]]
-        before = [a.copy() for a in arrays]
-        (_, _, end), _, _ = ladder.rung(0)
+        kept = ladder.kept_start()  # (verdict, state)
+        before = [a.copy() for a in kept[1]]
         calls = fake_pass(2, first_only=True)
         boundary_2d(R, n_angles=8)
-        # the faked row fails rung 0 and is answered on rung 1; the other
-        # rows run phase 2 on rung 0, each on a copy of its phase-1 end
-        assert len(calls) == 8 + 1
-        assert ladder._ends[0] is kept
-        for a, b in zip(arrays, before, strict=True):
+        # the first row's pass from the kept start fails, and its cold
+        # retry answers it; the other rows run phase 2 warm, from the row
+        # before
+        assert [name for name, _ in calls] == \
+            ["_pass", "_start"] + ["_pass"] * 7
+        assert ladder.kept_start() is kept
+        for a, b in zip(kept[1], before, strict=True):
             assert not a.flags.writeable
-            np.testing.assert_array_equal(a, b)
-        with pytest.raises(ValueError):
-            kept[2][0][0, 0] = 0.0  # the basis inverse
-        (_, _, again), _, _ = ladder.rung(0)
-        for a, b in zip(end, again, strict=True):
             assert a.tobytes() == b.tobytes()
+        with pytest.raises(ValueError):
+            kept[1][0][0, 0] = 0.0  # the basis inverse
 
     @pytest.mark.parametrize("clone", [lambda S: pickle.loads(pickle.dumps(S)),
                                        copy.deepcopy],
@@ -759,11 +770,13 @@ class TestChildren:
             check_sharpness(X1, n_dirs=4)
 
     def test_uncertified_parent_leaves_every_child_open(self, fake_pass):
+        # the parent's pass from the kept start and its cold retry both fail
         X1 = rlt_sharpen(_level_set(), 1)
         ladder, c, cols, V = _children_args(X1, np.array([0.6, 0.8]))
-        calls = fake_pass(2, first_only=True)
+        calls = fake_pass(2, passes={2, 3})
         with _simplex.lp_stats() as stats:
             out = ladder.children(c, cols, V)
-        assert out == [None] * len(V) and len(calls) == 1
+        assert out == [None] * len(V)
+        assert [name for name, _ in calls] == ["_start", "_pass", "_start"]
         assert stats.children == 0 and stats.child_fallbacks == len(V)
         assert stats.pivots["dual"] == 0

@@ -201,6 +201,15 @@ class TestMinInfeasibility:
                                               np.zeros(2), np.ones(2))
         assert resid == pytest.approx(3.0, abs=1e-7)
 
+    def test_miss_is_the_least_1norm_miss(self):
+        # |x - 1| + |x - 1| + |x - 0.2| over [0, 1] is least, 0.8, at x = 1;
+        # a phase 1 that signs each row by b - A lo reported 1.6
+        resid, x = _simplex.min_infeasibility(np.ones((3, 1)),
+                                              np.array([1.0, 1.0, 0.2]),
+                                              np.zeros(1), np.ones(1))
+        assert resid == pytest.approx(0.8, abs=1e-12)
+        np.testing.assert_allclose(x, [1.0], atol=1e-12)
+
 
 class TestScale:
     def test_medium_dense(self):
@@ -224,28 +233,41 @@ class TestCertificates:
           np.ones(2))
 
     def test_uncertified_infeasible_is_retried(self, fake_pass):
+        # the kept start proposes an infeasible region with no ray, so the
+        # row gets its cold retry
         calls = fake_pass(1, first_only=True)
-        st, obj, x = _simplex.solve_bounded(*self.LP)
+        with _simplex.lp_stats() as stats:
+            st, obj, x = _simplex.solve_bounded(*self.LP)
         assert st == 0 and obj == pytest.approx(1.0)
         np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-6)
-        assert len(calls) == 2
+        assert [name for name, _ in calls] == ["_start", "_start"]
+        assert stats.cold_retries == 1
 
     def test_uncertifiable_infeasible_is_a_failure(self, fake_pass):
         fake_pass(1)
         st, _, _ = _simplex.solve_bounded(*self.LP)
         assert st == 2
 
-    def test_uncertified_residual_is_retried(self, fake_pass):
+    def test_residual_outside_the_box_raises(self, monkeypatch):
+        # (2, -1) meets x1 + x2 = 1 exactly but is no point of the box, so
+        # it witnesses nothing, and zero duals prove no miss either
         _, A, b, lo, up = self.LP
-        calls = fake_pass(0, first_only=True)
-        resid, x = _simplex.min_infeasibility(A, b, lo, up)
-        assert resid < 1e-8 and len(calls) == 2
 
-    def test_uncertifiable_residual_raises(self, fake_pass):
-        _, A, b, lo, up = self.LP
-        fake_pass(0)
+        def start(c, A_el, *rest):
+            x = np.zeros(A_el.shape[1])
+            x[:2] = [2.0, -1.0]
+            return (0, x, np.zeros(1)), None
+        monkeypatch.setattr(_simplex, "_start", start)
         with pytest.raises(NumericalFailure):
             _simplex.min_infeasibility(A, b, lo, up)
+
+    def test_uncertifiable_residual_raises(self, fake_pass):
+        # the elastic LP's point misses by 1 and its duals prove nothing
+        _, A, b, lo, up = self.LP
+        calls = fake_pass(0)
+        with pytest.raises(NumericalFailure):
+            _simplex.min_infeasibility(A, b, lo, up)
+        assert len(calls) == 1
 
     NONFINITE = [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]]
 
@@ -292,7 +314,7 @@ def assert_same_batch(batch, lone, C, A, b, lo, up, duals):
     """A `solve_bounded_many` batch against one lone `solve_bounded` answer
     per cost row of C.
 
-    The first row starts from the phase-1 end, as a lone solve does, and
+    The first row starts from the kept start, as a lone solve does, and
     equals its lone answer bit for bit.  A later row starts warm and may
     stop at another optimal vertex, so it must have the lone status and,
     when optimal, an objective within 1e-6 (1 + |obj|) of the lone one,
@@ -311,7 +333,7 @@ def assert_same_batch(batch, lone, C, A, b, lo, up, duals):
 
 
 class TestBatch:
-    """`solve_bounded_many` runs phase 1 once, answers its first row exactly
+    """`solve_bounded_many` makes one start, answers its first row exactly
     as `solve_bounded` does and every later row to the same optimum."""
 
     # the segment x1 + x2 = 1 on [0,1]^2, minimised in three directions;
@@ -335,13 +357,27 @@ class TestBatch:
     def test_failed_first_pass_falls_back_alone(self, fake_pass, phase1_runs):
         lone = self._lone(self.REGION)
         phase1_runs.clear()
-        calls = fake_pass(2, first_only=True)
-        batch = _simplex.solve_bounded_many(self.C, *self.REGION)
-        # rows 0, 1 and 2 share the phase 1 of rung 0, where the faked pass
-        # fails row 0 alone; row 0 is then answered on rung 1
-        assert len(calls) == 4
-        assert len(phase1_runs) == 2
+        calls = fake_pass(2, passes={2})
+        with _simplex.lp_stats() as stats:
+            batch = _simplex.solve_bounded_many(self.C, *self.REGION)
+        # run 2 is row 0's pass from the kept start; row 0 alone is then
+        # answered by its cold retry, and rows 1 and 2 start warm from it
+        assert [name for name, _ in calls] == \
+            ["_start", "_pass", "_start", "_pass", "_pass"]
+        assert len(phase1_runs) == 2 and stats.cold_retries == 1
         self.assert_same(batch, lone, self.REGION)
+
+    def test_row_is_answered_by_its_cold_retry(self, fake_pass):
+        # row 1's warm pass and its pass from the kept start both fail; its
+        # cold start answers it, and row 2 starts warm from that start's end
+        calls = fake_pass(2, passes={3, 4})
+        with _simplex.lp_stats() as stats:
+            batch = _simplex.solve_bounded_many(self.C, *self.REGION)
+        assert [name for name, _ in calls] == \
+            ["_start", "_pass", "_pass", "_pass", "_start", "_pass"]
+        np.testing.assert_array_equal(calls[4][1][0], self.C[1])
+        assert stats.cold_retries == 1 and stats.status == {0: 3}
+        self.assert_same(batch, self._lone(self.REGION), self.REGION)
 
     def test_infeasible_region_answers_every_row(self, phase1_runs):
         # x1 + x2 = 3 is impossible on [0,1]^2
@@ -353,27 +389,26 @@ class TestBatch:
 
     def test_warm_failure_is_retried_cold_before_it_climbs(self, fake_pass,
                                                             phase1_runs):
-        # pass 2 is row 1's warm pass; its failure sends row 1 back to the
-        # phase-1 end of rung 0, where the real pass answers it
-        calls = fake_pass(2, passes={2})
+        # run 3 is row 1's warm pass; its failure sends row 1 back to the
+        # kept start, where the real pass answers it, with no cold retry
+        calls = fake_pass(2, passes={3})
         with _simplex.lp_stats() as stats:
             batch = _simplex.solve_bounded_many(self.C, *self.REGION)
-        starts = [args[6] if len(args) > 6 else None for args in calls]
-        assert [s is None for s in starts] == [True, False, True, False]
+        assert [name for name, _ in calls] == ["_start"] + ["_pass"] * 4
         assert len(phase1_runs) == 1
-        assert stats.rungs == {0: 3}
+        assert stats.cold_retries == 0
         self.assert_same(batch, self._lone(self.REGION), self.REGION)
 
     def test_row_after_a_failed_pass_starts_cold(self, monkeypatch):
         # the second pass, row 1's warm one, wrecks the state it ran in
-        # place on and reports a failure: row 1 runs again from the phase-1
-        # end on the same rung, and row 2 starts warm from that pass's end
+        # place on and reports a failure: row 1 runs again from a new copy
+        # of the kept start, and row 2 starts warm from that pass's end
         real = _simplex._pass
         starts = []
 
-        def one_pass(rung, c, A, b, lo, up, start=None):
+        def one_pass(start, *rest):
             starts.append(start)
-            proposal, state = real(rung, c, A, b, lo, up, start)
+            proposal, state = real(start, *rest)
             if len(starts) == 2:
                 state[0][:] = np.nan  # the basis inverse
                 return (2,) + proposal[1:], None
@@ -381,8 +416,10 @@ class TestBatch:
         monkeypatch.setattr(_simplex, "_pass", one_pass)
         with _simplex.lp_stats() as stats:
             batch = _simplex.solve_bounded_many(self.C, *self.REGION)
-        assert [s is None for s in starts] == [True, False, True, False]
-        assert stats.rungs == {0: 3}
+        assert len(starts) == 4
+        assert starts[1] is starts[0] and starts[3] is starts[2]
+        assert starts[2] is not starts[1]
+        assert stats.cold_retries == 0
         self.assert_same(batch, self._lone(self.REGION), self.REGION)
 
     def test_kernel_failure_on_every_row(self, fake_pass):
@@ -392,28 +429,31 @@ class TestBatch:
 
 
 class TestLadder:
-    """A `Ladder` runs each rung's phase 1 once and hands every later call
-    the same phase-1 end, bit for bit."""
+    """A `Ladder` makes its start once and hands every later call the same
+    start, bit for bit."""
 
     def test_kept_end_is_the_phase1_end(self):
+        # the kept start is the dual start for the cost 0, made once
         rng = np.random.default_rng(99)
         m, n = 60, 120
         A = rng.normal(size=(m, n))
         b = A @ rng.uniform(0, 1, size=n)
-        ladder = _simplex.Ladder(A, b, np.zeros(n), np.ones(n))
+        lo, up = np.zeros(n), np.ones(n)
+        ladder = _simplex.Ladder(A, b, lo, up)
         with _simplex.lp_stats() as stats:
-            (st, A_all, end), _, _ = ladder.rung(0)
-            first = [a.copy() for a in (A_all, *end)]
-            (st2, A_all2, end2), _, _ = ladder.rung(0)
-        assert st == st2 == 0
+            verdict, end = ladder.kept_start()
+            first = [a.copy() for a in end]
+            verdict2, end2 = ladder.kept_start()
+        assert verdict[0] == verdict2[0] == 0
         assert stats.phase1_runs == 1 and stats.phase1_reused == 1
-        for a, b in zip(first, (A_all2, *end2), strict=True):
-            assert a.tobytes() == b.tobytes()
+        _, state = _simplex._start(np.zeros(n), A, b, lo, up, ladder.max_iter)
+        for a, b, c in zip(first, end2, state, strict=True):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
 
     def test_every_read_returns_the_same_read_only_end(self):
         ladder = _simplex.Ladder(*TestBatch.REGION)
-        (_, _, end), _, _ = ladder.rung(0)
-        (_, _, end2), _, _ = ladder.rung(0)
+        _, end = ladder.kept_start()
+        _, end2 = ladder.kept_start()
         for a, b in zip(end, end2, strict=True):
             assert a is b and not a.flags.writeable
 
@@ -437,8 +477,9 @@ def _highs_optimum(c, A, b, lo, up):
 
 
 class TestCrashBasis:
-    """Phase 1 starts each row covered by an in-bounds singleton column with
-    that column basic, and keeps B^-1 of the basis through its pivots."""
+    """The dual start begins each row covered by an in-bounds singleton
+    column with that column basic, and keeps B^-1 of the basis through its
+    pivots."""
 
     def test_fully_covered_region_needs_no_phase1_pivot(self):
         # [M, I] with slack bounds wide enough that every slack, solved from
@@ -454,7 +495,7 @@ class TestCrashBasis:
             st, obj, x = _simplex.solve_bounded(c, A, b, lo, up)
         assert stats.phase1_runs == 1 and stats.artificials == [0]
         assert stats.pivots[1] == 0
-        assert st == 0 and stats.rungs == {0: 1}
+        assert st == 0 and stats.cold_retries == 0
         assert abs(obj - _highs_optimum(c, A, b, lo, up)) <= 1e-6 * (1 + abs(obj))
 
     def test_out_of_bounds_singleton_leaves_an_artificial(self):
@@ -462,9 +503,8 @@ class TestCrashBasis:
         # take 1.5 and cannot cover row 0; x2 takes 1 and covers row 1
         A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
         b, lo, up = np.array([1.5, 1.0]), np.zeros(3), np.ones(3)
-        rows, cols, vals = _simplex._crash(A, b - A @ lo, lo, up)
+        rows, cols = _simplex._crash(A, b - A @ lo, lo, up)
         assert rows.tolist() == [1] and cols.tolist() == [2]
-        assert vals.tolist() == [1.0]
         c = np.array([1.0, -1.0, 2.0])
         feas, ref = brute_force_lp(c, A, b, lo, up)
         with _simplex.lp_stats() as stats:
@@ -477,11 +517,10 @@ class TestCrashBasis:
         A = np.array([[1.0, 2.0, 2.0, -4.0, 1.0], [0.0, 0.0, 0.0, 0.0, 1.0]])
         lo, up = np.zeros(5), np.full(5, 10.0)
         # x3 = -0.5 is out of bounds; of x1 = x2 = 1 the lower index wins
-        rows, cols, vals = _simplex._crash(A, np.array([2.0, 1.0]), lo, up)
+        rows, cols = _simplex._crash(A, np.array([2.0, 1.0]), lo, up)
         assert rows.tolist() == [0] and cols.tolist() == [1]
-        assert vals.tolist() == [1.0]
         # now only x3 = 0.5 is within its bounds
-        rows, cols, _ = _simplex._crash(A, np.array([-2.0, 1.0]), lo, up)
+        rows, cols = _simplex._crash(A, np.array([-2.0, 1.0]), lo, up)
         assert rows.tolist() == [0] and cols.tolist() == [3]
 
     def test_infeasible_region_with_covered_rows_has_a_farkas_ray(self):
@@ -491,28 +530,29 @@ class TestCrashBasis:
         b, lo, up = np.array([0.5, 2.5]), np.zeros(3), np.ones(3)
         with _simplex.lp_stats() as stats:
             st, _, _ = _simplex.solve_bounded(np.ones(3), A, b, lo, up)
-        assert stats.artificials == [1] and stats.rungs == {0: 1}
+        assert stats.artificials == [1] and stats.cold_retries == 0
         assert st == 1  # status 1 is returned only with a verified ray
-        # the duals of the final phase-1 basis are the ray
-        rung = _simplex.Ladder(A, b, lo, up).rung(0)
-        (p1, _, y), _ = _simplex._pass(rung, None, A, b, lo, up)
-        assert p1 == 0
+        # the row of the inverse where the dual loop stopped is the ray
+        (p1, _, y), state = _simplex._start(np.zeros(3), A, b, lo, up, 1000)
+        assert p1 == 1 and state is None
         assert _simplex._farkas_bound(A, b, lo, up, y) > 0.49
-        # the least 1-norm miss is 0.5; the certified residual bounds it
+        # the least 1-norm miss is 1, at x = (0, 1, 1) or (0, 0.5, 1): the
+        # second row misses by at least 2.5 - 1 - x1, the first by x1 - 0.5
         resid, _ = _simplex.min_infeasibility(A, b, lo, up)
-        assert resid >= 0.5 - 1e-12
+        assert resid == pytest.approx(1.0, abs=1e-12)
 
     def test_inverse_stays_the_basis_inverse(self):
-        # a dense region has no singleton column: phase 1 pivots every
-        # artificial out, past the refactor at REFACTOR_EVERY pivots
+        # a dense region has no singleton column: the dual start pivots
+        # every artificial out, and its loops pass the refactor at
+        # REFACTOR_EVERY pivots
         rng = np.random.default_rng(99)
         m, n = 60, 120
         A = rng.normal(size=(m, n))
         b = A @ rng.uniform(0, 1, size=n)
         with _simplex.lp_stats() as stats:
-            st, art_sign, state = _simplex._phase1(A, b, np.zeros(n),
-                                                   np.ones(n), 10000)
-        A_all = _simplex._with_artificials(A, art_sign)
+            (st, _, _), state = _simplex._start(rng.normal(size=n), A, b,
+                                                np.zeros(n), np.ones(n), 10000)
+        A_all = _simplex._with_artificials(A)
         assert st == 0 and stats.artificials == [m]
         assert stats.pivots[1] > _simplex.REFACTOR_EVERY
         assert stats.refactors >= 1
@@ -639,10 +679,12 @@ class TestCarriedInverse:
                                                 spoil):
         region, C, true = demo_batch
         self._spoil_after(monkeypatch, spoil, {2})
-        rung = _simplex.Ladder(*region).rung(0)
-        verdicts = [_simplex._verdict(c, *region,
-                                      _simplex._pass(rung, c, *region)[0])
-                    for c in C]
+        ladder = _simplex.Ladder(*region)
+        _, kept = ladder.kept_start()
+        A_all = _simplex._with_artificials(ladder.A)
+        verdicts = [_simplex._verdict(c, *region, _simplex._pass(
+            tuple(a.copy() for a in kept), c, A_all, ladder.b,
+            ladder.max_iter)[0]) for c in C]
         # a verdict passes only if its duals still prove its optimum
         assert any(v is None for v in verdicts)
         for v, (_, obj, _) in zip(verdicts, true):
@@ -664,7 +706,8 @@ class TestCarriedInverse:
 
         def loop(Binv, *args):
             out = real(Binv, *args)
-            spoil(Binv)
+            if args[-1] == "dual":  # a dual pass, not a start's dual loop
+                spoil(Binv)
             return out
         monkeypatch.setattr(_simplex, "_dual_loop", loop)
         ladder = _simplex.Ladder(R.A, R.b, lo, up)
@@ -732,7 +775,7 @@ def _reference_simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis,
         it += 1
         if pivots_since_refactor >= REFACTOR_EVERY:
             # a singular basis cannot be repaired, so bail out and let the
-            # retry ladder try a perturbed problem
+            # caller retry from a cold start
             if not _simplex._rebuild(Binv, A_all, b, x, basis):
                 break
             pivots_since_refactor = 0
@@ -830,7 +873,7 @@ def _reference_simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis,
 
 
 def _reference_dual_loop(Binv, A_all, b, x, L, U, basis, in_basis,
-                          at_upper, cost, max_iter):
+                          at_upper, cost, max_iter, phase):
     """Bounded-variable dual simplex from the basis `basis` with inverse
     Binv, dual feasible for `cost`; every state array is changed in place.
 
@@ -845,7 +888,7 @@ def _reference_dual_loop(Binv, A_all, b, x, L, U, basis, in_basis,
     `_simplex_loop`.  Returns (status, row): 0 when every basic value is
     within its bounds, so the basis is optimal; 1 when no column can enter
     for the basic variable of `row`, whose row of Binv is then a candidate
-    Farkas ray; 2 on failure.
+    Farkas ray; 2 on failure.  Its steps count under `phase`.
     """
     movable = U > L
     blowup = 1e9 * (1.0 + np.max(np.abs(U), initial=0.0))
@@ -928,7 +971,7 @@ def _reference_dual_loop(Binv, A_all, b, x, L, U, basis, in_basis,
         else:
             degen = 0
             bland = False
-    _reference_count_steps("dual", steps, degenerate, under_bland, refactors)
+    _reference_count_steps(phase, steps, degenerate, under_bland, refactors)
     return status, row
 
 
@@ -987,8 +1030,11 @@ class TestLoopParity:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_lps(self, loops, seed):
-        _simplex.solve_bounded(*small_random_lp(seed))
-        assert loops["primal"] >= 1
+        # the start's dual loop, then, on a feasible LP, its primal loop
+        # and phase 2's
+        c, A, b, lo, up = small_random_lp(seed)
+        st, _, _ = _simplex.solve_bounded(c, A, b, lo, up)
+        assert loops["dual"] == 1 and loops["primal"] == (2 if st == 0 else 0)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_dual_passes(self, loops, seed):
@@ -996,7 +1042,7 @@ class TestLoopParity:
         V = np.array(list(itertools.product(*[(lo[j], up[j])
                                               for j in (0, 1)])))
         _simplex.Ladder(A, b, lo, up).children(c, [0, 1], V)
-        assert loops["primal"] >= 1
+        assert loops["dual"] >= 1
 
     def test_dense_region_with_binary_children(self, loops):
         rng = np.random.default_rng(0)
@@ -1007,12 +1053,13 @@ class TestLoopParity:
         V = np.array(list(itertools.product((0.0, 1.0), repeat=nb)))
         _simplex.Ladder(A, A @ x0, np.zeros(n), np.ones(n)).children(
             rng.normal(size=n), np.arange(n - nb, n), V)
-        assert loops["dual"] == len(V) and loops["dual steps"] > 0
+        # the start's dual loop and one per child
+        assert loops["dual"] == 1 + len(V) and loops["dual steps"] > 0
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_demo_lift_relaxations(self, loops, d):
-        # phase 1 and a 16-direction batch, then the sharpness check, whose
-        # open directions run dual passes on the d = 1 lift
+        # the start and a 16-direction batch, then the sharpness check,
+        # whose open directions run dual passes on the d = 1 lift
         from zonosharp import (check_sharpness, convex_relaxation,
                                direction_set, relugraph, rlt_sharpen)
         X = relugraph.level_set_above(relugraph.demo_network(), 0.5)
@@ -1020,6 +1067,7 @@ class TestLoopParity:
         R = convex_relaxation(Xd)
         C = np.array([-(R.G.T @ u) for u in direction_set(2, 16)])
         _simplex.solve_bounded_many(C, R.A, R.b, *R.factor_bounds())
+        assert loops["dual"] >= 1
         assert loops["primal"] >= 1 + len(C) and loops["primal steps"] > 0
         check_sharpness(Xd, n_dirs=4, seed=0)
         if d == 1:

@@ -62,25 +62,36 @@ def test_lift_stats_prints_one_record_per_lift():
     root = os.path.dirname(TOOLS)
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     out = subprocess.run([sys.executable, os.path.join(TOOLS, "lift_stats.py"),
-                          "2,1", "3,2"], cwd=root, env=env, capture_output=True,
-                         text=True, check=True)
+                          "2,1", "3,2", "e,4"], cwd=root, env=env,
+                         capture_output=True, text=True, check=True)
     records = [json.loads(line) for line in out.stdout.splitlines()]
-    assert [(r["nb"], r["d"], r["seed"]) for r in records] == [(2, 1, 0), (3, 2, 0)]
+    assert [(r["nb"], r["d"], r["seed"]) for r in records] == \
+        [(2, 1, 0), (3, 2, 0), ("e", 4, 0)]
     for r in records:
         assert len(r["shape"]) == 2 and r["seconds"] >= 0.0
         assert r["us_per_step"] > 0.0  # every batch runs phase 1 steps
         stats = r["lp_stats"]
         assert stats["rows"] == 8 and sum(stats["status"].values()) == 8
-        assert stats["phase1_runs"] >= 1
+        assert stats["phase1_runs"] >= 1 and stats["cold_retries"] >= 0
         assert set(stats["steps"]) == {"1", "2", "dual"}
         assert len(r["objectives"]) == 8
         assert all(repr(float(v)) == v for v in r["objectives"])  # exact
         sharp = r["sharpness"]
+        assert sharp["phase1_runs"] >= 1 and sharp["seconds"] >= 0.0
+        assert sharp["cold_retries"] >= 0
+        assert sharp["us_per_step"] is None or sharp["us_per_step"] > 0.0
+    for r in records[:2]:
+        sharp = r["sharpness"]
         assert sharp["verdict"] in ("sharp", "not_sharp")
         assert repr(float(sharp["max_gap"])) == sharp["max_gap"]
-        assert sharp["phase1_runs"] >= 1 and sharp["seconds"] >= 0.0
-        assert sharp["us_per_step"] is None or sharp["us_per_step"] > 0.0
         assert 0 <= sharp["closed"] <= 8
+    # the level-4 lift of the seeded 2-4-1 network's empty level set: one
+    # start proves every row infeasible
+    empty = records[2]
+    assert empty["shape"] == [832, 943]
+    assert empty["lp_stats"]["status"] == {"1": 8}
+    assert empty["lp_stats"]["phase1_runs"] == 1
+    assert empty["sharpness"]["verdict"] == "empty"
 
 
 def test_lift_stats_counts_children():
@@ -91,6 +102,7 @@ def test_lift_stats_counts_children():
     assert sharp["verdict"] == "not_sharp" and sharp["closed"] == 6
     assert sharp["children"] == 2 * 16 and sharp["child_fallbacks"] == 0
     assert sharp["dual_steps"] > 0 and sharp["phase1_runs"] == 1
+    assert sharp["cold_retries"] == first["lp_stats"]["cold_retries"] == 0
     for r in (first, again):
         del r["seconds"], r["sharpness"]["seconds"]
         del r["us_per_step"], r["sharpness"]["us_per_step"]

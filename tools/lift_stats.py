@@ -1,6 +1,6 @@
 """Exact LP-kernel counts on `test_highs`'s seeded lift batches.
 
-    PYTHONPATH=src python3 tools/lift_stats.py 4,2 5,1 5,3 [--seed 0]
+    PYTHONPATH=src python3 tools/lift_stats.py 4,2 5,1 5,3 e,4 [--seed 0]
 
 Run from the root of a checkout; the kernel is the `zonosharp` on
 PYTHONPATH, so pointing it at another checkout's `src/` counts that
@@ -8,20 +8,24 @@ revision on the same lifts.  Each `nb,d` argument names the lift that
 `tests/test_highs.py` builds for it: the relaxation of `rlt_sharpen(H, d)`
 for a random hybrid zonotope H with n_b = nb, drawn by
 `test_acceptance._random_hz` from `numpy.random.default_rng([seed, nb, d])`.
+An `e,d` argument names the level-d lift of the 0 level set of the seeded
+2-4-1 ReLU network (`test_acceptance._seeded_network([4], seed)`), which
+is empty at seed 0; its record has "nb": "e".
 Its support LPs in the 8 directions of `direction_set(2, 8, seed=seed)` are
 solved as one `solve_bounded_many` batch inside `lp_stats()`, and one JSON
 line is printed per lift: the shape of the region, the batch's wall time,
-the counters of `LpStats.to_obj()` (statuses, rungs, steps per phase with
-the degenerate ones and those under Bland's rule, phase-1 runs, refactors)
-and the 8 objectives as `repr` strings, so that two revisions can be
-compared bit for bit.  Its "sharpness" entry is `check_sharpness` on the
-lifted hybrid zonotope in the same 8 directions, run on the lift alone:
-its wall time, verdict, `max_gap` as a `repr` string, the directions
-closed by the relaxation, the leaf LPs of the open directions answered as
-children of the relaxation's LP and those that fell back to the leaf's own
-ladder, the steps of the dual passes and the phase-1 runs; a check that
-raises NumericalFailure has its message as the verdict and null for the
-gap and the closed directions.  The batch and the check each also give
+the counters of `LpStats.to_obj()` (statuses, steps per phase with the
+degenerate ones and those under Bland's rule, dual starts, cold retries,
+refactors) and the 8 objectives as `repr` strings, so that two revisions
+can be compared bit for bit.  Its "sharpness" entry is `check_sharpness`
+on the lifted hybrid zonotope in the same 8 directions, run on the lift
+alone: its wall time, verdict, `max_gap` as a `repr` string, the
+directions closed by the relaxation, the leaf LPs of the open directions
+answered as children of the relaxation's LP and those that fell back to
+the leaf's own ladder, the steps of the dual passes, the dual starts and
+the cold retries; a check that raises NumericalFailure has its message as
+the verdict and null for the gap and the closed directions, and a check
+on an empty lift has "empty".  The batch and the check each also give
 "us_per_step", their wall time over the steps of all their simplex loops
 (phase 1, phase 2 and dual) in microseconds, or null with no step: the
 cost of a step on that lift.  Everything but the two "seconds" and the
@@ -46,17 +50,17 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tests"))
 
-from test_acceptance import _random_hz  # noqa: E402
+from test_acceptance import _random_hz, _seeded_network  # noqa: E402
 
-from zonosharp import (NumericalFailure, _simplex,  # noqa: E402
+from zonosharp import (EmptySet, NumericalFailure, _simplex,  # noqa: E402
                        check_sharpness, convex_relaxation, direction_set,
-                       rlt_sharpen)
+                       level_set_above, rlt_sharpen)
 
 
 def lift_pair(text):
-    """'5,3' as (5, 3)."""
-    nb, d = (int(v) for v in text.split(","))
-    return nb, d
+    """'5,3' as (5, 3), and 'e,4' as ('e', 4)."""
+    nb, d = text.split(",")
+    return (nb if nb == "e" else int(nb)), int(d)
 
 
 def us_per_step(seconds, stats):
@@ -67,8 +71,12 @@ def us_per_step(seconds, stats):
 
 
 def lift_stats(nb, d, seed=0):
-    """The JSON-ready record of one lift's 8-direction batch."""
-    H = _random_hz(np.random.default_rng([seed, nb, d]), 2, 2, nb, 1)
+    """The JSON-ready record of one lift's 8-direction batch; nb "e"
+    names the seeded 2-4-1 network's level set."""
+    if nb == "e":
+        H = level_set_above(_seeded_network([4], seed), 0.0)
+    else:
+        H = _random_hz(np.random.default_rng([seed, nb, d]), 2, 2, nb, 1)
     lift = rlt_sharpen(H, d)
     R = convex_relaxation(lift)
     lo, up = R.factor_bounds()
@@ -87,8 +95,8 @@ def lift_stats(nb, d, seed=0):
 
 def sharpness_stats(lift, seed):
     """The JSON-ready record of `check_sharpness` on a lift, 8 directions;
-    the batch above solves on a ladder of its own, so this check runs its
-    relaxation's phase 1 afresh."""
+    the batch above solves on a ladder of its own, so this check makes its
+    relaxation's start afresh."""
     t0 = time.perf_counter()
     with _simplex.lp_stats() as stats:
         try:
@@ -97,6 +105,8 @@ def sharpness_stats(lift, seed):
             max_gap, closed = repr(rep.max_gap), int(rep.closed.sum())
         except NumericalFailure as exc:
             verdict, max_gap, closed = f"NumericalFailure: {exc}", None, None
+        except EmptySet:
+            verdict, max_gap, closed = "empty", None, None
     seconds = time.perf_counter() - t0
     return {"seconds": round(seconds, 3),
             "us_per_step": us_per_step(seconds, stats), "verdict": verdict,
@@ -104,7 +114,8 @@ def sharpness_stats(lift, seed):
             "children": stats.children,
             "child_fallbacks": stats.child_fallbacks,
             "dual_steps": stats.pivots["dual"],
-            "phase1_runs": stats.phase1_runs}
+            "phase1_runs": stats.phase1_runs,
+            "cold_retries": stats.cold_retries}
 
 
 def main(argv=None):
