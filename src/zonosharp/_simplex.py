@@ -55,12 +55,12 @@ only fail its certificate, never pass a wrong verdict:
   certificate.
 
 `min_infeasibility` solves the elastic LP, min sum(s+ + s-) subject to
-Ax + s+ - s- = b over the box, by the same dual start, and certifies its
-answer in the same way: a small miss by the point it returns, a large one
-by a Farkas ray.
+Ax + s+ - s- = b over the box, by the same dual start, on no ladder, and
+certifies its answer in the same way: a small miss by the point it
+returns, a large one by a Farkas ray.
 
-Every entry point works on one region (A, b, lo, up), a `Ladder`.  A
-ladder keeps one start that does not depend on any cost: the dual start
+Every other entry point works on one region (A, b, lo, up), a `Ladder`.
+A ladder keeps one start that does not depend on any cost: the dual start
 for the cost 0, made the first time a call needs it.  The entry points on
 raw arrays make a new ladder per call; a constrained zonotope keeps the
 ladder of its factor box (`ConstrainedZonotope.lp_ladder`), so the start
@@ -90,9 +90,10 @@ ends optimal, or with the row of a basic variable that no column can move
 back into its bounds, whose row of the inverse is a candidate Farkas ray.
 Its proposal is certified by `_verdict` on the original A and b with the
 pinned bounds, which is the child's LP exactly, so a child's verdict
-certifies what the module's other verdicts do.  A child that is not
-certified, and every child of a parent not certified optimal, is returned
-as None, for the caller to answer on a ladder of its own.
+certifies what the module's other verdicts do.  A child that no dual pass
+certifies, and every child of a parent that no pass answers, gets the one
+cold retry of a batch row: the dual start for its own LP.  A certified
+infeasible parent answers every child, whose box lies inside its own.
 """
 
 from collections import Counter
@@ -124,17 +125,16 @@ class LpStats:
     starts, both their loops; phase 2 the primal passes from a start or
     from the row before; "dual" the dual passes of `Ladder.children`.
     `phase1_runs` counts the dual starts made, and `phase1_reused` the
-    reads of a start, or of a `min_infeasibility` answer, that a `Ladder`
-    kept from an earlier call.  `artificials` lists, per start, the number
-    of rows that start with an artificial basic variable.  `rows` counts the
-    LPs answered: each cost row of a `solve_bounded_many` batch and each
-    `min_infeasibility` call that returns.  `cold_retries` counts the LPs
-    (batch rows, and parents of `Ladder.children`) answered by their own
-    cold start, since no pass from the region's kept start was certified,
-    and `status` the answers of `solve_bounded_many` rows by status.
-    `children` counts the children of `Ladder.children` that a dual pass
-    answered with a certified verdict, and `child_fallbacks` those it left
-    uncertified, which its caller answers on the child's own ladder.
+    reads of a start that a `Ladder` kept from an earlier call.
+    `artificials` lists, per start, the number of rows that start with an
+    artificial basic variable.  `rows` counts the LPs answered: each cost
+    row of a `solve_bounded_many` batch and each `min_infeasibility` call
+    that returns.  `children` counts the children that `Ladder.children`
+    answers, one per row of pinned values.  `cold_retries` counts the LPs
+    (batch rows, and the parents and children of `Ladder.children`)
+    answered by their own cold start, since no pass from the region's kept
+    start, or from the parent's basis, was certified, and `status` the
+    answers of `solve_bounded_many` rows by status.
     `max_residual` and `max_gap` are the largest primal residual and duality
     gap of an optimal verdict that its certificate accepted, each as a
     fraction of its threshold (so at most 1; 0 while none was accepted).
@@ -149,7 +149,6 @@ class LpStats:
     bland: Counter = field(default_factory=Counter)
     refactors: int = 0
     children: int = 0
-    child_fallbacks: int = 0
     cold_retries: int = 0
     status: Counter = field(default_factory=Counter)
     max_residual: float = 0.0
@@ -168,7 +167,6 @@ class LpStats:
                       for p in (1, 2, "dual")},
             "refactors": self.refactors,
             "children": self.children,
-            "child_fallbacks": self.child_fallbacks,
             "cold_retries": self.cold_retries,
             "status": {str(k): v for k, v in sorted(self.status.items())},
             "max_residual": self.max_residual,
@@ -685,37 +683,47 @@ def _check_cost(C):
         raise ValueError("a cost must have finite entries")
 
 
+def _cold(c, A, b, lo, up, max_iter):
+    """(verdict, state) of the LP's own cold start, the dual start for c:
+    state is the final state of a certified optimal verdict, else None, and
+    a start that no certificate passes is (2, 0.0, x) for its x.  A
+    certified verdict counts as a cold retry."""
+    proposal, state = _start(c, A, b, lo, up, max_iter)
+    verdict = _verdict(c, A, b, lo, up, proposal)
+    if verdict is None:
+        return (2, 0.0, proposal[1]), None
+    for stats in _OPEN_STATS:
+        stats.cold_retries += 1
+    return verdict, (state if verdict[0] == 0 else None)
+
+
 class Ladder:
     """The LP work of one region {x : Ax = b, lo <= x <= up}, kept between
     calls.
 
-    A ladder has two rungs.  Rung 0 is the region's kept start: the dual
-    start (`_start`) for the cost 0, made the first time a call needs it,
-    and kept with its certified verdict and, when optimal, its final state,
-    read-only.  It does not depend on any cost, so every later call reads
-    the same start (`LpStats.phase1_reused`) and runs its passes on copies
-    of it.  Rung 1 is a cost's own cold start, the dual start for that
-    cost, run only for a cost that no pass from rung 0 answers and kept by
-    no one.  The answer of `min_infeasibility`, the elastic LP's, is kept
-    too, since it does not depend on the query either.  No state of a
-    phase 2 outlives its call, so an answer does not depend on the calls
-    made before it.  The columns A_all = [A, I] are not kept but rebuilt
-    from A on each call.  Every loop run may take 200 (m + n) + 2000
-    steps.  A ladder holds arrays and numbers only, so it pickles and
-    deep-copies.
+    A ladder keeps one start: the dual start (`_start`) for the cost 0,
+    made the first time a call needs it, and kept with its certified
+    verdict and, when optimal, its final state, read-only.  It does not
+    depend on any cost, so every later call reads the same start
+    (`LpStats.phase1_reused`) and runs its passes on copies of it.  An LP
+    that no pass answers gets one cold retry, the dual start for its own
+    cost and bounds (`_cold`), kept by no one.  No state of a pass outlives
+    its call, so an answer does not depend on the calls made before it.
+    The columns A_all = [A, I] are not kept but rebuilt from A on each
+    call.  Every loop run may take 200 (m + n) + 2000 steps.  A ladder
+    holds arrays and numbers only, so it pickles and deep-copies.
     """
 
     def __init__(self, A, b, lo, up):
         self.A, self.b, self.lo, self.up = _as_arrays(A, b, lo, up)
         self.max_iter = 200 * sum(self.A.shape) + 2000
-        self._kept = None  # (verdict, state) of rung 0, once made
-        self._elastic = None  # the elastic LP's answer, once solved
+        self._kept = None  # (verdict, state) of the kept start, once made
 
     def kept_start(self):
-        """(verdict, state) of rung 0: the certified verdict of the dual
-        start for the cost 0, or None, and its read-only final state when
-        that verdict is optimal, else None.  Every read returns the same
-        pair."""
+        """(verdict, state) of the kept start: the certified verdict of the
+        dual start for the cost 0, or None, and its read-only final state
+        when that verdict is optimal, else None.  Every read returns the
+        same pair."""
         if self._kept is None:
             A, b, lo, up = self.A, self.b, self.lo, self.up
             zero = np.zeros(A.shape[1])
@@ -735,9 +743,8 @@ class Ladder:
     def _row(self, c, A_all, kept, warm):
         """(verdict, state) of the cost c: phase 2 from `warm`, the state of
         the row before (or None), then from a copy of the kept start when it
-        is optimal, and then the cold start for c.  state is the final state
-        of a certified optimal answer, else None; an answer that none
-        certifies is (2, 0.0, x) for the last proposal's x.  A certified
+        is optimal, and then the cold start for c (`_cold`).  state is the
+        final state of a certified optimal answer, else None.  A certified
         infeasible kept start answers at once."""
         A, b, lo, up = self.A, self.b, self.lo, self.up
         verdict, state = kept
@@ -751,13 +758,7 @@ class Ladder:
                 verdict = _verdict(c, A, b, lo, up, proposal)
                 if verdict is not None:
                     return verdict, out
-        proposal, out = _start(c, A, b, lo, up, self.max_iter)
-        verdict = _verdict(c, A, b, lo, up, proposal)
-        if verdict is None:
-            return (2, 0.0, proposal[1]), None
-        for stats in _OPEN_STATS:
-            stats.cold_retries += 1
-        return verdict, (out if verdict[0] == 0 else None)
+        return _cold(c, A, b, lo, up, self.max_iter)
 
     def solve_many(self, C):
         """`solve_bounded_many` over this region."""
@@ -784,84 +785,47 @@ class Ladder:
 
     def children(self, c, cols, V):
         """min c'x over this region with the columns `cols` pinned to each
-        row of V: one (status, objective, x) per row, or None where it is
-        not certified.
+        row of V: one (status, objective, x) per row, with the statuses of
+        `solve_many`.
 
         The parent is the LP without pins, solved as a row of `solve_many`
-        is: from the kept start, then by its own cold start.  Each child
-        starts from a copy of the parent's certified optimal state and runs
-        one dual pass (`_dual_pass`), with no start and no ladder of its
-        own.  Its proposal is certified by `_verdict` on the original A and
-        b with lo and up pinned, which is the child's LP exactly, so a
-        child that is not None is as certain as any answer of
-        `solve_many`.  When the parent is not certified optimal, every
-        child is None.  No state outlives the call.  Raises ValueError, as
-        `solve_many` does, for a cost with a NaN or infinite entry.
+        is: from the kept start, then by its own cold start.  A certified
+        infeasible parent answers every child, since a child's box lies
+        inside the parent's, so the parent's ray proves at least the same
+        miss.  From a certified optimal parent each child runs one dual pass
+        (`_dual_pass`) on a copy of the parent's final state, with no start
+        of its own, certified by `_verdict` on the original A and b with lo
+        and up pinned, which is the child's LP exactly.  A child that no
+        dual pass certifies, and every child of a parent that no pass
+        answers, gets one cold retry, the dual start for its own LP; status
+        2 means that the retry failed too.  No state outlives the call.
+        Raises ValueError, as `solve_many` does, for a cost with a NaN or
+        infinite entry.
         """
         c, V = _as_arrays(c, V)
         _check_cost(c)
         cols = np.asarray(cols, dtype=np.intp)
         A, b, lo, up = self.A, self.b, self.lo, self.up
-        out = [None] * len(V)
         A_all = _with_artificials(A)
         verdict, parent = self._row(c, A_all, self.kept_start(), None)
-        if verdict[0] == 0:
-            for i, v in enumerate(V):
-                lo_v, up_v = lo.copy(), up.copy()
-                lo_v[cols] = v
-                up_v[cols] = v
-                proposal = _dual_pass(parent, A_all, b, c, cols, v,
-                                      self.max_iter)
-                out[i] = _verdict(c, A, b, lo_v, up_v, proposal)
-        answered = sum(o is not None for o in out)
+        out = []
+        for v in V:
+            if verdict[0] == 1:
+                out.append((1, 0.0, verdict[2].copy()))
+                continue
+            lo_v, up_v = lo.copy(), up.copy()
+            lo_v[cols] = v
+            up_v[cols] = v
+            child = None
+            if parent is not None:
+                child = _verdict(c, A, b, lo_v, up_v, _dual_pass(
+                    parent, A_all, b, c, cols, v, self.max_iter))
+            if child is None:
+                child = _cold(c, A, b, lo_v, up_v, self.max_iter)[0]
+            out.append(child)
         for stats in _OPEN_STATS:
-            stats.children += answered
-            stats.child_fallbacks += len(out) - answered
+            stats.children += len(out)
         return out
-
-    def min_infeasibility(self, tol=FEAS_TOL):
-        """`min_infeasibility` over this region.  The elastic LP is solved
-        once per ladder; each call certifies the kept answer against its
-        own tol."""
-        A, b, lo, up = self.A, self.b, self.lo, self.up
-        m, n = A.shape
-        if m == 0:
-            return 0.0, lo.copy()
-        if n == 0:
-            return float(np.sum(np.abs(b))), np.zeros(0)
-        if self._elastic is None:
-            self._elastic = self._solve_elastic()
-        else:
-            for stats in _OPEN_STATS:
-                stats.phase1_reused += 1
-        resid, x, witness, proven = self._elastic
-        t = tol * (1.0 + np.max(np.abs(b)))
-        if (witness and resid <= t) or proven > t:
-            for stats in _OPEN_STATS:
-                stats.rows += 1
-            return resid, x.copy()
-        raise NumericalFailure("the elastic LP found neither a feasible point "
-                               "nor a Farkas ray")
-
-    def _solve_elastic(self):
-        """(miss, x, witness, proven) of the elastic LP min sum(s+ + s-)
-        over [A, I, -I], with each slack in [0, sum|b - A lo| + 1]: the
-        1-norm miss ||Ax - b||_1 of its final point x on the original data,
-        whether x is within the box, and the miss that the elastic duals
-        prove as a Farkas ray (`_farkas_bound`), -inf without duals."""
-        A, b, lo, up = self.A, self.b, self.lo, self.up
-        m, n = A.shape
-        eye = np.eye(m)
-        cap = np.sum(np.abs(b - A @ lo)) + 1.0
-        (st, x, y), _ = _start(
-            np.concatenate([np.zeros(n), np.ones(2 * m)]),
-            np.hstack([A, eye, -eye]), b,
-            np.concatenate([lo, np.zeros(2 * m)]),
-            np.concatenate([up, np.full(2 * m, cap)]), self.max_iter)
-        x = x[:n]
-        witness = st == 0 and _within_bounds(lo, up, x)
-        proven = _farkas_bound(A, b, lo, up, y) if st == 0 else -np.inf
-        return float(np.sum(np.abs(A @ x - b))), x, witness, proven
 
 
 def solve_bounded(c, A, b, lo, up):
@@ -898,12 +862,35 @@ def min_infeasibility(A, b, lo, up, tol=FEAS_TOL):
 
     Returns (residual, x): x is in the box up to the bound tolerance of an
     optimal point, and residual = ||Ax - b||_1 on the original data, the
-    optimum of the elastic LP min sum(s+ + s-) subject to Ax + s+ - s- = b.
-    The residual is certified against the threshold t = tol*(1 + max|b|)
-    that callers compare it with: a residual <= t is witnessed by x, and a
-    residual > t comes with a Farkas ray, the elastic LP's duals, proving
-    that every point of the box misses by more than t.  Raises
-    NumericalFailure when the elastic LP yields neither.  Each call makes a
-    new `Ladder`; `Ladder.min_infeasibility` answers on a kept one.
+    optimum of the elastic LP min sum(s+ + s-) subject to Ax + s+ - s- = b,
+    solved over the columns [A, I, -I], each slack in [0, sum|b - A lo| +
+    1], by one dual start.  The residual is certified against the
+    threshold t = tol*(1 + max|b|) that callers compare it with: a residual
+    <= t is witnessed by x, and a residual > t comes with a Farkas ray, the
+    elastic LP's duals, proving that every point of the box misses by more
+    than t.  Raises NumericalFailure when the elastic LP yields neither.
+    It keeps nothing between calls.
     """
-    return Ladder(A, b, lo, up).min_infeasibility(tol)
+    A, b, lo, up = _as_arrays(A, b, lo, up)
+    m, n = A.shape
+    if m == 0:
+        return 0.0, lo.copy()
+    if n == 0:
+        return float(np.sum(np.abs(b))), np.zeros(0)
+    eye = np.eye(m)
+    cap = np.sum(np.abs(b - A @ lo)) + 1.0
+    (st, x, y), _ = _start(
+        np.concatenate([np.zeros(n), np.ones(2 * m)]),
+        np.hstack([A, eye, -eye]), b,
+        np.concatenate([lo, np.zeros(2 * m)]),
+        np.concatenate([up, np.full(2 * m, cap)]), 200 * (m + n) + 2000)
+    x = x[:n]
+    resid = float(np.sum(np.abs(A @ x - b)))
+    t = tol * (1.0 + np.max(np.abs(b)))
+    witnessed = st == 0 and resid <= t and _within_bounds(lo, up, x)
+    if witnessed or (st == 0 and _farkas_bound(A, b, lo, up, y) > t):
+        for stats in _OPEN_STATS:
+            stats.rows += 1
+        return resid, x
+    raise NumericalFailure("the elastic LP found neither a feasible point "
+                           "nor a Farkas ray")

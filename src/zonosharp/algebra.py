@@ -98,13 +98,13 @@ def generalized_intersection(X: AnySet, Z: AnySet, Rmap=None) -> HybridZonotope:
 def halfspace_intersection(H: AnySet, a, k: float) -> HybridZonotope:
     """{x in H | a'x >= k}, via one bounding LP on the relaxation."""
     from . import core
-    from .oracle import _support_cz
+    from .oracle import _support_cz_many
 
     H = H.as_hybrid()
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     if a.shape[0] != H.dim:
         raise DimensionMismatch("normal vector length must equal ambient dim")
-    out = _support_cz(convex_relaxation(H), a)
+    out = _support_cz_many(convex_relaxation(H), a[None])[0]
     M = k if out is None else out[0]
     hi = max(M, k) + 1e-6
     band = convert_form(core.interval(k, hi), H.factor_form)

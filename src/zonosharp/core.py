@@ -127,8 +127,8 @@ class ConstrainedZonotope:
     def lp_ladder(self) -> _simplex.Ladder:
         """The LP kernel's kept work over the factor region {xi in the
         factor box : A xi = b}, kept on this set: its dual start for the
-        cost 0, and its `min_infeasibility` answer, are each made at most
-        once per set object, whatever the queries that read them."""
+        cost 0, which the support, emptiness and sharpness queries all
+        read, is made at most once per set object."""
         return _kept(self, "lp_ladder",
                      lambda: _simplex.Ladder(self.A, self.b, *self.factor_bounds()))
 

@@ -9,20 +9,20 @@ directions where the relaxation's optimum is not already a point of a leaf
 often none, and then no leaf LP runs.  In the other, open, directions each
 leaf LP is a child of the relaxation's LP, its binary columns pinned, and
 the kernel answers it by a dual pass from the relaxation's optimal basis
-(`_simplex.Ladder.children`), with no start of its own on the leaf; only
-a child that the kernel does not certify runs on its leaf's own ladder.
+(`_simplex.Ladder.children`), with no start of its own on the leaf unless
+no pass certifies it, when it gets the cold retry that any LP gets.
 
 A set keeps the work that does not depend on the query: its leaves
 (`core.leaves`), its relaxation (`algebra.convex_relaxation`) and, for each
 constrained zonotope, the LP ladder of its factor box
 (`ConstrainedZonotope.lp_ladder`), which holds the kernel's dual start for
-the cost 0 and its `min_infeasibility` answer.  So `support`,
-`support_point`, `boundary_2d` and `check_sharpness` make one start per
-region per set object, `is_feasible_cz` and `is_empty` solve one elastic
-LP per region per set object, and repeated queries on a set run phase 2
-alone.  `contains` poses a new region per point and keeps nothing.
-`support_point`, `boundary_2d`, `contains` and `is_empty` still solve
-every leaf on its own ladder.
+the cost 0.  `support`, `support_point`, `boundary_2d`, `check_sharpness`
+and `is_empty` all read that one start, so they make one start per region
+per set object, and repeated queries on a set run phase 2 alone.
+`contains` poses a new region per point, solves its elastic LP
+(`_simplex.min_infeasibility`) and keeps nothing.  `support_point`,
+`boundary_2d`, `contains` and `is_empty` still solve every leaf on its own
+ladder.
 """
 
 from __future__ import annotations
@@ -112,11 +112,20 @@ def _leaf_sets(S: AnySet, cap: int) -> list[ConstrainedZonotope]:
 
 
 def is_feasible_cz(L: ConstrainedZonotope) -> bool:
-    resid, _ = L.lp_ladder().min_infeasibility(tol=FEAS_TOL)
-    return resid <= FEAS_TOL * (1.0 + (np.max(np.abs(L.b)) if L.n_c else 0.0))
+    """Whether L's kept start, the one that `support` reads, is feasible:
+    False when a Farkas ray proves that every point of the factor box
+    misses L's equalities by more than FEAS_TOL*(1 + max|b|) in the
+    1-norm, the certificate by which `support` raises EmptySet.  Raises
+    NumericalFailure when no verdict is certified."""
+    st = L.lp_ladder().solve_many(np.zeros((1, L.n_g)))[0][0]
+    if st == 2:
+        raise NumericalFailure("emptiness LP failed with status 2")
+    return st == 0
 
 
 def is_empty(S: AnySet, cap: int = DEFAULT_LEAF_CAP) -> bool:
+    """Whether every leaf of S is certified empty (`is_feasible_cz`), by
+    the kept start that `support` reads, so the two agree."""
     return all(not is_feasible_cz(L) for L in _leaf_sets(S, cap))
 
 
@@ -143,11 +152,6 @@ def _support_cz_many(L: ConstrainedZonotope, U: np.ndarray) -> list:
     kernel certifies L empty."""
     return [None if out is None else (out[0], L.G @ out[1] + L.c)
             for out in _factor_optima(L, U)]
-
-
-def _support_cz(L: ConstrainedZonotope, u: np.ndarray):
-    """(value, point), or None when the kernel certifies L empty."""
-    return _support_cz_many(L, u.reshape(1, -1))[0]
 
 
 def _support_points(leaf_list: list[ConstrainedZonotope], U: np.ndarray) -> list:
@@ -197,14 +201,18 @@ def _leaf_interval_hull(L: ConstrainedZonotope) -> tuple[np.ndarray, np.ndarray]
 
 
 def _cz_contains(L: ConstrainedZonotope, p: np.ndarray, tol: float) -> bool:
-    hull_lo, hull_up = _leaf_interval_hull(L)
-    if np.any(p < hull_lo - tol) or np.any(p > hull_up + tol):
-        return False
     A = np.vstack([L.G, L.A]) if L.n_c else L.G
     b = np.concatenate([p - L.c, L.b])
+    threshold = tol * (1.0 + np.max(np.abs(b), initial=0.0))
+    # p's distance from the interval hull, summed over the coordinates, is a
+    # lower bound on the 1-norm miss of the G rows, so this rejects only
+    # what the LP would
+    hull_lo, hull_up = _leaf_interval_hull(L)
+    if np.maximum(np.maximum(hull_lo - p, p - hull_up), 0.0).sum() > threshold:
+        return False
     lo, up = L.factor_bounds()
     resid, _ = _simplex.min_infeasibility(A, b, lo, up, tol=tol)
-    return resid <= tol * (1.0 + np.max(np.abs(b), initial=0.0))
+    return resid <= threshold
 
 
 def _check_tol(tol) -> None:
@@ -316,29 +324,22 @@ def _leaf_maxima(pairs: list, R: ConstrainedZonotope,
     A leaf's LP is the LP of R with its binary factors, R's last n_b
     columns, pinned to the leaf's assignment.  So in each direction the
     leaves, in the order of `pairs`, are the children of R's LP, answered
-    by the kernel's dual pass from R's optimal basis (`Ladder.children`),
-    with no start of its own.  A child that the kernel does not certify is
-    answered on its leaf's own ladder (`_support_cz_many`), which raises
-    NumericalFailure if it fails too.
+    by the kernel's dual pass from R's optimal basis, or by a child's cold
+    retry (`Ladder.children`).  A child that neither answers raises
+    NumericalFailure.
     """
     V = np.array([a.as_array() for a, _ in pairs])
     cols = np.arange(R.n_g - V.shape[1], R.n_g)
     ladder = R.lp_ladder()
     values = np.full((len(U), len(pairs)), -np.inf)
-    fallback = [[] for _ in pairs]  # per leaf, the directions left open
     for i, u in enumerate(U):
         offset = float(u @ R.c)
-        for j, out in enumerate(ladder.children(-(R.G.T @ u), cols, V)):
-            if out is None:
-                fallback[j].append(i)
-            elif out[0] == 0:
-                values[i, j] = offset - out[1]
-    for j, (_, L) in enumerate(pairs):
-        rows = fallback[j]
-        if rows:
-            for i, out in zip(rows, _support_cz_many(L, U[rows])):
-                if out is not None:
-                    values[i, j] = out[0]
+        for j, (st, obj, _) in enumerate(
+                ladder.children(-(R.G.T @ u), cols, V)):
+            if st == 0:
+                values[i, j] = offset - obj
+            elif st != 1:
+                raise NumericalFailure(f"leaf LP failed with status {st}")
     return np.max(values, axis=1)
 
 
@@ -352,10 +353,9 @@ def check_sharpness(H: AnySet, n_dirs: int = 64, tol: float = SHARP_TOL,
     H, so the hull's support is the relaxation's, and the gap is exactly 0.
     In each other, open, direction the hull's support is the maximum over
     the leaves, whose LPs are answered as children of the relaxation's LP
-    by a dual pass from its optimal basis (`_leaf_maxima`); a child that
-    the kernel does not certify is answered on its leaf's own LP ladder.
-    A check touches no leaf's LP ladder unless a child falls back to it.
-    A set past the leaf cap is INCONCLUSIVE before any LP runs.
+    by a dual pass from its optimal basis (`_leaf_maxima`).  A check
+    touches no leaf's LP ladder.  A set past the leaf cap is INCONCLUSIVE
+    before any LP runs.
 
     Raises ValueError unless tol is a finite number >= 0.
     """

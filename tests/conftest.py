@@ -89,7 +89,8 @@ def fake_dual_pass(monkeypatch):
 @pytest.fixture
 def phase1_runs(monkeypatch):
     """The arguments of every dual start (`_start`) that the kernel makes:
-    a region's kept start, a row's cold retry or an elastic LP."""
+    a region's kept start, the cold retry of a batch row or of a child of
+    `Ladder.children`, or the elastic LP of `min_infeasibility`."""
     runs = []
     real = _simplex._start
 

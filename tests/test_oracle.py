@@ -288,6 +288,14 @@ class TestMembership:
         assert contains(S, [1.0 - 5e-7], tol=1e-6)
         assert not contains(S, [1.0 - 5e-6], tol=1e-6)
 
+    def test_hull_prefilter_rejects_only_past_the_threshold(self):
+        # [-1000, 1000]: the point 1000 + 5e-4 misses by 5e-4, under the
+        # threshold 1e-6 * (1 + 1000.0005); an interval-hull prefilter that
+        # rejected at the absolute tol once answered False
+        S = ConstrainedZonotope([[1000.0]], [0.0], np.zeros((0, 1)), [])
+        assert contains(S, [1000.0 + 5e-4])
+        assert not contains(S, [1000.0 + 2e-3])
+
 
 @pytest.mark.parametrize("query", [contains, support, support_point])
 @pytest.mark.parametrize("v", [[1.5], [0.5], [0.5, 0.5, 0.5]],
@@ -336,6 +344,45 @@ class TestEmptiness:
                            np.ones((1, 1)), np.array([[2.0]]), np.array([1.0]),
                            FactorForm.ZO)
         assert not is_empty(H)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_within_the_tolerance_is_nonempty(self, m):
+        # xi = 1 + 0.9e-8 is just outside [0, 1]^m, within the kernel's
+        # bound tolerance, and support answers there; an elastic LP once
+        # summed the misses to 0.9e-8 * m, past its threshold 2e-8 at
+        # m = 3 and 5, and is_empty said True
+        S = ConstrainedZonotope(np.eye(m), np.zeros(m), np.eye(m),
+                                (1.0 + 0.9e-8) * np.ones(m), FactorForm.ZO)
+        assert not is_empty(S)
+        assert support(S, np.eye(m)[0]) == pytest.approx(1.0 + 0.9e-8,
+                                                         abs=1e-15)
+
+    @staticmethod
+    def _corpus():
+        from test_acceptance import _random_hz, _seeded_network
+        rng = np.random.default_rng(7)
+        sets = [_random_hz(rng, 2, 2, 2, 3) for _ in range(3)]
+        sets += [rlt_sharpen(_level_set(), 1),
+                 # empty: the seeded 2-4-1 network's 0 level set, lifted
+                 rlt_sharpen(relugraph.level_set_above(
+                     _seeded_network([4], 0), 0.0), 1)]
+        return sets
+
+    def test_empty_exactly_when_support_raises(self):
+        # is_empty reads the kept start that support reads, so the two
+        # answer by one certificate, leaf by leaf and for the set
+        answers = set()
+        for H in self._corpus():
+            for S in [H] + [L for _, L in leaves(H)]:
+                empty = is_empty(S)
+                answers.add(empty)
+                for u in direction_set(2, 4):
+                    if empty:
+                        with pytest.raises(EmptySet):
+                            support(S, u)
+                    else:
+                        support(S, u)
+        assert answers == {False, True}
 
 
 class TestSharpness:
@@ -450,9 +497,10 @@ class TestClosedByRelaxation:
     def test_a_leaf_point_needs_integral_binaries_and_the_leaf_equalities(self):
         X = _level_set()
         R = convex_relaxation(X)
-        # a factor point of a nonempty leaf: its y from phase 1, its binaries
+        # a factor point of a nonempty leaf: its y from the elastic LP, its
+        # binaries
         a, L = [(a, L) for a, L in leaves(X) if not is_empty(L)][0]
-        _, y = L.lp_ladder().min_infeasibility()
+        _, y = _simplex.min_infeasibility(L.A, L.b, *L.factor_bounds())
         xi = np.concatenate([y, a.as_array()])
         assert _in_a_leaf(X, R, xi[None]).all()
         # one binary off its end by more than FEAS_TOL
@@ -633,11 +681,11 @@ class TestKeptLpWork:
             support_point(X, [0.0, 1.0])
             assert not is_empty(X)
             support_point(X, [1.0, 0.0])
-        # is_empty stops at the first nonempty leaf, the second, with an
-        # elastic LP on each leaf it reads; the support LPs make each
-        # leaf's kept start; then is_empty reads its two kept answers, and
-        # the support LPs their four kept starts
-        assert stats.phase1_runs == 2 + 4 and stats.phase1_reused == 2 + 4
+        # is_empty stops at the first nonempty leaf, the second, and makes
+        # the kept start of each leaf it reads; the support LPs read those
+        # two and make the other two; then is_empty reads its two kept
+        # starts again, and the support LPs all four
+        assert stats.phase1_runs == 4 and stats.phase1_reused == 2 + 2 + 4
 
     def test_kept_phase1_end_is_read_only_after_a_failed_row(self, fake_pass):
         R = convex_relaxation(_level_set())
@@ -704,8 +752,8 @@ def _children_args(S, u):
 class TestChildren:
     """In a direction that the relaxation does not close, the leaf LPs are
     children of the relaxation's LP: its binary columns pinned, answered by
-    a dual pass from its optimal basis with no phase 1.  A child that is
-    not certified is answered on its leaf's own ladder."""
+    a dual pass from its optimal basis with no phase 1.  A child that no
+    pass certifies gets one cold retry, the dual start for its own LP."""
 
     @pytest.mark.parametrize("form", [FactorForm.ZO, FactorForm.PM1])
     def test_children_are_leaf_enumeration(self, form):
@@ -729,7 +777,7 @@ class TestChildren:
         n_open = int(np.sum(~rep.closed))
         assert n_open > 0
         assert stats.phase1_runs == 1  # the relaxation's; it was 5
-        assert stats.children == 4 * n_open and stats.child_fallbacks == 0
+        assert stats.children == 4 * n_open and stats.cold_retries == 0
         assert stats.pivots["dual"] > 0
         assert all("lp_ladder" not in L._kept for _, L in leaves(X1))
 
@@ -742,10 +790,10 @@ class TestChildren:
         assert 0 < sum(empty) < len(empty)
         assert [o[0] for o in out] == [1 if e else 0 for e in empty]
         # the relaxation's phase 1 alone
-        assert stats.phase1_runs == 1 and stats.child_fallbacks == 0
+        assert stats.phase1_runs == 1 and stats.cold_retries == 0
 
     @pytest.mark.parametrize("status", [0, 1, 2])
-    def test_failed_dual_pass_falls_back_to_the_leaf_ladder(
+    def test_failed_dual_pass_is_answered_by_its_cold_retry(
             self, fake_dual_pass, status):
         X1 = rlt_sharpen(_level_set(), 1)
         dirs = direction_set(2, 4)
@@ -753,30 +801,51 @@ class TestChildren:
         with _simplex.lp_stats() as stats:
             rep = check_sharpness(X1, n_dirs=4)
         opened = ~rep.closed
+        n_children = 4 * int(opened.sum())
         # every proposal is wrong for its leaf: the parent's point, whose
-        # binaries are fractional, or a ray that proves nothing
-        assert stats.children == 0
-        assert stats.child_fallbacks == len(calls) == 4 * int(opened.sum())
-        assert stats.phase1_runs == 1 + 4
-        np.testing.assert_array_equal(
-            rep.hull_support[opened], _leaf_enumeration(X1, dirs[opened]))
+        # binaries are fractional, or a ray that proves nothing; so each
+        # child is answered by the dual start for its own LP, on no ladder
+        # of a leaf
+        assert stats.children == len(calls) == n_children
+        assert stats.cold_retries == n_children
+        assert stats.phase1_runs == 1 + n_children
+        assert all("lp_ladder" not in L._kept for _, L in leaves(X1))
+        _assert_within(rep.hull_support[opened],
+                       _leaf_enumeration(X1, dirs[opened]), 1e-9)
 
-    def test_failed_dual_pass_and_leaf_ladder_raise(self, fake_dual_pass,
-                                                    fake_pass):
+    def test_failed_dual_pass_and_cold_retry_raise(self, fake_dual_pass,
+                                                   monkeypatch):
         X1 = rlt_sharpen(_level_set(), 1)
         fake_dual_pass(2)
-        fake_pass(2, columns=X1.n_g)  # every pass on a leaf's region
+        real = _simplex._start
+
+        def start(c, A, b, lo, up, max_iter):
+            if np.any(lo == up):  # a child's cold retry: its binaries pinned
+                return (2, lo.copy(), None), None
+            return real(c, A, b, lo, up, max_iter)
+        monkeypatch.setattr(_simplex, "_start", start)
         with pytest.raises(NumericalFailure):
             check_sharpness(X1, n_dirs=4)
 
     def test_uncertified_parent_leaves_every_child_open(self, fake_pass):
-        # the parent's pass from the kept start and its cold retry both fail
+        # the parent's pass from the kept start and its cold retry both
+        # fail, so no basis is left for a dual pass, and each child, open,
+        # gets its own cold retry
         X1 = rlt_sharpen(_level_set(), 1)
         ladder, c, cols, V = _children_args(X1, np.array([0.6, 0.8]))
+        refs = []
+        for v in V:
+            lo, up = ladder.lo.copy(), ladder.up.copy()
+            lo[cols] = up[cols] = v
+            refs.append(_simplex.solve_bounded(c, ladder.A, ladder.b, lo, up))
         calls = fake_pass(2, passes={2, 3})
         with _simplex.lp_stats() as stats:
             out = ladder.children(c, cols, V)
-        assert out == [None] * len(V)
-        assert [name for name, _ in calls] == ["_start", "_pass", "_start"]
-        assert stats.children == 0 and stats.child_fallbacks == len(V)
+        assert [name for name, _ in calls] == \
+            ["_start", "_pass", "_start"] + ["_start"] * len(V)
+        assert {st for st, _, _ in refs} == {0, 1}
+        for (st, obj, _), (ref_st, ref, _) in zip(out, refs):
+            assert st == ref_st
+            assert st == 1 or abs(obj - ref) <= 1e-9 * (1.0 + abs(ref))
+        assert stats.children == stats.cold_retries == len(V)
         assert stats.pivots["dual"] == 0

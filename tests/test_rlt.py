@@ -24,7 +24,8 @@ from zonosharp import (
     union,
 )
 from zonosharp.core import convert_form, leaves
-from zonosharp.oracle import SharpnessVerdict, _support_cz, direction_set, is_feasible_cz
+from zonosharp.oracle import (SharpnessVerdict, _support_cz_many, direction_set,
+                              is_feasible_cz)
 
 
 def _random_hz_point(rng, n, ng, nb, nc):
@@ -47,7 +48,7 @@ def _random_hz(rng, n, ng, nb, nc):
 def _leaf_support(H, u):
     best = -np.inf
     for _, L in leaves(H):
-        out = _support_cz(L, u)
+        out = _support_cz_many(L, u[None])[0]
         if out is not None:
             best = max(best, out[0])
     return best

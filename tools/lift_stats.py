@@ -21,9 +21,9 @@ can be compared bit for bit.  Its "sharpness" entry is `check_sharpness`
 on the lifted hybrid zonotope in the same 8 directions, run on the lift
 alone: its wall time, verdict, `max_gap` as a `repr` string, the
 directions closed by the relaxation, the leaf LPs of the open directions
-answered as children of the relaxation's LP and those that fell back to
-the leaf's own ladder, the steps of the dual passes, the dual starts and
-the cold retries; a check that raises NumericalFailure has its message as
+answered as children of the relaxation's LP, the steps of the dual
+passes, the dual starts and the cold retries, which count a child's
+retry too; a check that raises NumericalFailure has its message as
 the verdict and null for the gap and the closed directions, and a check
 on an empty lift has "empty".  The batch and the check each also give
 "us_per_step", their wall time over the steps of all their simplex loops
@@ -112,7 +112,6 @@ def sharpness_stats(lift, seed):
             "us_per_step": us_per_step(seconds, stats), "verdict": verdict,
             "max_gap": max_gap, "closed": closed,
             "children": stats.children,
-            "child_fallbacks": stats.child_fallbacks,
             "dual_steps": stats.pivots["dual"],
             "phase1_runs": stats.phase1_runs,
             "cold_retries": stats.cold_retries}
