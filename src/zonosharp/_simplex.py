@@ -3,24 +3,31 @@
 This is the hot loop of the package: every support evaluation, membership
 test, and emptiness check bottoms out here.  It is plain vectorised numpy.
 
-Pricing is Dantzig (most violated reduced cost) with an automatic switch to
-Bland's rule after a run of degenerate steps, which guarantees termination;
-the dual loop below picks its leaving row and entering column the same way.
-A fixed variable (equal bounds) is never priced, since its step can only be
-0: neither an artificial, which is fixed at zero, nor a structural column
-with lo == up ever enters.
-A loop keeps the explicit inverse of its basis, m x m, updated by one
+Every pass runs one loop (`_loop`), and its state picks each step.
+While some basic value lies outside its bounds by more than FEAS_TOL the
+loop takes a dual step: that basic variable leaves onto its bound, and
+the dual ratio test over its row of B^-1 A_all picks the entering column.
+Otherwise it takes a primal step: the most violated reduced cost enters
+(Dantzig), and the ratio test picks the leaving row or a bound flip.  When
+neither step is possible, the basis is optimal.  Both follow the bounded
+dual simplex of Koberstein 2005 and its primal counterpart, and share one
+pricing, one rank-1 update and one switch to Bland's rule after a run of
+degenerate steps, which guarantees termination.  A fixed variable (equal
+bounds) is never priced, since its step can only be 0: neither an
+artificial, which is fixed at zero, nor a structural column with lo == up
+ever enters.
+The loop keeps the explicit inverse of its basis, m x m, updated by one
 rank-1 product per pivot and rebuilt by LU every REFACTOR_EVERY pivots;
-reduced costs and the entering column are priced from it.  That rebuild is
-the kernel's only LU: a pass also reads its final values and its duals
-from the inverse it carries (`_settle`, `_duals`), each with one step of
-refinement, so a pass that needs no rebuild solves no linear system.
-A step of either loop keeps what a pivot barely changes instead of
-rebuilding it: the mask of priced columns (nonbasic and movable) and the
-sign of each column's bound, two entries per pivot, and the bounds and
-costs of the basic variables, one entry (`_swap`); the rank-1 term of the
-update goes into one buffer per loop.  No value changes: the pivots, x and
-the inverse are those of loops that rebuild this state at every step, bit
+reduced costs, the entering column and the pivot row are read from it.
+That rebuild is the kernel's only LU: a pass also reads its final values
+and its duals from the inverse it carries (`_settle`, `_duals`), each with
+one step of refinement, so a pass that needs no rebuild solves no linear
+system.  A step keeps what a pivot barely changes instead of rebuilding
+it: the mask of priced columns (nonbasic and movable) and the sign of
+each column's bound, two entries per pivot, and the bounds and costs of
+the basic variables, one entry (`_swap`); the rank-1 term of the update
+goes into one buffer per run.  No value changes: the pivots, x and the
+inverse are those of a loop that rebuilds this state at every step, bit
 for bit (`tests/test_simplex.py::TestLoopParity`).
 
 An LP starts cold by the dual simplex (`_start`; Koberstein 2005, Huangfu
@@ -30,13 +37,13 @@ column covers within that column's bounds (`_crash`, after Bixby 1992)
 starts with that column basic, every other row with its artificial.  Each
 nonbasic column sits at the bound its reduced cost favours, so the basis
 is dual feasible, and each nonbasic cost is moved by a tiny amount away
-from zero reduced cost, which keeps the dual simplex off the degenerate
-ties that the many zero costs of a support LP would make.  The dual loop
-then drives every basic value into its bounds, an artificial to zero,
-and ends optimal for the moved costs, or at a row that no column can
-enter, whose row of the inverse is a candidate Farkas ray.  From an
-optimal end the primal loop finishes on the true costs.  No phase 1 runs:
-the dual loop's end is primal feasible by construction.
+from zero reduced cost, which keeps the dual steps off the degenerate
+ties that the many zero costs of a support LP would make.  The loop then
+drives every basic value into its bounds, an artificial to zero, by dual
+steps, and ends optimal for the moved costs, or at a row that no column
+can enter, whose row of the inverse is a candidate Farkas ray.  From an
+optimal end the loop runs again on the true costs.  No phase 1 runs: the
+end of the dual steps is primal feasible by construction.
 
 A pass of the simplex only proposes a verdict, with the duals y of its
 final basis read from the inverse it carries.  The entry points
@@ -46,8 +53,8 @@ check is a proof for any y, so an inaccurate y, or a drifted inverse, can
 only fail its certificate, never pass a wrong verdict:
 
 - status 0, optimal: x is within the bounds and satisfies Ax = b to
-  100*FEAS_TOL (scaled by the data), and the dual bound from y proves that
-  c'x is within 100*FEAS_TOL*(1 + |c'x|) of the true optimum;
+  `residual_tol(b)` = 100*FEAS_TOL*(1 + max|b|), and the dual bound from
+  y proves that c'x is within 100*FEAS_TOL*(1 + |c'x|) of the optimum;
 - status 1, infeasible: a Farkas ray y proves that every point of the box
   misses Ax = b by more than FEAS_TOL*(1 + max|b|) in the 1-norm;
 - status 2, numerical failure: neither the passes from the region's kept
@@ -66,8 +73,8 @@ raw arrays make a new ladder per call; a constrained zonotope keeps the
 ladder of its factor box (`ConstrainedZonotope.lp_ladder`), so the start
 is made once per region per set object, however many queries follow.
 `solve_bounded_many` answers many costs over one region, as the oracles'
-support LPs over many directions ask.  A cost runs phase 2, the primal
-loop, warm from the final state of the cost before it in the same call
+support LPs over many directions ask.  A cost runs phase 2, the loop on
+its cost, warm from the final state of the cost before it in the same call
 when that one was certified optimal: only the cost differs, so that basis
 is still primal feasible.  The first cost, and a cost after one that
 failed, run from a copy of the kept start; no phase-2 state carries over
@@ -84,10 +91,11 @@ chosen columns pinned to given values, as a leaf of a hybrid zonotope is
 its relaxation with the binary factors pinned.  The parent, the LP without
 pins, is solved as a cost of `solve_bounded_many` is; pinning changes no
 cost and frees no column, so its optimal basis stays dual feasible for
-every child, and a dual simplex pass (`_dual_pass`, `_dual_loop`) restores
-primal feasibility from a copy of it, with no start of its own.  The pass
-ends optimal, or with the row of a basic variable that no column can move
-back into its bounds, whose row of the inverse is a candidate Farkas ray.
+every child, and a dual pass (`_dual_pass`) restores primal feasibility
+from a copy of it by the loop's dual steps, with no start of its own.  The
+pass ends optimal, or with the row of a basic variable that no column can
+move back into its bounds, whose row of the inverse is a candidate Farkas
+ray.
 Its proposal is certified by `_verdict` on the original A and b with the
 pinned bounds, which is the child's LP exactly, so a child's verdict
 certifies what the module's other verdicts do.  A child that no dual pass
@@ -118,12 +126,13 @@ _GOLDEN = 0.6180339887498949  # frac(j * _GOLDEN) spreads the moves apart
 class LpStats:
     """Counts of the kernel's work while an `lp_stats()` block is open.
 
-    `pivots`, `degenerate` and `bland` are keyed by phase and count the
-    steps of the simplex loops (a basis change or a bound flip): all of
-    them, those whose step (primal, or dual in a dual loop) was no more
+    `pivots`, `by_dual`, `degenerate` and `bland` are keyed by phase and
+    count the steps of the simplex loop (a basis change or a bound flip):
+    all of them, those that were dual steps, taken while a basic value
+    was out of its bounds, those whose step (primal or dual) was no more
     than 1e-12, and those taken under Bland's rule.  Phase 1 is the dual
-    starts, both their loops; phase 2 the primal passes from a start or
-    from the row before; "dual" the dual passes of `Ladder.children`.
+    starts, both their runs of the loop; phase 2 the passes from a start
+    or from the row before; "dual" the dual passes of `Ladder.children`.
     `phase1_runs` counts the dual starts made, and `phase1_reused` the
     reads of a start that a `Ladder` kept from an earlier call.
     `artificials` lists, per start, the number of rows that start with an
@@ -145,6 +154,7 @@ class LpStats:
     phase1_reused: int = 0
     artificials: list = field(default_factory=list)
     pivots: Counter = field(default_factory=Counter)
+    by_dual: Counter = field(default_factory=Counter)
     degenerate: Counter = field(default_factory=Counter)
     bland: Counter = field(default_factory=Counter)
     refactors: int = 0
@@ -162,6 +172,7 @@ class LpStats:
             "phase1_runs": self.phase1_runs,
             "phase1_reused": self.phase1_reused,
             "steps": {str(p): {"all": self.pivots[p],
+                               "by_dual": self.by_dual[p],
                                "degenerate": self.degenerate[p],
                                "bland": self.bland[p]}
                       for p in (1, 2, "dual")},
@@ -193,11 +204,26 @@ def lp_stats():
         _OPEN_STATS.remove(stats)
 
 
-def _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
-                  max_iter, phase):
-    """Bounded-variable primal simplex from the basis `basis` with inverse
-    Binv; every state array is changed in place.  Returns 0 optimal,
-    2 failure or 3 unbounded."""
+def _loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
+          max_iter, phase):
+    """The bounded-variable simplex for `cost` from the basis `basis` with
+    inverse Binv; every state array is changed in place.
+
+    The state picks each step.  While some basic value lies outside its
+    bounds by more than FEAS_TOL, a dual step: the basic variable furthest
+    out leaves onto the bound it violates, its row of B^-1 A_all is the
+    pivot row, and the dual ratio test over the movable nonbasic columns
+    picks the entering one, the largest pivot element among the ties, so
+    that no reduced cost changes sign.  Otherwise a primal step: the column
+    with the most violated reduced cost enters, and the ratio test picks
+    the leaving row, the largest pivot element among the ties, unless the
+    entering column reaches its other bound first (a bound flip).  A run
+    of DEGEN_SWITCH degenerate steps of either kind switches to Bland's
+    rule, the lowest index, until it ends.  Returns (status, row): 0 when
+    neither step is possible, so the basis is optimal; 1 when no column
+    can enter for the basic variable of `row`, whose row of Binv is then a
+    candidate Farkas ray; 2 on failure.  Its steps count under `phase`.
+    """
     m = Binv.shape[0]
     movable = U > L  # a fixed variable's step is always 0: never price it
     blowup = 1e9 * (1.0 + np.abs(U).max(initial=0.0))
@@ -206,11 +232,12 @@ def _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
     # bounds and costs
     priced, sign = movable & ~in_basis, np.where(at_upper, 1.0, -1.0)
     lB, uB, cB = L[basis], U[basis], cost[basis]
-    t_arr, outer = np.empty(m), np.empty_like(Binv)
+    t_arr, ratio = np.empty(m), np.empty(U.shape[0])
+    outer = np.empty_like(Binv)
     degen = it = pivots_since_refactor = 0
     bland = False
-    steps = degenerate = under_bland = refactors = 0
-    status = 2
+    steps = dual_steps = degenerate = under_bland = refactors = 0
+    status, row = 2, -1
     while it < max_iter:
         it += 1
         if pivots_since_refactor >= REFACTOR_EVERY:
@@ -220,53 +247,81 @@ def _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
                 break
             pivots_since_refactor = 0
             refactors += 1
+        xB = x[basis]
+        # each basic value's room above its lower bound and below its upper
+        room_lo, room_up = xB - lB, uB - xB
+        short = np.minimum(room_lo, room_up)
         # sign * rc is the rate at which a nonbasic column's move off its
         # bound lowers the cost: a violation where it exceeds OPT_TOL
         src = sign * (cost - (cB @ Binv) @ A_all)
-        viol = np.where(priced & (src > OPT_TOL), src, -1.0)
-        enter = int((viol > 0.0 if bland else viol).argmax())
-        if viol[enter] <= 0.0:
-            status = 0
-            break
-        sgn = -sign[enter]
-        alpha = Binv @ A_all[:, enter]
-        d = sgn * alpha
-        xB = x[basis]
-        ad = np.abs(d)
-        t_arr.fill(np.inf)
-        np.divide(np.where(d > 0.0, xB - lB, uB - xB), ad, out=t_arr,
-                  where=ad > PIV_TOL)
-        np.maximum(t_arr, 0.0, out=t_arr)
-        t_basic = t_arr.min() if m > 0 else np.inf
-        t_flip = U[enter] - L[enter]
-        if t_basic == np.inf and t_flip == np.inf:
-            status = 3
-            break
-        if t_flip < t_basic - 1e-12:
-            # entering variable runs to its other bound; basis unchanged
-            t = t_flip
-            x[basis] = xB - t * d
-            at_upper[enter] = up = not at_upper[enter]
-            x[enter] = U[enter] if up else L[enter]
-            sign[enter] = -sign[enter]
+        flip = False
+        if short.min(initial=0.0) < -FEAS_TOL:
+            cand = (short < -FEAS_TOL).nonzero()[0]
+            leave = cand[(basis[cand] if bland else short[cand]).argmin()]
+            # the leaving variable rises to its lower bound, or falls to its
+            # upper one when `up`
+            up = not room_lo[leave] < 0.0
+            s = -1.0 if up else 1.0
+            alpha_r = Binv[leave] @ A_all
+            # a column at its lower bound can enter when it would rise, one
+            # at its upper bound when it would fall: then its rate is
+            # positive, and its ratio is the dual step at which its reduced
+            # cost reaches 0
+            rate = sign * (s * alpha_r)
+            eligible = priced & (rate > PIV_TOL)
+            ratio.fill(np.inf)
+            np.divide(np.maximum(-src, 0.0), rate, out=ratio, where=eligible)
+            t = ratio.min()
+            if t == np.inf:
+                status, row = 1, leave
+                break
+            tie = ratio <= t + 1e-9
+            enter = int((tie if bland
+                         else np.where(tie, np.abs(alpha_r), -1.0)).argmax())
+            alpha = Binv @ A_all[:, enter]
+            bound = uB[leave] if up else lB[leave]
+            theta = (xB[leave] - bound) / alpha[leave]
+            dual_steps += 1
         else:
-            t = t_basic
-            cand = (t_arr <= t + 1e-9).nonzero()[0]
-            if bland:
-                # anti-cycling: leave the smallest variable index
-                leave = cand[basis[cand].argmin()]
+            viol = np.where(priced & (src > OPT_TOL), src, -1.0)
+            enter = int((viol > 0.0 if bland else viol).argmax())
+            if viol[enter] <= 0.0:
+                status = 0
+                break
+            sgn = -sign[enter]
+            alpha = Binv @ A_all[:, enter]
+            d = sgn * alpha
+            ad = np.abs(d)
+            t_arr.fill(np.inf)
+            np.divide(np.where(d > 0.0, room_lo, room_up), ad, out=t_arr,
+                      where=ad > PIV_TOL)
+            np.maximum(t_arr, 0.0, out=t_arr)
+            t = t_arr.min(initial=np.inf)
+            t_flip = U[enter] - L[enter]  # finite: every bound is
+            flip = t_flip < t - 1e-12
+            if flip:
+                # entering variable runs to its other bound; basis unchanged
+                t = t_flip
+                x[basis] = xB - t * d
+                at_upper[enter] = up = not at_upper[enter]
+                x[enter] = U[enter] if up else L[enter]
+                sign[enter] = -sign[enter]
             else:
-                # stability: pivot on the largest eligible element
-                leave = cand[ad[cand].argmax()]
+                cand = (t_arr <= t + 1e-9).nonzero()[0]
+                # anti-cycling: the smallest variable index; else, for
+                # stability, the largest eligible pivot element
+                leave = cand[basis[cand].argmin() if bland
+                             else ad[cand].argmax()]
+                up = not d[leave] > 0.0
+                theta = sgn * t
+        if not flip:
             lv = basis[leave]
-            enter_val = x[enter] + sgn * t
-            newxB = xB - t * d
+            newxB = xB - theta * alpha
             x[basis] = newxB
-            up = not d[leave] > 0.0
+            x[enter] += theta
             x[lv] = uB[leave] if up else lB[leave]
             _swap(leave, enter, lv, up, L, U, cost, movable, basis, in_basis,
                   at_upper, priced, sign, lB, uB, cB)
-            x[enter] = enter_val
             if np.abs(newxB).max() > blowup:
                 if pivots_since_refactor == 0:
                     break  # blew up right after a clean refactor: give up
@@ -281,99 +336,7 @@ def _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
         bland = degen > DEGEN_SWITCH
         if degen > DEGEN_BAIL:
             break
-    _count_steps(phase, steps, degenerate, under_bland, refactors)
-    return status
-
-
-def _dual_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
-               max_iter, phase):
-    """Bounded-variable dual simplex from the basis `basis` with inverse
-    Binv, dual feasible for `cost`; every state array is changed in place.
-
-    Each step takes the basic variable furthest outside its bounds (by more
-    than FEAS_TOL) out of the basis, onto the bound it violates.  Its row
-    of B^-1 A_all is the pivot row, and the dual ratio test over the
-    movable nonbasic columns picks the entering one, the largest pivot
-    element among the ties, so that every reduced cost keeps its sign.
-    Degenerate steps, the switch to Bland's rule (lowest index, for the
-    leaving row and among the tied entering columns), the rebuild every
-    REFACTOR_EVERY pivots and the blow-up guard are those of
-    `_simplex_loop`.  Returns (status, row): 0 when every basic value is
-    within its bounds, so the basis is optimal; 1 when no column can enter
-    for the basic variable of `row`, whose row of Binv is then a candidate
-    Farkas ray; 2 on failure.  Its steps count under `phase`.
-    """
-    movable = U > L
-    blowup = 1e9 * (1.0 + np.abs(U).max(initial=0.0))
-    priced, sign = movable & ~in_basis, np.where(at_upper, 1.0, -1.0)
-    lB, uB, cB = L[basis], U[basis], cost[basis]
-    ratio, outer = np.empty(U.shape[0]), np.empty_like(Binv)
-    degen = it = pivots_since_refactor = 0
-    bland = False
-    steps = degenerate = under_bland = refactors = 0
-    status, row = 2, -1
-    while it < max_iter:
-        it += 1
-        if pivots_since_refactor >= REFACTOR_EVERY:
-            if not _rebuild(Binv, A_all, b, x, basis):
-                break
-            pivots_since_refactor = 0
-            refactors += 1
-        xB = x[basis]
-        below = lB - xB
-        viol = np.maximum(below, xB - uB)
-        cand = (viol > FEAS_TOL).nonzero()[0]
-        if cand.shape[0] == 0:
-            status = 0
-            break
-        if bland:
-            leave = cand[basis[cand].argmin()]
-        else:
-            leave = cand[viol[cand].argmax()]
-        # s = +1 when the leaving variable rises to its lower bound, -1 when
-        # it falls to its upper one
-        s = 1.0 if below[leave] > 0.0 else -1.0
-        alpha_r = Binv[leave] @ A_all
-        # a column at its lower bound can enter when it would rise, one at
-        # its upper bound when it would fall: then its rate is positive, and
-        # its ratio is the dual step at which its reduced cost reaches 0
-        rate = sign * (s * alpha_r)
-        room = np.maximum(-(sign * (cost - (cB @ Binv) @ A_all)), 0.0)
-        eligible = priced & (rate > PIV_TOL)
-        ratio.fill(np.inf)
-        np.divide(room, rate, out=ratio, where=eligible)
-        t = ratio.min()
-        if t == np.inf:
-            status, row = 1, leave
-            break
-        tie = ratio <= t + 1e-9
-        enter = int((tie if bland
-                     else np.where(tie, np.abs(alpha_r), -1.0)).argmax())
-        alpha = Binv @ A_all[:, enter]
-        lv = basis[leave]
-        bound = lB[leave] if s > 0.0 else uB[leave]
-        theta = (xB[leave] - bound) / alpha[leave]
-        newxB = xB - theta * alpha
-        x[basis] = newxB
-        x[enter] += theta
-        x[lv] = bound
-        _swap(leave, enter, lv, s < 0.0, L, U, cost, movable, basis, in_basis,
-              at_upper, priced, sign, lB, uB, cB)
-        if np.abs(newxB).max() > blowup:
-            if pivots_since_refactor == 0:
-                break  # blew up right after a clean refactor: give up
-            pivots_since_refactor = REFACTOR_EVERY  # refactor next
-        _update_inverse(Binv, alpha, leave, outer)
-        pivots_since_refactor += 1
-        steps += 1
-        under_bland += bland
-        # a run of degenerate steps switches to Bland's rule until it ends
-        degen = degen + 1 if t <= 1e-12 else 0
-        degenerate += degen > 0
-        bland = degen > DEGEN_SWITCH
-        if degen > DEGEN_BAIL:
-            break
-    _count_steps(phase, steps, degenerate, under_bland, refactors)
+    _count_steps(phase, steps, dual_steps, degenerate, under_bland, refactors)
     return status, row
 
 
@@ -391,9 +354,11 @@ def _swap(leave, enter, lv, up, L, U, cost, movable, basis, in_basis,
     lB[leave], uB[leave], cB[leave] = L[enter], U[enter], cost[enter]
 
 
-def _count_steps(phase, steps, degenerate, under_bland, refactors):
+def _count_steps(phase, steps, dual_steps, degenerate, under_bland,
+                 refactors):
     for stats in _OPEN_STATS:
         stats.pivots[phase] += steps
+        stats.by_dual[phase] += dual_steps
         stats.degenerate[phase] += degenerate
         stats.bland[phase] += under_bland
         stats.refactors += refactors
@@ -515,10 +480,10 @@ def _start(c, A, b, lo, up, max_iter):
     side of its reduced cost, and the column sits at the bound that side
     favours: lo for a reduced cost >= 0, up otherwise.  So the start is
     dual feasible for the moved costs, with no reduced cost at 0.  Its
-    basic values are solved from the nonbasic ones, and `_dual_loop` runs
-    on the moved costs.  When it ends optimal, `_simplex_loop` finishes on
-    the true costs from that primal feasible basis.  Both loops count as
-    phase 1.
+    basic values are solved from the nonbasic ones, and `_loop` runs on
+    the moved costs, by dual steps while a basic value is out of its
+    bounds.  When it ends optimal, `_loop` runs again on the true costs
+    from that basis.  Both runs count as phase 1.
 
     Returns (proposal, state): the proposal (status, x, y) of `_proposal`,
     and, when it is optimal, the final state (Binv, x, L, U, basis,
@@ -552,11 +517,11 @@ def _start(c, A, b, lo, up, max_iter):
         stats.artificials.append(m - len(rows))
     st, row = 2, -1
     if _settle(Binv, A_all, b, x, basis):
-        st, row = _dual_loop(Binv, A_all, b, x, L, U, basis, in_basis,
-                             at_upper, moved, max_iter, 1)
+        st, row = _loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
+                        moved, max_iter, 1)
     if st == 0:
-        st = _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis,
-                           at_upper, cost, max_iter, 1)
+        st, row = _loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
+                        cost, max_iter, 1)
     proposal = _proposal(st, row, Binv, A_all, b, x, basis, cost)
     state = Binv, x, L, U, basis, in_basis, at_upper
     return proposal, (state if proposal[0] == 0 else None)
@@ -568,14 +533,15 @@ def _pass(start, c, A_all, b, max_iter):
 
     Returns (proposal, state) as `_start` does; state is `start` itself,
     changed, when the proposal is optimal, else None.  Phase 2 starts
-    feasible, so it never proposes status 1.
+    feasible and takes primal steps, and a dual step only to bring back a
+    basic value that drifted out of its bounds.
     """
     Binv, x, L, U, basis, in_basis, at_upper = start
     cost = np.zeros(A_all.shape[1])
     cost[:c.shape[0]] = c
-    st = _simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
-                       cost, max_iter, 2)
-    proposal = _proposal(st, -1, Binv, A_all, b, x, basis, cost)
+    st, row = _loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
+                    max_iter, 2)
+    proposal = _proposal(st, row, Binv, A_all, b, x, basis, cost)
     return proposal, (start if proposal[0] == 0 else None)
 
 
@@ -587,9 +553,9 @@ def _dual_pass(parent, A_all, b, c, cols, v, max_iter):
     `_pass`): the pinned columns get L = U = v, the nonbasic ones move to
     v, and the basic values are settled onto A_all x = b from the carried
     inverse (`_settle`).  Pinning changes no cost and frees no column, so
-    the parent's basis stays dual feasible, and `_dual_loop` restores
-    primal feasibility from it.  Returns the proposal (status, x, y) of
-    `_proposal`.
+    the parent's basis stays dual feasible, and `_loop` restores primal
+    feasibility from it by dual steps.  Returns the proposal (status, x, y)
+    of `_proposal`.
     """
     Binv, x, L, U, basis, in_basis, at_upper = (a.copy() for a in parent)
     L[cols] = v
@@ -599,8 +565,8 @@ def _dual_pass(parent, A_all, b, c, cols, v, max_iter):
     cost[:c.shape[0]] = c
     st, row = 2, -1
     if _settle(Binv, A_all, b, x, basis):
-        st, row = _dual_loop(Binv, A_all, b, x, L, U, basis, in_basis,
-                             at_upper, cost, max_iter, "dual")
+        st, row = _loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
+                        cost, max_iter, "dual")
     return _proposal(st, row, Binv, A_all, b, x, basis, cost)
 
 
@@ -623,6 +589,12 @@ def _farkas_bound(A, b, lo, up, y):
     return max(yb - hi_y, lo_y - yb) / ny
 
 
+def residual_tol(b):
+    """The largest primal residual |Ax - b| that an optimal verdict may
+    have: 100*FEAS_TOL*(1 + max|b|)."""
+    return 100.0 * FEAS_TOL * (1.0 + np.abs(b).max(initial=0.0))
+
+
 def _within_bounds(lo, up, x):
     bscale = 1.0 + max(np.abs(lo).max(initial=0.0),
                        np.abs(up).max(initial=0.0))
@@ -637,7 +609,7 @@ def _certified_optimal(c, A, b, lo, up, x, y):
     three checks pass, else None.  A NaN residual or gap fails its check.
     """
     resid = np.abs(A @ x - b).max(initial=0.0)
-    resid_tol = 100.0 * FEAS_TOL * (1.0 + np.abs(b).max(initial=0.0))
+    resid_tol = residual_tol(b)
     if not resid <= resid_tol or not _within_bounds(lo, up, x):
         return None
     obj = float(c @ x)
@@ -683,6 +655,21 @@ def _check_cost(C):
         raise ValueError("a cost must have finite entries")
 
 
+def _check_region(A, b, lo, up):
+    """ValueError unless every entry of A, b, lo and up is finite and
+    lo <= up."""
+    if not all(np.isfinite(a).all() for a in (A, b, lo, up)):
+        raise ValueError("a region must have finite entries")
+    if (lo > up).any():
+        raise ValueError("a region must have lo <= up")
+
+
+def _max_iter(A):
+    """The step budget of each loop run over the region of A, m x n:
+    200 (m + n) + 2000."""
+    return 200 * sum(A.shape) + 2000
+
+
 def _cold(c, A, b, lo, up, max_iter):
     """(verdict, state) of the LP's own cold start, the dual start for c:
     state is the final state of a certified optimal verdict, else None, and
@@ -710,13 +697,15 @@ class Ladder:
     cost and bounds (`_cold`), kept by no one.  No state of a pass outlives
     its call, so an answer does not depend on the calls made before it.
     The columns A_all = [A, I] are not kept but rebuilt from A on each
-    call.  Every loop run may take 200 (m + n) + 2000 steps.  A ladder
-    holds arrays and numbers only, so it pickles and deep-copies.
+    call.  Every loop run may take `_max_iter(A)` steps.  A ladder holds
+    arrays and numbers only, so it pickles and deep-copies.  Raises
+    ValueError for a region with a NaN or infinite entry, or lo > up.
     """
 
     def __init__(self, A, b, lo, up):
         self.A, self.b, self.lo, self.up = _as_arrays(A, b, lo, up)
-        self.max_iter = 200 * sum(self.A.shape) + 2000
+        _check_region(self.A, self.b, self.lo, self.up)
+        self.max_iter = _max_iter(self.A)
         self._kept = None  # (verdict, state) of the kept start, once made
 
     def kept_start(self):
@@ -833,8 +822,8 @@ def solve_bounded(c, A, b, lo, up):
 
     Returns (status, objective, x) with status 0 optimal, 1 infeasible or
     2 numerical failure; what 0 and 1 certify is in the module docstring.
-    Raises ValueError for a cost with a NaN or infinite entry.  It is the
-    one-cost case of `solve_bounded_many`.
+    Raises ValueError for a NaN or infinite entry of c, A, b, lo or up, or
+    lo > up.  It is the one-cost case of `solve_bounded_many`.
     """
     c = np.asarray(c, dtype=np.float64)
     return solve_bounded_many(c[None], A, b, lo, up)[0]
@@ -850,9 +839,10 @@ def solve_bounded_many(C, A, b, lo, up):
     start.  A row that no pass from the kept start answers gets one cold
     retry, the dual start for its own cost.  An infeasible verdict does not
     depend on the cost, so once certified it answers every row.  Status 2
-    means that the cold retry failed too.  A cost row with a NaN or
-    infinite entry raises ValueError before any pass runs.  Each call
-    makes a new `Ladder`; `Ladder.solve_many` answers on a kept one.
+    means that the cold retry failed too.  A NaN or infinite entry of C,
+    A, b, lo or up, or lo > up, raises ValueError before any pass runs.
+    Each call makes a new `Ladder`; `Ladder.solve_many` answers on a kept
+    one.
     """
     return Ladder(A, b, lo, up).solve_many(C)
 
@@ -868,10 +858,12 @@ def min_infeasibility(A, b, lo, up, tol=FEAS_TOL):
     threshold t = tol*(1 + max|b|) that callers compare it with: a residual
     <= t is witnessed by x, and a residual > t comes with a Farkas ray, the
     elastic LP's duals, proving that every point of the box misses by more
-    than t.  Raises NumericalFailure when the elastic LP yields neither.
-    It keeps nothing between calls.
+    than t.  Raises NumericalFailure when the elastic LP yields neither,
+    and ValueError, before any pass, for a NaN or infinite entry of A, b,
+    lo or up, or lo > up.  It keeps nothing between calls.
     """
     A, b, lo, up = _as_arrays(A, b, lo, up)
+    _check_region(A, b, lo, up)
     m, n = A.shape
     if m == 0:
         return 0.0, lo.copy()
@@ -883,7 +875,7 @@ def min_infeasibility(A, b, lo, up, tol=FEAS_TOL):
         np.concatenate([np.zeros(n), np.ones(2 * m)]),
         np.hstack([A, eye, -eye]), b,
         np.concatenate([lo, np.zeros(2 * m)]),
-        np.concatenate([up, np.full(2 * m, cap)]), 200 * (m + n) + 2000)
+        np.concatenate([up, np.full(2 * m, cap)]), _max_iter(A))
     x = x[:n]
     resid = float(np.sum(np.abs(A @ x - b)))
     t = tol * (1.0 + np.max(np.abs(b)))

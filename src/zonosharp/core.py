@@ -291,7 +291,16 @@ def set_to_obj(S: AnySet) -> dict:
     return obj
 
 
+def _check_finite(*arrays) -> None:
+    """ValueError unless every entry of the arrays is finite: a JSON reader
+    takes NaN and Infinity."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("a set or network must have finite entries")
+
+
 def set_from_obj(obj: dict) -> AnySet:
+    """The set that `set_to_obj` wrote; ValueError for a NaN or infinite
+    entry."""
     kind = obj.get("type", "hz")
     form = FactorForm.ZO if obj.get("form", "pm1") == "01" else FactorForm.PM1
     c = _as_vector(obj["c"])
@@ -300,10 +309,12 @@ def set_from_obj(obj: dict) -> AnySet:
     nc = b.shape[0]
     Gc = _as_matrix(obj.get("Gc", obj.get("G", [])), rows=n)
     Ac = _as_matrix(obj.get("Ac", obj.get("A", [])), rows=nc, cols=Gc.shape[1])
+    _check_finite(c, b, Gc, Ac)
     if kind in ("cz", "zono"):
         return ConstrainedZonotope(Gc, c, Ac, b, form)
     Gb = _as_matrix(obj.get("Gb", []), rows=n)
     Ab = _as_matrix(obj.get("Ab", []), rows=nc, cols=Gb.shape[1])
+    _check_finite(Gb, Ab)
     return HybridZonotope(Gc, Gb, c, Ac, Ab, b, form)
 
 

@@ -299,9 +299,9 @@ def _in_a_leaf(H: AnySet, R: ConstrainedZonotope, XI: np.ndarray) -> np.ndarray:
 
     Its binaries, snapped to the nearer end of the binary domain, must each
     be within FEAS_TOL of that end, and the snapped point must satisfy the
-    leaf's equality system Ac y + Ab x = b within the kernel's certificate
-    threshold.  With no binaries the relaxation is H's one leaf, so every
-    row lies in it.
+    leaf's equality system Ac y + Ab x = b within the kernel's residual
+    threshold (`_simplex.residual_tol`).  With no binaries the relaxation
+    is H's one leaf, so every row lies in it.
     """
     n_b = 0 if isinstance(H, ConstrainedZonotope) else H.n_b
     if n_b == 0:
@@ -311,8 +311,7 @@ def _in_a_leaf(H: AnySet, R: ConstrainedZonotope, XI: np.ndarray) -> np.ndarray:
     snapped = np.where(x - lo <= hi - x, lo, hi)
     integral = np.all(np.abs(x - snapped) <= FEAS_TOL, axis=1)
     resid = np.abs(np.hstack([XI[:, :-n_b], snapped]) @ R.A.T - R.b)
-    threshold = 100.0 * FEAS_TOL * (1.0 + np.max(np.abs(R.b), initial=0.0))
-    return integral & np.all(resid <= threshold, axis=1)
+    return integral & np.all(resid <= _simplex.residual_tol(R.b), axis=1)
 
 
 def _leaf_maxima(pairs: list, R: ConstrainedZonotope,

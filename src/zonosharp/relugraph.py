@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FactorForm, HybridZonotope, box, convert_form, point
+from .core import (FactorForm, HybridZonotope, _check_finite, box,
+                   convert_form, point)
 from .errors import DimensionMismatch, EmptyInterval
 from .algebra import (
     affine_map,
@@ -84,8 +85,12 @@ class ReluNetwork:
 
 
 def network_from_obj(obj: dict) -> ReluNetwork:
-    layers = tuple((layer["W"], layer["b"]) for layer in obj["layers"])
-    return ReluNetwork(layers, obj["input_box"])
+    """The network that `ReluNetwork.to_obj` wrote; ValueError for a NaN
+    or infinite weight, bias or input bound."""
+    net = ReluNetwork(tuple((layer["W"], layer["b"])
+                            for layer in obj["layers"]), obj["input_box"])
+    _check_finite(net.input_box, *(a for layer in net.layers for a in layer))
+    return net
 
 
 def read_network(path) -> ReluNetwork:

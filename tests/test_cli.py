@@ -210,6 +210,21 @@ class TestCheckSharp:
         assert main(["check-sharp", square, "-o", str(tmp_path / "r.json")]) == 5
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("text", [
+        '{"type": "cz", "form": "01", "c": [0, 0], "Gc": [[1, 0], [0, NaN]]}',
+        '{"type": "cz", "form": "01", "c": [0, 0], "Gc": [[1, 0], [0, 1]],'
+        ' "Ac": [[Infinity, 1]], "b": [0.5]}',
+        '{"c": [0], "Gc": [[1]], "Gb": [[-Infinity]], "Ab": [[]], "Ac": [[]],'
+        ' "b": []}'], ids=["nan-Gc", "inf-Ac", "inf-Gb"])
+    def test_nonfinite_set_exit_2(self, tmp_path, capsys, text):
+        # Python's JSON reader takes NaN and Infinity; such a set once
+        # reached the kernel and exited 1, "not sharp", on a traceback
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert main(["check-sharp", str(p), "-o", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read set file" in err and "finite" in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3", "abc"])
     def test_bad_tol_exit_2(self, square, tmp_path, capsys, tol):
         with pytest.raises(SystemExit) as exc:
@@ -230,6 +245,9 @@ class TestCheckSharp:
         assert json.dumps(rep, indent=1) == open(plain).read()
         assert stats["phase1_runs"] >= 1 and stats["refactors"] == 0
         assert set(stats["steps"]) == {"1", "2", "dual"}
+        for steps in stats["steps"].values():
+            assert set(steps) == {"all", "by_dual", "degenerate", "bland"}
+            assert 0 <= steps["by_dual"] <= steps["all"]
         # a box closes every direction at its relaxation: no leaf LP
         assert stats["children"] == 0 and "child_fallbacks" not in stats
         assert stats["cold_retries"] == 0 and set(stats["status"]) == {"0"}
@@ -352,6 +370,17 @@ class TestDemoLevelset:
             "input_box": [[-1, 1], [-1, 1]]}))
         return str(path)
 
+    def test_nonfinite_network_exit_2(self, tmp_path, capsys):
+        # a NaN weight once ended demo-levelset in a traceback
+        path = tmp_path / "net.json"
+        path.write_text('{"layers": [{"W": [[1.0, NaN]], "b": [0.0]},'
+                        ' {"W": [[1.0]], "b": [0.0]}],'
+                        ' "input_box": [[-1, 1], [-1, 1]]}')
+        assert main(["demo-levelset", str(path), "--angles", "8", "--dirs",
+                     "4", "-o", str(tmp_path / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read network file" in err and "finite" in err
+
     def test_no_binaries_has_no_levels(self, tmp_path, no_binaries):
         out = str(tmp_path / "x.json")
         assert main(["demo-levelset", no_binaries, "--threshold", "5.0",
@@ -402,6 +431,10 @@ class TestDemoLevelset:
         assert stats["children"] > 0 and "child_fallbacks" not in stats
         dual = stats["steps"]["dual"]
         assert dual["all"] > 0 and dual["degenerate"] <= dual["all"]
+        # a dual pass takes dual steps, and phase 1 starts with them
+        assert 0 < dual["by_dual"] <= dual["all"]
+        assert 0 < stats["steps"]["1"]["by_dual"] <= stats["steps"]["1"]["all"]
+        assert steps["by_dual"] <= steps["all"]
 
     def test_one_phase1_per_region(self, tmp_path):
         # the relaxation and 4 leaves of the level set, the relaxation of the

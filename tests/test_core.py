@@ -192,3 +192,15 @@ class TestJson:
     def test_json_serializable(self):
         H = _random_hz(np.random.default_rng(6))
         json.dumps(set_to_obj(H))
+
+    @pytest.mark.parametrize("name", ["c", "Gc", "Gb", "Ac", "Ab", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_raises(self, name, bad):
+        # JSON readers take NaN and Infinity; the set constructors do not
+        # look for them, so the reader does
+        obj = set_to_obj(_random_hz(np.random.default_rng(6)))
+        arr = np.array(obj[name], dtype=float)
+        arr.flat[-1] = bad
+        obj[name] = arr.tolist()
+        with pytest.raises(ValueError, match="finite"):
+            set_from_obj(json.loads(json.dumps(obj)))

@@ -8,10 +8,11 @@ lift LPs, each row of `solve_bounded_many` must also agree with one
 later rows, which start warm, to the same tolerance, with a point that
 HiGHS's duals certify.  The hull supports that a sharpness check answers
 from the relaxation's basis must agree with HiGHS's leaf LPs to the same
-tolerance.  Three lifts outside `LIFTS`, at one seed each, are the ones a
-retry ladder of perturbed copies failed on: the (6, 6) batch, the (5, 3)
-sharpness check and the empty level-4 lift of a seeded ReLU network.
-Skipped when scipy is missing.
+tolerance.  Lifts outside `LIFTS` are the ones a retry ladder of perturbed
+copies failed on, or whose phase 2 once crawled under Bland's rule: the
+(6, 6) batches at seeds 0 and 1, the (5, 3) sharpness check at seed 0 and
+the empty level-4 lift of a seeded ReLU network.  Skipped when scipy is
+missing.
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ linprog = pytest.importorskip("scipy.optimize").linprog
 HIGHS_STATUS = {0: 0, 2: 1}  # HiGHS optimal / infeasible -> kernel status
 
 LIFTS = [(nb, d) for nb in (2, 3, 4) for d in sorted({1, (nb + 1) // 2, nb})] \
-    + [(5, 1), (5, 5), (6, 1)]
+    + [(5, 1), (5, 3), (5, 5), (6, 1)]
 
 
 def _assert_agree(c, A, b, lo, up):
@@ -72,7 +73,29 @@ def test_lift_support_batch(nb, d, seed):
 def test_6_6_lift_support_batch():
     # a retry ladder of perturbed copies certified these rows only on its
     # last rung, after 16.9 s
-    R, C = _lift_batch(6, 6, 1)
+    _assert_batch_certified(6, 6, 1)
+
+
+def test_6_6_seed_0_lift_support_batch():
+    # phase 2 from the kept start crawled under Bland's rule on this lift
+    # until 5 of its 8 rows were answered by their cold retries
+    _assert_batch_certified(6, 6, 0)
+
+
+def test_5_3_phase_2_takes_dual_steps():
+    # phase 2 from the kept start brings basic values that drifted out of
+    # their bounds back by dual steps; it once crawled under Bland's rule
+    # until a row needed its cold retry
+    with _simplex.lp_stats() as stats:
+        _assert_batch_certified(5, 3, 0)
+    assert stats.by_dual[2] > 0
+    assert stats.cold_retries == 0 and stats.phase1_runs == 1
+
+
+def _assert_batch_certified(nb, d, seed):
+    """Every row of the lift's batch is certified optimal, as HiGHS finds
+    it."""
+    R, C = _lift_batch(nb, d, seed)
     lo, up = R.factor_bounds()
     batch = _simplex.solve_bounded_many(C, R.A, R.b, lo, up)
     for c, answer in zip(C, batch):
@@ -125,10 +148,10 @@ def test_5_3_children_match_highs():
     # leaf ladders that failed, and the check raised NumericalFailure
     with _simplex.lp_stats() as stats:
         _assert_children_agree(5, 3, 0)
-    # the relaxation's start and one relaxation row's cold retry, as in the
-    # lift's batch: no child needs a start of its own
+    # the relaxation's kept start answers every relaxation row, and no
+    # child needs a start of its own
     assert stats.children == 32
-    assert stats.cold_retries == 1 and stats.phase1_runs == 2
+    assert stats.cold_retries == 0 and stats.phase1_runs == 1
 
 
 def _assert_children_agree(nb, d, seed):

@@ -185,3 +185,15 @@ class TestDemoNetwork:
             "input_box": [[0.0, 1.0]],
         })
         assert net.n_in == net.n_out == 1
+
+    @pytest.mark.parametrize("where", ["W", "b", "input_box"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_from_obj_rejects_nonfinite_entries(self, where, bad):
+        obj = {"layers": [{"W": [[1.0]], "b": [0.0]}],
+               "input_box": [[0.0, 1.0]]}
+        if where == "input_box":
+            obj["input_box"] = [[0.0, bad]]
+        else:
+            obj["layers"][0][where] = [[bad]] if where == "W" else [bad]
+        with pytest.raises(ValueError, match="finite"):
+            network_from_obj(obj)

@@ -284,6 +284,42 @@ class TestCertificates:
                 _simplex.Ladder(A, b, lo, up).children(c, [0], [[0.0]])
         assert stats.phase1_runs == 0 and stats.rows == 0
 
+    # the region (A, b, lo, up) of LP with one entry spoilt; lo > up has the
+    # box [1, 0] in its second column
+    BAD_REGIONS = {
+        "nan-A": (np.array([[1.0, np.nan]]), np.ones(1), np.zeros(2),
+                  np.ones(2)),
+        "inf-b": (np.ones((1, 2)), np.array([np.inf]), np.zeros(2),
+                  np.ones(2)),
+        "nan-lo": (np.ones((1, 2)), np.ones(1), np.array([0.0, np.nan]),
+                   np.ones(2)),
+        "inf-up": (np.ones((1, 2)), np.ones(1), np.zeros(2),
+                   np.array([1.0, np.inf])),
+        "lo>up": (np.ones((1, 2)), np.ones(1), np.array([0.0, 1.0]),
+                  np.array([1.0, 0.0])),
+    }
+
+    @pytest.mark.parametrize("name", list(BAD_REGIONS))
+    def test_bad_region_raises_before_any_pass(self, name):
+        # such a region was once answered (2, 0.0, x), with no error
+        region = self.BAD_REGIONS[name]
+        match = "lo <= up" if name == "lo>up" else "finite entries"
+        with _simplex.lp_stats() as stats:
+            with pytest.raises(ValueError, match=match):
+                _simplex.solve_bounded(self.LP[0], *region)
+            with pytest.raises(ValueError, match=match):
+                _simplex.Ladder(*region)
+            with pytest.raises(ValueError, match=match):
+                _simplex.min_infeasibility(*region)
+        assert stats.phase1_runs == 0 and stats.rows == 0
+
+    def test_unbounded_box_raises(self):
+        # min -x1 subject to x1 = x2 over [0, inf)^2 was answered
+        # (2, 0.0, [0, inf])
+        with pytest.raises(ValueError, match="finite entries"):
+            _simplex.solve_bounded([-1.0, 0.0], [[1.0, -1.0]], [0.0],
+                                   [0.0, 0.0], [np.inf, np.inf])
+
     @pytest.mark.parametrize("c", NONFINITE)
     def test_nan_gap_fails_the_certificate(self, c):
         # x = (0, 1) and y = 1 prove the optimum of the cost (2, 1); a
@@ -583,10 +619,10 @@ class TestPricing:
         in_basis = np.array([True, False, False])
         at_upper = np.zeros(3, dtype=np.bool_)
         with _simplex.lp_stats() as stats:
-            st = _simplex._simplex_loop(np.eye(1), A_all, b, x, L, U, basis,
-                                        in_basis, at_upper,
-                                        np.array([0.0, -1.0, 1.0]), 100, 2)
-        assert st == 0 and stats.pivots[2] == 0
+            out = _simplex._loop(np.eye(1), A_all, b, x, L, U, basis,
+                                 in_basis, at_upper,
+                                 np.array([0.0, -1.0, 1.0]), 100, 2)
+        assert out == (0, -1) and stats.pivots[2] == 0
         assert basis.tolist() == [0] and not at_upper.any()
 
 
@@ -663,16 +699,16 @@ class TestCarriedInverse:
 
     @staticmethod
     def _spoil_after(monkeypatch, spoil, phases):
-        """Spoil the carried inverse at the end of every simplex loop of the
-        given phases, before the pass reads its values and duals."""
-        real = _simplex._simplex_loop
+        """Spoil the carried inverse at the end of every run of the loop in
+        the given phases, before the pass reads its values and duals."""
+        real = _simplex._loop
 
         def loop(Binv, *args):
-            st = real(Binv, *args)
+            out = real(Binv, *args)
             if args[-1] in phases:
                 spoil(Binv)
-            return st
-        monkeypatch.setattr(_simplex, "_simplex_loop", loop)
+            return out
+        monkeypatch.setattr(_simplex, "_loop", loop)
 
     @pytest.mark.parametrize("spoil", SPOILS)
     def test_wrong_inverse_is_rejected_or_right(self, monkeypatch, demo_batch,
@@ -702,20 +738,20 @@ class TestCarriedInverse:
         C = np.array([-(R.G.T @ u) for u in direction_set(2, 8)])
         true = [[_simplex.solve_bounded(c, R.A, R.b, *_pinned(lo, up, cols, v))
                  for v in V] for c in C]
-        real = _simplex._dual_loop
+        real = _simplex._loop
 
         def loop(Binv, *args):
             out = real(Binv, *args)
-            if args[-1] == "dual":  # a dual pass, not a start's dual loop
+            if args[-1] == "dual":  # a dual pass, not a start or phase 2
                 spoil(Binv)
             return out
-        monkeypatch.setattr(_simplex, "_dual_loop", loop)
+        monkeypatch.setattr(_simplex, "_loop", loop)
         ladder = _simplex.Ladder(R.A, R.b, lo, up)
         with _simplex.lp_stats() as stats:
             verdicts = [v for c in C for v in ladder.children(c, cols, V)]
         # a pass's verdict passes only if its duals or its ray still prove
         # it; a child whose verdict is rejected is answered by its cold
-        # retry, whose loops run as phase 1, unspoiled
+        # retry, whose runs of the loop are phase 1, unspoiled
         assert stats.cold_retries > 0
         for v, (st, obj, _) in zip(verdicts, [r for row in true for r in row]):
             assert st in (0, 1) and v[0] == st
@@ -734,20 +770,22 @@ class TestCarriedInverse:
             assert st == 2 or abs(obj - ref) <= 1e-6 * (1.0 + abs(ref))
 
 
-# --- the loops against a reference ----------------------------------------
+# --- the loop against a reference ----------------------------------------
 #
-# The simplex loops as they stood before they kept their per-step state
-# (priced columns, bound signs, basic bounds and costs) up to date between
-# steps; only the names of the functions they call, and the wording of one
-# comment, differ.  The kernel's loops must take the same pivots to the same
-# bits.
+# The simplex loop as it stood before it kept its per-step state (priced
+# columns, bound signs, basic bounds and costs) up to date between steps:
+# every step rebuilds that state, and a dual or a primal step is picked by
+# the kernel's rule, the primal step and the dual step being those of the
+# two loops that the kernel had before they were merged.  Only the names of
+# the functions it calls, and the wording of some comments, differ.  The
+# kernel's loop must take the same pivots to the same bits.
 
-_REFERENCE_COUNTS = []  # (phase, steps, degenerate, bland, refactors) per loop
+_REFERENCE_COUNTS = []  # (phase, steps, dual steps, degenerate, bland,
+#                          refactors) per run
 
 
-def _reference_count_steps(phase, steps, degenerate, under_bland, refactors):
-    _REFERENCE_COUNTS.append((phase, steps, degenerate, under_bland,
-                              refactors))
+def _reference_count_steps(*counts):
+    _REFERENCE_COUNTS.append(counts)
 
 
 def _reference_update_inverse(Binv, alpha, leave):
@@ -759,11 +797,13 @@ def _reference_update_inverse(Binv, alpha, leave):
     Binv[leave, :] = prow
 
 
-def _reference_simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis,
-                             at_upper, cost, max_iter, phase):
-    """Bounded-variable primal simplex from the basis `basis` with inverse
-    Binv; every state array is changed in place.  Returns 0 optimal,
-    2 failure or 3 unbounded."""
+def _reference_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
+                    cost, max_iter, phase):
+    """Bounded-variable simplex from the basis `basis` with inverse Binv;
+    every state array is changed in place.  A dual step while a basic value
+    is outside its bounds by more than FEAS_TOL, else a primal step.
+    Returns (status, row): 0 optimal, 1 when no column can enter for the
+    basic variable of `row`, 2 failure."""
     m = Binv.shape[0]
     movable = U > L  # a fixed variable's step is always 0: never price it
     blowup = 1e9 * (1.0 + np.max(np.abs(U), initial=0.0))
@@ -771,8 +811,8 @@ def _reference_simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis,
     bland = False
     it = 0
     pivots_since_refactor = 0
-    steps = degenerate = under_bland = refactors = 0
-    status = 2
+    steps = dual_steps = degenerate = under_bland = refactors = 0
+    status, row = 2, -1
     while it < max_iter:
         it += 1
         if pivots_since_refactor >= REFACTOR_EVERY:
@@ -782,82 +822,131 @@ def _reference_simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis,
                 break
             pivots_since_refactor = 0
             refactors += 1
+        xB = x[basis]
+        below = L[basis] - xB
+        viol = np.maximum(below, xB - U[basis])
         y = cost[basis] @ Binv
         rc = cost - y @ A_all
-        free = movable & ~in_basis
-        mask_low = free & (~at_upper) & (rc < -OPT_TOL)
-        mask_up = free & at_upper & (rc > OPT_TOL)
-        viol = np.where(mask_low, -rc, np.where(mask_up, rc, -1.0))
-        if bland:
-            cand = np.nonzero(viol > 0.0)[0]
-            if cand.shape[0] == 0:
-                status = 0
-                break
-            enter = cand[0]
-        else:
-            enter = int(np.argmax(viol))
-            if viol[enter] <= 0.0:
-                status = 0
-                break
-        sgn = -1.0 if at_upper[enter] else 1.0
-        alpha = Binv @ A_all[:, enter]
-        d = sgn * alpha
-
-        xB = x[basis]
-        lB = L[basis]
-        uB = U[basis]
-        pos = d > PIV_TOL
-        neg = d < -PIV_TOL
-        safe_pos = np.where(pos, d, 1.0)
-        safe_neg = np.where(neg, -d, 1.0)
-        t_arr = np.where(pos, (xB - lB) / safe_pos,
-                         np.where(neg, (uB - xB) / safe_neg, np.inf))
-        t_arr = np.maximum(t_arr, 0.0)
-        t_basic = np.min(t_arr) if m > 0 else np.inf
-        t_flip = U[enter] - L[enter]
-        if t_basic == np.inf and t_flip == np.inf:
-            status = 3
-            break
-        if t_flip < t_basic - 1e-12:
-            # entering variable runs to its other bound; basis unchanged
-            t = t_flip
-            x[basis] = xB - t * d
-            if at_upper[enter]:
-                x[enter] = L[enter]
-                at_upper[enter] = False
-            else:
-                x[enter] = U[enter]
-                at_upper[enter] = True
-        else:
-            t = t_basic
-            cand = np.nonzero(t_arr <= t + 1e-9)[0]
+        if np.any(viol > FEAS_TOL):
+            # the dual step
+            cand = np.nonzero(viol > FEAS_TOL)[0]
             if bland:
-                # anti-cycling: leave the smallest variable index
                 leave = cand[int(np.argmin(basis[cand]))]
             else:
-                # stability: pivot on the largest eligible element
-                leave = cand[int(np.argmax(np.abs(d[cand])))]
-            lv = basis[leave]
-            enter_val = x[enter] + sgn * t
-            newxB = xB - t * d
-            x[basis] = newxB
-            if d[leave] > 0.0:
-                x[lv] = L[lv]
-                at_upper[lv] = False
+                leave = cand[int(np.argmax(viol[cand]))]
+            # +1 when the leaving variable rises to its lower bound, -1
+            # when it falls to its upper one
+            s = 1.0 if below[leave] > 0.0 else -1.0
+            alpha_r = Binv[leave] @ A_all
+            # a column at its lower bound can enter when it would rise
+            # (g < 0), one at its upper bound when it would fall (g > 0);
+            # its ratio is the dual step at which its reduced cost reaches 0
+            g = s * alpha_r
+            rate = np.where(at_upper, g, -g)
+            room = np.maximum(np.where(at_upper, -rc, rc), 0.0)
+            eligible = movable & ~in_basis & (rate > PIV_TOL)
+            ratio = np.where(eligible, room / np.where(eligible, rate, 1.0),
+                             np.inf)
+            t = np.min(ratio)
+            if t == np.inf:
+                status, row = 1, leave
+                break
+            ties = np.nonzero(ratio <= t + 1e-9)[0]
+            if bland:
+                enter = ties[0]
             else:
-                x[lv] = U[lv]
-                at_upper[lv] = True
+                enter = ties[int(np.argmax(np.abs(alpha_r[ties])))]
+            alpha = Binv @ A_all[:, enter]
+            lv = basis[leave]
+            bound = L[lv] if s > 0.0 else U[lv]
+            theta = (x[lv] - bound) / alpha[leave]
+            newxB = xB - theta * alpha
+            x[basis] = newxB
+            x[enter] += theta
+            x[lv] = bound
+            at_upper[lv] = s < 0.0
             basis[leave] = enter
             in_basis[enter] = True
             in_basis[lv] = False
             at_upper[enter] = False
-            x[enter] = enter_val
             if np.max(np.abs(newxB)) > blowup:
                 if pivots_since_refactor == 0:
                     break  # blew up right after a clean refactor: give up
                 pivots_since_refactor = REFACTOR_EVERY  # refactor next
             _reference_update_inverse(Binv, alpha, leave)
             pivots_since_refactor += 1
+            dual_steps += 1
+        else:
+            # the primal step
+            free = movable & ~in_basis
+            mask_low = free & (~at_upper) & (rc < -OPT_TOL)
+            mask_up = free & at_upper & (rc > OPT_TOL)
+            viol = np.where(mask_low, -rc, np.where(mask_up, rc, -1.0))
+            if bland:
+                cand = np.nonzero(viol > 0.0)[0]
+                if cand.shape[0] == 0:
+                    status = 0
+                    break
+                enter = cand[0]
+            else:
+                enter = int(np.argmax(viol))
+                if viol[enter] <= 0.0:
+                    status = 0
+                    break
+            sgn = -1.0 if at_upper[enter] else 1.0
+            alpha = Binv @ A_all[:, enter]
+            d = sgn * alpha
+            lB = L[basis]
+            uB = U[basis]
+            pos = d > PIV_TOL
+            neg = d < -PIV_TOL
+            safe_pos = np.where(pos, d, 1.0)
+            safe_neg = np.where(neg, -d, 1.0)
+            t_arr = np.where(pos, (xB - lB) / safe_pos,
+                             np.where(neg, (uB - xB) / safe_neg, np.inf))
+            t_arr = np.maximum(t_arr, 0.0)
+            t_basic = np.min(t_arr) if m > 0 else np.inf
+            t_flip = U[enter] - L[enter]
+            if t_flip < t_basic - 1e-12:
+                # entering variable runs to its other bound; basis unchanged
+                t = t_flip
+                x[basis] = xB - t * d
+                if at_upper[enter]:
+                    x[enter] = L[enter]
+                    at_upper[enter] = False
+                else:
+                    x[enter] = U[enter]
+                    at_upper[enter] = True
+            else:
+                t = t_basic
+                cand = np.nonzero(t_arr <= t + 1e-9)[0]
+                if bland:
+                    # anti-cycling: leave the smallest variable index
+                    leave = cand[int(np.argmin(basis[cand]))]
+                else:
+                    # stability: pivot on the largest eligible element
+                    leave = cand[int(np.argmax(np.abs(d[cand])))]
+                lv = basis[leave]
+                enter_val = x[enter] + sgn * t
+                newxB = xB - t * d
+                x[basis] = newxB
+                if d[leave] > 0.0:
+                    x[lv] = L[lv]
+                    at_upper[lv] = False
+                else:
+                    x[lv] = U[lv]
+                    at_upper[lv] = True
+                basis[leave] = enter
+                in_basis[enter] = True
+                in_basis[lv] = False
+                at_upper[enter] = False
+                x[enter] = enter_val
+                if np.max(np.abs(newxB)) > blowup:
+                    if pivots_since_refactor == 0:
+                        break  # blew up right after a clean refactor
+                    pivots_since_refactor = REFACTOR_EVERY  # refactor next
+                _reference_update_inverse(Binv, alpha, leave)
+                pivots_since_refactor += 1
         steps += 1
         under_bland += bland
         if t <= 1e-12:
@@ -870,110 +959,8 @@ def _reference_simplex_loop(Binv, A_all, b, x, L, U, basis, in_basis,
         else:
             degen = 0
             bland = False
-    _reference_count_steps(phase, steps, degenerate, under_bland, refactors)
-    return status
-
-
-def _reference_dual_loop(Binv, A_all, b, x, L, U, basis, in_basis,
-                          at_upper, cost, max_iter, phase):
-    """Bounded-variable dual simplex from the basis `basis` with inverse
-    Binv, dual feasible for `cost`; every state array is changed in place.
-
-    Each step takes the basic variable furthest outside its bounds (by more
-    than FEAS_TOL) out of the basis, onto the bound it violates.  Its row
-    of B^-1 A_all is the pivot row, and the dual ratio test over the
-    movable nonbasic columns picks the entering one, the largest pivot
-    element among the ties, so that every reduced cost keeps its sign.
-    Degenerate steps, the switch to Bland's rule (lowest index, for the
-    leaving row and among the tied entering columns), the rebuild every
-    REFACTOR_EVERY pivots and the blow-up guard are those of
-    `_simplex_loop`.  Returns (status, row): 0 when every basic value is
-    within its bounds, so the basis is optimal; 1 when no column can enter
-    for the basic variable of `row`, whose row of Binv is then a candidate
-    Farkas ray; 2 on failure.  Its steps count under `phase`.
-    """
-    movable = U > L
-    blowup = 1e9 * (1.0 + np.max(np.abs(U), initial=0.0))
-    degen = 0
-    bland = False
-    it = 0
-    pivots_since_refactor = 0
-    steps = degenerate = under_bland = refactors = 0
-    status, row = 2, -1
-    while it < max_iter:
-        it += 1
-        if pivots_since_refactor >= REFACTOR_EVERY:
-            if not _simplex._rebuild(Binv, A_all, b, x, basis):
-                break
-            pivots_since_refactor = 0
-            refactors += 1
-        xB = x[basis]
-        below = L[basis] - xB
-        viol = np.maximum(below, xB - U[basis])
-        cand = np.nonzero(viol > FEAS_TOL)[0]
-        if cand.shape[0] == 0:
-            status = 0
-            break
-        if bland:
-            leave = cand[int(np.argmin(basis[cand]))]
-        else:
-            leave = cand[int(np.argmax(viol[cand]))]
-        # +1 when the leaving variable rises to its lower bound, -1 when it
-        # falls to its upper one
-        s = 1.0 if below[leave] > 0.0 else -1.0
-        alpha_r = Binv[leave] @ A_all
-        y = cost[basis] @ Binv
-        rc = cost - y @ A_all
-        # a column at its lower bound can enter when it would rise (g < 0),
-        # one at its upper bound when it would fall (g > 0); its ratio is
-        # the dual step at which its reduced cost reaches 0
-        g = s * alpha_r
-        rate = np.where(at_upper, g, -g)
-        room = np.maximum(np.where(at_upper, -rc, rc), 0.0)
-        eligible = movable & ~in_basis & (rate > PIV_TOL)
-        ratio = np.where(eligible, room / np.where(eligible, rate, 1.0),
-                         np.inf)
-        t = np.min(ratio)
-        if t == np.inf:
-            status, row = 1, leave
-            break
-        ties = np.nonzero(ratio <= t + 1e-9)[0]
-        if bland:
-            enter = ties[0]
-        else:
-            enter = ties[int(np.argmax(np.abs(alpha_r[ties])))]
-        alpha = Binv @ A_all[:, enter]
-        lv = basis[leave]
-        bound = L[lv] if s > 0.0 else U[lv]
-        theta = (x[lv] - bound) / alpha[leave]
-        newxB = xB - theta * alpha
-        x[basis] = newxB
-        x[enter] += theta
-        x[lv] = bound
-        at_upper[lv] = s < 0.0
-        basis[leave] = enter
-        in_basis[enter] = True
-        in_basis[lv] = False
-        at_upper[enter] = False
-        if np.max(np.abs(newxB)) > blowup:
-            if pivots_since_refactor == 0:
-                break  # blew up right after a clean refactor: give up
-            pivots_since_refactor = REFACTOR_EVERY  # refactor next
-        _reference_update_inverse(Binv, alpha, leave)
-        pivots_since_refactor += 1
-        steps += 1
-        under_bland += bland
-        if t <= 1e-12:
-            degenerate += 1
-            degen += 1
-            if degen > DEGEN_SWITCH:
-                bland = True
-            if degen > DEGEN_BAIL:
-                break
-        else:
-            degen = 0
-            bland = False
-    _reference_count_steps(phase, steps, degenerate, under_bland, refactors)
+    _reference_count_steps(phase, steps, dual_steps, degenerate, under_bland,
+                           refactors)
     return status, row
 
 
@@ -990,14 +977,15 @@ def _assert_state_invariants(x, L, U, basis, in_basis, at_upper):
 
 
 class TestLoopParity:
-    """Every simplex loop that a test runs is run twice from the same start
-    state, by the reference loop on a copy and by the kernel, and the
-    status, every state array and the step counts must match bit for bit."""
+    """Every run of the simplex loop that a test makes is run twice from the
+    same start state, by the reference loop on a copy and by the kernel,
+    and the status, every state array and the step counts must match bit
+    for bit."""
 
     @pytest.fixture
     def loops(self, monkeypatch):
-        """Counter of the loops compared ("primal", "dual") and of their
-        steps ("primal steps", "dual steps")."""
+        """Counter of the runs compared, by phase, and of their steps and
+        dual steps, keyed (phase, "steps") and (phase, "by_dual")."""
         seen = Counter()
         kernel_counts = []
         real_count = _simplex._count_steps
@@ -1006,37 +994,36 @@ class TestLoopParity:
             kernel_counts.append(counts)
             real_count(*counts)
 
-        def compared(kernel, reference, kind):
-            def loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
+        def compared(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
                      *rest):
-                state = (Binv, x, L, U, basis, in_basis, at_upper)
-                copies = [a.copy() for a in state]
-                del _REFERENCE_COUNTS[:]
-                ref_out = reference(copies[0], A_all, b, *copies[1:], *rest)
-                out = kernel(*state[:1], A_all, b, *state[1:], *rest)
-                assert out == ref_out
-                for a, r in zip(state, copies, strict=True):
-                    assert a.dtype == r.dtype and a.tobytes() == r.tobytes()
-                assert [kernel_counts[-1]] == _REFERENCE_COUNTS
-                _assert_state_invariants(*state[1:])
-                seen[kind] += 1
-                seen[kind + " steps"] += kernel_counts[-1][1]
-                return out
-            return loop
+            state = (Binv, x, L, U, basis, in_basis, at_upper)
+            copies = [a.copy() for a in state]
+            del _REFERENCE_COUNTS[:]
+            ref_out = _reference_loop(copies[0], A_all, b, *copies[1:], *rest)
+            out = kernel(*state[:1], A_all, b, *state[1:], *rest)
+            assert out == ref_out
+            for a, r in zip(state, copies, strict=True):
+                assert a.dtype == r.dtype and a.tobytes() == r.tobytes()
+            assert [kernel_counts[-1]] == _REFERENCE_COUNTS
+            _assert_state_invariants(*state[1:])
+            phase, steps, dual_steps = kernel_counts[-1][:3]
+            seen[phase] += 1
+            seen[phase, "steps"] += steps
+            seen[phase, "by_dual"] += dual_steps
+            return out
+        kernel = _simplex._loop
         monkeypatch.setattr(_simplex, "_count_steps", count)
-        monkeypatch.setattr(_simplex, "_simplex_loop", compared(
-            _simplex._simplex_loop, _reference_simplex_loop, "primal"))
-        monkeypatch.setattr(_simplex, "_dual_loop", compared(
-            _simplex._dual_loop, _reference_dual_loop, "dual"))
+        monkeypatch.setattr(_simplex, "_loop", compared)
         return seen
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_lps(self, loops, seed):
-        # the start's dual loop, then, on a feasible LP, its primal loop
-        # and phase 2's
+        # the start's run on the moved costs, then, on a feasible LP, its
+        # run on the true costs and phase 2's
         c, A, b, lo, up = small_random_lp(seed)
         st, _, _ = _simplex.solve_bounded(c, A, b, lo, up)
-        assert loops["dual"] == 1 and loops["primal"] == (2 if st == 0 else 0)
+        assert loops[1] == (2 if st == 0 else 1)
+        assert loops[2] == (1 if st == 0 else 0)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_dual_passes(self, loops, seed):
@@ -1044,7 +1031,7 @@ class TestLoopParity:
         V = np.array(list(itertools.product(*[(lo[j], up[j])
                                               for j in (0, 1)])))
         _simplex.Ladder(A, b, lo, up).children(c, [0, 1], V)
-        assert loops["dual"] >= 1
+        assert loops[1] >= 1
 
     def test_dense_region_with_binary_children(self, loops):
         rng = np.random.default_rng(0)
@@ -1055,8 +1042,10 @@ class TestLoopParity:
         V = np.array(list(itertools.product((0.0, 1.0), repeat=nb)))
         _simplex.Ladder(A, A @ x0, np.zeros(n), np.ones(n)).children(
             rng.normal(size=n), np.arange(n - nb, n), V)
-        # the start's dual loop and one per child
-        assert loops["dual"] == 1 + len(V) and loops["dual steps"] > 0
+        # the start's two runs, the parent's phase 2 and one run per child,
+        # which takes dual steps
+        assert (loops[1], loops[2], loops["dual"]) == (2, 1, len(V))
+        assert loops[1, "by_dual"] > 0 and loops["dual", "by_dual"] > 0
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_demo_lift_relaxations(self, loops, d):
@@ -1069,8 +1058,8 @@ class TestLoopParity:
         R = convex_relaxation(Xd)
         C = np.array([-(R.G.T @ u) for u in direction_set(2, 16)])
         _simplex.solve_bounded_many(C, R.A, R.b, *R.factor_bounds())
-        assert loops["dual"] >= 1
-        assert loops["primal"] >= 1 + len(C) and loops["primal steps"] > 0
+        assert loops[1] >= 2 and loops[1, "by_dual"] > 0
+        assert loops[2] >= len(C) and loops[2, "steps"] > 0
         check_sharpness(Xd, n_dirs=4, seed=0)
         if d == 1:
-            assert loops["dual steps"] > 0
+            assert loops["dual", "by_dual"] > 0

@@ -74,11 +74,15 @@ def test_lift_stats_prints_one_record_per_lift():
         assert stats["rows"] == 8 and sum(stats["status"].values()) == 8
         assert stats["phase1_runs"] >= 1 and stats["cold_retries"] >= 0
         assert set(stats["steps"]) == {"1", "2", "dual"}
+        for steps in stats["steps"].values():
+            assert 0 <= steps["by_dual"] <= steps["all"]
+        assert stats["steps"]["1"]["by_dual"] > 0  # a start's dual steps
         assert len(r["objectives"]) == 8
         assert all(repr(float(v)) == v for v in r["objectives"])  # exact
         sharp = r["sharpness"]
         assert sharp["phase1_runs"] >= 1 and sharp["seconds"] >= 0.0
         assert sharp["cold_retries"] >= 0
+        assert set(sharp["by_dual"]) == {"1", "2", "dual"}
         assert sharp["us_per_step"] is None or sharp["us_per_step"] > 0.0
     for r in records[:2]:
         sharp = r["sharpness"]
@@ -102,6 +106,8 @@ def test_lift_stats_counts_children():
     assert sharp["verdict"] == "not_sharp" and sharp["closed"] == 6
     assert sharp["children"] == 2 * 16 and "child_fallbacks" not in sharp
     assert sharp["dual_steps"] > 0 and sharp["phase1_runs"] == 1
+    # a child's pass restores its pinned bounds by dual steps
+    assert 0 < sharp["by_dual"]["dual"] <= sharp["dual_steps"]
     assert sharp["cold_retries"] == first["lp_stats"]["cold_retries"] == 0
     for r in (first, again):
         del r["seconds"], r["sharpness"]["seconds"]

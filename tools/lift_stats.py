@@ -15,21 +15,22 @@ Its support LPs in the 8 directions of `direction_set(2, 8, seed=seed)` are
 solved as one `solve_bounded_many` batch inside `lp_stats()`, and one JSON
 line is printed per lift: the shape of the region, the batch's wall time,
 the counters of `LpStats.to_obj()` (statuses, steps per phase with the
-degenerate ones and those under Bland's rule, dual starts, cold retries,
-refactors) and the 8 objectives as `repr` strings, so that two revisions
-can be compared bit for bit.  Its "sharpness" entry is `check_sharpness`
-on the lifted hybrid zonotope in the same 8 directions, run on the lift
-alone: its wall time, verdict, `max_gap` as a `repr` string, the
-directions closed by the relaxation, the leaf LPs of the open directions
-answered as children of the relaxation's LP, the steps of the dual
-passes, the dual starts and the cold retries, which count a child's
-retry too; a check that raises NumericalFailure has its message as
-the verdict and null for the gap and the closed directions, and a check
-on an empty lift has "empty".  The batch and the check each also give
-"us_per_step", their wall time over the steps of all their simplex loops
-(phase 1, phase 2 and dual) in microseconds, or null with no step: the
-cost of a step on that lift.  Everything but the two "seconds" and the
-two "us_per_step" repeats exactly.
+dual steps among them, the degenerate ones and those under Bland's rule,
+dual starts, cold retries, refactors) and the 8 objectives as `repr`
+strings, so that two revisions can be compared bit for bit.  Its
+"sharpness" entry is `check_sharpness` on the lifted hybrid zonotope in
+the same 8 directions, run on the lift alone: its wall time, verdict,
+`max_gap` as a `repr` string, the directions closed by the relaxation,
+the leaf LPs of the open directions answered as children of the
+relaxation's LP, the steps of the dual passes, the dual steps per phase
+("by_dual"), the dual starts and the cold retries, which count a child's
+retry too; a check that raises NumericalFailure has its message as the
+verdict and null for the gap and the closed directions, and a check on
+an empty lift has "empty".  The batch and the check each also give
+"us_per_step", their wall time over the steps of all their runs of the
+simplex loop (phase 1, phase 2 and dual passes) in microseconds, or null
+with no step: the cost of a step on that lift.  Everything but the two
+"seconds" and the two "us_per_step" repeats exactly.
 
 The BLAS runs one thread, as in `perfbench/run.py`: the kernel's pivots
 follow the rounding of its matrix products, which depends on the thread
@@ -113,6 +114,7 @@ def sharpness_stats(lift, seed):
             "max_gap": max_gap, "closed": closed,
             "children": stats.children,
             "dual_steps": stats.pivots["dual"],
+            "by_dual": {str(p): stats.by_dual[p] for p in (1, 2, "dual")},
             "phase1_runs": stats.phase1_runs,
             "cold_retries": stats.cold_retries}
 
