@@ -789,10 +789,13 @@ class Ladder:
         answers, gets one cold retry, the dual start for its own LP; status
         2 means that the retry failed too.  No state outlives the call.
         Raises ValueError, as `solve_many` does, for a cost with a NaN or
-        infinite entry.
+        infinite entry, and for a NaN or infinite pinned value, before any
+        pass runs.
         """
         c, V = _as_arrays(c, V)
         _check_cost(c)
+        if not np.isfinite(V).all():
+            raise ValueError("a pinned value must have finite entries")
         cols = np.asarray(cols, dtype=np.intp)
         A, b, lo, up = self.A, self.b, self.lo, self.up
         A_all = _with_artificials(A)

@@ -1,3 +1,9 @@
+import copy
+import errno
+import mmap
+import os
+import pickle
+
 import numpy as np
 import pytest
 
@@ -282,6 +288,76 @@ class TestLiftParity:
     def test_demo_level_set(self, d):
         X = relugraph.level_set_above(relugraph.demo_network(), 0.5)
         _assert_same_bytes(build_xd(X, d)[0], _reference_lift(X, d))
+
+    def test_mapped_lift_pickles_and_copies(self):
+        # n_b = 8, d = 3 with n_g = 2 and n_c = 1, as in the benchmark; Ac is
+        # a private mapping
+        H = _random_hz(np.random.default_rng([8, 2, 1]), 2, 2, 8, 1)
+        X, reference = build_xd(H, 3)[0], _reference_lift(H, 3)
+        assert isinstance(_storage(X.Ac), mmap.mmap)
+        _assert_same_bytes(X, reference)
+        R = HybridZonotope(*reference, FactorForm.ZO)
+        assert not X.Ac.flags.writeable and not R.Ac.flags.writeable
+        assert pickle.dumps(X) == pickle.dumps(R)
+        for Y in (pickle.loads(pickle.dumps(X)), copy.deepcopy(X)):
+            _assert_same_bytes(Y, reference)
+            assert pickle.dumps(Y) == pickle.dumps(R)
+
+
+def _storage(a):
+    """The object at the end of the chain of bases of the array a."""
+    while isinstance(a, (np.ndarray, memoryview)):
+        a = a.base if isinstance(a, np.ndarray) else a.obj
+    return a
+
+
+def _resident_bytes():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * mmap.PAGESIZE
+
+
+class TestLiftStorage:
+    """A sparse Ac commits memory only in the pages that its entries fall in;
+    a dense one comes from np.zeros."""
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="needs /proc/self/statm")
+    def test_sparse_lift_commits_less_than_half_of_ac(self):
+        # n_b = 8, d = 4: 53288 entries in a 345 MiB Ac.  An np.zeros Ac grew
+        # resident memory by about all of it where transparent huge pages
+        # are in madvise or always mode; in never mode it commits only the
+        # 4 KiB pages written too, so the storage is checked as well
+        H = _random_hz(np.random.default_rng(8), 2, 2, 8, 1)
+        before = _resident_bytes()
+        X = build_xd(H, 4)[0]
+        grown = _resident_bytes() - before
+        assert X.Ac.shape == (6435, 7031)
+        assert isinstance(_storage(X.Ac), mmap.mmap)
+        assert grown < X.Ac.nbytes / 2, (grown, X.Ac.nbytes)
+
+    def test_lift_without_private_mappings_is_the_same(self, monkeypatch):
+        # Windows' mmap has no MAP_PRIVATE; there Ac comes from np.zeros
+        H = _random_hz(np.random.default_rng([8, 2, 1]), 2, 2, 8, 1)
+        monkeypatch.delattr(mmap, "MAP_PRIVATE")
+        X = build_xd(H, 3)[0]
+        assert not isinstance(_storage(X.Ac), mmap.mmap)
+        _assert_same_bytes(X, _reference_lift(H, 3))
+
+    def test_lift_with_entries_in_most_pages_is_not_mapped(self):
+        # the d = 2 lift of the demo level set writes into every page of Ac
+        X = relugraph.level_set_above(relugraph.demo_network(), 0.5)
+        lift = build_xd(X, 2)[0]
+        assert lift.Ac.nbytes >= 2 * mmap.PAGESIZE
+        assert not isinstance(_storage(lift.Ac), mmap.mmap)
+
+    def test_failed_mapping_raises_memory_error(self, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        monkeypatch.setattr(mmap, "mmap", no_memory)
+        H = _random_hz(np.random.default_rng([8, 2, 1]), 2, 2, 8, 1)
+        with pytest.raises(MemoryError):
+            build_xd(H, 3)
 
 
 class TestSetEquality:

@@ -284,6 +284,15 @@ class TestCertificates:
                 _simplex.Ladder(A, b, lo, up).children(c, [0], [[0.0]])
         assert stats.phase1_runs == 0 and stats.rows == 0
 
+    @pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_pin_raises_before_any_pass(self, v):
+        # a NaN pin was once answered (2, 0.0, [nan, 0.0])
+        c, A, b, lo, up = self.LP
+        with _simplex.lp_stats() as stats:
+            with pytest.raises(ValueError, match="finite entries"):
+                _simplex.Ladder(A, b, lo, up).children(c, [0], [[0.0], [v]])
+        assert stats.phase1_runs == 0 and stats.rows == 0
+
     # the region (A, b, lo, up) of LP with one entry spoilt; lo > up has the
     # box [1, 0] in its second column
     BAD_REGIONS = {
