@@ -45,7 +45,6 @@ from .errors import (
     LevelOutOfRange,
     NumericalFailure,
     OverlappingIndexSets,
-    UnboundedDirection,
     ZonoSharpError,
 )
 from .algebra import (

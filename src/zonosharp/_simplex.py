@@ -57,9 +57,8 @@ only fail its certificate, never pass a wrong verdict:
   y proves that c'x is within 100*FEAS_TOL*(1 + |c'x|) of the optimum;
 - status 1, infeasible: a Farkas ray y proves that every point of the box
   misses Ax = b by more than FEAS_TOL*(1 + max|b|) in the 1-norm;
-- status 2, numerical failure: neither the passes from the region's kept
-  start nor the LP's own cold start produced a verdict that passed its
-  certificate.
+- status 2, numerical failure: neither the LP's one pass nor its cold
+  retry produced a verdict that passed its certificate.
 
 `min_infeasibility` solves the elastic LP, min sum(s+ + s-) subject to
 Ax + s+ - s- = b over the box, by the same dual start, on no ladder, and
@@ -72,36 +71,33 @@ for the cost 0, made the first time a call needs it.  The entry points on
 raw arrays make a new ladder per call; a constrained zonotope keeps the
 ladder of its factor box (`ConstrainedZonotope.lp_ladder`), so the start
 is made once per region per set object, however many queries follow.
+
+Every LP of a ladder is answered by one rule: one pass of the loop from
+the nearest certified state, certified by `_verdict`, else its cold retry,
+the dual start for its own cost and bounds, which is also what an LP with
+no such state gets.  A certified infeasible start answers every LP.
 `solve_bounded_many` answers many costs over one region, as the oracles'
-support LPs over many directions ask.  A cost runs phase 2, the loop on
-its cost, warm from the final state of the cost before it in the same call
-when that one was certified optimal: only the cost differs, so that basis
-is still primal feasible.  The first cost, and a cost after one that
-failed, run from a copy of the kept start; no phase-2 state carries over
-between calls.  A warm answer may be another optimal vertex than a cold
-start finds, and is certified the same way.  A warm pass that is not
-certified runs once more from the kept start.  A cost that no pass
-answers, warm or from the kept start, gets one cold retry: the dual start
-for its own cost; when the kept start itself is not certified, that is
-every cost with no warm state to start from.  A certified infeasible start
-answers every cost.  `solve_bounded` is the one-cost case.
+support LPs over many directions ask.  A cost starts warm from the final
+state of the cost before it in the same call when that one was certified
+optimal: only the cost differs, so that basis is still primal feasible.
+The first cost, and a cost after one that failed, start from a copy of
+the kept start; no state carries over between calls.  A warm answer may
+be another optimal vertex than a cold start finds, and is certified the
+same way.  `solve_bounded` is the one-cost case.
 
 `Ladder.children` answers the children of one LP: the same region with
 chosen columns pinned to given values, as a leaf of a hybrid zonotope is
 its relaxation with the binary factors pinned.  The parent, the LP without
-pins, is solved as a cost of `solve_bounded_many` is; pinning changes no
-cost and frees no column, so its optimal basis stays dual feasible for
-every child, and a dual pass (`_dual_pass`) restores primal feasibility
-from a copy of it by the loop's dual steps, with no start of its own.  The
-pass ends optimal, or with the row of a basic variable that no column can
-move back into its bounds, whose row of the inverse is a candidate Farkas
-ray.
-Its proposal is certified by `_verdict` on the original A and b with the
-pinned bounds, which is the child's LP exactly, so a child's verdict
-certifies what the module's other verdicts do.  A child that no dual pass
-certifies, and every child of a parent that no pass answers, gets the one
-cold retry of a batch row: the dual start for its own LP.  A certified
-infeasible parent answers every child, whose box lies inside its own.
+pins, is solved as a first cost of `solve_bounded_many` is.  A child
+starts from a copy of the parent's optimal state with its columns pinned
+and its basic values settled (`_pinned`): pinning changes no cost and
+frees no column, so the basis stays dual feasible, and the loop restores
+primal feasibility by dual steps.  It ends optimal, or at the row of a
+basic variable that no column can move back into its bounds, whose row of
+the inverse is a candidate Farkas ray.  `_verdict` checks it on the
+original A and b with the pinned bounds, which is the child's LP exactly.
+A certified infeasible parent answers every child, whose box lies inside
+its own.
 """
 
 from collections import Counter
@@ -132,7 +128,8 @@ class LpStats:
     was out of its bounds, those whose step (primal or dual) was no more
     than 1e-12, and those taken under Bland's rule.  Phase 1 is the dual
     starts, both their runs of the loop; phase 2 the passes from a start
-    or from the row before; "dual" the dual passes of `Ladder.children`.
+    or from the row before; "dual" the passes of the children of
+    `Ladder.children`.
     `phase1_runs` counts the dual starts made, and `phase1_reused` the
     reads of a start that a `Ladder` kept from an earlier call.
     `artificials` lists, per start, the number of rows that start with an
@@ -141,9 +138,9 @@ class LpStats:
     that returns.  `children` counts the children that `Ladder.children`
     answers, one per row of pinned values.  `cold_retries` counts the LPs
     (batch rows, and the parents and children of `Ladder.children`)
-    answered by their own cold start, since no pass from the region's kept
-    start, or from the parent's basis, was certified, and `status` the
-    answers of `solve_bounded_many` rows by status.
+    answered by their own cold start, since their one pass was not
+    certified or had no start, and `status` the answers of
+    `solve_bounded_many` rows by status.
     `max_residual` and `max_gap` are the largest primal residual and duality
     gap of an optimal verdict that its certificate accepted, each as a
     fraction of its threshold (so at most 1; 0 while none was accepted).
@@ -487,8 +484,8 @@ def _start(c, A, b, lo, up, max_iter):
 
     Returns (proposal, state): the proposal (status, x, y) of `_proposal`,
     and, when it is optimal, the final state (Binv, x, L, U, basis,
-    in_basis, at_upper) over A_all, from which `_pass` runs phase 2 for
-    another cost; else None.
+    in_basis, at_upper) over A_all, from which `_pass` runs another
+    cost; else None.
     """
     m, n = A.shape
     N = n + m
@@ -527,47 +524,33 @@ def _start(c, A, b, lo, up, max_iter):
     return proposal, (state if proposal[0] == 0 else None)
 
 
-def _pass(start, c, A_all, b, max_iter):
-    """Phase 2 for the cost c, in place on `start`, a primal feasible state
-    over the columns A_all = [A, I] that `_start` or an earlier pass left.
-
-    Returns (proposal, state) as `_start` does; state is `start` itself,
-    changed, when the proposal is optimal, else None.  Phase 2 starts
-    feasible and takes primal steps, and a dual step only to bring back a
-    basic value that drifted out of its bounds.
+def _pass(start, c, A_all, b, max_iter, phase):
+    """The loop for the cost c, in place on `start`, a state over A_all =
+    [A, I] that `_start`, an earlier pass or `_pinned` left; its steps
+    count under `phase`.  Returns (proposal, state) as `_start` does; state
+    is `start` itself, changed, when the proposal is optimal, else None.
     """
     Binv, x, L, U, basis, in_basis, at_upper = start
     cost = np.zeros(A_all.shape[1])
     cost[:c.shape[0]] = c
     st, row = _loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
-                    max_iter, 2)
+                    max_iter, phase)
     proposal = _proposal(st, row, Binv, A_all, b, x, basis, cost)
     return proposal, (start if proposal[0] == 0 else None)
 
 
-def _dual_pass(parent, A_all, b, c, cols, v, max_iter):
-    """One dual pass: the LP of a parent's final optimal state, with the
-    columns `cols` pinned to the values v.
-
-    It runs on a copy of `parent`, an optimal state for the cost c (see
-    `_pass`): the pinned columns get L = U = v, the nonbasic ones move to
-    v, and the basic values are settled onto A_all x = b from the carried
-    inverse (`_settle`).  Pinning changes no cost and frees no column, so
-    the parent's basis stays dual feasible, and `_loop` restores primal
-    feasibility from it by dual steps.  Returns the proposal (status, x, y)
-    of `_proposal`.
-    """
-    Binv, x, L, U, basis, in_basis, at_upper = (a.copy() for a in parent)
+def _pinned(parent, A_all, b, cols, v):
+    """A child's start: a copy of `parent`, a final optimal state, with the
+    columns `cols` pinned to the values v: L = U = v, the nonbasic ones
+    moved to v, and the basic values settled onto A_all x = b (`_settle`).
+    Pinning changes no cost and frees no column, so the basis stays dual
+    feasible.  None when the settle step is not finite."""
+    state = tuple(a.copy() for a in parent)
+    Binv, x, L, U, basis, in_basis, _ = state
     L[cols] = v
     U[cols] = v
     x[cols] = np.where(in_basis[cols], x[cols], v)
-    cost = np.zeros(A_all.shape[1])
-    cost[:c.shape[0]] = c
-    st, row = 2, -1
-    if _settle(Binv, A_all, b, x, basis):
-        st, row = _loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
-                        cost, max_iter, "dual")
-    return _proposal(st, row, Binv, A_all, b, x, basis, cost)
+    return state if _settle(Binv, A_all, b, x, basis) else None
 
 
 # --- certificates, on the original data ----------------------------------
@@ -692,10 +675,11 @@ class Ladder:
     made the first time a call needs it, and kept with its certified
     verdict and, when optimal, its final state, read-only.  It does not
     depend on any cost, so every later call reads the same start
-    (`LpStats.phase1_reused`) and runs its passes on copies of it.  An LP
-    that no pass answers gets one cold retry, the dual start for its own
-    cost and bounds (`_cold`), kept by no one.  No state of a pass outlives
-    its call, so an answer does not depend on the calls made before it.
+    (`LpStats.phase1_reused`) and runs its passes on copies of it.  Every
+    LP is answered by `_answer`: one pass from the nearest certified
+    state, else its cold retry, the dual start for its own cost and bounds
+    (`_cold`), kept by no one.  No state of a pass outlives its call, so
+    an answer does not depend on the calls made before it.
     The columns A_all = [A, I] are not kept but rebuilt from A on each
     call.  Every loop run may take `_max_iter(A)` steps.  A ladder holds
     arrays and numbers only, so it pickles and deep-copies.  Raises
@@ -729,25 +713,30 @@ class Ladder:
                 stats.phase1_reused += 1
         return self._kept
 
+    def _answer(self, c, A_all, lo, up, start, phase):
+        """(verdict, state) of min c'x over this region with the bounds lo
+        and up: one `_pass` from `start`, its steps counted under `phase`,
+        if `_verdict` certifies it, else the LP's cold retry (`_cold`), as
+        when there is no start.  state is the final state of a certified
+        optimal answer, else None."""
+        A, b = self.A, self.b
+        if start is not None:
+            proposal, state = _pass(start, c, A_all, b, self.max_iter, phase)
+            verdict = _verdict(c, A, b, lo, up, proposal)
+            if verdict is not None:
+                return verdict, state
+        return _cold(c, A, b, lo, up, self.max_iter)
+
     def _row(self, c, A_all, kept, warm):
-        """(verdict, state) of the cost c: phase 2 from `warm`, the state of
-        the row before (or None), then from a copy of the kept start when it
-        is optimal, and then the cold start for c (`_cold`).  state is the
-        final state of a certified optimal answer, else None.  A certified
-        infeasible kept start answers at once."""
-        A, b, lo, up = self.A, self.b, self.lo, self.up
+        """`_answer` for the cost c from `warm`, the state of the row
+        before, else from a copy of the kept start; a certified infeasible
+        kept start answers at once."""
         verdict, state = kept
         if verdict is not None and verdict[0] == 1:
             return verdict, None
-        for start in (warm, state):
-            if start is not None:
-                if start is state:
-                    start = tuple(a.copy() for a in state)  # kept read-only
-                proposal, out = _pass(start, c, A_all, b, self.max_iter)
-                verdict = _verdict(c, A, b, lo, up, proposal)
-                if verdict is not None:
-                    return verdict, out
-        return _cold(c, A, b, lo, up, self.max_iter)
+        if warm is None and state is not None:
+            warm = tuple(a.copy() for a in state)  # kept read-only
+        return self._answer(c, A_all, self.lo, self.up, warm, 2)
 
     def solve_many(self, C):
         """`solve_bounded_many` over this region."""
@@ -777,17 +766,15 @@ class Ladder:
         row of V: one (status, objective, x) per row, with the statuses of
         `solve_many`.
 
-        The parent is the LP without pins, solved as a row of `solve_many`
-        is: from the kept start, then by its own cold start.  A certified
-        infeasible parent answers every child, since a child's box lies
-        inside the parent's, so the parent's ray proves at least the same
-        miss.  From a certified optimal parent each child runs one dual pass
-        (`_dual_pass`) on a copy of the parent's final state, with no start
-        of its own, certified by `_verdict` on the original A and b with lo
-        and up pinned, which is the child's LP exactly.  A child that no
-        dual pass certifies, and every child of a parent that no pass
-        answers, gets one cold retry, the dual start for its own LP; status
-        2 means that the retry failed too.  No state outlives the call.
+        The parent is the LP without pins, answered as the first row of
+        `solve_many` is.  A certified infeasible parent answers every
+        child, since a child's box lies inside the parent's, so the
+        parent's ray proves at least the same miss.  Each other child is
+        answered by `_answer` from `_pinned(parent, ...)`, a copy of a
+        certified optimal parent's final state with the child's pins, and
+        certified on the original A and b with lo and up pinned, which is
+        the child's LP exactly; status 2 means that its cold retry failed
+        too.  No state outlives the call.
         Raises ValueError, as `solve_many` does, for a cost with a NaN or
         infinite entry, and for a NaN or infinite pinned value, before any
         pass runs.
@@ -806,15 +793,10 @@ class Ladder:
                 out.append((1, 0.0, verdict[2].copy()))
                 continue
             lo_v, up_v = lo.copy(), up.copy()
-            lo_v[cols] = v
-            up_v[cols] = v
-            child = None
-            if parent is not None:
-                child = _verdict(c, A, b, lo_v, up_v, _dual_pass(
-                    parent, A_all, b, c, cols, v, self.max_iter))
-            if child is None:
-                child = _cold(c, A, b, lo_v, up_v, self.max_iter)[0]
-            out.append(child)
+            lo_v[cols] = up_v[cols] = v
+            start = None if parent is None else _pinned(parent, A_all, b,
+                                                        cols, v)
+            out.append(self._answer(c, A_all, lo_v, up_v, start, "dual")[0])
         for stats in _OPEN_STATS:
             stats.children += len(out)
         return out
@@ -835,17 +817,16 @@ def solve_bounded(c, A, b, lo, up):
 def solve_bounded_many(C, A, b, lo, up):
     """`solve_bounded` for each cost row of C over one feasible region.
 
-    Returns one (status, objective, x) per row of C.  A row runs phase 2
+    Returns one (status, objective, x) per row of C.  A row runs one pass
     from the final state of the row before it when that row was certified
     optimal, else from the region's kept start, the dual start for the
-    cost 0; a warm row that is not certified runs once more from the kept
-    start.  A row that no pass from the kept start answers gets one cold
-    retry, the dual start for its own cost.  An infeasible verdict does not
-    depend on the cost, so once certified it answers every row.  Status 2
-    means that the cold retry failed too.  A NaN or infinite entry of C,
-    A, b, lo or up, or lo > up, raises ValueError before any pass runs.
-    Each call makes a new `Ladder`; `Ladder.solve_many` answers on a kept
-    one.
+    cost 0.  A row whose pass is not certified, or that has no start, gets
+    one cold retry, the dual start for its own cost.  An infeasible
+    verdict does not depend on the cost, so once certified it answers
+    every row.  Status 2 means that the cold retry failed too.  A NaN or
+    infinite entry of C, A, b, lo or up, or lo > up, raises ValueError
+    before any pass runs.  Each call makes a new `Ladder`;
+    `Ladder.solve_many` answers on a kept one.
     """
     return Ladder(A, b, lo, up).solve_many(C)
 

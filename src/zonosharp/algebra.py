@@ -96,7 +96,11 @@ def generalized_intersection(X: AnySet, Z: AnySet, Rmap=None) -> HybridZonotope:
 
 
 def halfspace_intersection(H: AnySet, a, k: float) -> HybridZonotope:
-    """{x in H | a'x >= k}, via one bounding LP on the relaxation."""
+    """{x in H | a'x >= k}, via one bounding LP on the relaxation.
+
+    Raises ValueError for a NaN or infinite entry of a or k before the LP
+    runs.
+    """
     from . import core
     from .oracle import _support_cz_many
 
@@ -104,6 +108,8 @@ def halfspace_intersection(H: AnySet, a, k: float) -> HybridZonotope:
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     if a.shape[0] != H.dim:
         raise DimensionMismatch("normal vector length must equal ambient dim")
+    if not (np.isfinite(a).all() and np.isfinite(k)):
+        raise ValueError("a halfspace must have a finite normal and bound")
     out = _support_cz_many(convex_relaxation(H), a[None])[0]
     M = k if out is None else out[0]
     hi = max(M, k) + 1e-6

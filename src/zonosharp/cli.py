@@ -73,6 +73,14 @@ def _tolerance(text):
     return value
 
 
+def _finite_float(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
+
+
 def _level_list(text):
     try:
         return [int(v) for v in text.split(",")]
@@ -97,9 +105,12 @@ def _read_network(path):
 
 def _parse_array(text, what):
     try:
-        return np.asarray(json.loads(text), dtype=np.float64)
+        value = np.asarray(json.loads(text), dtype=np.float64)
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise CliError(EXIT_PARSE, f"cannot parse {what}: {exc}")
+    if not np.isfinite(value).all():
+        raise CliError(EXIT_PARSE, f"{what} must have finite entries")
+    return value
 
 
 def _emit_set(S, output):
@@ -339,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_op.add_argument("--matrix", help="JSON matrix for map/intersect")
     p_op.add_argument("--offset", help="JSON vector offset for map")
     p_op.add_argument("--normal", help="JSON normal vector for halfspace")
-    p_op.add_argument("--bound", type=float, help="halfspace bound k in a'x >= k")
+    p_op.add_argument("--bound", type=_finite_float,
+                      help="halfspace bound k in a'x >= k")
     p_op.add_argument("--point", help="JSON point for union-point")
     p_op.add_argument("--form", choices=["pm1", "01"], help="target factor form")
     p_op.set_defaults(func=cmd_op)
@@ -379,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("-o", "--output", help="report JSON file (default stdout)")
     p_demo.add_argument("--polygons", help="write overlay polygons JSON here")
     p_demo.add_argument("--csv", help="write overlay polygons CSV here")
-    p_demo.add_argument("--threshold", type=float, default=0.5)
+    p_demo.add_argument("--threshold", type=_finite_float, default=0.5)
     p_demo.add_argument("--rlt-levels", type=_level_list,
                         help="comma-separated levels (default 1..n_b)")
     p_demo.add_argument("--angles", type=_positive_int, default=720)

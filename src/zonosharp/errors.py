@@ -39,7 +39,3 @@ class EmptyInterval(ZonoSharpError):
 
 class NumericalFailure(ZonoSharpError):
     """The LP kernel could not certify a verdict on the given data."""
-
-
-class UnboundedDirection(ZonoSharpError):
-    """A bounding LP was unbounded; input is not a valid zonotopic set."""

@@ -213,7 +213,10 @@ def network_graph(net: ReluNetwork) -> HybridZonotope:
 
 
 def level_set_above(net: ReluNetwork, threshold: float) -> HybridZonotope:
-    """{x in input_box : N(x) >= threshold} for a scalar-output network."""
+    """{x in input_box : N(x) >= threshold} for a scalar-output network.
+
+    Raises ValueError, from `halfspace_intersection`, for a NaN or infinite
+    threshold."""
     if net.n_out != 1:
         raise DimensionMismatch("level_set_above needs a scalar output")
     G = network_graph(net)

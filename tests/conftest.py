@@ -20,10 +20,12 @@ from zonosharp import _simplex  # noqa: E402
 
 def _region(name, args):
     """(cost, lower bounds, right-hand side) of the LP of a `_start` or a
-    `_pass` call; a pass's lower bounds are its start state's L."""
+    `_pass` call; a pass's lower bounds are its start state's L, with a
+    child's columns pinned."""
     if name == "_start":  # _start(c, A, b, lo, up, max_iter)
         return args[0], args[3], args[2]
-    return args[1], args[0][2], args[3]  # _pass(start, c, A_all, b, max_iter)
+    # _pass(start, c, A_all, b, max_iter, phase)
+    return args[1], args[0][2], args[3]
 
 
 def _fake(status, name, args):
@@ -38,12 +40,12 @@ def _fake(status, name, args):
 @pytest.fixture
 def fake_pass(monkeypatch):
     """`fake_pass(status, first_only=False, passes=None, columns=None)`
-    routes every simplex run, a dual start (`_start`) or a phase-2 pass
-    (`_pass`), to a fake that proposes `status`; or only the first run, or
-    only those whose numbers (from 1, in call order) are in `passes`; with
-    `columns`, only the runs over a region with that many structural
-    columns.  It returns the list of (name, arguments) of every run
-    made."""
+    routes every simplex run, a dual start (`_start`) or a pass (`_pass`)
+    of a batch row or of a child, to a fake that proposes `status`; or
+    only the first run, or only those whose numbers (from 1, in call
+    order) are in `passes`; with `columns`, only the runs over a region
+    with that many structural columns.  It returns the list of (name,
+    arguments) of every run made."""
     def install(status, first_only=False, passes=None, columns=None):
         calls = []
         if first_only:
@@ -61,27 +63,6 @@ def fake_pass(monkeypatch):
             return run
         for name in ("_start", "_pass"):
             monkeypatch.setattr(_simplex, name, routed(name))
-        return calls
-    return install
-
-
-@pytest.fixture
-def fake_dual_pass(monkeypatch):
-    """`fake_dual_pass(status)` routes every dual pass of
-    `Ladder.children` to a fake that proposes `status` with the parent's
-    own point, whose pinned columns are not at their pins in general, and
-    no ray that proves anything: zero duals, or None for status 2.  It
-    returns the list of the arguments of every dual pass made."""
-    def install(status):
-        calls = []
-
-        def dual_pass(parent, A_all, *rest):
-            calls.append((parent, A_all, *rest))
-            m = A_all.shape[0]
-            n = A_all.shape[1] - m
-            y = None if status == 2 else np.zeros(m)
-            return status, parent[1][:n].copy(), y
-        monkeypatch.setattr(_simplex, "_dual_pass", dual_pass)
         return calls
     return install
 

@@ -7,6 +7,7 @@ from zonosharp import (
     EmptyList,
     FactorForm,
     FormMismatch,
+    _simplex,
     affine_map,
     box,
     cartesian_product,
@@ -135,6 +136,17 @@ class TestHalfspaceIntersection:
                 continue
             expected = 2 <= p[0] <= 3
             assert contains(H, p) == expected, p
+
+    @pytest.mark.parametrize("a, k", [
+        ([np.nan, 0.0], 0.5), ([np.inf, 0.0], 0.5), ([1.0, 0.0], np.nan),
+        ([1.0, 0.0], np.inf), ([1.0, 0.0], -np.inf)],
+        ids=["nan-a", "inf-a", "nan-k", "inf-k", "-inf-k"])
+    def test_nonfinite_input_raises_before_the_lp(self, a, k):
+        sq = box(np.array([[0.0, 1.0], [0.0, 1.0]]), FactorForm.ZO)
+        with _simplex.lp_stats() as stats:
+            with pytest.raises(ValueError, match="halfspace"):
+                halfspace_intersection(sq, a, k)
+        assert stats.phase1_runs == stats.rows == 0
 
 
 class TestUnionWithPoint:

@@ -45,6 +45,36 @@ def test_negative_count_exit_2(square, tmp_path, capsys, command, flag, value):
     assert flag in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["demo-levelset", "--angles", "8", "--threshold", "nan"], "--threshold"),
+    (["demo-levelset", "--angles", "8", "--threshold", "inf"], "--threshold"),
+    (["op", "halfspace", "{set}", "--normal", "[NaN, 0]", "--bound", "0"],
+     "--normal"),
+    (["op", "halfspace", "{set}", "--normal", "[1, 0]", "--bound", "nan"],
+     "--bound"),
+    (["op", "map", "{set}", "--matrix", "[[NaN, 0], [0, 1]]"], "--matrix"),
+    (["op", "map", "{set}", "--matrix", "[[1, 0], [0, 1]]",
+      "--offset", "[NaN, 0]"], "--offset"),
+    (["op", "intersect", "{set}", "{set}", "--matrix", "[[NaN, 0], [0, 1]]"],
+     "--matrix"),
+    (["op", "union-point", "{set}", "--point", "[Infinity, 0]"], "--point")],
+    ids=["threshold-nan", "threshold-inf", "normal-nan", "bound-nan",
+         "matrix-nan", "offset-nan", "intersect-nan", "point-inf"])
+def test_nonfinite_number_exit_2(square, tmp_path, capsys, args, flag):
+    # each once ended in a traceback or wrote a set file with NaN or
+    # Infinity in it, which the readers then refuse
+    out = tmp_path / "out.json"
+    try:
+        code = main([a.format(set=square) for a in args] + ["-o", str(out)])
+    except SystemExit as exc:  # argparse rejects its own arguments
+        code = exc.code
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flag in errors[0]
+    assert "Traceback" not in err and "finite" in errors[0]
+
+
 class TestOp:
     def test_minksum(self, square, square2, tmp_path):
         out = str(tmp_path / "out.json")

@@ -752,6 +752,17 @@ def _children_args(S, u):
     return (R.lp_ladder(), -(R.G.T @ u), np.arange(S.n_g, S.n_g + S.n_b), V)
 
 
+def _lone_children(ladder, c, cols, V):
+    """The lone `solve_bounded` answer of each child of `Ladder.children`:
+    the ladder's LP with the columns `cols` pinned to a row of V."""
+    refs = []
+    for v in V:
+        lo, up = ladder.lo.copy(), ladder.up.copy()
+        lo[cols] = up[cols] = v
+        refs.append(_simplex.solve_bounded(c, ladder.A, ladder.b, lo, up))
+    return refs
+
+
 class TestChildren:
     """In a direction that the relaxation does not close, the leaf LPs are
     children of the relaxation's LP: its binary columns pinned, answered by
@@ -796,30 +807,46 @@ class TestChildren:
         assert stats.phase1_runs == 1 and stats.cold_retries == 0
 
     @pytest.mark.parametrize("status", [0, 1, 2])
-    def test_failed_dual_pass_is_answered_by_its_cold_retry(
-            self, fake_dual_pass, status):
+    def test_failed_dual_pass_is_answered_by_its_cold_retry(self, fake_pass,
+                                                            status):
         X1 = rlt_sharpen(_level_set(), 1)
-        dirs = direction_set(2, 4)
-        calls = fake_dual_pass(status)
+        ladder, c, cols, V = _children_args(X1, np.array([0.6, 0.8]))
+        refs = _lone_children(ladder, c, cols, V)
+        # runs 1 and 2 are the kept start and the parent's pass; then each
+        # child's pass, faked, and the run after it
+        children = set(range(3, 3 + 2 * len(V), 2))
+        calls = fake_pass(status, passes=children)
         with _simplex.lp_stats() as stats:
-            rep = check_sharpness(X1, n_dirs=4)
-        opened = ~rep.closed
-        n_children = 4 * int(opened.sum())
-        # every proposal is wrong for its leaf: the parent's point, whose
-        # binaries are fractional, or a ray that proves nothing; so each
-        # child is answered by the dual start for its own LP, on no ladder
-        # of a leaf
-        assert stats.children == len(calls) == n_children
-        assert stats.cold_retries == n_children
-        assert stats.phase1_runs == 1 + n_children
-        assert all("lp_ladder" not in L._kept for _, L in leaves(X1))
-        _assert_within(rep.hull_support[opened],
-                       _leaf_enumeration(X1, dirs[opened]), 1e-9)
+            out = ladder.children(c, cols, V)
+        # every proposal is wrong for its leaf: the pinned lower bounds,
+        # which miss its equalities, or a ray that proves nothing; so the
+        # run after each child's pass is the dual start for the child's own
+        # LP, with its columns pinned
+        assert [name for name, _ in calls] == \
+            ["_start", "_pass"] + ["_pass", "_start"] * len(V)
+        for k in children:
+            (_, child), (_, retry) = calls[k - 1], calls[k]
+            assert child[-1] == "dual" and retry[0] is child[1]
+            np.testing.assert_array_equal(retry[3], child[0][2][:len(c)])
+            np.testing.assert_array_equal(retry[4], child[0][3][:len(c)])
+        assert stats.children == stats.cold_retries == len(V)
+        assert stats.phase1_runs == 1 + len(V)
+        assert {st for st, _, _ in refs} == {0, 1}
+        for (st, obj, _), (ref_st, ref, _) in zip(out, refs):
+            assert st == ref_st
+            assert st == 1 or abs(obj - ref) <= 1e-9 * (1.0 + abs(ref))
 
-    def test_failed_dual_pass_and_cold_retry_raise(self, fake_dual_pass,
+    def test_failed_dual_pass_and_cold_retry_raise(self, fake_pass,
                                                    monkeypatch):
-        X1 = rlt_sharpen(_level_set(), 1)
-        fake_dual_pass(2)
+        # a dry run on a twin of X1 numbers the runs; then the first child's
+        # pass and its cold retry fail, and the check raises
+        twin, X1 = (rlt_sharpen(_level_set(), 1) for _ in range(2))
+        calls = fake_pass(2, passes=set())
+        check_sharpness(twin, n_dirs=4)
+        first = next(k for k, (name, args) in enumerate(calls, 1)
+                     if name == "_pass" and args[-1] == "dual")
+        monkeypatch.undo()
+        fake_pass(2, passes={first})
         real = _simplex._start
 
         def start(c, A, b, lo, up, max_iter):
@@ -836,11 +863,7 @@ class TestChildren:
         # gets its own cold retry
         X1 = rlt_sharpen(_level_set(), 1)
         ladder, c, cols, V = _children_args(X1, np.array([0.6, 0.8]))
-        refs = []
-        for v in V:
-            lo, up = ladder.lo.copy(), ladder.up.copy()
-            lo[cols] = up[cols] = v
-            refs.append(_simplex.solve_bounded(c, ladder.A, ladder.b, lo, up))
+        refs = _lone_children(ladder, c, cols, V)
         calls = fake_pass(2, passes={2, 3})
         with _simplex.lp_stats() as stats:
             out = ladder.children(c, cols, V)

@@ -5,6 +5,7 @@ from zonosharp import (
     DimensionMismatch,
     EmptyInterval,
     ReluNetwork,
+    _simplex,
     check_sharpness,
     complexity,
     contains,
@@ -171,6 +172,13 @@ class TestLevelSet:
                           np.array([[-1.0, 1.0], [-1.0, 1.0]]))
         with pytest.raises(DimensionMismatch):
             level_set_above(net, 0.0)
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_threshold_raises_before_the_lp(self, threshold):
+        with _simplex.lp_stats() as stats:
+            with pytest.raises(ValueError, match="finite"):
+                level_set_above(demo_network(), threshold)
+        assert stats.phase1_runs == stats.rows == 0
 
 
 class TestDemoNetwork:

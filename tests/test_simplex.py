@@ -413,14 +413,15 @@ class TestBatch:
         self.assert_same(batch, lone, self.REGION)
 
     def test_row_is_answered_by_its_cold_retry(self, fake_pass):
-        # row 1's warm pass and its pass from the kept start both fail; its
-        # cold start answers it, and row 2 starts warm from that start's end
-        calls = fake_pass(2, passes={3, 4})
+        # run 3 is row 1's warm pass; it fails, and row 1's answer is its
+        # cold retry's, bit for bit; row 2 starts warm from that start's end
+        fake_pass(2, passes={3})
         with _simplex.lp_stats() as stats:
             batch = _simplex.solve_bounded_many(self.C, *self.REGION)
-        assert [name for name, _ in calls] == \
-            ["_start", "_pass", "_pass", "_pass", "_start", "_pass"]
-        np.testing.assert_array_equal(calls[4][1][0], self.C[1])
+        cold, _ = _simplex._cold(self.C[1], *self.REGION,
+                                 _simplex._max_iter(self.REGION[0]))
+        assert batch[1][:2] == cold[:2]
+        np.testing.assert_array_equal(batch[1][2], cold[2])
         assert stats.cold_retries == 1 and stats.status == {0: 3}
         self.assert_same(batch, self._lone(self.REGION), self.REGION)
 
@@ -434,20 +435,23 @@ class TestBatch:
 
     def test_warm_failure_is_retried_cold_before_it_climbs(self, fake_pass,
                                                             phase1_runs):
-        # run 3 is row 1's warm pass; its failure sends row 1 back to the
-        # kept start, where the real pass answers it, with no cold retry
+        # run 3 is row 1's warm pass; the next run is row 1's own dual
+        # start, with no pass from the kept start in between
         calls = fake_pass(2, passes={3})
         with _simplex.lp_stats() as stats:
             batch = _simplex.solve_bounded_many(self.C, *self.REGION)
-        assert [name for name, _ in calls] == ["_start"] + ["_pass"] * 4
-        assert len(phase1_runs) == 1
-        assert stats.cold_retries == 0
+        assert [name for name, _ in calls] == \
+            ["_start", "_pass", "_pass", "_start", "_pass"]
+        np.testing.assert_array_equal(calls[3][1][0], self.C[1])
+        assert len(phase1_runs) == 2 and stats.cold_retries == 1
         self.assert_same(batch, self._lone(self.REGION), self.REGION)
 
-    def test_row_after_a_failed_pass_starts_cold(self, monkeypatch):
+    def test_row_after_a_failed_pass_starts_cold(self, monkeypatch,
+                                                 fake_pass):
         # the second pass, row 1's warm one, wrecks the state it ran in
-        # place on and reports a failure: row 1 runs again from a new copy
-        # of the kept start, and row 2 starts warm from that pass's end
+        # place on and reports a failure, and row 1's cold retry (run 4)
+        # fails too: row 2 then starts from a new copy of the kept start,
+        # as a lone solve does
         real = _simplex._pass
         starts = []
 
@@ -459,13 +463,20 @@ class TestBatch:
                 return (2,) + proposal[1:], None
             return proposal, state
         monkeypatch.setattr(_simplex, "_pass", one_pass)
+        calls = fake_pass(2, passes={4})
         with _simplex.lp_stats() as stats:
             batch = _simplex.solve_bounded_many(self.C, *self.REGION)
-        assert len(starts) == 4
-        assert starts[1] is starts[0] and starts[3] is starts[2]
+        assert [name for name, _ in calls] == \
+            ["_start", "_pass", "_pass", "_start", "_pass"]
+        assert len(starts) == 3 and starts[1] is starts[0]
         assert starts[2] is not starts[1]
+        assert np.isfinite(starts[2][0]).all()
+        assert [st for st, _, _ in batch] == [0, 2, 0]
         assert stats.cold_retries == 0
-        self.assert_same(batch, self._lone(self.REGION), self.REGION)
+        lone = self._lone(self.REGION)
+        for i in (0, 2):
+            assert batch[i][:2] == lone[i][:2]
+            np.testing.assert_array_equal(batch[i][2], lone[i][2])
 
     def test_kernel_failure_on_every_row(self, fake_pass):
         fake_pass(2)
@@ -729,7 +740,7 @@ class TestCarriedInverse:
         A_all = _simplex._with_artificials(ladder.A)
         verdicts = [_simplex._verdict(c, *region, _simplex._pass(
             tuple(a.copy() for a in kept), c, A_all, ladder.b,
-            ladder.max_iter)[0]) for c in C]
+            ladder.max_iter, 2)[0]) for c in C]
         # a verdict passes only if its duals still prove its optimum
         assert any(v is None for v in verdicts)
         for v, (_, obj, _) in zip(verdicts, true):
