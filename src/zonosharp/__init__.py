@@ -84,6 +84,7 @@ from .rlt import (
     rlt_report,
     rlt_sharpen,
 )
+from .sparse import SparseMatrix
 from .relugraph import (
     ReluNetwork,
     demo_network,

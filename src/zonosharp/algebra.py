@@ -20,6 +20,7 @@ from .core import (
     point,
 )
 from .errors import DimensionMismatch, EmptyList, FormMismatch
+from .sparse import SparseMatrix
 
 
 def _check_forms(Z1: HybridZonotope, Z2: HybridZonotope):
@@ -27,10 +28,18 @@ def _check_forms(Z1: HybridZonotope, Z2: HybridZonotope):
         raise FormMismatch(f"{Z1.factor_form} vs {Z2.factor_form}")
 
 
-def _blockdiag(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _put(block: np.ndarray, M) -> None:
+    """Write M, an array or a SparseMatrix, into the all-zero block."""
+    if isinstance(M, SparseMatrix):
+        block[M.row, M.col] = M.val
+    else:
+        block[...] = M
+
+
+def _blockdiag(A, B) -> np.ndarray:
     out = np.zeros((A.shape[0] + B.shape[0], A.shape[1] + B.shape[1]))
-    out[:A.shape[0], :A.shape[1]] = A
-    out[A.shape[0]:, A.shape[1]:] = B
+    _put(out[:A.shape[0], :A.shape[1]], A)
+    _put(out[A.shape[0]:, A.shape[1]:], B)
     return out
 
 
@@ -179,12 +188,20 @@ def convex_relaxation(H: AnySet) -> ConstrainedZonotope:
     The relaxation is made once and kept on H: every call on H returns the
     same object, so queries on it share its LP work.  With no binaries it is
     H's one leaf, so the leaf and the relaxation share one LP ladder, the
-    kernel's kept start over their factor region.
+    kernel's kept start over their factor region.  Its A = [Ac Ab] is one
+    new array that Ac's entries and Ab are written into, so a sparse Ac is
+    not made dense on the way.
     """
     if isinstance(H, ConstrainedZonotope):
         return H
     if H.n_b == 0:
         return leaves(H)[0][1]
-    return _kept(H, "relaxation", lambda: ConstrainedZonotope(
-        np.hstack([H.Gc, H.Gb]), H.c, np.hstack([H.Ac, H.Ab]), H.b,
-        H.factor_form))
+
+    def relax():
+        A = np.zeros((H.n_c, H.n_g + H.n_b))
+        _put(A[:, :H.n_g], H.Ac)
+        A[:, H.n_g:] = H.Ab
+        return ConstrainedZonotope(np.hstack([H.Gc, H.Gb]), H.c, A, H.b,
+                                   H.factor_form)
+
+    return _kept(H, "relaxation", relax)

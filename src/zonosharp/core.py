@@ -16,6 +16,7 @@ import numpy as np
 
 from . import _simplex
 from .errors import DimensionMismatch, EnumerationCapExceeded
+from .sparse import SparseMatrix
 
 DEFAULT_LEAF_CAP = 20  # max n_b for exhaustive leaf enumeration
 
@@ -39,7 +40,10 @@ def _kept(S, key, make):
     return kept[key]
 
 
-def _as_matrix(M, rows=None, cols=None) -> np.ndarray:
+def _as_matrix(M, rows=None, cols=None) -> np.ndarray | SparseMatrix:
+    """M as a float64 matrix; a SparseMatrix is kept as it is."""
+    if isinstance(M, SparseMatrix):
+        return M
     out = np.asarray(M, dtype=np.float64)
     if out.size == 0:
         out = out.reshape((rows if rows is not None else 0,
@@ -47,6 +51,12 @@ def _as_matrix(M, rows=None, cols=None) -> np.ndarray:
     if out.ndim != 2:
         raise DimensionMismatch(f"expected matrix, got shape {out.shape}")
     return out
+
+
+def _freeze(M) -> None:
+    """Make the array M read-only; a SparseMatrix already is."""
+    if isinstance(M, np.ndarray):
+        M.setflags(write=False)
 
 
 def _as_vector(v, length=None) -> np.ndarray:
@@ -85,9 +95,17 @@ class BinaryAssignment:
 
 @dataclass(frozen=True)
 class ConstrainedZonotope:
+    """The set {G xi + c : A xi = b, xi in the factor box}.
+
+    The fields are read-only float64 arrays, except that A may be a
+    `SparseMatrix`, as the A of a leaf of an RLT lift is.  That A is kept as
+    it is, never made dense here, and a consumer that needs the dense form
+    takes `np.asarray(A)`, which every holder of A shares.
+    """
+
     G: np.ndarray
     c: np.ndarray
-    A: np.ndarray
+    A: np.ndarray | SparseMatrix
     b: np.ndarray
     factor_form: FactorForm = FactorForm.PM1
 
@@ -102,7 +120,7 @@ class ConstrainedZonotope:
         if A.shape != (b.shape[0], G.shape[1]):
             raise DimensionMismatch("A must be (len(b), n_g)")
         for name, arr in (("G", G), ("c", c), ("A", A), ("b", b)):
-            arr.setflags(write=False)
+            _freeze(arr)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_kept", {})
 
@@ -140,10 +158,19 @@ class ConstrainedZonotope:
 
 @dataclass(frozen=True)
 class HybridZonotope:
+    """The set {Gc xi + Gb xb + c : Ac xi + Ab xb = b}, xi in the factor box
+    and xb at the binary values of the factor form.
+
+    The fields are read-only float64 arrays, except that Ac may be a
+    `SparseMatrix`, as it is in every RLT lift (`rlt.build_xd`).  That Ac is
+    kept as it is, and the set operations and queries read its entries or
+    its one shared dense form (`np.asarray(Ac)`).
+    """
+
     Gc: np.ndarray
     Gb: np.ndarray
     c: np.ndarray
-    Ac: np.ndarray
+    Ac: np.ndarray | SparseMatrix
     Ab: np.ndarray
     b: np.ndarray
     factor_form: FactorForm = FactorForm.PM1
@@ -163,7 +190,7 @@ class HybridZonotope:
             raise DimensionMismatch("Ac/Ab must share rows with b and columns with Gc/Gb")
         for name, arr in (("Gc", Gc), ("Gb", Gb), ("c", c),
                           ("Ac", Ac), ("Ab", Ab), ("b", b)):
-            arr.setflags(write=False)
+            _freeze(arr)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_kept", {})
 

@@ -6,27 +6,18 @@ products w_J ~ prod_{j in J} x_j and v_{J,k} ~ y_k * prod_{j in J} x_j,
 multiplies the equality system by every monomial of degree <= d, and turns
 the bound-factor product inequalities into equalities with [0,1] slacks.
 The lift's sparsity pattern is known from n_b, n_g and d alone, so
-`build_xd` sizes it up front, computes every (row, column, value) triplet
-as whole index arrays from bit tables of the masks, with no loop over
-entries, and writes them with one fancy assignment each into Ac, Ab and b.
-A lift has about 8 entries per row in a column for every subset of the
-binaries, so Ac is nearly all zeros.  np.zeros asks Linux for 2 MiB huge
-pages on an array this large, and the first write into each one zeroes and
-commits all of it.  So when the entries of Ac fall in fewer than half of
-its pages of mmap.PAGESIZE (4 KiB on x86-64 Linux), Ac lives in a private
-anonymous mapping with no huge pages instead: a page is zeroed and
-committed at its first write, the pages that no entry falls in never are,
-and reading them maps the shared zero page.  A lift whose entries fall in
-most of its pages keeps np.zeros: there the mapping would save less than
-half of the memory, and the trap into the kernel at the first write of each
-page costs more than zeroing memory that the heap already holds.
+`build_xd` sizes it up front and computes every (row, column, value)
+triplet as whole index arrays from bit tables of the masks, with no loop
+over entries.  A lift has about 8 entries per row in a column for every
+subset of the binaries, so its Ac is nearly all zeros, and it is kept as
+its entries, a `SparseMatrix`: the nominal dense array is never built
+here.  Ab and b are dense.
 Projecting the lift back to the original ambient space gives a set equal
 to the input at every level; at d = n_b its relaxation is the convex hull.
 """
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from math import comb
@@ -43,6 +34,7 @@ from .core import (
     convert_form,
 )
 from .errors import LevelOutOfRange, OverlappingIndexSets
+from .sparse import SparseMatrix
 
 
 @dataclass(frozen=True)
@@ -138,34 +130,6 @@ def _pair_terms(bits: np.ndarray, size: np.ndarray, o: int):
     return pair.ravel(), subset[:, t1 | ti].ravel(), sign
 
 
-def _scatter(shape: tuple[int, int], row: np.ndarray, col: np.ndarray,
-             val: np.ndarray) -> np.ndarray:
-    """A float64 array of the given shape, zero but for val at (row, col).
-
-    When the entries fall in fewer than half of the array's pages of
-    mmap.PAGESIZE, the array is a private anonymous mapping that asks for no
-    huge pages (where the platform has MADV_NOHUGEPAGE), so only the pages
-    that an entry falls in are committed.  Otherwise, and on a platform
-    whose mmap has no MAP_PRIVATE (Windows), it is np.zeros.  A mapping that
-    fails raises MemoryError, as np.zeros does.
-    """
-    nbytes = 8 * shape[0] * shape[1]
-    hit = np.zeros(-(-nbytes // mmap.PAGESIZE), dtype=bool)
-    hit[(row * shape[1] + col) * 8 // mmap.PAGESIZE] = True
-    if 2 * np.count_nonzero(hit) >= hit.size or not hasattr(mmap, "MAP_PRIVATE"):
-        A = np.zeros(shape)
-    else:
-        try:
-            buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-        except OSError as exc:
-            raise MemoryError(f"cannot map {nbytes} bytes for a {shape} array") from exc
-        if hasattr(mmap, "MADV_NOHUGEPAGE"):
-            buf.madvise(mmap.MADV_NOHUGEPAGE)
-        A = np.frombuffer(buf).reshape(shape)
-    A[row, col] = val
-    return A
-
-
 def build_xd(H: AnySet, d: int) -> tuple[HybridZonotope, RltVariableTable]:
     """Level-d lift of the factor space, as a 01-hybrid zonotope over the
     original (x, y) coordinates (x first).  All lift variables get zero
@@ -182,18 +146,15 @@ def build_xd(H: AnySet, d: int) -> tuple[HybridZonotope, RltVariableTable]:
     The sizes are known up front.  The terms are index arrays computed from
     bit tables of the masks, with no loop over entries: a term sits at
     row * W + its column in [Ac | Ab | b] (w_J: its own column for |J| >= 2,
-    x_j's column of Ab for J = {j}, b for J empty), and one fancy assignment
-    each into Ac, Ab and b writes them.  Zero coefficients are skipped and
-    no entry is written twice.  Row order, slack order, the sequential sum
-    and the skipped zeros are those of the row-by-row construction that
-    tests/test_rlt.py keeps as the reference, byte for byte.
-
-    Ac is a private mapping when its entries fall in fewer than half of its
-    pages (`_scatter`): each entry commits at most one page, and the pages
-    that no entry touches stay uncommitted.  At n_b = 8, d = 4 that is 53288
-    entries in a 6435 x 7031 Ac of 345 MiB (88368 pages of 4 KiB), and they
-    fall in 15548 pages, 61 MiB.  The values, dtype, shape, order, read-only
-    flag, pickle and deep copy of Ac are those of an np.zeros Ac.
+    x_j's column of Ab for J = {j}, b for J empty).  Zero coefficients, of
+    either sign, are dropped and no position gets two terms.  Ac keeps its
+    terms as they are, a `SparseMatrix`; one fancy assignment each writes
+    the others into the dense Ab and b.  Row order, slack order, the
+    sequential sum and the dropped zeros are those of the row-by-row
+    construction that tests/test_rlt.py keeps as the reference, and the
+    dense form of Ac equals its Ac byte for byte.  At n_b = 8, d = 4, Ac
+    keeps 53288 entries, 1.2 MiB as (row, column, value), where its dense
+    form, 6435 x 7031, would take 345 MiB.
     """
     H = convert_form(H.as_hybrid(), FactorForm.ZO)
     nb, ng, r = H.n_b, H.n_g, H.n_c
@@ -254,7 +215,7 @@ def build_xd(H: AnySet, d: int) -> tuple[HybridZonotope, RltVariableTable]:
     val = val[keep]
     to_ac, to_b = col < n_cols, col == n_cols + nb
     to_ab = ~(to_ac | to_b)
-    Ac = _scatter((n_rows, n_cols), row[to_ac], col[to_ac], val[to_ac])
+    Ac = SparseMatrix((n_rows, n_cols), row[to_ac], col[to_ac], val[to_ac])
     Ab = np.zeros((n_rows, nb))
     b = np.zeros(n_rows)
     Ab[row[to_ab], col[to_ab] - n_cols] = val[to_ab]
@@ -306,12 +267,13 @@ def rlt_report(H: AnySet, d: int) -> tuple[HybridZonotope, dict]:
 
     The closed-form count omits the slacks of the order-D rows, so the
     constructed set is slightly larger; both tuples are reported, with
-    "nnz", the nonzeros of the output's [Ac Ab].
+    "nnz", the nonzeros of the output's [Ac Ab], counted from the entries
+    of its sparse Ac.
     """
     H = H.as_hybrid()
     nominal = rlt_complexity(complexity(H), d)
     out = rlt_sharpen(H, d)
     report = {"level": d, "nominal": asdict(nominal),
               "actual": asdict(complexity(out)),
-              "nnz": int(np.count_nonzero(out.Ac) + np.count_nonzero(out.Ab))}
+              "nnz": out.Ac.nnz + int(np.count_nonzero(out.Ab))}
     return out, report

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from zonosharp import FactorForm, _simplex, box, core, interval, read_set
+from zonosharp import FactorForm, _simplex, box, core, interval, read_set, relugraph
 from zonosharp.cli import main
 
 
@@ -388,6 +388,24 @@ class TestDemoLevelset:
     def test_bad_level_exit_4(self, tmp_path):
         assert main(["demo-levelset", "-o", str(tmp_path / "x.json"),
                      "--rlt-levels", "7"]) == 4
+
+    def test_lift_nnz_on_the_demo_lifts(self, tmp_path):
+        # the nonzeros of [Ac Ab] of the demo level set's d = 1 and d = 2
+        # lifts, the counts that a scan of the dense arrays gives; the
+        # report counts them from the entries of the sparse Ac
+        want = [351, 485]
+        out = str(tmp_path / "demo.json")
+        assert main(["demo-levelset", "-o", out, "--angles", "8",
+                     "--dirs", "4"]) == 0
+        levels = json.load(open(out))["levels"]
+        assert [e["complexity"]["nnz"] for e in levels] == want
+        X = str(tmp_path / "x.json")
+        core.write_set(X, relugraph.level_set_above(relugraph.demo_network(), 0.5))
+        for d, nnz in zip((1, 2), want):
+            rep = str(tmp_path / "rep.json")
+            assert main(["rlt", X, "--level", str(d), "-o",
+                         str(tmp_path / "s.json"), "--report", rep]) == 0
+            assert json.load(open(rep))["nnz"] == nnz
 
     @pytest.fixture
     def no_binaries(self, tmp_path):

@@ -11,6 +11,7 @@ from zonosharp import (
     EnumerationCapExceeded,
     FactorForm,
     HybridZonotope,
+    SparseMatrix,
     binary_assignments,
     box,
     complexity,
@@ -204,3 +205,46 @@ class TestJson:
         obj[name] = arr.tolist()
         with pytest.raises(ValueError, match="finite"):
             set_from_obj(json.loads(json.dumps(obj)))
+
+
+class TestSparseMatrix:
+    """The matrix that a lift's Ac is stored as, on a small example."""
+
+    def _pair(self):
+        A = SparseMatrix((3, 4), [0, 2, 2], [1, 0, 3], [1.5, -2.0, 0.25])
+        D = np.zeros((3, 4))
+        D[0, 1], D[2, 0], D[2, 3] = 1.5, -2.0, 0.25
+        return A, D
+
+    def test_dense_form_is_kept_and_read_only(self):
+        A, D = self._pair()
+        dense = np.asarray(A)
+        assert dense is np.asarray(A, dtype=np.float64)
+        assert not dense.flags.writeable and dense.tobytes() == D.tobytes()
+        fresh = A.copy()
+        fresh[0, 0] = 1.0
+        assert np.asarray(A)[0, 0] == 0.0
+        assert np.asarray(A, dtype=np.float32).dtype == np.float32
+
+    def test_entry_arithmetic(self):
+        A, D = self._pair()
+        np.testing.assert_array_equal(A @ np.arange(4.0), D @ np.arange(4.0))
+        np.testing.assert_array_equal(np.asarray(-2.0 * A), -2.0 * D)
+        assert isinstance(A * 0.5, SparseMatrix)
+        assert (A.shape, A.ndim, A.size, A.nnz) == ((3, 4), 2, 12, 3)
+        with pytest.raises(ValueError):
+            A @ np.ones(3)
+        with pytest.raises(ValueError):
+            A * np.inf
+
+    def test_ufunc_is_refused_rather_than_made_dense(self):
+        A, _ = self._pair()
+        with pytest.raises(TypeError):
+            np.abs(A)
+        assert A._dense is None
+
+    def test_entry_outside_the_shape_is_refused(self):
+        with pytest.raises(ValueError):
+            SparseMatrix((2, 2), [2], [0], [1.0])
+        with pytest.raises(ValueError):
+            SparseMatrix((2, 2), [0, 1], [0], [1.0])

@@ -1,8 +1,6 @@
 import copy
-import errno
-import mmap
-import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +12,7 @@ from zonosharp import (
     IndexSet,
     LevelOutOfRange,
     OverlappingIndexSets,
+    SparseMatrix,
     build_xd,
     check_sharpness,
     complexity,
@@ -27,9 +26,10 @@ from zonosharp import (
     relugraph,
     rlt_sharpen,
     support,
+    support_point,
     union,
 )
-from zonosharp.core import convert_form, leaves
+from zonosharp.core import convert_form, leaves, set_from_obj, set_to_obj
 from zonosharp.oracle import (SharpnessVerdict, _support_cz_many, direction_set,
                               is_feasible_cz)
 
@@ -156,8 +156,9 @@ class TestLift:
                                            for k in range(2)]
             assert list(table.v_index.values()) == \
                 list(range(2 + len(w), len(z)))
-            slack = X.Ac[:, len(z):]
-            resid = X.Ac[:, :len(z)] @ z + X.Ab @ x - X.b
+            Ac = np.asarray(X.Ac)
+            slack = Ac[:, len(z):]
+            resid = Ac[:, :len(z)] @ z + X.Ab @ x - X.b
             bound = np.any(slack != 0.0, axis=1)
             assert np.count_nonzero(bound) == table.n_slack
             eq_tol = 1e-12 * (1.0 + np.max(np.abs(X.b)))
@@ -251,8 +252,10 @@ def _reference_lift(H, d):
 
 
 def _assert_same_bytes(X, reference):
+    """Every array of X, Ac by its dense form, equals the reference's byte
+    for byte."""
     for name, ref in zip(("Gc", "Gb", "c", "Ac", "Ab", "b"), reference):
-        got = getattr(X, name)
+        got = np.asarray(getattr(X, name))
         assert (got.shape, got.dtype) == (ref.shape, ref.dtype), name
         assert got.tobytes() == ref.tobytes(), name
 
@@ -289,75 +292,149 @@ class TestLiftParity:
         X = relugraph.level_set_above(relugraph.demo_network(), 0.5)
         _assert_same_bytes(build_xd(X, d)[0], _reference_lift(X, d))
 
-    def test_mapped_lift_pickles_and_copies(self):
-        # n_b = 8, d = 3 with n_g = 2 and n_c = 1, as in the benchmark; Ac is
-        # a private mapping
+    def test_sparse_lift_pickles_and_copies(self):
+        # n_b = 8, d = 3 with n_g = 2 and n_c = 1, as in the benchmark
         H = _random_hz(np.random.default_rng([8, 2, 1]), 2, 2, 8, 1)
         X, reference = build_xd(H, 3)[0], _reference_lift(H, 3)
-        assert isinstance(_storage(X.Ac), mmap.mmap)
+        assert isinstance(X.Ac, SparseMatrix)
         _assert_same_bytes(X, reference)
-        R = HybridZonotope(*reference, FactorForm.ZO)
-        assert not X.Ac.flags.writeable and not R.Ac.flags.writeable
-        assert pickle.dumps(X) == pickle.dumps(R)
+        assert not np.asarray(X.Ac).flags.writeable
         for Y in (pickle.loads(pickle.dumps(X)), copy.deepcopy(X)):
+            assert isinstance(Y.Ac, SparseMatrix) and Y.Ac is not X.Ac
+            # the dense form that X.Ac now keeps is not carried over
+            assert Y.Ac._dense is None
             _assert_same_bytes(Y, reference)
-            assert pickle.dumps(Y) == pickle.dumps(R)
+            assert not np.asarray(Y.Ac).flags.writeable
+            assert not Y.Ac.val.flags.writeable
+        # copy() is a writable dense array of its own
+        Ac = X.Ac.copy()
+        Ac[0, 0] += 0.5
+        assert Ac.tobytes() != reference[3].tobytes()
+        _assert_same_bytes(X, reference)
 
-
-def _storage(a):
-    """The object at the end of the chain of bases of the array a."""
-    while isinstance(a, (np.ndarray, memoryview)):
-        a = a.base if isinstance(a, np.ndarray) else a.obj
-    return a
-
-
-def _resident_bytes():
-    with open("/proc/self/statm") as fh:
-        return int(fh.read().split()[1]) * mmap.PAGESIZE
+    def test_relaxation_writes_the_entries_into_one_array(self):
+        H = _random_hz(np.random.default_rng([8, 2, 1]), 2, 2, 8, 1)
+        X, reference = build_xd(H, 3)[0], _reference_lift(H, 3)
+        tracemalloc.start()
+        try:
+            R = convex_relaxation(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X.Ac._dense is None  # no dense Ac on the way
+        assert peak <= 1.1 * 8 * X.n_c * (X.n_g + X.n_b), peak
+        dense = np.hstack([reference[3], reference[4]])
+        assert R.A.tobytes() == dense.tobytes()
 
 
 class TestLiftStorage:
-    """A sparse Ac commits memory only in the pages that its entries fall in;
-    a dense one comes from np.zeros."""
+    """Ac is stored as its entries; the nominal dense array is never made."""
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
-                        reason="needs /proc/self/statm")
     def test_sparse_lift_commits_less_than_half_of_ac(self):
-        # n_b = 8, d = 4: 53288 entries in a 345 MiB Ac.  An np.zeros Ac grew
-        # resident memory by about all of it where transparent huge pages
-        # are in madvise or always mode; in never mode it commits only the
-        # 4 KiB pages written too, so the storage is checked as well
+        # n_b = 8, d = 4: 53288 entries in a 6435 x 7031 Ac, whose dense
+        # form (np.zeros) alone would take 345 MiB
         H = _random_hz(np.random.default_rng(8), 2, 2, 8, 1)
-        before = _resident_bytes()
-        X = build_xd(H, 4)[0]
-        grown = _resident_bytes() - before
-        assert X.Ac.shape == (6435, 7031)
-        assert isinstance(_storage(X.Ac), mmap.mmap)
-        assert grown < X.Ac.nbytes / 2, (grown, X.Ac.nbytes)
+        for lift in (lambda: build_xd(H, 4)[0], lambda: rlt_sharpen(H, 4)):
+            tracemalloc.start()
+            try:
+                X = lift()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert isinstance(X.Ac, SparseMatrix) and X.Ac._dense is None
+            assert X.Ac.shape == (6435, 7031) and X.Ac.nnz == 53288
+            assert peak < 16 * 2 ** 20, peak
 
-    def test_lift_without_private_mappings_is_the_same(self, monkeypatch):
-        # Windows' mmap has no MAP_PRIVATE; there Ac comes from np.zeros
-        H = _random_hz(np.random.default_rng([8, 2, 1]), 2, 2, 8, 1)
-        monkeypatch.delattr(mmap, "MAP_PRIVATE")
-        X = build_xd(H, 3)[0]
-        assert not isinstance(_storage(X.Ac), mmap.mmap)
-        _assert_same_bytes(X, _reference_lift(H, 3))
 
-    def test_lift_with_entries_in_most_pages_is_not_mapped(self):
-        # the d = 2 lift of the demo level set writes into every page of Ac
-        X = relugraph.level_set_above(relugraph.demo_network(), 0.5)
-        lift = build_xd(X, 2)[0]
-        assert lift.Ac.nbytes >= 2 * mmap.PAGESIZE
-        assert not isinstance(_storage(lift.Ac), mmap.mmap)
+def _consumer_lifts():
+    """(name, set, level, points for contains).  A point near the (6,2)
+    lift takes up to 14 s of elastic LPs over its 64 leaves on each of the
+    two sets, so it gets 4 points and the demo lifts 50."""
+    demo = relugraph.level_set_above(relugraph.demo_network(), 0.5)
+    H = _random_hz(np.random.default_rng([6, 2]), 2, 2, 6, 1)
+    return [("demo-1", demo, 1, 50), ("demo-2", demo, 2, 50),
+            ("random-6-2", H, 2, 4)]
 
-    def test_failed_mapping_raises_memory_error(self, monkeypatch):
-        def no_memory(*args, **kwargs):
-            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
 
-        monkeypatch.setattr(mmap, "mmap", no_memory)
-        H = _random_hz(np.random.default_rng([8, 2, 1]), 2, 2, 8, 1)
-        with pytest.raises(MemoryError):
-            build_xd(H, 3)
+@pytest.fixture(scope="module", params=_consumer_lifts(), ids=lambda p: p[0])
+def sparse_and_dense(request):
+    """A sharpened lift, with its sparse Ac, the same set built on the
+    dense arrays, and the number of points to test contains on."""
+    _, H, d, n_points = request.param
+    X = rlt_sharpen(H, d)
+    D = HybridZonotope(X.Gc, X.Gb, X.c, X.Ac.copy(), X.Ab, X.b, X.factor_form)
+    return X, D, n_points
+
+
+def _same_arrays(S, T):
+    for name in ("Gc", "Gb", "c", "Ac", "Ab", "b"):
+        assert np.asarray(getattr(S, name)).tobytes() == \
+            np.asarray(getattr(T, name)).tobytes(), name
+
+
+class TestSparseLiftConsumers:
+    """Every consumer of a lift answers on the sparse Ac as on the set
+    built on its dense arrays."""
+
+    def test_products(self, sparse_and_dense):
+        X, D, _ = sparse_and_dense
+        assert isinstance(X.Ac, SparseMatrix) and isinstance(D.Ac, np.ndarray)
+        Z = np.random.default_rng(0).normal(size=(X.n_g, 3))
+        scale = 1.0 + np.abs(D.Ac) @ np.abs(Z)
+        assert np.all(np.abs(X.Ac @ Z - D.Ac @ Z) <= 1e-12 * scale)
+        assert np.all(np.abs(X.Ac @ Z[:, 0] - D.Ac @ Z[:, 0]) <= 1e-12 * scale[:, 0])
+        np.testing.assert_allclose(X.Ac.sum(axis=1), D.Ac.sum(axis=1),
+                                   rtol=1e-12, atol=1e-12)
+        assert np.array_equal(X.Ac.any(axis=0), D.Ac.any(axis=0))
+        assert X.Ac.nnz == np.count_nonzero(D.Ac)
+
+    def test_json_and_forms(self, sparse_and_dense):
+        X, D, _ = sparse_and_dense
+        assert set_to_obj(X) == set_to_obj(D)
+        _same_arrays(set_from_obj(set_to_obj(X)), D)
+        # the rows' sums run in another order over the entries than over
+        # the dense rows, so the shifted b may differ in its last bits
+        P, PD = convert_form(X, FactorForm.PM1), convert_form(D, FactorForm.PM1)
+        Z, ZD = convert_form(P, FactorForm.ZO), convert_form(PD, FactorForm.ZO)
+        assert isinstance(P.Ac, SparseMatrix) and isinstance(Z.Ac, SparseMatrix)
+        for S, T in ((P, PD), (Z, ZD)):
+            for name in ("Gc", "Gb", "c", "Ac", "Ab"):
+                assert np.asarray(getattr(S, name)).tobytes() == \
+                    getattr(T, name).tobytes(), name
+            np.testing.assert_allclose(S.b, T.b, rtol=1e-12, atol=1e-12)
+
+    def test_relaxation(self, sparse_and_dense):
+        X, D, _ = sparse_and_dense
+        R, RD = convex_relaxation(X), convex_relaxation(D)
+        for name in ("G", "c", "A", "b"):
+            assert getattr(R, name).tobytes() == getattr(RD, name).tobytes(), name
+
+    def test_support_and_contains(self, sparse_and_dense):
+        # contains is asked at the support points, which are in the set,
+        # then at seeded points of the bounding box grown by 0.2
+        X, D, n_points = sparse_and_dense
+        values, points = [], []
+        for u in direction_set(2, 16):
+            value, point = support_point(X, u)
+            assert value == support(D, u)
+            values.append(value)
+            points.append(point)
+        # the first four directions are +e1, +e2, -e1, -e2
+        lo, hi = -np.array(values[2:4]), np.array(values[:2])
+        rng = np.random.default_rng(50)
+        points += list(rng.uniform(lo - 0.2, hi + 0.2, size=(50, 2)))
+        answers = [contains(X, p) for p in points[:n_points]]
+        assert answers == [contains(D, p) for p in points[:n_points]]
+        assert all(answers[:16])
+
+    def test_leaves_share_one_dense_a(self, sparse_and_dense):
+        X, _, _ = sparse_and_dense
+        pairs = leaves(X)
+        first = np.asarray(pairs[0][1].A)
+        assert not first.flags.writeable
+        for _, L in pairs:
+            assert L.A is X.Ac
+            assert np.shares_memory(np.asarray(L.A), first)
 
 
 class TestSetEquality:

@@ -69,6 +69,12 @@ def test_lift_stats_prints_one_record_per_lift():
         [(2, 1, 0), (3, 2, 0), ("e", 4, 0)]
     for r in records:
         assert len(r["shape"]) == 2 and r["seconds"] >= 0.0
+        rows, cols = r["shape"]
+        lift = r["lift"]
+        assert set(lift) == {"seconds", "entries", "dense_mib"}
+        assert lift["seconds"] >= 0.0
+        assert 0 < lift["entries"] <= rows * cols
+        assert lift["dense_mib"] == round(8 * rows * cols / 2 ** 20, 4)
         assert r["us_per_step"] > 0.0  # every batch runs phase 1 steps
         stats = r["lp_stats"]
         assert stats["rows"] == 8 and sum(stats["status"].values()) == 8
@@ -110,7 +116,7 @@ def test_lift_stats_counts_children():
     assert 0 < sharp["by_dual"]["dual"] <= sharp["dual_steps"]
     assert sharp["cold_retries"] == first["lp_stats"]["cold_retries"] == 0
     for r in (first, again):
-        del r["seconds"], r["sharpness"]["seconds"]
+        del r["seconds"], r["sharpness"]["seconds"], r["lift"]["seconds"]
         del r["us_per_step"], r["sharpness"]["us_per_step"]
     assert first == again
 

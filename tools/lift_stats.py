@@ -13,7 +13,11 @@ An `e,d` argument names the level-d lift of the 0 level set of the seeded
 is empty at seed 0; its record has "nb": "e".
 Its support LPs in the 8 directions of `direction_set(2, 8, seed=seed)` are
 solved as one `solve_bounded_many` batch inside `lp_stats()`, and one JSON
-line is printed per lift: the shape of the region, the batch's wall time,
+line is printed per lift: the shape of the region, rows x cols, and
+"lift", the size and build cost of the lift: the wall time of
+`rlt_sharpen` ("seconds"), the nonzeros of its [Ac Ab], counted from the
+entries of the sparse Ac ("entries"), and the MiB that [Ac Ab] would take
+dense, 8 rows cols / 2^20 ("dense_mib"); then the batch's wall time,
 the counters of `LpStats.to_obj()` (statuses, steps per phase with the
 dual steps among them, the degenerate ones and those under Bland's rule,
 dual starts, cold retries, refactors) and the 8 objectives as `repr`
@@ -29,7 +33,7 @@ verdict and null for the gap and the closed directions, and a check on
 an empty lift has "empty".  The batch and the check each also give
 "us_per_step", their wall time over the steps of all their runs of the
 simplex loop (phase 1, phase 2 and dual passes) in microseconds, or null
-with no step: the cost of a step on that lift.  Everything but the two
+with no step: the cost of a step on that lift.  Everything but the three
 "seconds" and the two "us_per_step" repeats exactly.
 
 The BLAS runs one thread, as in `perfbench/run.py`: the kernel's pivots
@@ -78,7 +82,9 @@ def lift_stats(nb, d, seed=0):
         H = level_set_above(_seeded_network([4], seed), 0.0)
     else:
         H = _random_hz(np.random.default_rng([seed, nb, d]), 2, 2, nb, 1)
+    t0 = time.perf_counter()
     lift = rlt_sharpen(H, d)
+    lift_seconds = time.perf_counter() - t0
     R = convex_relaxation(lift)
     lo, up = R.factor_bounds()
     C = np.array([-(R.G.T @ u) for u in direction_set(2, 8, seed=seed)])
@@ -86,7 +92,11 @@ def lift_stats(nb, d, seed=0):
     with _simplex.lp_stats() as stats:
         batch = _simplex.solve_bounded_many(C, R.A, R.b, lo, up)
     seconds = time.perf_counter() - t0
-    return {"nb": nb, "d": d, "seed": seed, "shape": list(R.A.shape),
+    rows, cols = R.A.shape
+    return {"nb": nb, "d": d, "seed": seed, "shape": [rows, cols],
+            "lift": {"seconds": round(lift_seconds, 4),
+                     "entries": lift.Ac.nnz + int(np.count_nonzero(lift.Ab)),
+                     "dense_mib": round(8 * rows * cols / 2 ** 20, 4)},
             "seconds": round(seconds, 3),
             "us_per_step": us_per_step(seconds, stats),
             "lp_stats": stats.to_obj(),
