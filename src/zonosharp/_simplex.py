@@ -11,11 +11,15 @@ Otherwise it takes a primal step: the most violated reduced cost enters
 (Dantzig), and the ratio test picks the leaving row or a bound flip.  When
 neither step is possible, the basis is optimal.  Both follow the bounded
 dual simplex of Koberstein 2005 and its primal counterpart, and share one
-pricing, one rank-1 update and one switch to Bland's rule after a run of
-degenerate steps, which guarantees termination.  A fixed variable (equal
-bounds) is never priced, since its step can only be 0: neither an
-artificial, which is fixed at zero, nor a structural column with lo == up
-ever enters.
+rank-1 update and one tie rule: each ratio test takes the largest pivot
+element among its ties.  No pivot rule excludes a cycle; the loop ends
+anyway: a run of more than DEGEN_BAIL degenerate steps, or the step
+budget (`_max_iter`), ends the pass with status 2, uncertified, and the
+LP then gets its cold retry, so a cycle can cost time, or end in status
+2 when the cold retry fails too, but never in a wrong answer.  A fixed
+variable (equal bounds) is never priced, since its step can only be 0:
+neither an artificial, which is fixed at zero, nor a structural column
+with lo == up ever enters.
 The loop keeps the explicit inverse of its basis, m x m, updated by one
 rank-1 product per pivot and rebuilt by LU every REFACTOR_EVERY pivots;
 reduced costs, the entering column and the pivot row are read from it.
@@ -111,7 +115,6 @@ from .errors import NumericalFailure
 FEAS_TOL = 1e-8  # the certificates' feasibility tolerance
 OPT_TOL = 1e-9
 PIV_TOL = 1e-9
-DEGEN_SWITCH = 60  # consecutive degenerate pivots before switching to Bland
 DEGEN_BAIL = 10000  # consecutive degenerate pivots before giving up
 REFACTOR_EVERY = 100  # pivots between rebuilds of the basis inverse
 PERTURB = 1e-7  # the dual start's cost move, relative to 1 + max|c|
@@ -122,14 +125,13 @@ _GOLDEN = 0.6180339887498949  # frac(j * _GOLDEN) spreads the moves apart
 class LpStats:
     """Counts of the kernel's work while an `lp_stats()` block is open.
 
-    `pivots`, `by_dual`, `degenerate` and `bland` are keyed by phase and
-    count the steps of the simplex loop (a basis change or a bound flip):
-    all of them, those that were dual steps, taken while a basic value
-    was out of its bounds, those whose step (primal or dual) was no more
-    than 1e-12, and those taken under Bland's rule.  Phase 1 is the dual
-    starts, both their runs of the loop; phase 2 the passes from a start
-    or from the row before; "dual" the passes of the children of
-    `Ladder.children`.
+    `pivots`, `by_dual` and `degenerate` are keyed by phase and count the
+    steps of the simplex loop (a basis change or a bound flip): all of
+    them, those that were dual steps, taken while a basic value was out of
+    its bounds, and those whose step (primal or dual) was no more than
+    1e-12.  Phase 1 is the dual starts, both their runs of the loop;
+    phase 2 the passes from a start or from the row before; "dual" the
+    passes of the children of `Ladder.children`.
     `phase1_runs` counts the dual starts made, and `phase1_reused` the
     reads of a start that a `Ladder` kept from an earlier call.
     `artificials` lists, per start, the number of rows that start with an
@@ -153,7 +155,6 @@ class LpStats:
     pivots: Counter = field(default_factory=Counter)
     by_dual: Counter = field(default_factory=Counter)
     degenerate: Counter = field(default_factory=Counter)
-    bland: Counter = field(default_factory=Counter)
     refactors: int = 0
     children: int = 0
     cold_retries: int = 0
@@ -170,8 +171,7 @@ class LpStats:
             "phase1_reused": self.phase1_reused,
             "steps": {str(p): {"all": self.pivots[p],
                                "by_dual": self.by_dual[p],
-                               "degenerate": self.degenerate[p],
-                               "bland": self.bland[p]}
+                               "degenerate": self.degenerate[p]}
                       for p in (1, 2, "dual")},
             "refactors": self.refactors,
             "children": self.children,
@@ -214,12 +214,12 @@ def _loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
     that no reduced cost changes sign.  Otherwise a primal step: the column
     with the most violated reduced cost enters, and the ratio test picks
     the leaving row, the largest pivot element among the ties, unless the
-    entering column reaches its other bound first (a bound flip).  A run
-    of DEGEN_SWITCH degenerate steps of either kind switches to Bland's
-    rule, the lowest index, until it ends.  Returns (status, row): 0 when
-    neither step is possible, so the basis is optimal; 1 when no column
-    can enter for the basic variable of `row`, whose row of Binv is then a
-    candidate Farkas ray; 2 on failure.  Its steps count under `phase`.
+    entering column reaches its other bound first (a bound flip).  Returns
+    (status, row): 0 when neither step is possible, so the basis is
+    optimal; 1 when no column can enter for the basic variable of `row`,
+    whose row of Binv is then a candidate Farkas ray; 2 on failure, which
+    includes a run of more than DEGEN_BAIL degenerate steps of either kind
+    and the end of the `max_iter` steps.  Its steps count under `phase`.
     """
     m = Binv.shape[0]
     movable = U > L  # a fixed variable's step is always 0: never price it
@@ -232,8 +232,7 @@ def _loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
     t_arr, ratio = np.empty(m), np.empty(U.shape[0])
     outer = np.empty_like(Binv)
     degen = it = pivots_since_refactor = 0
-    bland = False
-    steps = dual_steps = degenerate = under_bland = refactors = 0
+    steps = dual_steps = degenerate = refactors = 0
     status, row = 2, -1
     while it < max_iter:
         it += 1
@@ -254,7 +253,7 @@ def _loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
         flip = False
         if short.min(initial=0.0) < -FEAS_TOL:
             cand = (short < -FEAS_TOL).nonzero()[0]
-            leave = cand[(basis[cand] if bland else short[cand]).argmin()]
+            leave = cand[short[cand].argmin()]
             # the leaving variable rises to its lower bound, or falls to its
             # upper one when `up`
             up = not room_lo[leave] < 0.0
@@ -273,15 +272,14 @@ def _loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
                 status, row = 1, leave
                 break
             tie = ratio <= t + 1e-9
-            enter = int((tie if bland
-                         else np.where(tie, np.abs(alpha_r), -1.0)).argmax())
+            enter = int(np.where(tie, np.abs(alpha_r), -1.0).argmax())
             alpha = Binv @ A_all[:, enter]
             bound = uB[leave] if up else lB[leave]
             theta = (xB[leave] - bound) / alpha[leave]
             dual_steps += 1
         else:
             viol = np.where(priced & (src > OPT_TOL), src, -1.0)
-            enter = int((viol > 0.0 if bland else viol).argmax())
+            enter = int(viol.argmax())
             if viol[enter] <= 0.0:
                 status = 0
                 break
@@ -305,10 +303,8 @@ def _loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
                 sign[enter] = -sign[enter]
             else:
                 cand = (t_arr <= t + 1e-9).nonzero()[0]
-                # anti-cycling: the smallest variable index; else, for
-                # stability, the largest eligible pivot element
-                leave = cand[basis[cand].argmin() if bland
-                             else ad[cand].argmax()]
+                # for stability, the largest eligible pivot element
+                leave = cand[ad[cand].argmax()]
                 up = not d[leave] > 0.0
                 theta = sgn * t
         if not flip:
@@ -326,14 +322,12 @@ def _loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
             _update_inverse(Binv, alpha, leave, outer)
             pivots_since_refactor += 1
         steps += 1
-        under_bland += bland
-        # a run of degenerate steps switches to Bland's rule until it ends
+        # a long enough run of degenerate steps may be a cycle: give up
         degen = degen + 1 if t <= 1e-12 else 0
         degenerate += degen > 0
-        bland = degen > DEGEN_SWITCH
         if degen > DEGEN_BAIL:
             break
-    _count_steps(phase, steps, dual_steps, degenerate, under_bland, refactors)
+    _count_steps(phase, steps, dual_steps, degenerate, refactors)
     return status, row
 
 
@@ -351,13 +345,11 @@ def _swap(leave, enter, lv, up, L, U, cost, movable, basis, in_basis,
     lB[leave], uB[leave], cB[leave] = L[enter], U[enter], cost[enter]
 
 
-def _count_steps(phase, steps, dual_steps, degenerate, under_bland,
-                 refactors):
+def _count_steps(phase, steps, dual_steps, degenerate, refactors):
     for stats in _OPEN_STATS:
         stats.pivots[phase] += steps
         stats.by_dual[phase] += dual_steps
         stats.degenerate[phase] += degenerate
-        stats.bland[phase] += under_bland
         stats.refactors += refactors
 
 

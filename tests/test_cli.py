@@ -276,7 +276,7 @@ class TestCheckSharp:
         assert stats["phase1_runs"] >= 1 and stats["refactors"] == 0
         assert set(stats["steps"]) == {"1", "2", "dual"}
         for steps in stats["steps"].values():
-            assert set(steps) == {"all", "by_dual", "degenerate", "bland"}
+            assert set(steps) == {"all", "by_dual", "degenerate"}
             assert 0 <= steps["by_dual"] <= steps["all"]
         # a box closes every direction at its relaxation: no leaf LP
         assert stats["children"] == 0 and "child_fallbacks" not in stats
@@ -472,7 +472,6 @@ class TestDemoLevelset:
         assert stats["phase1_runs"] >= 1
         steps = stats["steps"]["2"]
         assert steps["degenerate"] <= steps["all"]
-        assert steps["bland"] <= steps["all"]
         assert stats["rows"] == sum(stats["status"].values())
         assert stats["cold_retries"] == 0
         # the open directions' leaves, answered from the relaxations' bases

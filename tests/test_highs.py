@@ -10,9 +10,9 @@ HiGHS's duals certify.  The hull supports that a sharpness check answers
 from the relaxation's basis must agree with HiGHS's leaf LPs to the same
 tolerance.  Lifts outside `LIFTS` are the ones a retry ladder of perturbed
 copies failed on, or whose phase 2 once crawled under Bland's rule: the
-(6, 6) batches at seeds 0 and 1, the (5, 3) sharpness check at seed 0 and
-the empty level-4 lift of a seeded ReLU network.  Skipped when scipy is
-missing.
+(6, 6) batches at seeds 0, 1 and 2, the first row of the (6, 3) batch at
+seed 0, the (5, 3) sharpness check at seed 0 and the empty level-4 lift
+of a seeded ReLU network.  Skipped when scipy is missing.
 """
 
 import numpy as np
@@ -82,13 +82,35 @@ def test_6_6_seed_0_lift_support_batch():
     _assert_batch_certified(6, 6, 0)
 
 
-def test_5_3_phase_2_takes_dual_steps():
-    # phase 2 from the kept start brings basic values that drifted out of
-    # their bounds back by dual steps; it once crawled under Bland's rule
-    # until a row needed its cold retry
+def test_6_6_seed_2_lift_support_batch():
+    # phase 2 once took 10955 of this batch's 12733 steps under Bland's
+    # rule, with no cold retry; the steps are exact at conftest's one BLAS
+    # thread, and a crawl of that length fails the bound
+    with _simplex.lp_stats() as stats:
+        _assert_batch_certified(6, 6, 2)
+    assert stats.cold_retries == 0 and stats.pivots[2] < 2000
+
+
+def test_5_3_lift_support_batch_from_one_start():
+    # every row is answered by its one pass from the kept start or from
+    # the row before; it once crawled under Bland's rule until a row
+    # needed its cold retry
     with _simplex.lp_stats() as stats:
         _assert_batch_certified(5, 3, 0)
-    assert stats.by_dual[2] > 0
+    assert stats.cold_retries == 0 and stats.phase1_runs == 1
+
+
+def test_6_3_lift_support_first_direction():
+    # the first row of the (6, 3) seed-0 batch, 922 x 1071: phase 2 from
+    # the kept start crawled for 531 steps under Bland's rule until the
+    # row needed its cold retry; HiGHS's optimum is -2.8346002343613934
+    R, C = _lift_batch(6, 3, 0)
+    assert R.A.shape == (922, 1071)
+    lo, up = R.factor_bounds()
+    with _simplex.lp_stats() as stats:
+        answer = _simplex.solve_bounded(C[0], R.A, R.b, lo, up)
+    assert answer[0] == 0
+    _assert_matches_highs(answer, C[0], R.A, R.b, lo, up)
     assert stats.cold_retries == 0 and stats.phase1_runs == 1
 
 

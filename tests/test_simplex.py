@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from zonosharp import NumericalFailure, _simplex
-from zonosharp._simplex import (DEGEN_BAIL, DEGEN_SWITCH, FEAS_TOL, OPT_TOL,
-                               PIV_TOL, REFACTOR_EVERY)
+from zonosharp._simplex import (DEGEN_BAIL, FEAS_TOL, OPT_TOL, PIV_TOL,
+                               REFACTOR_EVERY)
 
 
 def brute_force_lp(c, A, b, lo, up, tol=1e-9):
@@ -678,6 +678,19 @@ def _randomise_inverse(Binv):
 SPOILS = [_scale_inverse, _randomise_inverse]
 
 
+@pytest.fixture(scope="module")
+def demo_batch():
+    """(region, costs, certified answers) of 8 support LPs on the
+    relaxation of the demo lift."""
+    from zonosharp import convex_relaxation, direction_set
+    R = convex_relaxation(_demo_lift())
+    region = (R.A, R.b, *R.factor_bounds())
+    C = np.array([-(R.G.T @ u) for u in direction_set(2, 8)])
+    true = _simplex.solve_bounded_many(C, *region)
+    assert [st for st, _, _ in true] == [0] * len(C)
+    return region, C, true
+
+
 class TestCarriedInverse:
     """A pass reads its final values and its duals from the basis inverse it
     carries: the only LU is the rebuild every REFACTOR_EVERY pivots, and an
@@ -704,18 +717,6 @@ class TestCarriedInverse:
                                               np.zeros(n), np.ones(n))
         assert st == 0 and stats.refactors >= 1
         assert lu_solves[0] == stats.refactors
-
-    @pytest.fixture(scope="class")
-    def demo_batch(self):
-        """(region, costs, certified answers) of 8 support LPs on the
-        relaxation of the demo lift."""
-        from zonosharp import convex_relaxation, direction_set
-        R = convex_relaxation(_demo_lift())
-        region = (R.A, R.b, *R.factor_bounds())
-        C = np.array([-(R.G.T @ u) for u in direction_set(2, 8)])
-        true = _simplex.solve_bounded_many(C, *region)
-        assert [st for st, _, _ in true] == [0] * len(C)
-        return region, C, true
 
     @staticmethod
     def _spoil_after(monkeypatch, spoil, phases):
@@ -790,6 +791,25 @@ class TestCarriedInverse:
             assert st == 2 or abs(obj - ref) <= 1e-6 * (1.0 + abs(ref))
 
 
+class TestCycleGuard:
+    """No pivot rule excludes a cycle: a run of more than DEGEN_BAIL
+    degenerate steps ends a pass with status 2, uncertified, and its LP is
+    answered by its cold retry, never wrongly."""
+
+    def test_bailed_passes_are_answered_by_their_cold_retries(
+            self, monkeypatch, demo_batch):
+        region, C, true = demo_batch
+        # every pass from a start or from the row before bails at its first
+        # degenerate step
+        monkeypatch.setattr(_simplex, "DEGEN_BAIL", 0)
+        with _simplex.lp_stats() as stats:
+            batch = _simplex.solve_bounded_many(C, *region)
+        assert stats.cold_retries == len(C)
+        for (st, obj, _), (_, ref, _) in zip(batch, true):
+            assert st in (0, 2)
+            assert st == 2 or abs(obj - ref) <= 1e-9 * (1.0 + abs(ref))
+
+
 # --- the loop against a reference ----------------------------------------
 #
 # The simplex loop as it stood before it kept its per-step state (priced
@@ -800,7 +820,7 @@ class TestCarriedInverse:
 # the functions it calls, and the wording of some comments, differ.  The
 # kernel's loop must take the same pivots to the same bits.
 
-_REFERENCE_COUNTS = []  # (phase, steps, dual steps, degenerate, bland,
+_REFERENCE_COUNTS = []  # (phase, steps, dual steps, degenerate,
 #                          refactors) per run
 
 
@@ -828,10 +848,9 @@ def _reference_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
     movable = U > L  # a fixed variable's step is always 0: never price it
     blowup = 1e9 * (1.0 + np.max(np.abs(U), initial=0.0))
     degen = 0
-    bland = False
     it = 0
     pivots_since_refactor = 0
-    steps = dual_steps = degenerate = under_bland = refactors = 0
+    steps = dual_steps = degenerate = refactors = 0
     status, row = 2, -1
     while it < max_iter:
         it += 1
@@ -850,10 +869,7 @@ def _reference_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
         if np.any(viol > FEAS_TOL):
             # the dual step
             cand = np.nonzero(viol > FEAS_TOL)[0]
-            if bland:
-                leave = cand[int(np.argmin(basis[cand]))]
-            else:
-                leave = cand[int(np.argmax(viol[cand]))]
+            leave = cand[int(np.argmax(viol[cand]))]
             # +1 when the leaving variable rises to its lower bound, -1
             # when it falls to its upper one
             s = 1.0 if below[leave] > 0.0 else -1.0
@@ -872,10 +888,7 @@ def _reference_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
                 status, row = 1, leave
                 break
             ties = np.nonzero(ratio <= t + 1e-9)[0]
-            if bland:
-                enter = ties[0]
-            else:
-                enter = ties[int(np.argmax(np.abs(alpha_r[ties])))]
+            enter = ties[int(np.argmax(np.abs(alpha_r[ties])))]
             alpha = Binv @ A_all[:, enter]
             lv = basis[leave]
             bound = L[lv] if s > 0.0 else U[lv]
@@ -902,17 +915,10 @@ def _reference_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
             mask_low = free & (~at_upper) & (rc < -OPT_TOL)
             mask_up = free & at_upper & (rc > OPT_TOL)
             viol = np.where(mask_low, -rc, np.where(mask_up, rc, -1.0))
-            if bland:
-                cand = np.nonzero(viol > 0.0)[0]
-                if cand.shape[0] == 0:
-                    status = 0
-                    break
-                enter = cand[0]
-            else:
-                enter = int(np.argmax(viol))
-                if viol[enter] <= 0.0:
-                    status = 0
-                    break
+            enter = int(np.argmax(viol))
+            if viol[enter] <= 0.0:
+                status = 0
+                break
             sgn = -1.0 if at_upper[enter] else 1.0
             alpha = Binv @ A_all[:, enter]
             d = sgn * alpha
@@ -940,12 +946,8 @@ def _reference_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
             else:
                 t = t_basic
                 cand = np.nonzero(t_arr <= t + 1e-9)[0]
-                if bland:
-                    # anti-cycling: leave the smallest variable index
-                    leave = cand[int(np.argmin(basis[cand]))]
-                else:
-                    # stability: pivot on the largest eligible element
-                    leave = cand[int(np.argmax(np.abs(d[cand])))]
+                # stability: pivot on the largest eligible element
+                leave = cand[int(np.argmax(np.abs(d[cand])))]
                 lv = basis[leave]
                 enter_val = x[enter] + sgn * t
                 newxB = xB - t * d
@@ -968,19 +970,14 @@ def _reference_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
                 _reference_update_inverse(Binv, alpha, leave)
                 pivots_since_refactor += 1
         steps += 1
-        under_bland += bland
         if t <= 1e-12:
             degenerate += 1
             degen += 1
-            if degen > DEGEN_SWITCH:
-                bland = True
             if degen > DEGEN_BAIL:
                 break
         else:
             degen = 0
-            bland = False
-    _reference_count_steps(phase, steps, dual_steps, degenerate, under_bland,
-                           refactors)
+    _reference_count_steps(phase, steps, dual_steps, degenerate, refactors)
     return status, row
 
 

@@ -19,8 +19,8 @@ line is printed per lift: the shape of the region, rows x cols, and
 entries of the sparse Ac ("entries"), and the MiB that [Ac Ab] would take
 dense, 8 rows cols / 2^20 ("dense_mib"); then the batch's wall time,
 the counters of `LpStats.to_obj()` (statuses, steps per phase with the
-dual steps among them, the degenerate ones and those under Bland's rule,
-dual starts, cold retries, refactors) and the 8 objectives as `repr`
+dual steps and the degenerate ones among them, dual starts, cold
+retries, refactors) and the 8 objectives as `repr`
 strings, so that two revisions can be compared bit for bit.  Its
 "sharpness" entry is `check_sharpness` on the lifted hybrid zonotope in
 the same 8 directions, run on the lift alone: its wall time, verdict,
