@@ -6,7 +6,7 @@ test, and emptiness check bottoms out here.  It is plain vectorised numpy.
 Every pass runs one loop (`_loop`), and its state picks each step.
 While some basic value lies outside its bounds by more than FEAS_TOL the
 loop takes a dual step: that basic variable leaves onto its bound, and
-the dual ratio test over its row of B^-1 A_all picks the entering column.
+the dual ratio test over its row of B^-1 A picks the entering column.
 Otherwise it takes a primal step: the most violated reduced cost enters
 (Dantzig), and the ratio test picks the leaving row or a bound flip.  When
 neither step is possible, the basis is optimal.  Both follow the bounded
@@ -17,9 +17,10 @@ anyway: a run of more than DEGEN_BAIL degenerate steps, or the step
 budget (`_max_iter`), ends the pass with status 2, uncertified, and the
 LP then gets its cold retry, so a cycle can cost time, or end in status
 2 when the cold retry fails too, but never in a wrong answer.  A fixed
-variable (equal bounds) is never priced, since its step can only be 0:
-neither an artificial, which is fixed at zero, nor a structural column
-with lo == up ever enters.
+variable (equal bounds) is never priced, since its step can only be 0: a
+structural column with lo == up never enters, and neither does an
+artificial, which is fixed at zero.  So the loop prices, ratio-tests and
+forms its pivot row over the n columns of the region's own A alone.
 The loop keeps the explicit inverse of its basis, m x m, updated by one
 rank-1 product per pivot and rebuilt by LU every REFACTOR_EVERY pivots;
 reduced costs, the entering column and the pivot row are read from it.
@@ -35,8 +36,14 @@ inverse are those of a loop that rebuilds this state at every step, bit
 for bit (`tests/test_simplex.py::TestLoopParity`).
 
 An LP starts cold by the dual simplex (`_start`; Koberstein 2005, Huangfu
-& Hall 2018).  Its columns are A_all = [A, I], one artificial per row,
-each fixed at zero.  The start basis is diagonal: a row that a singleton
+& Hall 2018).  Its columns are those of [A, I], one artificial per row,
+each fixed at zero.  The artificial block is never built: as the logical
+columns of HiGHS's dual simplex, artificial j is the unit column e_j, so
+its reduced cost is -y_j and B^-1 e_j is column j of the inverse.  The
+state arrays list the n structural variables, then the m artificials.
+Only the values, the duals and the rebuild of a basis read a basic
+artificial, as the unit column it is (`_times`, `_price`, `_rebuild`),
+and no array of m x (n + m) is made.  The start basis is diagonal: a row that a singleton
 column covers within that column's bounds (`_crash`, after Bixby 1992)
 starts with that column basic, every other row with its artificial.  Each
 nonbasic column sits at the bound its reduced cost favours, so the basis
@@ -65,9 +72,10 @@ only fail its certificate, never pass a wrong verdict:
   retry produced a verdict that passed its certificate.
 
 `min_infeasibility` solves the elastic LP, min sum(s+ + s-) subject to
-Ax + s+ - s- = b over the box, by the same dual start, on no ladder, and
-certifies its answer in the same way: a small miss by the point it
-returns, a large one by a Farkas ray.
+Ax + s+ - s- = b over the box, by the same dual start over the columns
+[A, I, -I], on no ladder.  Its slack columns cover every row, so no
+artificial starts basic.  It certifies its answer in the same way: a
+small miss by the point it returns, a large one by a Farkas ray.
 
 Every other entry point works on one region (A, b, lo, up), a `Ladder`.
 A ladder keeps one start that does not depend on any cost: the dual start
@@ -92,7 +100,8 @@ same way.  `solve_bounded` is the one-cost case.
 `Ladder.children` answers the children of one LP: the same region with
 chosen columns pinned to given values, as a leaf of a hybrid zonotope is
 its relaxation with the binary factors pinned.  The parent, the LP without
-pins, is solved as a first cost of `solve_bounded_many` is.  A child
+pins, is handed in as a row of `Ladder.solve_iter` answered it, or else
+solved as a first cost of `solve_bounded_many` is.  A child
 starts from a copy of the parent's optimal state with its columns pinned
 and its basic values settled (`_pinned`): pinning changes no cost and
 frees no column, so the basis stays dual feasible, and the loop restores
@@ -201,35 +210,39 @@ def lp_stats():
         _OPEN_STATS.remove(stats)
 
 
-def _loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
-          max_iter, phase):
+def _loop(Binv, A, b, x, L, U, basis, in_basis, at_upper, cost, max_iter,
+          phase):
     """The bounded-variable simplex for `cost` from the basis `basis` with
-    inverse Binv; every state array is changed in place.
+    inverse Binv; every state array is changed in place.  The state arrays
+    run over the n columns of A, then the m artificials.
 
     The state picks each step.  While some basic value lies outside its
     bounds by more than FEAS_TOL, a dual step: the basic variable furthest
-    out leaves onto the bound it violates, its row of B^-1 A_all is the
-    pivot row, and the dual ratio test over the movable nonbasic columns
-    picks the entering one, the largest pivot element among the ties, so
-    that no reduced cost changes sign.  Otherwise a primal step: the column
-    with the most violated reduced cost enters, and the ratio test picks
-    the leaving row, the largest pivot element among the ties, unless the
-    entering column reaches its other bound first (a bound flip).  Returns
-    (status, row): 0 when neither step is possible, so the basis is
-    optimal; 1 when no column can enter for the basic variable of `row`,
-    whose row of Binv is then a candidate Farkas ray; 2 on failure, which
-    includes a run of more than DEGEN_BAIL degenerate steps of either kind
-    and the end of the `max_iter` steps.  Its steps count under `phase`.
+    out leaves onto the bound it violates, its row of B^-1 A is the pivot
+    row, and the dual ratio test over the movable nonbasic columns picks
+    the entering one, the largest pivot element among the ties, so that no
+    reduced cost changes sign.  Otherwise a primal step: the column with
+    the most violated reduced cost enters, and the ratio test picks the
+    leaving row, the largest pivot element among the ties, unless the
+    entering column reaches its other bound first (a bound flip).  Only
+    the columns of A are priced and tested: an artificial is fixed, so it
+    never enters.  Returns (status, row): 0 when neither step is possible,
+    so the basis is optimal; 1 when no column can enter for the basic
+    variable of `row`, whose row of Binv is then a candidate Farkas ray; 2
+    on failure, which includes a run of more than DEGEN_BAIL degenerate
+    steps of either kind and the end of the `max_iter` steps.  Its steps
+    count under `phase`.
     """
-    m = Binv.shape[0]
+    m, n = A.shape
     movable = U > L  # a fixed variable's step is always 0: never price it
     blowup = 1e9 * (1.0 + np.abs(U).max(initial=0.0))
     # kept up to date step by step (`_swap`): the columns priced, the sign
     # of each column's bound (+1 upper, -1 lower), and the basic variables'
-    # bounds and costs
+    # bounds and costs; the loop reads the structural part of the first two
     priced, sign = movable & ~in_basis, np.where(at_upper, 1.0, -1.0)
+    priced_a, sign_a, cost_a = priced[:n], sign[:n], cost[:n]
     lB, uB, cB = L[basis], U[basis], cost[basis]
-    t_arr, ratio = np.empty(m), np.empty(U.shape[0])
+    t_arr, ratio = np.empty(m), np.empty(n)
     outer = np.empty_like(Binv)
     degen = it = pivots_since_refactor = 0
     steps = dual_steps = degenerate = refactors = 0
@@ -239,7 +252,7 @@ def _loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
         if pivots_since_refactor >= REFACTOR_EVERY:
             # a singular basis cannot be repaired, so bail out and let the
             # caller retry from a cold start
-            if not _rebuild(Binv, A_all, b, x, basis):
+            if not _rebuild(Binv, A, b, x, basis):
                 break
             pivots_since_refactor = 0
             refactors += 1
@@ -249,7 +262,7 @@ def _loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
         short = np.minimum(room_lo, room_up)
         # sign * rc is the rate at which a nonbasic column's move off its
         # bound lowers the cost: a violation where it exceeds OPT_TOL
-        src = sign * (cost - (cB @ Binv) @ A_all)
+        src = sign_a * (cost_a - (cB @ Binv) @ A)
         flip = False
         if short.min(initial=0.0) < -FEAS_TOL:
             cand = (short < -FEAS_TOL).nonzero()[0]
@@ -258,33 +271,33 @@ def _loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
             # upper one when `up`
             up = not room_lo[leave] < 0.0
             s = -1.0 if up else 1.0
-            alpha_r = Binv[leave] @ A_all
+            alpha_r = Binv[leave] @ A
             # a column at its lower bound can enter when it would rise, one
             # at its upper bound when it would fall: then its rate is
             # positive, and its ratio is the dual step at which its reduced
             # cost reaches 0
-            rate = sign * (s * alpha_r)
-            eligible = priced & (rate > PIV_TOL)
+            rate = sign_a * (s * alpha_r)
+            eligible = priced_a & (rate > PIV_TOL)
             ratio.fill(np.inf)
             np.divide(np.maximum(-src, 0.0), rate, out=ratio, where=eligible)
-            t = ratio.min()
+            t = ratio.min(initial=np.inf)
             if t == np.inf:
                 status, row = 1, leave
                 break
             tie = ratio <= t + 1e-9
             enter = int(np.where(tie, np.abs(alpha_r), -1.0).argmax())
-            alpha = Binv @ A_all[:, enter]
+            alpha = Binv @ A[:, enter]
             bound = uB[leave] if up else lB[leave]
             theta = (xB[leave] - bound) / alpha[leave]
             dual_steps += 1
         else:
-            viol = np.where(priced & (src > OPT_TOL), src, -1.0)
-            enter = int(viol.argmax())
-            if viol[enter] <= 0.0:
+            viol = np.where(priced_a & (src > OPT_TOL), src, -1.0)
+            enter = int(viol.argmax()) if n else -1  # -1: no column at all
+            if enter < 0 or viol[enter] <= 0.0:
                 status = 0
                 break
             sgn = -sign[enter]
-            alpha = Binv @ A_all[:, enter]
+            alpha = Binv @ A[:, enter]
             d = sgn * alpha
             ad = np.abs(d)
             t_arr.fill(np.inf)
@@ -353,16 +366,33 @@ def _count_steps(phase, steps, dual_steps, degenerate, refactors):
         stats.refactors += refactors
 
 
-def _rebuild(Binv, A_all, b, x, basis):
+def _times(A, x):
+    """[A, I] x, with no [A, I] made: A times the structural part of x,
+    plus the artificial part, one entry per row."""
+    n = A.shape[1]
+    return A @ x[:n] + x[n:]
+
+
+def _price(y, A):
+    """y [A, I], with no [A, I] made: y A, then y itself, the artificials'
+    part."""
+    return np.concatenate([y @ A, y])
+
+
+def _rebuild(Binv, A, b, x, basis):
     """Refactor the basis from scratch by LU, in place, to shed the error
     that the rank-1 updates accumulate: Binv and the basic values of x are
-    solved again from the nonbasic ones.  False, with both unchanged, when
+    solved again from the nonbasic ones.  The basis matrix takes a basic
+    artificial as the unit column it is.  False, with both unchanged, when
     the basis is singular."""
-    m = Binv.shape[0]
+    m, n = A.shape
     xn = x.copy()
     xn[basis] = 0.0
-    sol = _lu_solve(A_all[:, basis],
-                    np.column_stack([np.eye(m), b - A_all @ xn]))
+    art = basis >= n
+    B = np.zeros((m, m))
+    B[:, ~art] = A[:, basis[~art]]
+    B[basis[art] - n, art] = 1.0
+    sol = _lu_solve(B, np.column_stack([np.eye(m), b - _times(A, xn)]))
     if sol is None:
         return False
     Binv[:, :] = sol[:, :m]
@@ -374,9 +404,12 @@ def _update_inverse(Binv, alpha, leave, outer):
     """Rank-1 update of the inverse, in place, after the column with
     alpha = Binv a replaces the basic variable of row `leave`:
     B_new^{-1} = E B^{-1}.  `outer`, an array of Binv's shape, takes the
-    rank-1 term, so that no step allocates one."""
+    rank-1 term, so that no step allocates one.  np.einsum writes it
+    faster than a broadcast product on all but the smallest bases; each
+    entry is that product's, but for a product of -0, which it writes as
+    +0."""
     prow = Binv[leave] / alpha[leave]
-    Binv -= np.multiply(alpha[:, None], prow, out=outer)
+    Binv -= np.einsum("i,j->ij", alpha, prow, out=outer)
     Binv[leave] = prow
 
 
@@ -389,27 +422,28 @@ def _lu_solve(B, rhs):
     return sol if np.all(np.isfinite(sol)) else None
 
 
-def _settle(Binv, A_all, b, x, basis):
-    """Put the basic values of x onto A_all x = b by one step from the
-    carried inverse, x[basis] += Binv (b - A_all x), in place; False, with x
-    unchanged, when the step is not finite.
+def _settle(Binv, A, b, x, basis):
+    """Put the basic values of x onto [A, I] x = b by one step from the
+    carried inverse, x[basis] += Binv (b - [A, I] x), in place; False, with
+    x unchanged, when the step is not finite.
 
     It sheds the drift of the pivots' updates of x.  With the exact inverse
     the step solves the basic system outright; with an inverse that is off
     by E = I - B Binv it leaves E times the residual it started from.
     """
-    step = Binv @ (b - A_all @ x)
+    step = Binv @ (b - _times(A, x))
     if not np.isfinite(step).all():
         return False
     x[basis] += step
     return True
 
 
-def _duals(Binv, A_all, basis, cost_B):
-    """The duals y with y B = cost_B, B = A_all[:, basis], from the carried
-    inverse and one step of refinement; None when they are not finite."""
+def _duals(Binv, A, basis, cost_B):
+    """The duals y with y B = cost_B, B the columns `basis` of [A, I], from
+    the carried inverse and one step of refinement; None when they are not
+    finite."""
     y = cost_B @ Binv
-    y += (cost_B - y @ A_all[:, basis]) @ Binv
+    y += (cost_B - _price(y, A)[basis]) @ Binv
     return y if np.isfinite(y).all() else None
 
 
@@ -435,34 +469,29 @@ def _crash(A, r, lo, up):
     return rows, cols[order[first]]
 
 
-def _with_artificials(A):
-    """[A, I]: the columns of A, then one artificial per row."""
-    return np.hstack([A, np.eye(A.shape[0])])
-
-
-def _proposal(st, row, Binv, A_all, b, x, basis, cost):
+def _proposal(st, row, Binv, A, b, x, basis, cost):
     """The proposal (status, x, y) of a loop that ended with status st.
 
-    For status 0 the basic values are settled onto A_all x = b (`_settle`)
-    and y are the duals of `cost`, the caller's true cost; for status 1 y
-    is the row of the inverse at the basic variable of `row`, a candidate
-    Farkas ray.  x is the structural part of the final point.  Any other
-    status, or values or duals that are not finite, propose status 2 with
-    y None.
+    For status 0 the basic values are settled onto [A, I] x = b
+    (`_settle`) and y are the duals of `cost`, the caller's true cost; for
+    status 1 y is the row of the inverse at the basic variable of `row`, a
+    candidate Farkas ray.  x is the structural part of the final point.
+    Any other status, or values or duals that are not finite, propose
+    status 2 with y None.
     """
     y = None
-    if st == 0 and _settle(Binv, A_all, b, x, basis):
-        y = _duals(Binv, A_all, basis, cost[basis])
+    if st == 0 and _settle(Binv, A, b, x, basis):
+        y = _duals(Binv, A, basis, cost[basis])
     elif st == 1 and np.isfinite(Binv[row]).all():
         y = Binv[row].copy()
-    return (2 if y is None else st), x[:A_all.shape[1] - b.shape[0]].copy(), y
+    return (2 if y is None else st), x[:A.shape[1]].copy(), y
 
 
 def _start(c, A, b, lo, up, max_iter):
     """The dual start: min c'x over {Ax = b, lo <= x <= up}, cold.
 
-    The columns are A_all = [A, I] (`_with_artificials`), each artificial
-    fixed at [0, 0].  The start basis is diagonal: the crash columns
+    The columns are those of [A, I], each artificial fixed at [0, 0] and
+    left implicit.  The start basis is diagonal: the crash columns
     (`_crash`) in the rows they cover, the artificials in the others.  The
     cost of each nonbasic column is moved by delta_j = PERTURB * (1 +
     max|c|) * (1 + frac(j * _GOLDEN)) away from zero reduced cost, on the
@@ -476,12 +505,12 @@ def _start(c, A, b, lo, up, max_iter):
 
     Returns (proposal, state): the proposal (status, x, y) of `_proposal`,
     and, when it is optimal, the final state (Binv, x, L, U, basis,
-    in_basis, at_upper) over A_all, from which `_pass` runs another
-    cost; else None.
+    in_basis, at_upper), its arrays of length n + m over the columns of A
+    and then the artificials, from which `_pass` runs another cost; else
+    None.
     """
     m, n = A.shape
     N = n + m
-    A_all = _with_artificials(A)
     L = np.concatenate([lo, np.zeros(m)])
     U = np.concatenate([up, np.zeros(m)])
     basis = n + np.arange(m)
@@ -494,7 +523,7 @@ def _start(c, A, b, lo, up, max_iter):
     in_basis[basis] = True
     cost = np.zeros(N)
     cost[:n] = c
-    d = cost - (cost[basis] @ Binv) @ A_all
+    d = cost - _price(cost[basis] @ Binv, A)
     at_upper = ~in_basis & (d < 0.0)
     delta = PERTURB * (1.0 + np.abs(c).max(initial=0.0)) \
         * (1.0 + np.arange(N) * _GOLDEN % 1.0)
@@ -505,36 +534,37 @@ def _start(c, A, b, lo, up, max_iter):
         stats.phase1_runs += 1
         stats.artificials.append(m - len(rows))
     st, row = 2, -1
-    if _settle(Binv, A_all, b, x, basis):
-        st, row = _loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
+    if _settle(Binv, A, b, x, basis):
+        st, row = _loop(Binv, A, b, x, L, U, basis, in_basis, at_upper,
                         moved, max_iter, 1)
     if st == 0:
-        st, row = _loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
+        st, row = _loop(Binv, A, b, x, L, U, basis, in_basis, at_upper,
                         cost, max_iter, 1)
-    proposal = _proposal(st, row, Binv, A_all, b, x, basis, cost)
+    proposal = _proposal(st, row, Binv, A, b, x, basis, cost)
     state = Binv, x, L, U, basis, in_basis, at_upper
     return proposal, (state if proposal[0] == 0 else None)
 
 
-def _pass(start, c, A_all, b, max_iter, phase):
-    """The loop for the cost c, in place on `start`, a state over A_all =
-    [A, I] that `_start`, an earlier pass or `_pinned` left; its steps
-    count under `phase`.  Returns (proposal, state) as `_start` does; state
-    is `start` itself, changed, when the proposal is optimal, else None.
+def _pass(start, c, A, b, max_iter, phase):
+    """The loop for the cost c, in place on `start`, a state over the
+    columns of A and the implicit artificials that `_start`, an earlier
+    pass or `_pinned` left; its steps count under `phase`.  Returns
+    (proposal, state) as `_start` does; state is `start` itself, changed,
+    when the proposal is optimal, else None.
     """
     Binv, x, L, U, basis, in_basis, at_upper = start
-    cost = np.zeros(A_all.shape[1])
+    cost = np.zeros(x.shape[0])
     cost[:c.shape[0]] = c
-    st, row = _loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper, cost,
+    st, row = _loop(Binv, A, b, x, L, U, basis, in_basis, at_upper, cost,
                     max_iter, phase)
-    proposal = _proposal(st, row, Binv, A_all, b, x, basis, cost)
+    proposal = _proposal(st, row, Binv, A, b, x, basis, cost)
     return proposal, (start if proposal[0] == 0 else None)
 
 
-def _pinned(parent, A_all, b, cols, v):
+def _pinned(parent, A, b, cols, v):
     """A child's start: a copy of `parent`, a final optimal state, with the
     columns `cols` pinned to the values v: L = U = v, the nonbasic ones
-    moved to v, and the basic values settled onto A_all x = b (`_settle`).
+    moved to v, and the basic values settled onto [A, I] x = b (`_settle`).
     Pinning changes no cost and frees no column, so the basis stays dual
     feasible.  None when the settle step is not finite."""
     state = tuple(a.copy() for a in parent)
@@ -542,7 +572,7 @@ def _pinned(parent, A_all, b, cols, v):
     L[cols] = v
     U[cols] = v
     x[cols] = np.where(in_basis[cols], x[cols], v)
-    return state if _settle(Binv, A_all, b, x, basis) else None
+    return state if _settle(Binv, A, b, x, basis) else None
 
 
 # --- certificates, on the original data ----------------------------------
@@ -670,11 +700,12 @@ class Ladder:
     (`LpStats.phase1_reused`) and runs its passes on copies of it.  Every
     LP is answered by `_answer`: one pass from the nearest certified
     state, else its cold retry, the dual start for its own cost and bounds
-    (`_cold`), kept by no one.  No state of a pass outlives its call, so
-    an answer does not depend on the calls made before it.
-    The columns A_all = [A, I] are not kept but rebuilt from A on each
-    call.  Every loop run may take `_max_iter(A)` steps.  A ladder holds
-    arrays and numbers only, so it pickles and deep-copies.  Raises
+    (`_cold`), kept by no one.  No state of a pass outlives its call
+    unless its caller copies it (`solve_iter`), so an answer does not
+    depend on the calls made before it.  Every pass works on A itself,
+    with the artificials implicit: a ladder keeps no [A, I] and no call
+    builds one.  Every loop run may take `_max_iter(A)` steps.  A ladder
+    holds arrays and numbers only, so it pickles and deep-copies.  Raises
     ValueError for a region with a NaN or infinite entry, or lo > up.
     """
 
@@ -705,7 +736,7 @@ class Ladder:
                 stats.phase1_reused += 1
         return self._kept
 
-    def _answer(self, c, A_all, lo, up, start, phase):
+    def _answer(self, c, lo, up, start, phase):
         """(verdict, state) of min c'x over this region with the bounds lo
         and up: one `_pass` from `start`, its steps counted under `phase`,
         if `_verdict` certifies it, else the LP's cold retry (`_cold`), as
@@ -713,13 +744,13 @@ class Ladder:
         optimal answer, else None."""
         A, b = self.A, self.b
         if start is not None:
-            proposal, state = _pass(start, c, A_all, b, self.max_iter, phase)
+            proposal, state = _pass(start, c, A, b, self.max_iter, phase)
             verdict = _verdict(c, A, b, lo, up, proposal)
             if verdict is not None:
                 return verdict, state
         return _cold(c, A, b, lo, up, self.max_iter)
 
-    def _row(self, c, A_all, kept, warm):
+    def _row(self, c, kept, warm):
         """`_answer` for the cost c from `warm`, the state of the row
         before, else from a copy of the kept start; a certified infeasible
         kept start answers at once."""
@@ -728,45 +759,57 @@ class Ladder:
             return verdict, None
         if warm is None and state is not None:
             warm = tuple(a.copy() for a in state)  # kept read-only
-        return self._answer(c, A_all, self.lo, self.up, warm, 2)
+        return self._answer(c, self.lo, self.up, warm, 2)
+
+    def solve_iter(self, C):
+        """`solve_many`, one row at a time: yields (verdict, state) for each
+        cost row of C as it is answered.  state is the row's final state
+        when its verdict is certified optimal, else None; the next row's
+        pass changes it in place, so a caller that keeps it, as the parent
+        of `children`, copies it before it asks for the next row.  A row
+        certified infeasible answers every row after it, with no pass."""
+        (C,) = _as_arrays(C)
+        _check_cost(C)
+        if self.A.shape == (0, 0):
+            for _ in C:
+                yield (0, 0.0, np.zeros(0)), None
+            return
+        kept = self.kept_start()
+        warm = None  # the final state of the row before, if certified
+        for i, c in enumerate(C):
+            verdict, warm = self._row(c, kept, warm)
+            # infeasibility does not depend on the cost
+            rows = len(C) - i if verdict[0] == 1 else 1
+            for stats in _OPEN_STATS:
+                stats.rows += rows
+                stats.status[verdict[0]] += rows
+            if verdict[0] == 1:
+                for _ in range(rows):
+                    yield (1, 0.0, verdict[2].copy()), None
+                return
+            yield verdict, warm
 
     def solve_many(self, C):
         """`solve_bounded_many` over this region."""
-        (C,) = _as_arrays(C)
-        _check_cost(C)
-        A = self.A
-        if A.shape == (0, 0):
-            return [(0, 0.0, np.zeros(0)) for _ in C]
-        kept = self.kept_start()
-        A_all = _with_artificials(A)
-        out = []
-        warm = None  # the final state of the row before, if certified
-        for c in C:
-            verdict, warm = self._row(c, A_all, kept, warm)
-            if verdict[0] == 1:
-                # infeasibility does not depend on the cost
-                out = [(1, 0.0, verdict[2].copy()) for _ in C]
-                break
-            out.append(verdict)
-        for stats in _OPEN_STATS:
-            stats.rows += len(C)
-            stats.status.update(st for st, _, _ in out)
-        return out
+        return [verdict for verdict, _ in self.solve_iter(C)]
 
-    def children(self, c, cols, V):
+    def children(self, c, cols, V, parent=None):
         """min c'x over this region with the columns `cols` pinned to each
         row of V: one (status, objective, x) per row, with the statuses of
         `solve_many`.
 
-        The parent is the LP without pins, answered as the first row of
-        `solve_many` is.  A certified infeasible parent answers every
-        child, since a child's box lies inside the parent's, so the
-        parent's ray proves at least the same miss.  Each other child is
-        answered by `_answer` from `_pinned(parent, ...)`, a copy of a
-        certified optimal parent's final state with the child's pins, and
-        certified on the original A and b with lo and up pinned, which is
-        the child's LP exactly; status 2 means that its cold retry failed
-        too.  No state outlives the call.
+        The parent is the LP without pins.  `parent`, when given, is its
+        (verdict, state) as a row of `solve_iter` on this ladder answered
+        it, for the same cost c, with its state copied; else the parent is
+        answered here as the first row of `solve_many` is.  A certified
+        infeasible parent answers every child, since a child's box lies
+        inside the parent's, so the parent's ray proves at least the same
+        miss.  Each other child is answered by `_answer` from
+        `_pinned(parent, ...)`, a copy of a certified optimal parent's
+        final state with the child's pins, and certified on the original A
+        and b with lo and up pinned, which is the child's LP exactly;
+        status 2 means that its cold retry failed too.  No state outlives
+        the call, and the state of `parent` is not changed.
         Raises ValueError, as `solve_many` does, for a cost with a NaN or
         infinite entry, and for a NaN or infinite pinned value, before any
         pass runs.
@@ -777,8 +820,9 @@ class Ladder:
             raise ValueError("a pinned value must have finite entries")
         cols = np.asarray(cols, dtype=np.intp)
         A, b, lo, up = self.A, self.b, self.lo, self.up
-        A_all = _with_artificials(A)
-        verdict, parent = self._row(c, A_all, self.kept_start(), None)
+        if parent is None:
+            parent = self._row(c, self.kept_start(), None)
+        verdict, state = parent
         out = []
         for v in V:
             if verdict[0] == 1:
@@ -786,9 +830,8 @@ class Ladder:
                 continue
             lo_v, up_v = lo.copy(), up.copy()
             lo_v[cols] = up_v[cols] = v
-            start = None if parent is None else _pinned(parent, A_all, b,
-                                                        cols, v)
-            out.append(self._answer(c, A_all, lo_v, up_v, start, "dual")[0])
+            start = None if state is None else _pinned(state, A, b, cols, v)
+            out.append(self._answer(c, lo_v, up_v, start, "dual")[0])
         for stats in _OPEN_STATS:
             stats.children += len(out)
         return out
@@ -814,8 +857,8 @@ def solve_bounded_many(C, A, b, lo, up):
     optimal, else from the region's kept start, the dual start for the
     cost 0.  A row whose pass is not certified, or that has no start, gets
     one cold retry, the dual start for its own cost.  An infeasible
-    verdict does not depend on the cost, so once certified it answers
-    every row.  Status 2 means that the cold retry failed too.  A NaN or
+    verdict does not depend on the cost, so once certified it answers its
+    row and every row after it.  Status 2 means that the cold retry failed too.  A NaN or
     infinite entry of C, A, b, lo or up, or lo > up, raises ValueError
     before any pass runs.  Each call makes a new `Ladder`;
     `Ladder.solve_many` answers on a kept one.

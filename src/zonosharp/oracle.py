@@ -8,7 +8,8 @@ directions where the relaxation's optimum is not already a point of a leaf
 (binaries integral, the leaf's equalities met): on a sharp set that is
 often none, and then no leaf LP runs.  In the other, open, directions each
 leaf LP is a child of the relaxation's LP, its binary columns pinned, and
-the kernel answers it by a dual pass from the relaxation's optimal basis
+the kernel answers it by a dual pass from the relaxation's optimal basis,
+the final state of that direction's row of the relaxation's batch
 (`_simplex.Ladder.children`), with no start of its own on the leaf unless
 no pass certifies it, when it gets the cold retry that any LP gets.
 
@@ -131,19 +132,27 @@ def is_empty(S: AnySet, cap: int = DEFAULT_LEAF_CAP) -> bool:
 
 # --- support ---------------------------------------------------------------
 
-def _factor_optima(L: ConstrainedZonotope, U: np.ndarray) -> list:
-    """(value, factor point xi) of L in each direction (row) of U, or None
-    where the kernel certifies L empty; one batch of LPs over L's factor
-    box."""
+def _factor_optima(L: ConstrainedZonotope, U: np.ndarray,
+                   keep=None) -> list:
+    """(value, factor point xi, parent) of L in each direction (row) of U,
+    or None where the kernel certifies L empty; one batch of LPs over L's
+    factor box (`Ladder.solve_iter`).  parent is None unless `keep(xi)`
+    holds, decided as the row is answered; then it is the row's (verdict,
+    final state), the state copied before the next row changes it, which
+    `Ladder.children` takes as the parent of that direction's children."""
     C = np.array([-(L.G.T @ u) for u in U])
     out = []
-    for u, (st, obj, xi) in zip(U, L.lp_ladder().solve_many(C)):
+    for u, (verdict, state) in zip(U, L.lp_ladder().solve_iter(C)):
+        st, obj, xi = verdict
         if st == 1:
             out.append(None)
         elif st != 0:
             raise NumericalFailure(f"support LP failed with status {st}")
         else:
-            out.append((float(u @ L.c) - obj, xi))
+            parent = None
+            if keep is not None and keep(xi):
+                parent = verdict, tuple(a.copy() for a in state)
+            out.append((float(u @ L.c) - obj, xi, parent))
     return out
 
 
@@ -314,27 +323,28 @@ def _in_a_leaf(H: AnySet, R: ConstrainedZonotope, XI: np.ndarray) -> np.ndarray:
     return integral & np.all(resid <= _simplex.residual_tol(R.b), axis=1)
 
 
-def _leaf_maxima(pairs: list, R: ConstrainedZonotope,
-                 U: np.ndarray) -> np.ndarray:
+def _leaf_maxima(pairs: list, R: ConstrainedZonotope, U: np.ndarray,
+                 parents: list) -> np.ndarray:
     """The support of the union of a hybrid zonotope's leaves, `pairs` from
     `leaves(H)`, in each direction (row) of U, -inf where every leaf is
-    empty; R is H's relaxation.
+    empty; R is H's relaxation, and parents[i] the (verdict, state) of R's
+    LP in direction U[i] from `_factor_optima`.
 
     A leaf's LP is the LP of R with its binary factors, R's last n_b
     columns, pinned to the leaf's assignment.  So in each direction the
     leaves, in the order of `pairs`, are the children of R's LP, answered
-    by the kernel's dual pass from R's optimal basis, or by a child's cold
-    retry (`Ladder.children`).  A child that neither answers raises
-    NumericalFailure.
+    by the kernel's dual pass from that parent's optimal basis, or by a
+    child's cold retry (`Ladder.children`).  A child that neither answers
+    raises NumericalFailure.
     """
     V = np.array([a.as_array() for a, _ in pairs])
     cols = np.arange(R.n_g - V.shape[1], R.n_g)
     ladder = R.lp_ladder()
     values = np.full((len(U), len(pairs)), -np.inf)
-    for i, u in enumerate(U):
+    for i, (u, parent) in enumerate(zip(U, parents, strict=True)):
         offset = float(u @ R.c)
         for j, (st, obj, _) in enumerate(
-                ladder.children(-(R.G.T @ u), cols, V)):
+                ladder.children(-(R.G.T @ u), cols, V, parent)):
             if st == 0:
                 values[i, j] = offset - obj
             elif st != 1:
@@ -352,9 +362,10 @@ def check_sharpness(H: AnySet, n_dirs: int = 64, tol: float = SHARP_TOL,
     H, so the hull's support is the relaxation's, and the gap is exactly 0.
     In each other, open, direction the hull's support is the maximum over
     the leaves, whose LPs are answered as children of the relaxation's LP
-    by a dual pass from its optimal basis (`_leaf_maxima`).  A check
-    touches no leaf's LP ladder.  A set past the leaf cap is INCONCLUSIVE
-    before any LP runs.
+    by a dual pass from its optimal basis (`_leaf_maxima`).  That LP is
+    solved once, in the batch: an open direction's row keeps a copy of its
+    final state as the children's parent.  A check touches no leaf's LP
+    ladder.  A set past the leaf cap is INCONCLUSIVE before any LP runs.
 
     Raises ValueError unless tol is a finite number >= 0.
     """
@@ -369,14 +380,19 @@ def check_sharpness(H: AnySet, n_dirs: int = 64, tol: float = SHARP_TOL,
         return SharpnessReport(dirs, nan, nan, np.zeros(len(dirs), dtype=bool),
                                np.nan, SharpnessVerdict.INCONCLUSIVE, tol)
     R = convex_relaxation(H)
-    relaxed = _factor_optima(R, dirs)
+    # a direction is open, and keeps its row's state, exactly when its
+    # optimum lies in no leaf
+    relaxed = _factor_optima(R, dirs,
+                             lambda xi: not _in_a_leaf(H, R, xi[None])[0])
     if any(out is None for out in relaxed):
         raise EmptySet("sharpness check on an empty set")
-    rs = np.array([v for v, _ in relaxed])
-    closed = _in_a_leaf(H, R, np.array([xi for _, xi in relaxed]))
+    rs = np.array([v for v, _, _ in relaxed])
+    parents = [parent for _, _, parent in relaxed]
+    closed = np.array([parent is None for parent in parents])
     hs = rs.copy()
     if not np.all(closed):
-        hs[~closed] = _leaf_maxima(pairs, R, dirs[~closed])
+        hs[~closed] = _leaf_maxima(pairs, R, dirs[~closed],
+                                   [p for p in parents if p is not None])
     max_gap = float(np.max(rs - hs))
     verdict = SharpnessVerdict.SHARP if max_gap <= tol else SharpnessVerdict.NOT_SHARP
     return SharpnessReport(dirs, rs, hs, closed, max_gap, verdict, tol)

@@ -4,16 +4,28 @@ The BLAS runs one thread, as in `perfbench/run.py` and
 `tools/lift_stats.py`: the kernel's pivots follow the rounding of its
 matrix products, which depends on the thread count, so a count that a test
 pins holds at one thread count only.  The variables are set before numpy is
-first imported, which is when the BLAS reads them.
+first imported, which is when the BLAS reads them.  When numpy was imported
+before this file runs, setting them is too late: unless each was already 1
+in the environment, the session stops with a message naming them.
 """
 
 import os
+import sys
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+import pytest
+
+_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+if "numpy" in sys.modules and any(os.environ.get(v) != "1" for v in _THREADS):
+    pytest.exit("numpy was imported before tests/conftest.py could pin its "
+                "BLAS to one thread, so the step counts that the tests pin "
+                "would follow another thread count; set "
+                + ", ".join(f"{v}=1" for v in _THREADS)
+                + " in the environment", returncode=pytest.ExitCode.USAGE_ERROR)
+for _var in _THREADS:
     os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402
-import pytest  # noqa: E402
 
 from zonosharp import _simplex  # noqa: E402
 
@@ -24,7 +36,8 @@ def _region(name, args):
     child's columns pinned."""
     if name == "_start":  # _start(c, A, b, lo, up, max_iter)
         return args[0], args[3], args[2]
-    # _pass(start, c, A_all, b, max_iter, phase)
+    # _pass(start, c, A, b, max_iter, phase); the state runs over the
+    # columns of A, then the artificials
     return args[1], args[0][2], args[3]
 
 

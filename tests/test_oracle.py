@@ -793,6 +793,20 @@ class TestChildren:
         assert stats.pivots["dual"] > 0
         assert all("lp_ladder" not in L._kept for _, L in leaves(X1))
 
+    def test_open_direction_solves_its_parent_once(self, fake_pass):
+        # the batch row of an open direction is the parent of its children:
+        # the kept start, one pass per direction, then one dual pass per
+        # leaf of the one open direction, and no second parent pass
+        X1 = rlt_sharpen(_level_set(), 1)
+        calls = fake_pass(2, passes=set())  # records every run, fakes none
+        rep = check_sharpness(X1, n_dirs=4)
+        assert [name for name, _ in calls] == ["_start"] + ["_pass"] * 8
+        assert [args[-1] for _, args in calls[1:]] == [2] * 4 + ["dual"] * 4
+        opened = ~rep.closed
+        assert opened.sum() == 1
+        _assert_within(rep.hull_support[opened],
+                       _leaf_enumeration(X1, rep.directions[opened]), 1e-9)
+
     def test_empty_leaf_is_certified_infeasible_by_the_dual_ray(self):
         X = _level_set()
         ladder, c, cols, V = _children_args(X, direction_set(2, 8)[4])

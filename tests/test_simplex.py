@@ -7,6 +7,7 @@ geometry for the structured cases.
 """
 
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -185,6 +186,33 @@ class TestDualPass:
             if ref[0] == 0:
                 assert abs(child[1] - ref[1]) <= 1e-9 * (1.0 + abs(ref[1]))
         assert statuses == {0, 1}
+
+    def test_handed_parent_is_the_parent_solved_here(self):
+        # a batch row's state, handed over as the parent, gives the children
+        # that the parent solved by `children` itself gives, bit for bit,
+        # and is not changed by them
+        rng = np.random.default_rng(0)
+        m, n, nb = 20, 30, 4
+        A = rng.normal(size=(m, n))
+        x0 = rng.uniform(0.2, 0.8, size=n)
+        x0[n - nb:] = rng.integers(0, 2, size=nb)
+        lo, up, c = np.zeros(n), np.ones(n), rng.normal(size=n)
+        cols = np.arange(n - nb, n)
+        V = np.array(list(itertools.product((0.0, 1.0), repeat=nb)))
+        ladder = _simplex.Ladder(A, A @ x0, lo, up)
+        verdict, state = next(ladder.solve_iter(c[None]))
+        parent = verdict, tuple(a.copy() for a in state)
+        before = [a.copy() for a in parent[1]]
+        with _simplex.lp_stats() as stats:
+            out = ladder.children(c, cols, V, parent)
+        assert stats.pivots[2] == 0 and stats.pivots["dual"] > 0
+        ref = _simplex.Ladder(A, A @ x0, lo, up).children(c, cols, V)
+        for (st, obj, x), (ref_st, ref_obj, ref_x) in zip(out, ref,
+                                                          strict=True):
+            assert (st, obj) == (ref_st, ref_obj)
+            np.testing.assert_array_equal(x, ref_x)
+        for a, b in zip(parent[1], before, strict=True):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestMinInfeasibility:
@@ -608,11 +636,12 @@ class TestCrashBasis:
         with _simplex.lp_stats() as stats:
             (st, _, _), state = _simplex._start(rng.normal(size=n), A, b,
                                                 np.zeros(n), np.ones(n), 10000)
-        A_all = _simplex._with_artificials(A)
         assert st == 0 and stats.artificials == [m]
         assert stats.pivots[1] > _simplex.REFACTOR_EVERY
         assert stats.refactors >= 1
+        # the state runs over the columns of A, then the artificials
         Binv, basis = state[0], state[4]
+        A_all = np.hstack([A, np.eye(m)])
         np.testing.assert_allclose(Binv @ A_all[:, basis], np.eye(m),
                                    rtol=0, atol=1e-9)
 
@@ -632,18 +661,61 @@ class TestPricing:
     def test_fixed_column_never_enters(self):
         # x0 + x1 + x2 = 0 with x0 basic at 0 and x1 fixed at lo = up = 0:
         # x1's reduced cost -1 is violated, but its step can only be 0, so
-        # the basis is already optimal
-        A_all, b = np.ones((1, 3)), np.zeros(1)
-        x, L, U = np.zeros(3), np.zeros(3), np.array([1.0, 0.0, 1.0])
+        # the basis is already optimal; the state's last entry is the
+        # row's artificial, fixed at zero and nonbasic
+        A, b = np.ones((1, 3)), np.zeros(1)
+        x, L, U = np.zeros(4), np.zeros(4), np.array([1.0, 0.0, 1.0, 0.0])
         basis = np.array([0])
-        in_basis = np.array([True, False, False])
-        at_upper = np.zeros(3, dtype=np.bool_)
+        in_basis = np.array([True, False, False, False])
+        at_upper = np.zeros(4, dtype=np.bool_)
         with _simplex.lp_stats() as stats:
-            out = _simplex._loop(np.eye(1), A_all, b, x, L, U, basis,
-                                 in_basis, at_upper,
-                                 np.array([0.0, -1.0, 1.0]), 100, 2)
+            out = _simplex._loop(np.eye(1), A, b, x, L, U, basis, in_basis,
+                                 at_upper, np.array([0.0, -1.0, 1.0, 0.0]),
+                                 100, 2)
         assert out == (0, -1) and stats.pivots[2] == 0
         assert basis.tolist() == [0] and not at_upper.any()
+
+
+class TestImplicitArtificials:
+    """The kernel works on the region's own A: the artificial block of [A,
+    I] is never built, so no call copies A."""
+
+    def test_kernel_never_copies_a(self):
+        # an 8 MB region: a dense block and one slack per row, in [-1e3,
+        # 1e3] but for the first five, in [0, 1e3], zero at the point x0
+        # that makes the region feasible; the rows whose slack would start
+        # below 0 start with their artificial and take dual steps.  A copy
+        # of A, or an [A, I], would take at least A.nbytes at once
+        rng = np.random.default_rng(3)
+        m, n = 50, 20000
+        A = np.hstack([rng.normal(size=(m, n - m)), np.eye(m)])
+        lo, up = np.zeros(n), np.ones(n)
+        lo[n - m:], up[n - m:] = -1e3, 1e3
+        lo[n - m:n - m + 5] = 0.0
+        x0 = rng.uniform(0, 1, size=n)
+        x0[n - m:n - m + 5] = 0.0
+        ladder = _simplex.Ladder(A, A @ x0, lo, up)
+        C = np.zeros((3, n))
+        C[1, :5], C[2, 5:10] = rng.normal(size=5), rng.normal(size=5)
+        tracemalloc.start()
+        try:
+            with _simplex.lp_stats() as stats:
+                out = ladder.solve_many(C)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [st for st, _, _ in out] == [0, 0, 0]
+        assert stats.artificials[0] > 0 and stats.by_dual[1] > 0
+        assert peak < A.nbytes
+
+    @pytest.mark.parametrize("b, st", [(0.0, 0), (1.0, 1)])
+    def test_region_without_columns(self, b, st):
+        # a leaf with no continuous factor: A is 1 x 0, so only the row's
+        # artificial is left, and no column can be priced or enter
+        out = _simplex.solve_bounded_many(np.zeros((2, 0)), np.ones((1, 0)),
+                                          np.array([b]), np.zeros(0),
+                                          np.zeros(0))
+        assert [r[0] for r in out] == [st, st]
 
 
 def _demo_lift():
@@ -738,9 +810,8 @@ class TestCarriedInverse:
         self._spoil_after(monkeypatch, spoil, {2})
         ladder = _simplex.Ladder(*region)
         _, kept = ladder.kept_start()
-        A_all = _simplex._with_artificials(ladder.A)
         verdicts = [_simplex._verdict(c, *region, _simplex._pass(
-            tuple(a.copy() for a in kept), c, A_all, ladder.b,
+            tuple(a.copy() for a in kept), c, ladder.A, ladder.b,
             ladder.max_iter, 2)[0]) for c in C]
         # a verdict passes only if its duals still prove its optimum
         assert any(v is None for v in verdicts)
@@ -816,9 +887,12 @@ class TestCycleGuard:
 # columns, bound signs, basic bounds and costs) up to date between steps:
 # every step rebuilds that state, and a dual or a primal step is picked by
 # the kernel's rule, the primal step and the dual step being those of the
-# two loops that the kernel had before they were merged.  Only the names of
-# the functions it calls, and the wording of some comments, differ.  The
-# kernel's loop must take the same pivots to the same bits.
+# two loops that the kernel had before they were merged.  As the kernel
+# does, it prices, ratio-tests and forms pivot rows over the n columns of
+# A alone, the artificials, fixed at zero, being the state's last m
+# entries.  Only the names of the functions it calls, and the wording of
+# some comments, differ.  The kernel's loop must take the same pivots to
+# the same bits.
 
 _REFERENCE_COUNTS = []  # (phase, steps, dual steps, degenerate,
 #                          refactors) per run
@@ -833,18 +907,20 @@ def _reference_update_inverse(Binv, alpha, leave):
     alpha = Binv a replaces the basic variable of row `leave`:
     B_new^{-1} = E B^{-1}."""
     prow = Binv[leave, :] / alpha[leave]
-    Binv -= alpha.reshape(-1, 1) * prow
+    # each entry of the rank-1 term is a sum of one product, 0 + a_i p_j,
+    # as np.einsum forms it: a product of -0 enters as +0
+    Binv -= 0.0 + alpha.reshape(-1, 1) * prow
     Binv[leave, :] = prow
 
 
-def _reference_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
+def _reference_loop(Binv, A, b, x, L, U, basis, in_basis, at_upper,
                     cost, max_iter, phase):
     """Bounded-variable simplex from the basis `basis` with inverse Binv;
     every state array is changed in place.  A dual step while a basic value
     is outside its bounds by more than FEAS_TOL, else a primal step.
     Returns (status, row): 0 optimal, 1 when no column can enter for the
     basic variable of `row`, 2 failure."""
-    m = Binv.shape[0]
+    m, n = A.shape
     movable = U > L  # a fixed variable's step is always 0: never price it
     blowup = 1e9 * (1.0 + np.max(np.abs(U), initial=0.0))
     degen = 0
@@ -857,7 +933,7 @@ def _reference_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
         if pivots_since_refactor >= REFACTOR_EVERY:
             # a singular basis cannot be repaired, so bail out and let the
             # caller retry from a cold start
-            if not _simplex._rebuild(Binv, A_all, b, x, basis):
+            if not _simplex._rebuild(Binv, A, b, x, basis):
                 break
             pivots_since_refactor = 0
             refactors += 1
@@ -865,7 +941,8 @@ def _reference_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
         below = L[basis] - xB
         viol = np.maximum(below, xB - U[basis])
         y = cost[basis] @ Binv
-        rc = cost - y @ A_all
+        rc = cost[:n] - y @ A  # the structural columns' reduced costs
+        upper, free = at_upper[:n], movable[:n] & ~in_basis[:n]
         if np.any(viol > FEAS_TOL):
             # the dual step
             cand = np.nonzero(viol > FEAS_TOL)[0]
@@ -873,14 +950,14 @@ def _reference_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
             # +1 when the leaving variable rises to its lower bound, -1
             # when it falls to its upper one
             s = 1.0 if below[leave] > 0.0 else -1.0
-            alpha_r = Binv[leave] @ A_all
+            alpha_r = Binv[leave] @ A
             # a column at its lower bound can enter when it would rise
             # (g < 0), one at its upper bound when it would fall (g > 0);
             # its ratio is the dual step at which its reduced cost reaches 0
             g = s * alpha_r
-            rate = np.where(at_upper, g, -g)
-            room = np.maximum(np.where(at_upper, -rc, rc), 0.0)
-            eligible = movable & ~in_basis & (rate > PIV_TOL)
+            rate = np.where(upper, g, -g)
+            room = np.maximum(np.where(upper, -rc, rc), 0.0)
+            eligible = free & (rate > PIV_TOL)
             ratio = np.where(eligible, room / np.where(eligible, rate, 1.0),
                              np.inf)
             t = np.min(ratio)
@@ -889,7 +966,7 @@ def _reference_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
                 break
             ties = np.nonzero(ratio <= t + 1e-9)[0]
             enter = ties[int(np.argmax(np.abs(alpha_r[ties])))]
-            alpha = Binv @ A_all[:, enter]
+            alpha = Binv @ A[:, enter]
             lv = basis[leave]
             bound = L[lv] if s > 0.0 else U[lv]
             theta = (x[lv] - bound) / alpha[leave]
@@ -911,16 +988,15 @@ def _reference_loop(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
             dual_steps += 1
         else:
             # the primal step
-            free = movable & ~in_basis
-            mask_low = free & (~at_upper) & (rc < -OPT_TOL)
-            mask_up = free & at_upper & (rc > OPT_TOL)
+            mask_low = free & (~upper) & (rc < -OPT_TOL)
+            mask_up = free & upper & (rc > OPT_TOL)
             viol = np.where(mask_low, -rc, np.where(mask_up, rc, -1.0))
             enter = int(np.argmax(viol))
             if viol[enter] <= 0.0:
                 status = 0
                 break
             sgn = -1.0 if at_upper[enter] else 1.0
-            alpha = Binv @ A_all[:, enter]
+            alpha = Binv @ A[:, enter]
             d = sgn * alpha
             lB = L[basis]
             uB = U[basis]
@@ -1011,13 +1087,12 @@ class TestLoopParity:
             kernel_counts.append(counts)
             real_count(*counts)
 
-        def compared(Binv, A_all, b, x, L, U, basis, in_basis, at_upper,
-                     *rest):
+        def compared(Binv, A, b, x, L, U, basis, in_basis, at_upper, *rest):
             state = (Binv, x, L, U, basis, in_basis, at_upper)
             copies = [a.copy() for a in state]
             del _REFERENCE_COUNTS[:]
-            ref_out = _reference_loop(copies[0], A_all, b, *copies[1:], *rest)
-            out = kernel(*state[:1], A_all, b, *state[1:], *rest)
+            ref_out = _reference_loop(copies[0], A, b, *copies[1:], *rest)
+            out = kernel(*state[:1], A, b, *state[1:], *rest)
             assert out == ref_out
             for a, r in zip(state, copies, strict=True):
                 assert a.dtype == r.dtype and a.tobytes() == r.tobytes()
