@@ -100,8 +100,7 @@ same way.  `solve_bounded` is the one-cost case.
 `Ladder.children` answers the children of one LP: the same region with
 chosen columns pinned to given values, as a leaf of a hybrid zonotope is
 its relaxation with the binary factors pinned.  The parent, the LP without
-pins, is handed in as a row of `Ladder.solve_iter` answered it, or else
-solved as a first cost of `solve_bounded_many` is.  A child
+pins, is handed in as a row of `Ladder.solve_iter` answered it.  A child
 starts from a copy of the parent's optimal state with its columns pinned
 and its basic values settled (`_pinned`): pinning changes no cost and
 frees no column, so the basis stays dual feasible, and the loop restores
@@ -766,8 +765,18 @@ class Ladder:
         cost row of C as it is answered.  state is the row's final state
         when its verdict is certified optimal, else None; the next row's
         pass changes it in place, so a caller that keeps it, as the parent
-        of `children`, copies it before it asks for the next row.  A row
-        certified infeasible answers every row after it, with no pass."""
+        of `children`, copies it before it asks for the next row.
+
+        Infeasibility does not depend on the cost, so a certified infeasible
+        row answers every row of C: the rows after it are yielded its
+        verdict with no pass, and the rows yielded before it are infeasible
+        too.  Those may have been certified optimal: on a region whose
+        least 1-norm miss of Ax = b lies above FEAS_TOL*(1 + max|b|) and
+        whose point misses by at most `residual_tol(b)` in every row, both
+        certificates pass.  So a batch whose last row is infeasible is
+        infeasible in every row: `solve_many` answers so, and a caller of
+        this generator drops the rows before it.  `lp_stats` counts the
+        rows and their statuses so, once C is exhausted."""
         (C,) = _as_arrays(C)
         _check_cost(C)
         if self.A.shape == (0, 0):
@@ -775,41 +784,43 @@ class Ladder:
                 yield (0, 0.0, np.zeros(0)), None
             return
         kept = self.kept_start()
+        statuses = Counter()
         warm = None  # the final state of the row before, if certified
         for i, c in enumerate(C):
             verdict, warm = self._row(c, kept, warm)
-            # infeasibility does not depend on the cost
-            rows = len(C) - i if verdict[0] == 1 else 1
-            for stats in _OPEN_STATS:
-                stats.rows += rows
-                stats.status[verdict[0]] += rows
             if verdict[0] == 1:
-                for _ in range(rows):
+                statuses = Counter({1: len(C)})
+                for _ in range(i, len(C)):
                     yield (1, 0.0, verdict[2].copy()), None
-                return
+                break
+            statuses[verdict[0]] += 1
             yield verdict, warm
+        for stats in _OPEN_STATS:
+            stats.rows += len(C)
+            stats.status.update(statuses)
 
     def solve_many(self, C):
         """`solve_bounded_many` over this region."""
-        return [verdict for verdict, _ in self.solve_iter(C)]
+        out = [verdict for verdict, _ in self.solve_iter(C)]
+        if out and out[-1][0] == 1:  # every row, as `solve_iter` says
+            out = [(1, 0.0, out[-1][2].copy()) for _ in out]
+        return out
 
-    def children(self, c, cols, V, parent=None):
+    def children(self, c, cols, V, parent):
         """min c'x over this region with the columns `cols` pinned to each
         row of V: one (status, objective, x) per row, with the statuses of
         `solve_many`.
 
-        The parent is the LP without pins.  `parent`, when given, is its
-        (verdict, state) as a row of `solve_iter` on this ladder answered
-        it, for the same cost c, with its state copied; else the parent is
-        answered here as the first row of `solve_many` is.  A certified
-        infeasible parent answers every child, since a child's box lies
-        inside the parent's, so the parent's ray proves at least the same
-        miss.  Each other child is answered by `_answer` from
-        `_pinned(parent, ...)`, a copy of a certified optimal parent's
-        final state with the child's pins, and certified on the original A
-        and b with lo and up pinned, which is the child's LP exactly;
-        status 2 means that its cold retry failed too.  No state outlives
-        the call, and the state of `parent` is not changed.
+        The parent is the LP without pins, (verdict, state) as a row of
+        `solve_iter` on this ladder answered it for the same cost c, its
+        state copied.  A certified infeasible parent answers every child,
+        since a child's box lies inside the parent's, so the parent's ray
+        proves at least the same miss.  Each other child is answered by
+        `_answer` from `_pinned(parent, ...)`, a copy of a certified
+        optimal parent's final state with the child's pins, and certified
+        on the original A and b with lo and up pinned, which is the child's
+        LP exactly; status 2 means that its cold retry failed too.  No
+        state outlives the call, and the state of `parent` is not changed.
         Raises ValueError, as `solve_many` does, for a cost with a NaN or
         infinite entry, and for a NaN or infinite pinned value, before any
         pass runs.
@@ -820,8 +831,6 @@ class Ladder:
             raise ValueError("a pinned value must have finite entries")
         cols = np.asarray(cols, dtype=np.intp)
         A, b, lo, up = self.A, self.b, self.lo, self.up
-        if parent is None:
-            parent = self._row(c, self.kept_start(), None)
         verdict, state = parent
         out = []
         for v in V:
@@ -857,8 +866,8 @@ def solve_bounded_many(C, A, b, lo, up):
     optimal, else from the region's kept start, the dual start for the
     cost 0.  A row whose pass is not certified, or that has no start, gets
     one cold retry, the dual start for its own cost.  An infeasible
-    verdict does not depend on the cost, so once certified it answers its
-    row and every row after it.  Status 2 means that the cold retry failed too.  A NaN or
+    verdict does not depend on the cost, so once certified it answers
+    every row.  Status 2 means that the cold retry failed too.  A NaN or
     infinite entry of C, A, b, lo or up, or lo > up, raises ValueError
     before any pass runs.  Each call makes a new `Ladder`;
     `Ladder.solve_many` answers on a kept one.

@@ -139,20 +139,24 @@ def _factor_optima(L: ConstrainedZonotope, U: np.ndarray,
     factor box (`Ladder.solve_iter`).  parent is None unless `keep(xi)`
     holds, decided as the row is answered; then it is the row's (verdict,
     final state), the state copied before the next row changes it, which
-    `Ladder.children` takes as the parent of that direction's children."""
+    `Ladder.children` takes as the parent of that direction's children.
+    A certified infeasible last row makes every row None, as
+    `Ladder.solve_many` answers such a batch; else a row of status 2
+    raises NumericalFailure."""
     C = np.array([-(L.G.T @ u) for u in U])
+    rows = []
+    for verdict, state in L.lp_ladder().solve_iter(C):
+        parent = None
+        if verdict[0] == 0 and keep is not None and keep(verdict[2]):
+            parent = verdict, tuple(a.copy() for a in state)
+        rows.append((verdict, parent))
+    if rows and rows[-1][0][0] == 1:
+        return [None] * len(rows)
     out = []
-    for u, (verdict, state) in zip(U, L.lp_ladder().solve_iter(C)):
-        st, obj, xi = verdict
-        if st == 1:
-            out.append(None)
-        elif st != 0:
+    for u, ((st, obj, xi), parent) in zip(U, rows):
+        if st != 0:
             raise NumericalFailure(f"support LP failed with status {st}")
-        else:
-            parent = None
-            if keep is not None and keep(xi):
-                parent = verdict, tuple(a.copy() for a in state)
-            out.append((float(u @ L.c) - obj, xi, parent))
+        out.append((float(u @ L.c) - obj, xi, parent))
     return out
 
 

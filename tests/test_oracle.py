@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from test_simplex import assert_same_batch
+from test_simplex import assert_same_batch, fake_near_miss, ladder_children
 
 from zonosharp import (
     ConstrainedZonotope,
@@ -37,8 +37,8 @@ from zonosharp import (
     support_point,
     union,
 )
-from zonosharp.oracle import (FEAS_TOL, _in_a_leaf, _support_points,
-                              polygon_to_csv)
+from zonosharp.oracle import (FEAS_TOL, _factor_optima, _in_a_leaf,
+                              _support_points, polygon_to_csv)
 
 
 def _unit_square(form=FactorForm.ZO):
@@ -321,6 +321,15 @@ def test_nonfinite_vector_raises(S, query, v):
         with pytest.raises(ValueError, match="must have finite entries"):
             query(S, v)
     assert stats.phase1_runs == 0
+
+
+def test_infeasible_row_answers_the_batch(monkeypatch):
+    # the second direction's LP is certified infeasible after the first's
+    # was certified optimal on the same region, so no direction has a value
+    L = ConstrainedZonotope(np.ones((1, 1)), np.zeros(1), np.ones((1, 1)),
+                            np.array([1.0 + 1e-7]))
+    fake_near_miss(monkeypatch)
+    assert _factor_optima(L, np.array([[1.0], [-1.0]])) == [None, None]
 
 
 def test_nonfinite_objective_raises():
@@ -811,7 +820,7 @@ class TestChildren:
         X = _level_set()
         ladder, c, cols, V = _children_args(X, direction_set(2, 8)[4])
         with _simplex.lp_stats() as stats:
-            out = ladder.children(c, cols, V)
+            out = ladder_children(ladder, c, cols, V)
         empty = [is_empty(L) for _, L in leaves(X)]
         assert 0 < sum(empty) < len(empty)
         assert [o[0] for o in out] == [1 if e else 0 for e in empty]
@@ -829,7 +838,7 @@ class TestChildren:
         children = set(range(3, 3 + 2 * len(V), 2))
         calls = fake_pass(status, passes=children)
         with _simplex.lp_stats() as stats:
-            out = ladder.children(c, cols, V)
+            out = ladder_children(ladder, c, cols, V)
         # every proposal is wrong for its leaf: the pinned lower bounds,
         # which miss its equalities, or a ray that proves nothing; so the
         # run after each child's pass is the dual start for the child's own
@@ -878,7 +887,7 @@ class TestChildren:
         refs = _lone_children(ladder, c, cols, V)
         calls = fake_pass(2, passes={2, 3})
         with _simplex.lp_stats() as stats:
-            out = ladder.children(c, cols, V)
+            out = ladder_children(ladder, c, cols, V)
         assert [name for name, _ in calls] == \
             ["_start", "_pass", "_start"] + ["_start"] * len(V)
         assert {st for st, _, _ in refs} == {0, 1}

@@ -126,6 +126,30 @@ class TestRandomAgainstBruteForce:
             assert st == 1
 
 
+def ladder_children(ladder, c, cols, V):
+    """`ladder.children(c, cols, V, parent)` with the parent answered as a
+    one-row batch of `ladder.solve_iter`, as `check_sharpness` hands over
+    an open direction's row."""
+    parent = next(ladder.solve_iter(np.asarray(c, dtype=np.float64)[None]))
+    return ladder.children(c, cols, V, parent)
+
+
+def fake_near_miss(monkeypatch):
+    """Route `_start` to proposals for {x in [lo, up] : x = 1 + 1e-7} with
+    up = 1, whose point x = 1 misses by 1e-7: within `residual_tol(b)`,
+    and above FEAS_TOL*(1 + max|b|).  A cost below 0 gets x = 1 with the
+    dual -1, which the optimal certificate passes, a cost above 0 the ray
+    1, which the infeasible certificate passes, and the cost 0 nothing
+    certified."""
+    def start(c, A, b, lo, up, max_iter):
+        if c[0] < 0.0:
+            return (0, np.ones(1), -np.ones(1)), None
+        if c[0] > 0.0:
+            return (1, lo.copy(), np.ones(1)), None
+        return (2, lo.copy(), None), None
+    monkeypatch.setattr(_simplex, "_start", start)
+
+
 def _pinned(lo, up, cols, v):
     lo_v, up_v = lo.copy(), up.copy()
     lo_v[cols] = v
@@ -145,7 +169,7 @@ class TestDualPass:
         V = np.array(list(itertools.product(*[(lo[j], up[j]) for j in cols])))
         V = np.vstack([V, 0.5 * (lo[cols] + up[cols])])
         parent, _, _ = _simplex.solve_bounded(c, A, b, lo, up)
-        out = _simplex.Ladder(A, b, lo, up).children(c, cols, V)
+        out = ladder_children(_simplex.Ladder(A, b, lo, up), c, cols, V)
         for v, child in zip(V, out):
             lo_v, up_v = _pinned(lo, up, cols, v)
             feas, ref = brute_force_lp(c, A, b, lo_v, up_v)
@@ -175,7 +199,7 @@ class TestDualPass:
         cols = np.arange(n - nb, n)
         V = np.array(list(itertools.product((0.0, 1.0), repeat=nb)))
         with _simplex.lp_stats() as stats:
-            out = _simplex.Ladder(A, b, lo, up).children(c, cols, V)
+            out = ladder_children(_simplex.Ladder(A, b, lo, up), c, cols, V)
         assert stats.phase1_runs == 1 and stats.cold_retries == 0
         assert stats.pivots["dual"] > 0
         statuses = set()
@@ -187,10 +211,9 @@ class TestDualPass:
                 assert abs(child[1] - ref[1]) <= 1e-9 * (1.0 + abs(ref[1]))
         assert statuses == {0, 1}
 
-    def test_handed_parent_is_the_parent_solved_here(self):
-        # a batch row's state, handed over as the parent, gives the children
-        # that the parent solved by `children` itself gives, bit for bit,
-        # and is not changed by them
+    def test_handed_parent_is_not_changed(self):
+        # a batch row's state, handed over as the parent, is copied by each
+        # child's start, so the children leave it as it was
         rng = np.random.default_rng(0)
         m, n, nb = 20, 30, 4
         A = rng.normal(size=(m, n))
@@ -200,17 +223,11 @@ class TestDualPass:
         cols = np.arange(n - nb, n)
         V = np.array(list(itertools.product((0.0, 1.0), repeat=nb)))
         ladder = _simplex.Ladder(A, A @ x0, lo, up)
-        verdict, state = next(ladder.solve_iter(c[None]))
-        parent = verdict, tuple(a.copy() for a in state)
+        parent = next(ladder.solve_iter(c[None]))
         before = [a.copy() for a in parent[1]]
         with _simplex.lp_stats() as stats:
-            out = ladder.children(c, cols, V, parent)
+            ladder.children(c, cols, V, parent)
         assert stats.pivots[2] == 0 and stats.pivots["dual"] > 0
-        ref = _simplex.Ladder(A, A @ x0, lo, up).children(c, cols, V)
-        for (st, obj, x), (ref_st, ref_obj, ref_x) in zip(out, ref,
-                                                          strict=True):
-            assert (st, obj) == (ref_st, ref_obj)
-            np.testing.assert_array_equal(x, ref_x)
         for a, b in zip(parent[1], before, strict=True):
             assert a.tobytes() == b.tobytes()
 
@@ -297,6 +314,21 @@ class TestCertificates:
             _simplex.min_infeasibility(A, b, lo, up)
         assert len(calls) == 1
 
+    def test_infeasible_row_answers_the_rows_before_it(self, monkeypatch):
+        # both certificates pass on this region, so one batch can certify a
+        # row optimal and a later row infeasible; infeasibility does not
+        # depend on the cost, so it answers both rows
+        region = (np.ones((1, 1)), np.array([1.0 + 1e-7]), np.zeros(1),
+                  np.ones(1))
+        fake_near_miss(monkeypatch)
+        C = [[-1.0], [1.0]]
+        rows = [v for v, _ in _simplex.Ladder(*region).solve_iter(C)]
+        assert [st for st, _, _ in rows] == [0, 1]
+        with _simplex.lp_stats() as stats:
+            out = _simplex.solve_bounded_many(C, *region)
+        assert [st for st, _, _ in out] == [1, 1]
+        assert stats.rows == 2 and stats.status == Counter({1: 2})
+
     NONFINITE = [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]]
 
     @pytest.mark.parametrize("c", NONFINITE)
@@ -308,18 +340,24 @@ class TestCertificates:
                 _simplex.solve_bounded(c, A, b, lo, up)
             with pytest.raises(ValueError, match="finite entries"):
                 _simplex.solve_bounded_many([[1.0, 2.0], c], A, b, lo, up)
-            with pytest.raises(ValueError, match="finite entries"):
-                _simplex.Ladder(A, b, lo, up).children(c, [0], [[0.0]])
         assert stats.phase1_runs == 0 and stats.rows == 0
+        ladder = _simplex.Ladder(A, b, lo, up)
+        parent = next(ladder.solve_iter([self.LP[0]]))
+        with _simplex.lp_stats() as stats:
+            with pytest.raises(ValueError, match="finite entries"):
+                ladder.children(c, [0], [[0.0]], parent)
+        assert stats.phase1_runs == 0 and sum(stats.pivots.values()) == 0
 
     @pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf])
     def test_nonfinite_pin_raises_before_any_pass(self, v):
         # a NaN pin was once answered (2, 0.0, [nan, 0.0])
         c, A, b, lo, up = self.LP
+        ladder = _simplex.Ladder(A, b, lo, up)
+        parent = next(ladder.solve_iter([c]))
         with _simplex.lp_stats() as stats:
             with pytest.raises(ValueError, match="finite entries"):
-                _simplex.Ladder(A, b, lo, up).children(c, [0], [[0.0], [v]])
-        assert stats.phase1_runs == 0 and stats.rows == 0
+                ladder.children(c, [0], [[0.0], [v]], parent)
+        assert stats.phase1_runs == 0 and sum(stats.pivots.values()) == 0
 
     # the region (A, b, lo, up) of LP with one entry spoilt; lo > up has the
     # box [1, 0] in its second column
@@ -840,7 +878,8 @@ class TestCarriedInverse:
         monkeypatch.setattr(_simplex, "_loop", loop)
         ladder = _simplex.Ladder(R.A, R.b, lo, up)
         with _simplex.lp_stats() as stats:
-            verdicts = [v for c in C for v in ladder.children(c, cols, V)]
+            verdicts = [v for c in C
+                        for v in ladder_children(ladder, c, cols, V)]
         # a pass's verdict passes only if its duals or its ray still prove
         # it; a child whose verdict is rejected is answered by its cold
         # retry, whose runs of the loop are phase 1, unspoiled
@@ -1122,7 +1161,7 @@ class TestLoopParity:
         c, A, b, lo, up = small_random_lp(seed)
         V = np.array(list(itertools.product(*[(lo[j], up[j])
                                               for j in (0, 1)])))
-        _simplex.Ladder(A, b, lo, up).children(c, [0, 1], V)
+        ladder_children(_simplex.Ladder(A, b, lo, up), c, [0, 1], V)
         assert loops[1] >= 1
 
     def test_dense_region_with_binary_children(self, loops):
@@ -1132,8 +1171,8 @@ class TestLoopParity:
         x0 = rng.uniform(0.2, 0.8, size=n)
         x0[n - nb:] = rng.integers(0, 2, size=nb)
         V = np.array(list(itertools.product((0.0, 1.0), repeat=nb)))
-        _simplex.Ladder(A, A @ x0, np.zeros(n), np.ones(n)).children(
-            rng.normal(size=n), np.arange(n - nb, n), V)
+        ladder_children(_simplex.Ladder(A, A @ x0, np.zeros(n), np.ones(n)),
+                        rng.normal(size=n), np.arange(n - nb, n), V)
         # the start's two runs, the parent's phase 2 and one run per child,
         # which takes dual steps
         assert (loops[1], loops[2], loops["dual"]) == (2, 1, len(V))
