@@ -19,8 +19,9 @@ constrained zonotope, the LP ladder of its factor box
 (`ConstrainedZonotope.lp_ladder`), which holds the kernel's dual start for
 the cost 0.  `support`, `support_point`, `boundary_2d`, `check_sharpness`
 and `is_empty` all read that one start, so they make one start per region
-per set object, and repeated queries on a set run phase 2 alone.
-`contains` poses a new region per point, solves its elastic LP
+per set object, and repeated queries on a set run phase 2 alone;
+`is_empty` reads the start's verdict and runs no pass.  `contains` poses
+a new region per point, solves its elastic LP
 (`_simplex.min_infeasibility`) and keeps nothing.  `support_point`,
 `boundary_2d`, `contains` and `is_empty` still solve every leaf on its own
 ladder.
@@ -113,15 +114,15 @@ def _leaf_sets(S: AnySet, cap: int) -> list[ConstrainedZonotope]:
 
 
 def is_feasible_cz(L: ConstrainedZonotope) -> bool:
-    """Whether L's kept start, the one that `support` reads, is feasible:
-    False when a Farkas ray proves that every point of the factor box
-    misses L's equalities by more than FEAS_TOL*(1 + max|b|) in the
-    1-norm, the certificate by which `support` raises EmptySet.  Raises
-    NumericalFailure when no verdict is certified."""
-    st = L.lp_ladder().solve_many(np.zeros((1, L.n_g)))[0][0]
-    if st == 2:
+    """The verdict of L's kept start, the one that `support` reads: False
+    when a Farkas ray proves that every point of the factor box misses
+    L's equalities by more than FEAS_TOL*(1 + max|b|) in the 1-norm, the
+    certificate by which `support` raises EmptySet.  No LP runs past the
+    start.  Raises NumericalFailure when no verdict is certified."""
+    verdict = L.lp_ladder().kept_start()[0]
+    if verdict is None:
         raise NumericalFailure("emptiness LP failed with status 2")
-    return st == 0
+    return verdict[0] == 0
 
 
 def is_empty(S: AnySet, cap: int = DEFAULT_LEAF_CAP) -> bool:

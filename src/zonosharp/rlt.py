@@ -6,9 +6,10 @@ products w_J ~ prod_{j in J} x_j and v_{J,k} ~ y_k * prod_{j in J} x_j,
 multiplies the equality system by every monomial of degree <= d, and turns
 the bound-factor product inequalities into equalities with [0,1] slacks.
 The lift's sparsity pattern is known from n_b, n_g and d alone, so
-`build_xd` sizes it up front and computes every (row, column, value)
+`build_xd` sizes it up front, computes every (row, column, value)
 triplet as whole index arrays from bit tables of the masks, with no loop
-over entries.  A lift has about 8 entries per row in a column for every
+over entries, and routes each family's triplets to Ac, Ab or b as it makes
+them.  A lift has about 8 entries per row in a column for every
 subset of the binaries, so its Ac is nearly all zeros, and it is kept as
 its entries, a `SparseMatrix`: the nominal dense array is never built
 here.  Ab and b are dense.
@@ -18,8 +19,9 @@ to the input at every level; at d = n_b its relaxation is the convex hull.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from itertools import product
+from dataclasses import asdict, dataclass
+from functools import cached_property
+from itertools import count, product
 from math import comb
 
 import numpy as np
@@ -97,19 +99,29 @@ class RltVariableTable:
     ascending masks, then v_{J,k} (|J| >= 1) in ascending masks with k
     inside J, then the n_slack slacks, one per bound-factor row in row
     order.  w_empty is the constant 1 and w_{i} is the binary x_i; neither
-    gets a fresh column.
+    gets a fresh column.  `w_index` and `v_index` map w_J's mask and v_{J,k}'s
+    (mask, k) to their columns; each is built at its first read.
     """
 
     n_bin: int
     n_cont_orig: int
-    w_index: dict[int, int] = field(default_factory=dict)
-    v_index: dict[tuple[int, int], int] = field(default_factory=dict)
     slack_start: int = 0
     n_slack: int = 0
 
     @property
     def n_cols(self) -> int:
         return self.slack_start + self.n_slack
+
+    @cached_property
+    def w_index(self) -> dict[int, int]:
+        wide = (m for m in range(1 << self.n_bin) if m.bit_count() >= 2)
+        return dict(zip(wide, count(self.n_cont_orig)))
+
+    @cached_property
+    def v_index(self) -> dict[tuple[int, int], int]:
+        nb, ng = self.n_bin, self.n_cont_orig
+        return dict(zip(product(range(1, 1 << nb), range(ng)),
+                        count(ng + (1 << nb) - nb - 1)))
 
 
 def _pair_terms(bits: np.ndarray, size: np.ndarray, o: int):
@@ -143,91 +155,109 @@ def build_xd(H: AnySet, d: int) -> tuple[HybridZonotope, RltVariableTable]:
     constant of a family (i) row is the sequential sum of A over the
     monomial's members in ascending order, minus beta.
 
-    The sizes are known up front.  The terms are index arrays computed from
-    bit tables of the masks, with no loop over entries: a term sits at
-    row * W + its column in [Ac | Ab | b] (w_J: its own column for |J| >= 2,
-    x_j's column of Ab for J = {j}, b for J empty).  Zero coefficients, of
-    either sign, are dropped and no position gets two terms.  Ac keeps its
-    terms as they are, a `SparseMatrix`; one fancy assignment each writes
-    the others into the dense Ab and b.  Row order, slack order, the
-    sequential sum and the dropped zeros are those of the row-by-row
-    construction that tests/test_rlt.py keeps as the reference, and the
-    dense form of Ac equals its Ac byte for byte.  At n_b = 8, d = 4, Ac
-    keeps 53288 entries, 1.2 MiB as (row, column, value), where its dense
-    form, 6435 x 7031, would take 345 MiB.
+    The sizes are known up front.  Each family's terms are (row, column,
+    value) arrays computed from bit tables of the masks, with no loop over
+    entries, and routed where the family makes them.  v_{J,k} is always a
+    column of Ac; w_J is its own column of Ac for |J| >= 2, x_j's column of
+    Ab for J = {j} and the constant, moved into b, for J empty.  So only
+    the terms of (i) and (ii) and the w_J terms of the gap rows of (iii)
+    are split between Ac, Ab and b, and the v_{J,k} terms of (iii) and the
+    slacks go to Ac as they are.  Only (i) can have zero coefficients, of
+    either sign, and drops them; no position gets two terms.  Ac keeps its
+    terms as a `SparseMatrix`, concatenated once in the order (i), (ii),
+    (iii)'s low rows, its gap rows' w_J terms and their v_{J,k} terms, and
+    the slacks: the order in which `Ac @ Z` sums each row.  Row order,
+    slack order, the sequential sum and the dropped zeros are those of the
+    row-by-row construction that tests/test_rlt.py keeps as the reference,
+    and the dense form of Ac equals its Ac byte for byte.  At n_b = 8,
+    d = 4, Ac keeps 53288 entries, 1.2 MiB as (row, column, value), where
+    its dense form, 6435 x 7031, would take 345 MiB.
     """
     H = convert_form(H.as_hybrid(), FactorForm.ZO)
-    nb, ng, r = H.n_b, H.n_g, H.n_c
+    nb, ng = H.n_b, H.n_g
     if not 1 <= d <= nb:
         raise LevelOutOfRange(f"level {d} outside 1..{nb}")
+    table, Ac, Abb = _lift_rows(H, d)
+    # the constant moves to the right-hand side; 0.0 - 0.0 is +0.0, so a row
+    # with no constant keeps b = +0.0
+    Ab, b = Abb[:, :nb].copy(), 0.0 - Abb[:, nb]
+
+    # ambient (x, y): x from the binaries, y from the first ng continuous cols
+    dim = nb + ng
+    Gb = np.vstack([np.eye(nb), np.zeros((ng, nb))])
+    Gc = np.zeros((dim, table.n_cols))
+    Gc[nb:, :ng] = np.eye(ng)
+    lifted = HybridZonotope(Gc, Gb, np.zeros(dim), Ac, Ab, b, FactorForm.ZO)
+    return lifted, table
+
+
+def _lift_rows(H: HybridZonotope, d: int):
+    """(table, Ac, [Ab | the constant]) of `build_xd`'s lift of the 01-form
+    H at level d, 1 <= d <= n_b.  Its temporaries are freed when it
+    returns, before `build_xd` makes Ab, b and Gc, so they do not add to
+    the call's peak."""
+    nb, ng, r = H.n_b, H.n_g, H.n_c
     D, N, n_w = min(d + 1, nb), 1 << nb, (1 << nb) - nb - 1
     n_mono = sum(comb(nb, i) for i in range(d + 1))
     n_eq, n_D = r * n_mono, comb(nb, D) << D
     table = RltVariableTable(nb, ng, slack_start=n_w + ng * N,
                              n_slack=n_D + 2 * ng * (comb(nb, d) << d))
     n_rows, n_cols = n_eq + table.n_slack, table.n_cols
-    W = n_cols + nb + 1
 
     # bits[J, j]: j is in J; the ng columns past nb are 0 and stand for the
     # y_k that family (i) multiplies
     bit = np.arange(nb)
     bits = np.arange(N)[:, None] >> np.arange(nb + ng) & 1
     size = bits.sum(axis=1)
-    wide = np.flatnonzero(size >= 2)
-    table.w_index = dict(zip(wide.tolist(), range(ng, ng + n_w)))
-    table.v_index = dict(zip(product(range(1, N), range(ng)),
-                             range(ng + n_w, table.slack_start)))
+    # w_J's column in [Ac | Ab | b], v_{J,k}'s in Ac
     w_at = np.full(N, n_cols + nb)  # w_empty = 1: the constant
-    w_at[wide] = np.arange(ng, ng + n_w)
+    w_at[size >= 2] = np.arange(ng, ng + n_w)
     w_at[1 << bit] = n_cols + bit  # w_{j} is the binary x_j
     v_at = n_w + np.arange(ng * N).reshape(N, ng)
     v_at[0] -= n_w  # v_{empty,k} = y_k
 
+    parts = []  # Ac's entries, (row, col, val), block by block
+    Abb = np.zeros((n_rows, nb + 1))  # [Ab | the constant]
+
+    def route(row, col, val):
+        """The entries in Ac's columns to `parts`, the others into Abb."""
+        to_ac = col < n_cols
+        parts.append((row[to_ac], col[to_ac], val[to_ac]))
+        rest = ~to_ac
+        Abb[row[rest], col[rest] - n_cols] = val[rest]
+
     # (i) row i times monomial J: the constant (the sequential sum of A over
     # J's members, ascending, minus beta), w_{J u j} for j outside J
-    # (members get 0.0, which is skipped), then v_{J,k}
+    # (members get 0.0), then v_{J,k}; the only family with zero
+    # coefficients, which are dropped
     mono = np.argsort(size, kind="stable")[:n_mono]
     inside = bits[mono][:, None]
     AB = np.hstack([H.Ab, H.Ac])
     const = np.cumsum(np.where(inside, AB, 0.0), axis=2)[..., nb - 1:nb] - H.b[:, None]
     at = np.hstack([w_at[mono[:, None] | np.append(0, 1 << bit)], v_at[mono]])
-    pos = [np.arange(n_eq).reshape(n_mono, r, 1) * W + at[:, None]]
-    val = [np.concatenate([const, np.where(inside, 0.0, AB)], axis=2)]
+    val = np.concatenate([const, np.where(inside, 0.0, AB)], axis=2)
+    m, i, t = np.nonzero(val)  # by row, then term; -0.0 counts as zero
+    route(m * r + i, at[m, t], val[m, i, t])
 
-    # (ii) the order-D products; (iii) per order-d pair and k, the low row
-    # on v_{J,k} and the gap row on w_J - v_{J,k}
+    # (ii) the order-D products
     pair, J, sign = _pair_terms(bits, size, D)
-    pos.append((n_eq + pair) * W + w_at[J])
-    val.append(sign)
+    route(n_eq + pair, w_at[J], sign)
+
+    # (iii) per order-d pair and k, the low row on v_{J,k} and the gap row
+    # on w_J - v_{J,k}; only w_J can leave Ac
     if d < D:
         pair, J, sign = _pair_terms(bits, size, d)
-    low = (n_eq + n_D + 2 * (pair[:, None] * ng + np.arange(ng))) * W
-    sign = np.repeat(sign, ng)
-    pos += [low + v_at[J], low + (W + w_at[J])[:, None], low + W + v_at[J]]
-    val += [sign, sign, -sign]
+    low = (n_eq + n_D + 2 * (pair[:, None] * ng + np.arange(ng))).ravel()
+    sign, v = np.repeat(sign, ng), v_at[J].ravel()
+    parts.append((low, v, sign))
+    route(low + 1, np.repeat(w_at[J], ng), sign)
+    parts.append((low + 1, v, -sign))
     # the slacks: -1 on the diagonal of the last n_slack rows and columns
-    pos.append(np.arange(n_eq * W + table.slack_start, n_rows * W, W + 1))
-    val.append(np.full(table.n_slack, -1.0))
+    parts.append((np.arange(n_eq, n_rows), np.arange(table.slack_start, n_cols),
+                  np.full(table.n_slack, -1.0)))
 
-    val = np.concatenate(val, axis=None)
-    keep = val != 0.0
-    row, col = np.divmod(np.concatenate(pos, axis=None)[keep], W)
-    val = val[keep]
-    to_ac, to_b = col < n_cols, col == n_cols + nb
-    to_ab = ~(to_ac | to_b)
-    Ac = SparseMatrix((n_rows, n_cols), row[to_ac], col[to_ac], val[to_ac])
-    Ab = np.zeros((n_rows, nb))
-    b = np.zeros(n_rows)
-    Ab[row[to_ab], col[to_ab] - n_cols] = val[to_ab]
-    b[row[to_b]] = -val[to_b]  # the constant moves to the right-hand side
-
-    # ambient (x, y): x from the binaries, y from the first ng continuous cols
-    dim = nb + ng
-    Gb = np.vstack([np.eye(nb), np.zeros((ng, nb))])
-    Gc = np.zeros((dim, n_cols))
-    Gc[nb:, :ng] = np.eye(ng)
-    lifted = HybridZonotope(Gc, Gb, np.zeros(dim), Ac, Ab, b, FactorForm.ZO)
-    return lifted, table
+    Ac = SparseMatrix((n_rows, n_cols), *map(np.concatenate, zip(*parts)))
+    return table, Ac, Abb
 
 
 def rlt_sharpen(H: AnySet, d: int) -> HybridZonotope:

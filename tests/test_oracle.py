@@ -367,6 +367,22 @@ class TestEmptiness:
         assert support(S, np.eye(m)[0]) == pytest.approx(1.0 + 0.9e-8,
                                                          abs=1e-15)
 
+    def test_reads_the_kept_start_and_runs_no_pass(self, fake_pass):
+        # is_empty stops at the first nonempty leaf, the second, and makes
+        # the kept start of each leaf it reads, with no pass after it
+        X = _level_set()
+        calls = fake_pass(0, passes=set())  # record the runs, fake none
+        with _simplex.lp_stats() as stats:
+            assert not is_empty(X)
+        assert [name for name, _ in calls] == ["_start", "_start"]
+        assert stats.rows == 0 and sum(stats.pivots.values()) > 0
+
+    def test_no_rows_and_no_columns_is_nonempty(self):
+        P = ConstrainedZonotope(np.zeros((2, 0)), np.ones(2), np.zeros((0, 0)),
+                                np.zeros(0), FactorForm.ZO)
+        assert not is_empty(P)
+        assert support(P, [1.0, 2.0]) == 3.0
+
     @staticmethod
     def _corpus():
         from test_acceptance import _random_hz, _seeded_network
