@@ -12,6 +12,8 @@ the kernel answers it by a dual pass from the relaxation's optimal basis,
 the final state of that direction's row of the relaxation's batch
 (`_simplex.Ladder.children`), with no start of its own on the leaf unless
 no pass certifies it, when it gets the cold retry that any LP gets.
+A leaf there is its binary assignment alone, so `check_sharpness` builds
+no leaf set, and it checks the leaf cap against n_b.
 
 A set keeps the work that does not depend on the query: its leaves
 (`core.leaves`), its relaxation (`algebra.convex_relaxation`) and, for each
@@ -41,10 +43,10 @@ from .core import (
     ConstrainedZonotope,
     DEFAULT_LEAF_CAP,
     FactorForm,
+    binary_assignments,
     leaves,
 )
-from .errors import (DimensionMismatch, EmptySet, EnumerationCapExceeded,
-                     NumericalFailure)
+from .errors import DimensionMismatch, EmptySet, NumericalFailure
 
 FEAS_TOL = _simplex.FEAS_TOL
 SHARP_TOL = 1e-6
@@ -328,28 +330,28 @@ def _in_a_leaf(H: AnySet, R: ConstrainedZonotope, XI: np.ndarray) -> np.ndarray:
     return integral & np.all(resid <= _simplex.residual_tol(R.b), axis=1)
 
 
-def _leaf_maxima(pairs: list, R: ConstrainedZonotope, U: np.ndarray,
-                 parents: list) -> np.ndarray:
-    """The support of the union of a hybrid zonotope's leaves, `pairs` from
-    `leaves(H)`, in each direction (row) of U, -inf where every leaf is
-    empty; R is H's relaxation, and parents[i] the (verdict, state) of R's
-    LP in direction U[i] from `_factor_optima`.
+def _leaf_maxima(assignments: np.ndarray, R: ConstrainedZonotope,
+                 U: np.ndarray, parents: list) -> np.ndarray:
+    """The support of the union of a hybrid zonotope's leaves, one per row
+    of `assignments` (its binary values, in `binary_assignments` order), in
+    each direction (row) of U, -inf where every leaf is empty; R is H's
+    relaxation, and parents[i] the (verdict, state) of R's LP in direction
+    U[i] from `_factor_optima`.
 
     A leaf's LP is the LP of R with its binary factors, R's last n_b
     columns, pinned to the leaf's assignment.  So in each direction the
-    leaves, in the order of `pairs`, are the children of R's LP, answered
-    by the kernel's dual pass from that parent's optimal basis, or by a
-    child's cold retry (`Ladder.children`).  A child that neither answers
-    raises NumericalFailure.
+    leaves, in the order of `assignments`, are the children of R's LP,
+    answered by the kernel's dual pass from that parent's optimal basis, or
+    by a child's cold retry (`Ladder.children`).  A child that neither
+    answers raises NumericalFailure.
     """
-    V = np.array([a.as_array() for a, _ in pairs])
-    cols = np.arange(R.n_g - V.shape[1], R.n_g)
+    cols = np.arange(R.n_g - assignments.shape[1], R.n_g)
     ladder = R.lp_ladder()
-    values = np.full((len(U), len(pairs)), -np.inf)
+    values = np.full((len(U), len(assignments)), -np.inf)
     for i, (u, parent) in enumerate(zip(U, parents, strict=True)):
         offset = float(u @ R.c)
         for j, (st, obj, _) in enumerate(
-                ladder.children(-(R.G.T @ u), cols, V, parent)):
+                ladder.children(-(R.G.T @ u), cols, assignments, parent)):
             if st == 0:
                 values[i, j] = offset - obj
             elif st != 1:
@@ -370,17 +372,23 @@ def check_sharpness(H: AnySet, n_dirs: int = 64, tol: float = SHARP_TOL,
     by a dual pass from its optimal basis (`_leaf_maxima`).  That LP is
     solved once, in the batch: an open direction's row keeps a copy of its
     final state as the children's parent.  A check touches no leaf's LP
-    ladder.  A set past the leaf cap is INCONCLUSIVE before any LP runs.
+    ladder and builds no leaf set: a leaf is its binary assignment
+    (`binary_assignments`).  A set past the leaf cap, n_b > cap, is
+    INCONCLUSIVE before any LP runs.
 
-    Raises ValueError unless tol is a finite number >= 0.
+    The directions are `direction_set(H.dim, n_dirs, seed)`, so an n_dirs
+    below 2n gives the 2n axis directions.  Raises ValueError, before any
+    LP runs, unless n_dirs is a positive integer and tol a finite
+    number >= 0.
     """
     from .algebra import convex_relaxation
 
+    if not (isinstance(n_dirs, (int, np.integer))
+            and not isinstance(n_dirs, bool) and n_dirs >= 1):
+        raise ValueError(f"n_dirs must be a positive integer, got {n_dirs!r}")
     _check_tol(tol)
     dirs = direction_set(H.dim, n_dirs, seed)
-    try:
-        pairs = [] if isinstance(H, ConstrainedZonotope) else leaves(H, cap=cap)
-    except EnumerationCapExceeded:
+    if not isinstance(H, ConstrainedZonotope) and H.n_b > cap:
         nan = np.full(len(dirs), np.nan)
         return SharpnessReport(dirs, nan, nan, np.zeros(len(dirs), dtype=bool),
                                np.nan, SharpnessVerdict.INCONCLUSIVE, tol)
@@ -396,7 +404,8 @@ def check_sharpness(H: AnySet, n_dirs: int = 64, tol: float = SHARP_TOL,
     closed = np.array([parent is None for parent in parents])
     hs = rs.copy()
     if not np.all(closed):
-        hs[~closed] = _leaf_maxima(pairs, R, dirs[~closed],
+        V = np.array([a.as_array() for a in binary_assignments(H)])
+        hs[~closed] = _leaf_maxima(V, R, dirs[~closed],
                                    [p for p in parents if p is not None])
     max_gap = float(np.max(rs - hs))
     verdict = SharpnessVerdict.SHARP if max_gap <= tol else SharpnessVerdict.NOT_SHARP

@@ -6,15 +6,19 @@ products w_J ~ prod_{j in J} x_j and v_{J,k} ~ y_k * prod_{j in J} x_j,
 multiplies the equality system by every monomial of degree <= d, and turns
 the bound-factor product inequalities into equalities with [0,1] slacks.
 The lift's sparsity pattern is known from n_b, n_g and d alone, so
-`build_xd` sizes it up front, computes every (row, column, value)
+`_lift_rows` sizes it up front, computes every (row, column, value)
 triplet as whole index arrays from bit tables of the masks, with no loop
 over entries, and routes each family's triplets to Ac, Ab or b as it makes
 them.  A lift has about 8 entries per row in a column for every
 subset of the binaries, so its Ac is nearly all zeros, and it is kept as
 its entries, a `SparseMatrix`: the nominal dense array is never built
 here.  Ab and b are dense.
-Projecting the lift back to the original ambient space gives a set equal
-to the input at every level; at d = n_b its relaxation is the convex hull.
+Every lift variable has a zero generator, so `rlt_sharpen` builds its
+output from the lift's rows (`_lift_rows`) and the input's own generators,
+Gc padded with zero columns: a set equal to the input at every level,
+whose relaxation at d = n_b is the convex hull.  `build_xd` is the same
+rows as a set over the factor coordinates (x, y), the factor-space lift
+for callers who want it; `rlt_sharpen` does not go through it.
 """
 
 from __future__ import annotations
@@ -145,7 +149,9 @@ def _pair_terms(bits: np.ndarray, size: np.ndarray, o: int):
 def build_xd(H: AnySet, d: int) -> tuple[HybridZonotope, RltVariableTable]:
     """Level-d lift of the factor space, as a 01-hybrid zonotope over the
     original (x, y) coordinates (x first).  All lift variables get zero
-    generator columns; the ambient map back to R^n is the caller's affine map.
+    generator columns.  `rlt_sharpen` does not go through this set: it
+    builds its output from the same rows (`_lift_rows`) with H's own
+    generators, so this is the factor-space lift for callers who want it.
 
     Rows: (i) the equality system times each monomial of degree <= d, by
     monomial (size, then mask) and then equality row; (ii) the order-D
@@ -175,13 +181,7 @@ def build_xd(H: AnySet, d: int) -> tuple[HybridZonotope, RltVariableTable]:
     """
     H = convert_form(H.as_hybrid(), FactorForm.ZO)
     nb, ng = H.n_b, H.n_g
-    if not 1 <= d <= nb:
-        raise LevelOutOfRange(f"level {d} outside 1..{nb}")
-    table, Ac, Abb = _lift_rows(H, d)
-    # the constant moves to the right-hand side; 0.0 - 0.0 is +0.0, so a row
-    # with no constant keeps b = +0.0
-    Ab, b = Abb[:, :nb].copy(), 0.0 - Abb[:, nb]
-
+    table, Ac, Ab, b = _lift_rows(H, d)
     # ambient (x, y): x from the binaries, y from the first ng continuous cols
     dim = nb + ng
     Gb = np.vstack([np.eye(nb), np.zeros((ng, nb))])
@@ -192,11 +192,14 @@ def build_xd(H: AnySet, d: int) -> tuple[HybridZonotope, RltVariableTable]:
 
 
 def _lift_rows(H: HybridZonotope, d: int):
-    """(table, Ac, [Ab | the constant]) of `build_xd`'s lift of the 01-form
-    H at level d, 1 <= d <= n_b.  Its temporaries are freed when it
-    returns, before `build_xd` makes Ab, b and Gc, so they do not add to
-    the call's peak."""
+    """(table, Ac, Ab, b) of the level-d lift of the 01-form H, the rows
+    that `build_xd` documents.  Raises LevelOutOfRange unless
+    1 <= d <= n_b.  Ac's parts are freed before Ab and b are split off,
+    and its other temporaries when it returns, before the caller makes Gc,
+    so they do not add to the call's peak."""
     nb, ng, r = H.n_b, H.n_g, H.n_c
+    if not 1 <= d <= nb:
+        raise LevelOutOfRange(f"level {d} outside 1..{nb}")
     D, N, n_w = min(d + 1, nb), 1 << nb, (1 << nb) - nb - 1
     n_mono = sum(comb(nb, i) for i in range(d + 1))
     n_eq, n_D = r * n_mono, comb(nb, D) << D
@@ -257,23 +260,29 @@ def _lift_rows(H: HybridZonotope, d: int):
                   np.full(table.n_slack, -1.0)))
 
     Ac = SparseMatrix((n_rows, n_cols), *map(np.concatenate, zip(*parts)))
-    return table, Ac, Abb
+    del parts
+    # the constant moves to the right-hand side; 0.0 - 0.0 is +0.0, so a row
+    # with no constant keeps b = +0.0
+    return table, Ac, Abb[:, :nb].copy(), 0.0 - Abb[:, nb]
 
 
 def rlt_sharpen(H: AnySet, d: int) -> HybridZonotope:
     """Equal set, re-represented so the level-d lift tightens the relaxation.
 
     At d = n_b the relaxation of the output is the convex hull of H.
-    Output is in 01 form; an n_b = 0 input is returned unchanged.
+    Output is in 01 form; an n_b = 0 input is returned unchanged.  Every
+    lift variable has a zero generator, so the output's generators are H's
+    own in 01 form, Gc padded with zero columns, and its constraints are the
+    lift's rows (`_lift_rows`).
     """
     H = H.as_hybrid()
     if H.n_b == 0:
         return H
     Hz = convert_form(H, FactorForm.ZO)
-    lifted, _ = build_xd(Hz, d)
-    R = np.hstack([Hz.Gb, Hz.Gc])  # ambient of the lift is (x, y)
-    from .algebra import affine_map
-    return affine_map(lifted, R, Hz.c)
+    table, Ac, Ab, b = _lift_rows(Hz, d)
+    Gc = np.zeros((Hz.dim, table.n_cols))
+    Gc[:, :Hz.n_g] = Hz.Gc
+    return HybridZonotope(Gc, Hz.Gb, Hz.c, Ac, Ab, b, FactorForm.ZO)
 
 
 def rlt_convex_hull(H: AnySet) -> ConstrainedZonotope:

@@ -461,6 +461,42 @@ class TestSharpness:
         assert obj["closed_by_relaxation"] == [False] * 8
         json.dumps(obj, allow_nan=False)
 
+    @pytest.mark.parametrize("n_dirs", [0, -3, True, 4.0])
+    def test_bad_n_dirs_raises(self, n_dirs):
+        with _simplex.lp_stats() as stats:
+            with pytest.raises(ValueError, match="positive integer"):
+                check_sharpness(_two_squares(), n_dirs=n_dirs)
+        assert stats.phase1_runs == 0 and stats.rows == 0
+
+    @pytest.mark.parametrize("n_dirs", [1, 3, np.int64(4)])
+    def test_few_n_dirs_give_the_axes(self, n_dirs):
+        rep = check_sharpness(_two_squares(), n_dirs=n_dirs)
+        np.testing.assert_array_equal(rep.directions,
+                                      np.vstack([np.eye(2), -np.eye(2)]))
+        assert rep.verdict is SharpnessVerdict.SHARP
+
+    def test_check_builds_no_leaf(self):
+        # the open directions' leaf LPs need each leaf's binary assignment
+        # alone; the report is the one a check on a set whose leaves are
+        # built and kept gives, and its open directions are the leaves'
+        # maximum
+        X = _level_set()
+        rep = check_sharpness(X, n_dirs=16)
+        assert "leaves" not in X._kept
+        assert 0 < rep.closed.sum() < len(rep.closed)
+        twin = HybridZonotope(X.Gc, X.Gb, X.c, X.Ac, X.Ab, X.b, X.factor_form)
+        leaf_list = [L for _, L in leaves(twin)]
+        assert "leaves" in twin._kept
+        ref = check_sharpness(twin, n_dirs=16)
+        for name in ("directions", "relax_support", "hull_support", "closed"):
+            np.testing.assert_array_equal(getattr(rep, name),
+                                          getattr(ref, name))
+        assert (rep.max_gap, rep.verdict) == (ref.max_gap, ref.verdict)
+        opened = ~rep.closed
+        best = np.array([v for v, _ in
+                         _support_points(leaf_list, rep.directions[opened])])
+        _assert_within(rep.hull_support[opened], best, 1e-9)
+
     def test_direction_set_contains_axes(self):
         dirs = direction_set(3, 16)
         assert dirs.shape == (16, 3)

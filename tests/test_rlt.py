@@ -13,6 +13,7 @@ from zonosharp import (
     LevelOutOfRange,
     OverlappingIndexSets,
     SparseMatrix,
+    affine_map,
     build_xd,
     check_sharpness,
     complexity,
@@ -120,10 +121,11 @@ class TestComplexityFormula:
 class TestLift:
     def test_level_validation(self):
         H = _random_hz(np.random.default_rng(1), 2, 2, 2, 1)
-        with pytest.raises(LevelOutOfRange):
-            build_xd(H, 0)
-        with pytest.raises(LevelOutOfRange):
-            build_xd(H, 3)
+        for lift in (build_xd, rlt_sharpen, rlt_report):
+            with pytest.raises(LevelOutOfRange):
+                lift(H, 0)
+            with pytest.raises(LevelOutOfRange):
+                lift(H, 3)
 
     def test_lift_binary_count_unchanged(self):
         H = _random_hz(np.random.default_rng(2), 2, 2, 3, 1)
@@ -325,6 +327,66 @@ class TestLiftParity:
         assert peak <= 1.1 * 8 * X.n_c * (X.n_g + X.n_b), peak
         dense = np.hstack([reference[3], reference[4]])
         assert R.A.tobytes() == dense.tobytes()
+
+
+def _assert_same_sharpened(H, d):
+    """rlt_sharpen(H, d) against the lift of build_xd mapped back by
+    affine_map: Ac's entries, Ab, b and Gc byte for byte, Gb and c as
+    numbers (the map's products can turn a -0.0 of the input into +0.0)."""
+    Hz = convert_form(H.as_hybrid(), FactorForm.ZO)
+    ref = affine_map(build_xd(Hz, d)[0], np.hstack([Hz.Gb, Hz.Gc]), Hz.c)
+    out = rlt_sharpen(H, d)
+    assert out.factor_form is FactorForm.ZO
+    assert isinstance(out.Ac, SparseMatrix) and out.Ac.shape == ref.Ac.shape
+    for name in ("row", "col", "val"):
+        got, want = getattr(out.Ac, name), getattr(ref.Ac, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    for name in ("Ab", "b", "Gc"):
+        got, want = getattr(out, name), getattr(ref, name)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype), name
+        assert got.tobytes() == want.tobytes(), name
+    for name in ("Gb", "c"):
+        got, want = getattr(out, name), getattr(ref, name)
+        assert got.shape == want.shape and np.array_equal(got, want), name
+    return out
+
+
+class TestSharpenParity:
+    """rlt_sharpen builds its output from the lift's rows and H's own
+    generators; the reference is the route through build_xd's set over the
+    factor coordinates and affine_map, on TestLiftParity's inputs."""
+
+    @pytest.mark.parametrize("nc", [0, 1, 2])
+    @pytest.mark.parametrize("ng", [0, 1, 3])
+    @pytest.mark.parametrize("nb", [1, 2, 3, 4, 5])
+    def test_random_sets_every_level(self, nb, ng, nc):
+        H = _random_hz(np.random.default_rng([nb, ng, nc]), 2, ng, nb, nc)
+        for d in range(1, nb + 1):
+            _assert_same_sharpened(H, d)
+
+    def test_pm1_input(self):
+        H = convert_form(_random_hz(np.random.default_rng(5), 2, 3, 3, 2),
+                         FactorForm.PM1)
+        for d in (1, 2, 3):
+            _assert_same_sharpened(H, d)
+
+    def test_zero_and_signed_zero_data(self):
+        H = _random_hz(np.random.default_rng(6), 2, 2, 3, 2)
+        Ab, Ac, b = H.Ab.copy(), H.Ac.copy(), H.b.copy()
+        Ab[0, 1], Ab[1, 0], Ac[0, 0], Ac[1, 1], b[1] = -0.0, 0.0, -0.0, 0.0, -0.0
+        Gb, c = H.Gb.copy(), H.c.copy()
+        Gb[1, 2], c[0] = -0.0, -0.0
+        Z = HybridZonotope(H.Gc, Gb, c, Ac, Ab, b, FactorForm.ZO)
+        for d in (1, 2, 3):
+            out = _assert_same_sharpened(Z, d)
+            # the output keeps the input's Gb and c, signed zeros included
+            assert out.Gb.tobytes() == Gb.tobytes()
+            assert out.c.tobytes() == c.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_demo_level_set(self, d):
+        X = relugraph.level_set_above(relugraph.demo_network(), 0.5)
+        _assert_same_sharpened(X, d)
 
 
 class TestLiftEntryOrder:
