@@ -16,7 +16,6 @@ factors.  This package provides:
 
 from .core import (
     AnySet,
-    BinaryAssignment,
     ComplexityTuple,
     ConstrainedZonotope,
     DEFAULT_LEAF_CAP,
@@ -76,7 +75,6 @@ from .oracle import (
 )
 from .rlt import (
     IndexSet,
-    RltVariableTable,
     build_xd,
     f_coefficients,
     rlt_complexity,

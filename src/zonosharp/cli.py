@@ -259,12 +259,12 @@ def cmd_plot2d(args):
         raise CliError(EXIT_NOT_2D, f"plot2d needs a 2D set, got dim {S.dim}")
     H = S.as_hybrid()
     polygons = []
-    for bits, leaf in core.leaves(H, cap=args.cap):
+    for xb, leaf in core.leaves(H, cap=args.cap):
         try:
             poly = oracle.boundary_2d(leaf, n_angles=args.angles)
         except EmptySet:
             continue
-        polygons.append({"tag": "leaf", "binaries": list(bits.bits),
+        polygons.append({"tag": "leaf", "binaries": xb.tolist(),
                          "vertices": poly.tolist()})
     if not polygons:
         print("warning: set is empty, no polygons", file=sys.stderr)

@@ -81,19 +81,6 @@ class ComplexityTuple:
 
 
 @dataclass(frozen=True)
-class BinaryAssignment:
-    """One choice of binary factors, in the active binary domain."""
-
-    bits: tuple[float, ...]
-
-    def __len__(self):
-        return len(self.bits)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.bits, dtype=np.float64)
-
-
-@dataclass(frozen=True)
 class ConstrainedZonotope:
     """The set {G xi + c : A xi = b, xi in the factor box}.
 
@@ -162,7 +149,7 @@ class HybridZonotope:
     and xb at the binary values of the factor form.
 
     The fields are read-only float64 arrays, except that Ac may be a
-    `SparseMatrix`, as it is in every RLT lift (`rlt.build_xd`).  That Ac is
+    `SparseMatrix`, as it is in every RLT lift (`rlt.rlt_sharpen`).  That Ac is
     kept as it is, and the set operations and queries read its entries or
     its one shared dense form (`np.asarray(Ac)`).
     """
@@ -255,27 +242,27 @@ def convert_form(H: AnySet, target: FactorForm) -> AnySet:
                           0.5 * H.Ac, 0.5 * H.Ab, H.b - shift_b, FactorForm.PM1)
 
 
-def binary_assignments(H: HybridZonotope):
-    """All 2^n_b binary assignments in counting order, LSB = first factor."""
+def binary_assignments(H: HybridZonotope) -> np.ndarray:
+    """All 2^n_b binary assignments, the rows of a float64 (2^n_b, n_b)
+    array, in counting order with the first factor as the lowest bit."""
     lo, hi = H.binary_domain()
-    nb = H.n_b
-    for idx in range(1 << nb):
-        bits = tuple(hi if (idx >> i) & 1 else lo for i in range(nb))
-        yield BinaryAssignment(bits)
+    bits = np.arange(1 << H.n_b)[:, None] >> np.arange(H.n_b) & 1
+    return np.where(bits == 1, hi, lo)
 
 
-def leaf_of(H: HybridZonotope, assignment: BinaryAssignment) -> ConstrainedZonotope:
-    """Fix the binary factors, folding Gb*xi_b into the center and Ab*xi_b into b."""
-    xb = assignment.as_array()
-    if xb.shape[0] != H.n_b:
-        raise DimensionMismatch("assignment length must equal n_b")
+def leaf_of(H: HybridZonotope, xb) -> ConstrainedZonotope:
+    """Fix the binary factors at the vector xb, folding Gb*xb into the
+    center and Ab*xb into b."""
+    xb = _as_vector(xb, H.n_b)
     return ConstrainedZonotope(H.Gc, H.c + H.Gb @ xb, H.Ac, H.b - H.Ab @ xb,
                                H.factor_form)
 
 
 def leaves(H: HybridZonotope,
-           cap: int = DEFAULT_LEAF_CAP) -> list[tuple[BinaryAssignment, ConstrainedZonotope]]:
-    """Decompose into the union of 2^n_b constrained zonotopes.
+           cap: int = DEFAULT_LEAF_CAP) -> list[tuple[np.ndarray, ConstrainedZonotope]]:
+    """Decompose into the union of 2^n_b constrained zonotopes, as
+    (assignment, leaf) pairs in `binary_assignments` order; an assignment
+    is a read-only row of that array.
 
     The leaves are made on the first call and kept on H, so every call on H
     hands out the same leaf objects, with the LP work each leaf keeps, in a
@@ -283,8 +270,13 @@ def leaves(H: HybridZonotope,
     """
     if H.n_b > cap:
         raise EnumerationCapExceeded(f"n_b={H.n_b} exceeds enumeration cap {cap}")
-    return list(_kept(H, "leaves",
-                      lambda: [(a, leaf_of(H, a)) for a in binary_assignments(H)]))
+
+    def make():
+        V = binary_assignments(H)
+        _freeze(V)
+        return [(xb, leaf_of(H, xb)) for xb in V]
+
+    return list(_kept(H, "leaves", make))
 
 
 # --- JSON set format -------------------------------------------------------

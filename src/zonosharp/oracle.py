@@ -404,8 +404,7 @@ def check_sharpness(H: AnySet, n_dirs: int = 64, tol: float = SHARP_TOL,
     closed = np.array([parent is None for parent in parents])
     hs = rs.copy()
     if not np.all(closed):
-        V = np.array([a.as_array() for a in binary_assignments(H)])
-        hs[~closed] = _leaf_maxima(V, R, dirs[~closed],
+        hs[~closed] = _leaf_maxima(binary_assignments(H), R, dirs[~closed],
                                    [p for p in parents if p is not None])
     max_gap = float(np.max(rs - hs))
     verdict = SharpnessVerdict.SHARP if max_gap <= tol else SharpnessVerdict.NOT_SHARP

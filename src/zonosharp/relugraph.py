@@ -127,16 +127,11 @@ def relu_graph_1d(lo: float, hi: float) -> HybridZonotope:
     lo, hi = float(lo), float(hi)
     if lo > hi:
         raise EmptyInterval(f"preactivation interval [{lo}, {hi}] is empty")
-    if lo >= 0.0:  # identity segment
-        Gc = np.array([[0.5 * (hi - lo)], [0.5 * (hi - lo)]])
-        c = np.array([0.5 * (lo + hi), 0.5 * (lo + hi)])
-        return convert_form(
-            HybridZonotope(Gc, np.zeros((2, 0)), c, np.zeros((0, 1)),
-                           np.zeros((0, 0)), np.zeros(0), FactorForm.PM1),
-            FactorForm.ZO)
-    if hi <= 0.0:  # flat segment
-        Gc = np.array([[0.5 * (hi - lo)], [0.0]])
-        c = np.array([0.5 * (lo + hi), 0.0])
+    if lo >= 0.0 or hi <= 0.0:  # one segment: the identity, else flat
+        r, m = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        identity = lo >= 0.0
+        Gc = np.array([[r], [r if identity else 0.0]])
+        c = np.array([m, m if identity else 0.0])
         return convert_form(
             HybridZonotope(Gc, np.zeros((2, 0)), c, np.zeros((0, 1)),
                            np.zeros((0, 0)), np.zeros(0), FactorForm.PM1),

@@ -16,16 +16,14 @@ here.  Ab and b are dense.
 Every lift variable has a zero generator, so `rlt_sharpen` builds its
 output from the lift's rows (`_lift_rows`) and the input's own generators,
 Gc padded with zero columns: a set equal to the input at every level,
-whose relaxation at d = n_b is the convex hull.  `build_xd` is the same
-rows as a set over the factor coordinates (x, y), the factor-space lift
-for callers who want it; `rlt_sharpen` does not go through it.
+whose relaxation at d = n_b is the convex hull.  The factor-space lift,
+`build_xd`, is the same construction applied to H's factor set {(x, y)}:
+`rlt_sharpen` of that set.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
-from itertools import count, product
 from math import comb
 
 import numpy as np
@@ -95,39 +93,6 @@ def f_coefficients(J1: IndexSet, J2: IndexSet) -> dict[IndexSet, int]:
     return out
 
 
-@dataclass
-class RltVariableTable:
-    """Column bookkeeping for the lifted factor space.
-
-    Continuous columns: the original y block first, then w_J (|J| >= 2) in
-    ascending masks, then v_{J,k} (|J| >= 1) in ascending masks with k
-    inside J, then the n_slack slacks, one per bound-factor row in row
-    order.  w_empty is the constant 1 and w_{i} is the binary x_i; neither
-    gets a fresh column.  `w_index` and `v_index` map w_J's mask and v_{J,k}'s
-    (mask, k) to their columns; each is built at its first read.
-    """
-
-    n_bin: int
-    n_cont_orig: int
-    slack_start: int = 0
-    n_slack: int = 0
-
-    @property
-    def n_cols(self) -> int:
-        return self.slack_start + self.n_slack
-
-    @cached_property
-    def w_index(self) -> dict[int, int]:
-        wide = (m for m in range(1 << self.n_bin) if m.bit_count() >= 2)
-        return dict(zip(wide, count(self.n_cont_orig)))
-
-    @cached_property
-    def v_index(self) -> dict[tuple[int, int], int]:
-        nb, ng = self.n_bin, self.n_cont_orig
-        return dict(zip(product(range(1, 1 << nb), range(ng)),
-                        count(ng + (1 << nb) - nb - 1)))
-
-
 def _pair_terms(bits: np.ndarray, size: np.ndarray, o: int):
     """(pair, J, sign) of every term of the order-o bound-factor products.
 
@@ -146,20 +111,28 @@ def _pair_terms(bits: np.ndarray, size: np.ndarray, o: int):
     return pair.ravel(), subset[:, t1 | ti].ravel(), sign
 
 
-def build_xd(H: AnySet, d: int) -> tuple[HybridZonotope, RltVariableTable]:
-    """Level-d lift of the factor space, as a 01-hybrid zonotope over the
-    original (x, y) coordinates (x first).  All lift variables get zero
-    generator columns.  `rlt_sharpen` does not go through this set: it
-    builds its output from the same rows (`_lift_rows`) with H's own
-    generators, so this is the factor-space lift for callers who want it.
+def _check_level(n_b: int, d: int) -> None:
+    if not 1 <= d <= n_b:
+        raise LevelOutOfRange(f"level {d} outside 1..{n_b}")
+
+
+def _lift_rows(H: HybridZonotope, d: int):
+    """(Ac, Ab, b) of the level-d lift of the 01-form H.  Raises
+    LevelOutOfRange unless 1 <= d <= n_b.
+
+    Columns of Ac: H's continuous factors y first, then w_J (|J| >= 2) in
+    ascending masks, then v_{J,k} (|J| >= 1) in ascending masks with k the
+    fastest, then one [0,1] slack per bound-factor row, in row order.
+    w_empty is the constant 1 and w_{j} is the binary x_j; neither gets a
+    column of Ac.
 
     Rows: (i) the equality system times each monomial of degree <= d, by
     monomial (size, then mask) and then equality row; (ii) the order-D
     bound-factor products, D = min(d + 1, n_b); (iii) two rows per order-d
     pair and k, the low row and then the gap row.  Each row of (ii) and
-    (iii) owns one [0,1] slack, with coefficient -1, in row order.  The
-    constant of a family (i) row is the sequential sum of A over the
-    monomial's members in ascending order, minus beta.
+    (iii) owns its slack, with coefficient -1.  The constant of a family
+    (i) row is the sequential sum of A over the monomial's members in
+    ascending order, minus beta.
 
     The sizes are known up front.  Each family's terms are (row, column,
     value) arrays computed from bit tables of the masks, with no loop over
@@ -177,36 +150,19 @@ def build_xd(H: AnySet, d: int) -> tuple[HybridZonotope, RltVariableTable]:
     row-by-row construction that tests/test_rlt.py keeps as the reference,
     and the dense form of Ac equals its Ac byte for byte.  At n_b = 8,
     d = 4, Ac keeps 53288 entries, 1.2 MiB as (row, column, value), where
-    its dense form, 6435 x 7031, would take 345 MiB.
+    its dense form, 6435 x 7031, would take 345 MiB.  Ac's parts are freed
+    before Ab and b are split off, and its other temporaries when it
+    returns, before the caller makes Gc, so they do not add to the call's
+    peak.
     """
-    H = convert_form(H.as_hybrid(), FactorForm.ZO)
-    nb, ng = H.n_b, H.n_g
-    table, Ac, Ab, b = _lift_rows(H, d)
-    # ambient (x, y): x from the binaries, y from the first ng continuous cols
-    dim = nb + ng
-    Gb = np.vstack([np.eye(nb), np.zeros((ng, nb))])
-    Gc = np.zeros((dim, table.n_cols))
-    Gc[nb:, :ng] = np.eye(ng)
-    lifted = HybridZonotope(Gc, Gb, np.zeros(dim), Ac, Ab, b, FactorForm.ZO)
-    return lifted, table
-
-
-def _lift_rows(H: HybridZonotope, d: int):
-    """(table, Ac, Ab, b) of the level-d lift of the 01-form H, the rows
-    that `build_xd` documents.  Raises LevelOutOfRange unless
-    1 <= d <= n_b.  Ac's parts are freed before Ab and b are split off,
-    and its other temporaries when it returns, before the caller makes Gc,
-    so they do not add to the call's peak."""
     nb, ng, r = H.n_b, H.n_g, H.n_c
-    if not 1 <= d <= nb:
-        raise LevelOutOfRange(f"level {d} outside 1..{nb}")
+    _check_level(nb, d)
     D, N, n_w = min(d + 1, nb), 1 << nb, (1 << nb) - nb - 1
     n_mono = sum(comb(nb, i) for i in range(d + 1))
     n_eq, n_D = r * n_mono, comb(nb, D) << D
-    table = RltVariableTable(nb, ng, slack_start=n_w + ng * N,
-                             n_slack=n_D + 2 * ng * (comb(nb, d) << d))
-    n_rows, n_cols = n_eq + table.n_slack, table.n_cols
-
+    slack_start = n_w + ng * N
+    n_slack = n_D + 2 * ng * (comb(nb, d) << d)
+    n_rows, n_cols = n_eq + n_slack, slack_start + n_slack
     # bits[J, j]: j is in J; the ng columns past nb are 0 and stand for the
     # y_k that family (i) multiplies
     bit = np.arange(nb)
@@ -256,14 +212,14 @@ def _lift_rows(H: HybridZonotope, d: int):
     route(low + 1, np.repeat(w_at[J], ng), sign)
     parts.append((low + 1, v, -sign))
     # the slacks: -1 on the diagonal of the last n_slack rows and columns
-    parts.append((np.arange(n_eq, n_rows), np.arange(table.slack_start, n_cols),
-                  np.full(table.n_slack, -1.0)))
+    parts.append((np.arange(n_eq, n_rows), np.arange(slack_start, n_cols),
+                  np.full(n_slack, -1.0)))
 
     Ac = SparseMatrix((n_rows, n_cols), *map(np.concatenate, zip(*parts)))
     del parts
     # the constant moves to the right-hand side; 0.0 - 0.0 is +0.0, so a row
     # with no constant keeps b = +0.0
-    return table, Ac, Abb[:, :nb].copy(), 0.0 - Abb[:, nb]
+    return Ac, Abb[:, :nb].copy(), 0.0 - Abb[:, nb]
 
 
 def rlt_sharpen(H: AnySet, d: int) -> HybridZonotope:
@@ -279,10 +235,23 @@ def rlt_sharpen(H: AnySet, d: int) -> HybridZonotope:
     if H.n_b == 0:
         return H
     Hz = convert_form(H, FactorForm.ZO)
-    table, Ac, Ab, b = _lift_rows(Hz, d)
-    Gc = np.zeros((Hz.dim, table.n_cols))
+    Ac, Ab, b = _lift_rows(Hz, d)
+    Gc = np.zeros((Hz.dim, Ac.shape[1]))
     Gc[:, :Hz.n_g] = Hz.Gc
     return HybridZonotope(Gc, Hz.Gb, Hz.c, Ac, Ab, b, FactorForm.ZO)
+
+
+def build_xd(H: AnySet, d: int) -> HybridZonotope:
+    """The level-d lift of H's factor set {(x, y)}, x first: `rlt_sharpen`
+    of the 01-form set with Gb = [I; 0], Gc = [0; I], c = 0 and H's own
+    Ac, Ab and b.  Raises LevelOutOfRange unless 1 <= d <= n_b, also at
+    n_b = 0, where `rlt_sharpen` would return the set unchanged."""
+    H = convert_form(H.as_hybrid(), FactorForm.ZO)
+    _check_level(H.n_b, d)
+    eye = np.eye(H.n_b + H.n_g)
+    factors = HybridZonotope(eye[:, H.n_b:], eye[:, :H.n_b], np.zeros(len(eye)),
+                             H.Ac, H.Ab, H.b, FactorForm.ZO)
+    return rlt_sharpen(factors, d)
 
 
 def rlt_convex_hull(H: AnySet) -> ConstrainedZonotope:
@@ -294,8 +263,7 @@ def rlt_convex_hull(H: AnySet) -> ConstrainedZonotope:
 def rlt_complexity(t: ComplexityTuple, d: int) -> ComplexityTuple:
     """Closed-form (nominal) complexity of the level-d output."""
     ng, nb, nc = t.n_g, t.n_b, t.n_c
-    if not 1 <= d <= nb:
-        raise LevelOutOfRange(f"level {d} outside 1..{nb}")
+    _check_level(nb, d)
     ng_out = 2 ** nb * (ng + 1) + 2 ** (d + 1) * comb(nb, d) * ng - nb - 1
     nc_out = nc * sum(comb(nb, i) for i in range(d + 1)) + 2 ** (d + 1) * comb(nb, d) * ng
     return ComplexityTuple(ng_out, nb, nc_out)

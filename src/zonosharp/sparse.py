@@ -1,6 +1,6 @@
 """A matrix stored as its entries.
 
-The RLT lift (`rlt.build_xd`) has a column for every subset of the
+The RLT lift (`rlt.rlt_sharpen`) has a column for every subset of the
 binaries and about 8 entries per row, so its Ac is nearly all zeros: at
 n_b = 8, d = 4 it has 53288 entries in a 6435 x 7031 array (345 MiB
 dense).  `SparseMatrix` keeps only the entries, and answers what the

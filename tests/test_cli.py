@@ -300,9 +300,14 @@ class TestPlot2d:
         main(["op", "union", square, square2, "-o", u])
         out = str(tmp_path / "poly.json")
         assert main(["plot2d", u, "-o", out, "--angles", "16"]) == 0
-        tags = [p["tag"] for p in json.load(open(out))["polygons"]]
+        polygons = json.load(open(out))["polygons"]
+        tags = [p["tag"] for p in polygons]
         assert tags.count("leaf") == 2
         assert "hull" in tags and "relaxation" in tags
+        # the non-empty leaves' binaries, as floats, in assignment order
+        binaries = [p["binaries"] for p in polygons if p["tag"] == "leaf"]
+        assert binaries == [[1.0, 0.0], [0.0, 1.0]]
+        assert all(type(v) is float for row in binaries for v in row)
 
     def test_one_phase1_per_region(self, two_squares, tmp_path):
         # 4 leaves and the relaxation: the hull polygon reuses the leaves

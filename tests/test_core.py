@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from zonosharp import (
-    BinaryAssignment,
     ComplexityTuple,
     ConstrainedZonotope,
     DimensionMismatch,
@@ -109,22 +108,43 @@ class TestLeaves:
         H2 = HybridZonotope(np.zeros((2, 0)), np.eye(2), np.zeros(2),
                             np.zeros((0, 0)), np.zeros((0, 2)), np.zeros(0),
                             FactorForm.ZO)
-        assert [a.bits for a in binary_assignments(H2)] == [
-            (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
         H1 = HybridZonotope(np.zeros((1, 0)), np.eye(1), np.zeros(1),
                             np.zeros((0, 0)), np.zeros((0, 1)), np.zeros(0),
                             FactorForm.PM1)
-        assert [a.bits for a in binary_assignments(H1)] == [(-1.0,), (1.0,)]
+        H3 = _random_hz(np.random.default_rng(3), nb=3, form=FactorForm.PM1)
+        expected = [(H2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                    (H1, [[-1.0], [1.0]]),
+                    (H3, [[-1.0, -1.0, -1.0], [1.0, -1.0, -1.0],
+                          [-1.0, 1.0, -1.0], [1.0, 1.0, -1.0],
+                          [-1.0, -1.0, 1.0], [1.0, -1.0, 1.0],
+                          [-1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])]
+        for H, rows in expected:
+            V = binary_assignments(H)
+            assert V.dtype == np.float64 and V.shape == (1 << H.n_b, H.n_b)
+            assert V.tolist() == rows
+            # the leaves come in the same order, each with its row
+            assert [a.tolist() for a, _ in leaves(H)] == rows
+
+    def test_no_binaries_one_leaf(self):
+        H = box([[0.0, 1.0], [2.0, 3.0]])
+        V = binary_assignments(H)
+        assert V.dtype == np.float64 and V.shape == (1, 0)
+        [(a, L)] = leaves(H)
+        assert a.shape == (0,)
+        np.testing.assert_array_equal(L.c, H.c)
+        np.testing.assert_array_equal(L.G, H.Gc)
 
     def test_leaf_of(self):
         rng = np.random.default_rng(1)
         H = _random_hz(rng)
-        a = BinaryAssignment((1.0, 0.0))
-        L = leaf_of(H, a)
-        xb = np.array(a.bits)
+        xb = np.array([1.0, 0.0])
+        L = leaf_of(H, xb)
         np.testing.assert_allclose(L.c, H.c + H.Gb @ xb)
         np.testing.assert_allclose(L.b, H.b - H.Ab @ xb)
         np.testing.assert_array_equal(L.G, H.Gc)
+        for wrong in ([1.0], [1.0, 0.0, 1.0]):
+            with pytest.raises(DimensionMismatch):
+                leaf_of(H, wrong)
 
     def test_leaves_count_and_cap(self):
         H = _random_hz(np.random.default_rng(2), nb=3)

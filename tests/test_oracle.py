@@ -563,7 +563,7 @@ class TestClosedByRelaxation:
         # binaries
         a, L = [(a, L) for a, L in leaves(X) if not is_empty(L)][0]
         _, y = _simplex.min_infeasibility(L.A, L.b, *L.factor_bounds())
-        xi = np.concatenate([y, a.as_array()])
+        xi = np.concatenate([y, a])
         assert _in_a_leaf(X, R, xi[None]).all()
         # one binary off its end by more than FEAS_TOL
         lo, _ = X.binary_domain()
@@ -807,7 +807,7 @@ def _children_args(S, u):
     """(relaxation ladder, cost, pinned columns, pinned values) of the leaf
     LPs of S in direction u as children of its relaxation's LP."""
     R = convex_relaxation(S)
-    V = np.array([a.as_array() for a, _ in leaves(S)])
+    V = np.array([a for a, _ in leaves(S)])
     return (R.lp_ladder(), -(R.G.T @ u), np.arange(S.n_g, S.n_g + S.n_b), V)
 
 

@@ -42,6 +42,11 @@ class TestReluGraph1d:
         neg = relu_graph_1d(-2.0, -1.0)
         assert neg.n_b == 0
         assert contains(neg, [-1.5, 0.0]) and not contains(neg, [-1.5, -1.5])
+        # in 01 form, t = lo + (hi - lo) xi; the flat segment's second
+        # generator and center entries are +0.0
+        assert pos.Gc.tolist() == [[1.0], [1.0]] and pos.c.tolist() == [1.0, 1.0]
+        assert neg.Gc.tolist() == [[1.0], [0.0]] and neg.c.tolist() == [-2.0, 0.0]
+        assert not np.signbit(neg.Gc[1, 0]) and not np.signbit(neg.c[1])
 
     def test_empty_interval(self):
         with pytest.raises(EmptyInterval):

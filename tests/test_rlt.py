@@ -126,6 +126,11 @@ class TestLift:
                 lift(H, 0)
             with pytest.raises(LevelOutOfRange):
                 lift(H, 3)
+        # n_b = 0 has no level, though rlt_sharpen passes such a set through
+        Z = interval(0.0, 1.0, FactorForm.ZO)
+        for d in (0, 1):
+            with pytest.raises(LevelOutOfRange):
+                build_xd(Z, d)
 
     def test_lift_binary_count_unchanged(self):
         H = _random_hz(np.random.default_rng(2), 2, 2, 3, 1)
@@ -140,7 +145,8 @@ class TestLift:
     @pytest.mark.parametrize("seed", range(3))
     def test_lifted_point_satisfies_rows(self, nb, seed):
         # the lifted factor point in the documented column order: y, then
-        # w_J (|J| >= 2), then v_{J,k} (|J| >= 1, k inside J), masks ascending
+        # w_J (|J| >= 2), then v_{J,k} (|J| >= 1, k fastest), masks ascending
+        from math import comb
         H, x, y = _random_hz_point(np.random.default_rng([seed, nb]), 2, 2, nb, 1)
         mono = np.array([np.prod(x[[j for j in range(nb) if m >> j & 1]])
                          for m in range(1 << nb)])
@@ -148,27 +154,21 @@ class TestLift:
         v = [mono[m] * yk for m in range(1, 1 << nb) for yk in y]
         z = np.concatenate([y, w, v])
         for d in range(1, nb + 1):
-            X, table = build_xd(H, d)
-            assert table.slack_start == len(z)
-            assert table.n_cols == X.n_g == len(z) + table.n_slack
-            assert sorted(table.w_index) == [m for m in range(1 << nb)
-                                             if m.bit_count() >= 2]
-            assert list(table.w_index.values()) == list(range(2, 2 + len(w)))
-            assert list(table.v_index) == [(m, k) for m in range(1, 1 << nb)
-                                           for k in range(2)]
-            assert list(table.v_index.values()) == \
-                list(range(2 + len(w), len(z)))
+            X = build_xd(H, d)
+            D = min(d + 1, nb)
+            n_slack = (comb(nb, D) << D) + 2 * len(y) * (comb(nb, d) << d)
+            assert X.n_g == len(z) + n_slack
             Ac = np.asarray(X.Ac)
             slack = Ac[:, len(z):]
             resid = Ac[:, :len(z)] @ z + X.Ab @ x - X.b
             bound = np.any(slack != 0.0, axis=1)
-            assert np.count_nonzero(bound) == table.n_slack
+            assert np.count_nonzero(bound) == n_slack
             eq_tol = 1e-12 * (1.0 + np.max(np.abs(X.b)))
             assert np.all(np.abs(resid[~bound]) <= eq_tol)
             # each bound-factor row owns one slack: a single -1 in its column
             assert np.all(np.count_nonzero(slack[bound], axis=1) == 1)
             cols = np.argmax(slack[bound] != 0.0, axis=1)
-            assert sorted(cols) == list(range(table.n_slack))
+            assert sorted(cols) == list(range(n_slack))
             assert np.all(slack[bound, cols] == -1.0)
             assert np.all(resid[bound] >= -1e-12)
             assert np.all(resid[bound] <= 1.0 + 1e-12)
@@ -273,13 +273,13 @@ class TestLiftParity:
     def test_random_sets_every_level(self, nb, ng, nc):
         H = _random_hz(np.random.default_rng([nb, ng, nc]), 2, ng, nb, nc)
         for d in range(1, nb + 1):
-            _assert_same_bytes(build_xd(H, d)[0], _reference_lift(H, d))
+            _assert_same_bytes(build_xd(H, d), _reference_lift(H, d))
 
     def test_pm1_input(self):
         H = convert_form(_random_hz(np.random.default_rng(5), 2, 3, 3, 2),
                          FactorForm.PM1)
         for d in (1, 2, 3):
-            _assert_same_bytes(build_xd(H, d)[0], _reference_lift(H, d))
+            _assert_same_bytes(build_xd(H, d), _reference_lift(H, d))
 
     def test_zero_and_signed_zero_data(self):
         H = _random_hz(np.random.default_rng(6), 2, 2, 3, 2)
@@ -287,17 +287,17 @@ class TestLiftParity:
         Ab[0, 1], Ab[1, 0], Ac[0, 0], Ac[1, 1], b[1] = -0.0, 0.0, -0.0, 0.0, -0.0
         Z = HybridZonotope(H.Gc, H.Gb, H.c, Ac, Ab, b, FactorForm.ZO)
         for d in (1, 2, 3):
-            _assert_same_bytes(build_xd(Z, d)[0], _reference_lift(Z, d))
+            _assert_same_bytes(build_xd(Z, d), _reference_lift(Z, d))
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_demo_level_set(self, d):
         X = relugraph.level_set_above(relugraph.demo_network(), 0.5)
-        _assert_same_bytes(build_xd(X, d)[0], _reference_lift(X, d))
+        _assert_same_bytes(build_xd(X, d), _reference_lift(X, d))
 
     def test_sparse_lift_pickles_and_copies(self):
         # n_b = 8, d = 3 with n_g = 2 and n_c = 1, as in the benchmark
         H = _random_hz(np.random.default_rng([8, 2, 1]), 2, 2, 8, 1)
-        X, reference = build_xd(H, 3)[0], _reference_lift(H, 3)
+        X, reference = build_xd(H, 3), _reference_lift(H, 3)
         assert isinstance(X.Ac, SparseMatrix)
         _assert_same_bytes(X, reference)
         assert not np.asarray(X.Ac).flags.writeable
@@ -316,7 +316,7 @@ class TestLiftParity:
 
     def test_relaxation_writes_the_entries_into_one_array(self):
         H = _random_hz(np.random.default_rng([8, 2, 1]), 2, 2, 8, 1)
-        X, reference = build_xd(H, 3)[0], _reference_lift(H, 3)
+        X, reference = build_xd(H, 3), _reference_lift(H, 3)
         tracemalloc.start()
         try:
             R = convex_relaxation(X)
@@ -334,7 +334,7 @@ def _assert_same_sharpened(H, d):
     affine_map: Ac's entries, Ab, b and Gc byte for byte, Gb and c as
     numbers (the map's products can turn a -0.0 of the input into +0.0)."""
     Hz = convert_form(H.as_hybrid(), FactorForm.ZO)
-    ref = affine_map(build_xd(Hz, d)[0], np.hstack([Hz.Gb, Hz.Gc]), Hz.c)
+    ref = affine_map(build_xd(Hz, d), np.hstack([Hz.Gb, Hz.Gc]), Hz.c)
     out = rlt_sharpen(H, d)
     assert out.factor_form is FactorForm.ZO
     assert isinstance(out.Ac, SparseMatrix) and out.Ac.shape == ref.Ac.shape
@@ -400,15 +400,17 @@ class TestLiftEntryOrder:
         from math import comb
         H = _random_hz(np.random.default_rng([nb, ng, nc]), 2, ng, nb, nc)
         for d in range(1, nb + 1):
-            X, table = build_xd(H, d)
+            X = build_xd(H, d)
             row, col, val = X.Ac.row, X.Ac.col, X.Ac.val
             n_eq = nc * sum(comb(nb, i) for i in range(d + 1))
             n_D = comb(nb, min(d + 1, nb)) << min(d + 1, nb)
-            n_slack, n_w = table.n_slack, (1 << nb) - nb - 1
+            n_slack = n_D + 2 * ng * (comb(nb, d) << d)
+            n_w = (1 << nb) - nb - 1
+            slack_start = ng + n_w + ng * ((1 << nb) - 1)
             # the slacks close the entries, -1 on the diagonal
             assert np.array_equal(row[-n_slack:], np.arange(n_eq, X.n_c))
             assert np.array_equal(col[-n_slack:],
-                                  np.arange(table.slack_start, table.n_cols))
+                                  np.arange(slack_start, X.n_g))
             assert np.all(val[-n_slack:] == -1.0)
             row, col = row[:-n_slack], col[:-n_slack]
             gap = (row >= n_eq + n_D) & ((row - n_eq - n_D) % 2 == 1)
@@ -434,7 +436,7 @@ class TestLiftStorage:
         # n_b = 8, d = 4: 53288 entries in a 6435 x 7031 Ac, whose dense
         # form (np.zeros) alone would take 345 MiB
         H = _random_hz(np.random.default_rng(8), 2, 2, 8, 1)
-        for lift in (lambda: build_xd(H, 4)[0], lambda: rlt_sharpen(H, 4)):
+        for lift in (lambda: build_xd(H, 4), lambda: rlt_sharpen(H, 4)):
             tracemalloc.start()
             try:
                 X = lift()
@@ -454,7 +456,7 @@ def test_lift_transient_memory():
     H = _random_hz(np.random.default_rng(8), 2, 2, 8, 1)
     tracemalloc.start()
     try:
-        X = build_xd(H, 4)[0]
+        X = build_xd(H, 4)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

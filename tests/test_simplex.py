@@ -864,7 +864,7 @@ class TestCarriedInverse:
         R = convex_relaxation(X)
         lo, up = R.factor_bounds()
         cols = np.arange(X.n_g, X.n_g + X.n_b)
-        V = np.array([a.as_array() for a, _ in leaves(X)])
+        V = np.array([a for a, _ in leaves(X)])
         C = np.array([-(R.G.T @ u) for u in direction_set(2, 8)])
         true = [[_simplex.solve_bounded(c, R.A, R.b, *_pinned(lo, up, cols, v))
                  for v in V] for c in C]

@@ -1,4 +1,5 @@
-"""The scripts under tools/: the BENCH summary and the lift counts."""
+"""The scripts under tools/: the BENCH summary and the lift counts; and the
+names that perfbench's tracer wraps."""
 
 import importlib.util
 import json
@@ -8,16 +9,19 @@ import sys
 
 from zonosharp import _simplex
 
-TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "tools")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOLS = os.path.join(ROOT, "tools")
 
 
-def _tool(name):
-    spec = importlib.util.spec_from_file_location(
-        name, os.path.join(TOOLS, name + ".py"))
+def _module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tool(name):
+    return _module(name, os.path.join(TOOLS, name + ".py"))
 
 
 def _run(pass_s, correct=True, failed=0, attempted=100):
@@ -59,10 +63,9 @@ class TestBenchSummary:
 
 def test_lift_stats_prints_one_record_per_lift():
     # a subprocess, since the tool pins the BLAS threads of its process
-    root = os.path.dirname(TOOLS)
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     out = subprocess.run([sys.executable, os.path.join(TOOLS, "lift_stats.py"),
-                          "2,1", "3,2", "e,4"], cwd=root, env=env,
+                          "2,1", "3,2", "e,4"], cwd=ROOT, env=env,
                          capture_output=True, text=True, check=True)
     records = [json.loads(line) for line in out.stdout.splitlines()]
     assert [(r["nb"], r["d"], r["seed"]) for r in records] == \
@@ -127,3 +130,23 @@ def test_us_per_step_is_the_time_over_all_loop_steps():
     assert lift_stats.us_per_step(0.5, stats) is None
     stats.pivots.update({1: 100, 2: 300, "dual": 100})
     assert lift_stats.us_per_step(0.01, stats) == 20.0
+
+
+def test_tracer_targets_resolve_and_are_restored():
+    # `perfbench/run.py --trace 1` wraps every name in TARGETS, so a name
+    # removed from the package must leave TARGETS first
+    tracing = _module("perfbench_tracing",
+                      os.path.join(ROOT, "perfbench", "tracing.py"))
+    missing = [f"{module.__name__}.{name}" for module, name, _ in tracing.TARGETS
+               if not hasattr(module, name)]
+    assert not missing
+    originals = [getattr(module, name) for module, name, _ in tracing.TARGETS]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert all(getattr(module, name) is not fn for (module, name, _), fn
+                   in zip(tracing.TARGETS, originals, strict=True))
+    finally:
+        tracer.uninstall()
+    assert all(getattr(module, name) is fn for (module, name, _), fn
+               in zip(tracing.TARGETS, originals, strict=True))
