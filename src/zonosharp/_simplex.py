@@ -86,21 +86,24 @@ is made once per region per set object, however many queries follow.
 
 Every LP of a ladder is answered by one rule: one pass of the loop from
 the nearest certified state, certified by `_verdict`, else its cold retry,
-the dual start for its own cost and bounds, which is also what an LP with
-no such state gets.  A certified infeasible start answers every LP.
-`solve_bounded_many` answers many costs over one region, as the oracles'
-support LPs over many directions ask.  A cost starts warm from the final
-state of the cost before it in the same call when that one was certified
-optimal: only the cost differs, so that basis is still primal feasible.
-The first cost, and a cost after one that failed, start from a copy of
-the kept start; no state carries over between calls.  A warm answer may
-be another optimal vertex than a cold start finds, and is certified the
-same way.  `solve_bounded` is the one-cost case.
+the dual start for its own cost and bounds (`_cold`), which is also what
+an LP with no such state gets; the kept start is `_cold` for the cost 0.
+`Ladder.solve_many` is the one batch call: it answers many costs over one
+region, as the oracles' support LPs over many directions ask, and
+`solve_bounded_many` and `solve_bounded` are it on a new ladder.  A cost
+starts warm from the final state of the cost before it in the same call
+when that one was certified optimal: only the cost differs, so that basis
+is still primal feasible.  The first cost, and a cost after one that
+failed, start from a copy of the kept start; no state carries over
+between calls unless the caller's `keep` asks for a copy.  A warm answer
+may be another optimal vertex than a cold start finds, and is certified
+the same way.  A certified infeasible row, or kept start, answers every
+row of the batch.
 
 `Ladder.children` answers the children of one LP: the same region with
 chosen columns pinned to given values, as a leaf of a hybrid zonotope is
 its relaxation with the binary factors pinned.  The parent, the LP without
-pins, is handed in as a row of `Ladder.solve_iter` answered it.  A child
+pins, is handed in as a row of `Ladder.solve_many` answered it.  A child
 starts from a copy of the parent's optimal state with its columns pinned
 and its basic values settled (`_pinned`): pinning changes no cost and
 frees no column, so the basis stays dual feasible, and the loop restores
@@ -144,13 +147,12 @@ class LpStats:
     reads of a start that a `Ladder` kept from an earlier call.
     `artificials` lists, per start, the number of rows that start with an
     artificial basic variable.  `rows` counts the LPs answered: each cost
-    row of a `solve_bounded_many` batch and each `min_infeasibility` call
+    row of a `Ladder.solve_many` batch and each `min_infeasibility` call
     that returns.  `children` counts the children that `Ladder.children`
     answers, one per row of pinned values.  `cold_retries` counts the LPs
-    (batch rows, and the parents and children of `Ladder.children`)
-    answered by their own cold start, since their one pass was not
-    certified or had no start, and `status` the answers of
-    `solve_bounded_many` rows by status.
+    (batch rows and the children of `Ladder.children`) answered by their
+    own cold start, since their one pass was not certified or had no
+    start, and `status` the answers of batch rows by status.
     `max_residual` and `max_gap` are the largest primal residual and duality
     gap of an optimal verdict that its certificate accepted, each as a
     fraction of its threshold (so at most 1; 0 while none was accepted).
@@ -677,14 +679,11 @@ def _max_iter(A):
 def _cold(c, A, b, lo, up, max_iter):
     """(verdict, state) of the LP's own cold start, the dual start for c:
     state is the final state of a certified optimal verdict, else None, and
-    a start that no certificate passes is (2, 0.0, x) for its x.  A
-    certified verdict counts as a cold retry."""
+    a start that no certificate passes is (2, 0.0, x) for its x."""
     proposal, state = _start(c, A, b, lo, up, max_iter)
     verdict = _verdict(c, A, b, lo, up, proposal)
     if verdict is None:
         return (2, 0.0, proposal[1]), None
-    for stats in _OPEN_STATS:
-        stats.cold_retries += 1
     return verdict, (state if verdict[0] == 0 else None)
 
 
@@ -693,14 +692,14 @@ class Ladder:
     calls.
 
     A ladder keeps one start: the dual start (`_start`) for the cost 0,
-    made the first time a call needs it, and kept with its certified
-    verdict and, when optimal, its final state, read-only.  It does not
+    made the first time a call needs it, and kept with its verdict and,
+    when certified optimal, its final state, read-only.  It does not
     depend on any cost, so every later call reads the same start
     (`LpStats.phase1_reused`) and runs its passes on copies of it.  Every
     LP is answered by `_answer`: one pass from the nearest certified
     state, else its cold retry, the dual start for its own cost and bounds
     (`_cold`), kept by no one.  No state of a pass outlives its call
-    unless its caller copies it (`solve_iter`), so an answer does not
+    unless `solve_many` copies it for its caller, so an answer does not
     depend on the calls made before it.  Every pass works on A itself,
     with the artificials implicit: a ladder keeps no [A, I] and no call
     builds one.  Every loop run may take `_max_iter(A)` steps.  A ladder
@@ -715,21 +714,15 @@ class Ladder:
         self._kept = None  # (verdict, state) of the kept start, once made
 
     def kept_start(self):
-        """(verdict, state) of the kept start: the certified verdict of the
-        dual start for the cost 0, or None, and its read-only final state
-        when that verdict is optimal, else None.  Every read returns the
-        same pair."""
+        """(verdict, state) of the kept start: `_cold` for the cost 0, so
+        verdict has status 2 when no certificate passes, and its final
+        state, read-only, when that verdict is optimal, else None.  Every
+        read returns the same pair."""
         if self._kept is None:
-            A, b, lo, up = self.A, self.b, self.lo, self.up
-            zero = np.zeros(A.shape[1])
-            proposal, state = _start(zero, A, b, lo, up, self.max_iter)
-            verdict = _verdict(zero, A, b, lo, up, proposal)
-            if verdict is None or verdict[0] != 0:
-                state = None
-            else:
-                for a in state:
-                    a.setflags(write=False)
-            self._kept = verdict, state
+            self._kept = _cold(np.zeros(self.A.shape[1]), self.A, self.b,
+                               self.lo, self.up, self.max_iter)
+            for a in self._kept[1] or ():
+                a.setflags(write=False)
         else:
             for stats in _OPEN_STATS:
                 stats.phase1_reused += 1
@@ -739,7 +732,8 @@ class Ladder:
         """(verdict, state) of min c'x over this region with the bounds lo
         and up: one `_pass` from `start`, its steps counted under `phase`,
         if `_verdict` certifies it, else the LP's cold retry (`_cold`), as
-        when there is no start.  state is the final state of a certified
+        when there is no start; a certified cold retry counts in
+        `LpStats.cold_retries`.  state is the final state of a certified
         optimal answer, else None."""
         A, b = self.A, self.b
         if start is not None:
@@ -747,63 +741,47 @@ class Ladder:
             verdict = _verdict(c, A, b, lo, up, proposal)
             if verdict is not None:
                 return verdict, state
-        return _cold(c, A, b, lo, up, self.max_iter)
+        verdict, state = _cold(c, A, b, lo, up, self.max_iter)
+        if verdict[0] != 2:
+            for stats in _OPEN_STATS:
+                stats.cold_retries += 1
+        return verdict, state
 
-    def _row(self, c, kept, warm):
-        """`_answer` for the cost c from `warm`, the state of the row
-        before, else from a copy of the kept start; a certified infeasible
-        kept start answers at once."""
-        verdict, state = kept
-        if verdict is not None and verdict[0] == 1:
-            return verdict, None
-        if warm is None and state is not None:
-            warm = tuple(a.copy() for a in state)  # kept read-only
-        return self._answer(c, self.lo, self.up, warm, 2)
+    def solve_many(self, C, keep=None):
+        """min c'x over this region for each cost row c of C: one (verdict,
+        state) per row, verdict the (status, objective, x) of
+        `solve_bounded`.  state is a copy of the row's final state when its
+        verdict is certified optimal and `keep(x)` holds for its point x,
+        as the parent of `children`; else None.
 
-    def solve_iter(self, C):
-        """`solve_many`, one row at a time: yields (verdict, state) for each
-        cost row of C as it is answered.  state is the row's final state
-        when its verdict is certified optimal, else None; the next row's
-        pass changes it in place, so a caller that keeps it, as the parent
-        of `children`, copies it before it asks for the next row.
-
-        Infeasibility does not depend on the cost, so a certified infeasible
-        row answers every row of C: the rows after it are yielded its
-        verdict with no pass, and the rows yielded before it are infeasible
-        too.  Those may have been certified optimal: on a region whose
+        A row runs one pass from the final state of the row before it when
+        that one was certified optimal, else from a copy of the kept start.
+        Infeasibility does not depend on the cost, so a certified
+        infeasible row, or kept start, answers every row of C, those before
+        it too.  Those may have been certified optimal: on a region whose
         least 1-norm miss of Ax = b lies above FEAS_TOL*(1 + max|b|) and
         whose point misses by at most `residual_tol(b)` in every row, both
-        certificates pass.  So a batch whose last row is infeasible is
-        infeasible in every row: `solve_many` answers so, and a caller of
-        this generator drops the rows before it.  `lp_stats` counts the
-        rows and their statuses so, once C is exhausted."""
+        certificates pass.  `lp_stats` counts the rows and their statuses
+        as returned."""
         (C,) = _as_arrays(C)
         _check_cost(C)
-        if self.A.shape == (0, 0):
-            for _ in C:
-                yield (0, 0.0, np.zeros(0)), None
-            return
-        kept = self.kept_start()
-        statuses = Counter()
-        warm = None  # the final state of the row before, if certified
-        for i, c in enumerate(C):
-            verdict, warm = self._row(c, kept, warm)
+        kept, start = self.kept_start()
+        out, warm = [], None  # warm: the final state of the row before
+        for c in C:
+            verdict = kept
+            if kept[0] != 1:
+                if warm is None and start is not None:
+                    warm = tuple(a.copy() for a in start)  # kept read-only
+                verdict, warm = self._answer(c, self.lo, self.up, warm, 2)
             if verdict[0] == 1:
-                statuses = Counter({1: len(C)})
-                for _ in range(i, len(C)):
-                    yield (1, 0.0, verdict[2].copy()), None
+                out = [((1, 0.0, verdict[2].copy()), None) for _ in C]
                 break
-            statuses[verdict[0]] += 1
-            yield verdict, warm
+            keeps = warm is not None and keep is not None and keep(verdict[2])
+            out.append((verdict, tuple(a.copy() for a in warm)
+                        if keeps else None))
         for stats in _OPEN_STATS:
             stats.rows += len(C)
-            stats.status.update(statuses)
-
-    def solve_many(self, C):
-        """`solve_bounded_many` over this region."""
-        out = [verdict for verdict, _ in self.solve_iter(C)]
-        if out and out[-1][0] == 1:  # every row, as `solve_iter` says
-            out = [(1, 0.0, out[-1][2].copy()) for _ in out]
+            stats.status.update(verdict[0] for verdict, _ in out)
         return out
 
     def children(self, c, cols, V, parent):
@@ -812,8 +790,8 @@ class Ladder:
         `solve_many`.
 
         The parent is the LP without pins, (verdict, state) as a row of
-        `solve_iter` on this ladder answered it for the same cost c, its
-        state copied.  A certified infeasible parent answers every child,
+        `solve_many` on this ladder answered it for the same cost c, with
+        `keep` true there.  A certified infeasible parent answers every child,
         since a child's box lies inside the parent's, so the parent's ray
         proves at least the same miss.  Each other child is answered by
         `_answer` from `_pinned(parent, ...)`, a copy of a certified
@@ -872,7 +850,7 @@ def solve_bounded_many(C, A, b, lo, up):
     before any pass runs.  Each call makes a new `Ladder`;
     `Ladder.solve_many` answers on a kept one.
     """
-    return Ladder(A, b, lo, up).solve_many(C)
+    return [verdict for verdict, _ in Ladder(A, b, lo, up).solve_many(C)]
 
 
 def min_infeasibility(A, b, lo, up, tol=FEAS_TOL):

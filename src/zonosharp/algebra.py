@@ -111,7 +111,7 @@ def halfspace_intersection(H: AnySet, a, k: float) -> HybridZonotope:
     runs.
     """
     from . import core
-    from .oracle import _support_cz_many
+    from .oracle import _factor_optima
 
     H = H.as_hybrid()
     a = np.asarray(a, dtype=np.float64).reshape(-1)
@@ -119,7 +119,7 @@ def halfspace_intersection(H: AnySet, a, k: float) -> HybridZonotope:
         raise DimensionMismatch("normal vector length must equal ambient dim")
     if not (np.isfinite(a).all() and np.isfinite(k)):
         raise ValueError("a halfspace must have a finite normal and bound")
-    out = _support_cz_many(convex_relaxation(H), a[None])[0]
+    out = _factor_optima(convex_relaxation(H), a[None])[0]
     M = k if out is None else out[0]
     hi = max(M, k) + 1e-6
     band = convert_form(core.interval(k, hi), H.factor_form)

@@ -23,6 +23,7 @@ import contextlib
 import json
 import sys
 from dataclasses import asdict
+from functools import reduce
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from . import _simplex, algebra, core, oracle, relugraph, rlt
 from .core import FactorForm
 from .errors import (
     DimensionMismatch,
-    EmptyList,
     EmptySet,
     EnumerationCapExceeded,
     FormMismatch,
@@ -133,66 +133,46 @@ def _emit_json(obj, output):
         sys.stdout.write("\n")
 
 
+# each operation: (fewest sets, most sets, required flags, call(sets, args))
+OPERATIONS = {
+    "minksum": (2, np.inf, (),
+                lambda sets, args: reduce(algebra.minkowski_sum, sets)),
+    "map": (1, 1, ("matrix",), lambda sets, args: algebra.affine_map(
+        sets[0], _parse_array(args.matrix, "--matrix"),
+        _parse_array(args.offset, "--offset") if args.offset else None)),
+    "cartprod": (2, np.inf, (),
+                 lambda sets, args: reduce(algebra.cartesian_product, sets)),
+    "intersect": (2, 2, (), lambda sets, args: algebra.generalized_intersection(
+        sets[0], sets[1],
+        _parse_array(args.matrix, "--matrix") if args.matrix else None)),
+    "halfspace": (1, 1, ("normal", "bound"),
+                  lambda sets, args: algebra.halfspace_intersection(
+                      sets[0], _parse_array(args.normal, "--normal"),
+                      args.bound)),
+    "union": (1, np.inf, (), lambda sets, args: algebra.union(sets)),
+    "union-point": (1, 1, ("point",),
+                    lambda sets, args: algebra.union_with_point(
+                        sets[0], _parse_array(args.point, "--point"))),
+    "relax": (1, 1, (),
+              lambda sets, args: algebra.convex_relaxation(sets[0])),
+    "convert-form": (1, 1, ("form",), lambda sets, args: core.convert_form(
+        sets[0], FactorForm(args.form))),
+}
+
+
 def cmd_op(args):
     sets = [_read_set(p) for p in args.inputs]
     name = args.operation
-    try:
-        if name == "minksum":
-            if len(sets) < 2:
-                raise CliError(EXIT_PARSE, "minksum needs at least 2 sets")
-            out = sets[0]
-            for S in sets[1:]:
-                out = algebra.minkowski_sum(out, S)
-        elif name == "map":
-            if len(sets) != 1:
-                raise CliError(EXIT_PARSE, "map takes exactly 1 set")
-            if args.matrix is None:
-                raise CliError(EXIT_PARSE, "map requires --matrix")
-            R = _parse_array(args.matrix, "--matrix")
-            s = _parse_array(args.offset, "--offset") if args.offset else None
-            out = algebra.affine_map(sets[0], R, s)
-        elif name == "cartprod":
-            if len(sets) < 2:
-                raise CliError(EXIT_PARSE, "cartprod needs at least 2 sets")
-            out = sets[0]
-            for S in sets[1:]:
-                out = algebra.cartesian_product(out, S)
-        elif name == "intersect":
-            if len(sets) != 2:
-                raise CliError(EXIT_PARSE, "intersect takes exactly 2 sets")
-            Rmap = _parse_array(args.matrix, "--matrix") if args.matrix else None
-            out = algebra.generalized_intersection(sets[0], sets[1], Rmap)
-        elif name == "halfspace":
-            if len(sets) != 1:
-                raise CliError(EXIT_PARSE, "halfspace takes exactly 1 set")
-            if args.normal is None or args.bound is None:
-                raise CliError(EXIT_PARSE, "halfspace requires --normal and --bound")
-            a = _parse_array(args.normal, "--normal")
-            out = algebra.halfspace_intersection(sets[0], a, args.bound)
-        elif name == "union":
-            out = algebra.union(sets)
-        elif name == "union-point":
-            if len(sets) != 1:
-                raise CliError(EXIT_PARSE, "union-point takes exactly 1 set")
-            if args.point is None:
-                raise CliError(EXIT_PARSE, "union-point requires --point")
-            x = _parse_array(args.point, "--point")
-            out = algebra.union_with_point(sets[0], x)
-        elif name == "relax":
-            if len(sets) != 1:
-                raise CliError(EXIT_PARSE, "relax takes exactly 1 set")
-            out = algebra.convex_relaxation(sets[0])
-        elif name == "convert-form":
-            if len(sets) != 1:
-                raise CliError(EXIT_PARSE, "convert-form takes exactly 1 set")
-            if args.form is None:
-                raise CliError(EXIT_PARSE, "convert-form requires --form")
-            out = core.convert_form(sets[0], FactorForm(args.form))
-        else:  # argparse choices make this unreachable
-            raise CliError(EXIT_PARSE, f"unknown operation {name}")
-    except (DimensionMismatch, FormMismatch, EmptyList) as exc:
-        raise CliError(EXIT_DIMENSION, str(exc))
-    _emit_set(out, args.output)
+    fewest, most, flags, call = OPERATIONS[name]
+    if not fewest <= len(sets) <= most:
+        count = (f"takes exactly {fewest}" if fewest == most
+                 else f"needs at least {fewest}")
+        raise CliError(EXIT_PARSE,
+                       f"{name} {count} set{'s' if fewest > 1 else ''}")
+    if any(getattr(args, flag) is None for flag in flags):
+        raise CliError(EXIT_PARSE, f"{name} requires "
+                       + " and ".join(f"--{flag}" for flag in flags))
+    _emit_set(call(sets, args), args.output)
     return 0
 
 
@@ -342,9 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     p_op = sub.add_parser("op", help="apply a set operation to JSON set files")
-    p_op.add_argument("operation", choices=[
-        "minksum", "map", "cartprod", "intersect", "halfspace", "union",
-        "union-point", "relax", "convert-form"])
+    p_op.add_argument("operation", choices=list(OPERATIONS))
     p_op.add_argument("inputs", nargs="+", help="input set JSON files")
     p_op.add_argument("-o", "--output", help="output set JSON file (default stdout)")
     p_op.add_argument("--matrix", help="JSON matrix for map/intersect")

@@ -3,13 +3,16 @@
 Support functions, membership, emptiness, empirical sharpness certification,
 and 2D boundary/area extraction.  Hybrid zonotope queries decompose into
 per-leaf LPs over the continuous factor box; convex queries are single LPs.
+Every support query on a constrained zonotope is one batch, one row per
+direction, through `_factor_optima` and the kernel's one batch call,
+`_simplex.Ladder.solve_many`.
 `check_sharpness` solves the relaxation first and runs leaf LPs only in the
 directions where the relaxation's optimum is not already a point of a leaf
 (binaries integral, the leaf's equalities met): on a sharp set that is
 often none, and then no leaf LP runs.  In the other, open, directions each
 leaf LP is a child of the relaxation's LP, its binary columns pinned, and
 the kernel answers it by a dual pass from the relaxation's optimal basis,
-the final state of that direction's row of the relaxation's batch
+the final state that the batch kept for that direction's row
 (`_simplex.Ladder.children`), with no start of its own on the leaf unless
 no pass certifies it, when it gets the cold retry that any LP gets.
 A leaf there is its binary assignment alone, so `check_sharpness` builds
@@ -42,7 +45,6 @@ from .core import (
     AnySet,
     ConstrainedZonotope,
     DEFAULT_LEAF_CAP,
-    FactorForm,
     binary_assignments,
     leaves,
 )
@@ -121,10 +123,10 @@ def is_feasible_cz(L: ConstrainedZonotope) -> bool:
     L's equalities by more than FEAS_TOL*(1 + max|b|) in the 1-norm, the
     certificate by which `support` raises EmptySet.  No LP runs past the
     start.  Raises NumericalFailure when no verdict is certified."""
-    verdict = L.lp_ladder().kept_start()[0]
-    if verdict is None:
+    st = L.lp_ladder().kept_start()[0][0]
+    if st == 2:
         raise NumericalFailure("emptiness LP failed with status 2")
-    return verdict[0] == 0
+    return st == 0
 
 
 def is_empty(S: AnySet, cap: int = DEFAULT_LEAF_CAP) -> bool:
@@ -137,37 +139,22 @@ def is_empty(S: AnySet, cap: int = DEFAULT_LEAF_CAP) -> bool:
 
 def _factor_optima(L: ConstrainedZonotope, U: np.ndarray,
                    keep=None) -> list:
-    """(value, factor point xi, parent) of L in each direction (row) of U,
-    or None where the kernel certifies L empty; one batch of LPs over L's
-    factor box (`Ladder.solve_iter`).  parent is None unless `keep(xi)`
-    holds, decided as the row is answered; then it is the row's (verdict,
-    final state), the state copied before the next row changes it, which
-    `Ladder.children` takes as the parent of that direction's children.
-    A certified infeasible last row makes every row None, as
-    `Ladder.solve_many` answers such a batch; else a row of status 2
-    raises NumericalFailure."""
+    """(value, point, row) of L in each direction (row) of U, or None where
+    the kernel certifies L empty: one batch of LPs over L's factor box
+    (`Ladder.solve_many`).  row is the batch's (verdict, state), whose
+    state is None unless `keep(xi)` holds for the factor optimum xi; then
+    it is a copy of the row's final state, which `Ladder.children` takes as
+    the parent of that direction's children.  A row of status 2 raises
+    NumericalFailure."""
     C = np.array([-(L.G.T @ u) for u in U])
-    rows = []
-    for verdict, state in L.lp_ladder().solve_iter(C):
-        parent = None
-        if verdict[0] == 0 and keep is not None and keep(verdict[2]):
-            parent = verdict, tuple(a.copy() for a in state)
-        rows.append((verdict, parent))
-    if rows and rows[-1][0][0] == 1:
-        return [None] * len(rows)
     out = []
-    for u, ((st, obj, xi), parent) in zip(U, rows):
-        if st != 0:
-            raise NumericalFailure(f"support LP failed with status {st}")
-        out.append((float(u @ L.c) - obj, xi, parent))
+    for u, row in zip(U, L.lp_ladder().solve_many(C, keep)):
+        st, obj, xi = row[0]
+        if st == 2:
+            raise NumericalFailure("support LP failed with status 2")
+        out.append(None if st == 1 else
+                   (float(u @ L.c) - obj, L.G @ xi + L.c, row))
     return out
-
-
-def _support_cz_many(L: ConstrainedZonotope, U: np.ndarray) -> list:
-    """(value, point) of L in each direction (row) of U, or None where the
-    kernel certifies L empty."""
-    return [None if out is None else (out[0], L.G @ out[1] + L.c)
-            for out in _factor_optima(L, U)]
 
 
 def _support_points(leaf_list: list[ConstrainedZonotope], U: np.ndarray) -> list:
@@ -176,9 +163,9 @@ def _support_points(leaf_list: list[ConstrainedZonotope], U: np.ndarray) -> list
     the maximum wins."""
     best = [None] * len(U)
     for L in leaf_list:
-        for i, out in enumerate(_support_cz_many(L, U)):
+        for i, out in enumerate(_factor_optima(L, U)):
             if out is not None and (best[i] is None or out[0] > best[i][0]):
-                best[i] = out
+                best[i] = out[:2]
     return best
 
 
@@ -336,7 +323,7 @@ def _leaf_maxima(assignments: np.ndarray, R: ConstrainedZonotope,
     of `assignments` (its binary values, in `binary_assignments` order), in
     each direction (row) of U, -inf where every leaf is empty; R is H's
     relaxation, and parents[i] the (verdict, state) of R's LP in direction
-    U[i] from `_factor_optima`.
+    U[i], its row of `_factor_optima`.
 
     A leaf's LP is the LP of R with its binary factors, R's last n_b
     columns, pinned to the leaf's assignment.  So in each direction the
@@ -400,12 +387,12 @@ def check_sharpness(H: AnySet, n_dirs: int = 64, tol: float = SHARP_TOL,
     if any(out is None for out in relaxed):
         raise EmptySet("sharpness check on an empty set")
     rs = np.array([v for v, _, _ in relaxed])
-    parents = [parent for _, _, parent in relaxed]
-    closed = np.array([parent is None for parent in parents])
+    closed = np.array([row[1] is None for _, _, row in relaxed])
     hs = rs.copy()
     if not np.all(closed):
         hs[~closed] = _leaf_maxima(binary_assignments(H), R, dirs[~closed],
-                                   [p for p in parents if p is not None])
+                                   [row for _, _, row in relaxed
+                                    if row[1] is not None])
     max_gap = float(np.max(rs - hs))
     verdict = SharpnessVerdict.SHARP if max_gap <= tol else SharpnessVerdict.NOT_SHARP
     return SharpnessReport(dirs, rs, hs, closed, max_gap, verdict, tol)

@@ -43,7 +43,7 @@ from zonosharp import (
 from zonosharp.algebra import generalized_intersection
 from zonosharp.cli import main as cli_main
 from zonosharp.core import leaves
-from zonosharp.oracle import SharpnessVerdict, _support_cz_many
+from zonosharp.oracle import SharpnessVerdict, _factor_optima
 
 
 def _line(capsys, ok, label, detail):
@@ -94,7 +94,7 @@ def _leaf_support(H, u):
     """Convex-hull support via exhaustive leaf enumeration (the oracle)."""
     best = -np.inf
     for _, L in leaves(H):
-        out = _support_cz_many(L, u[None])[0]
+        out = _factor_optima(L, u[None])[0]
         if out is not None:
             best = max(best, out[0])
     return best

@@ -75,6 +75,38 @@ def test_nonfinite_number_exit_2(square, tmp_path, capsys, args, flag):
     assert "Traceback" not in err and "finite" in errors[0]
 
 
+@pytest.mark.parametrize("args, named", [
+    (["minksum", "{set}"], "minksum"),
+    (["cartprod", "{set}"], "cartprod"),
+    (["intersect", "{set}"], "intersect"),
+    (["intersect", "{set}", "{set}", "{set}"], "intersect"),
+    (["map", "{set}", "{set}", "--matrix", "[[1, 0], [0, 1]]"], "map"),
+    (["halfspace", "{set}", "{set}", "--normal", "[1, 0]", "--bound", "0"],
+     "halfspace"),
+    (["union-point", "{set}", "{set}", "--point", "[0, 0]"], "union-point"),
+    (["relax", "{set}", "{set}"], "relax"),
+    (["convert-form", "{set}", "{set}", "--form", "pm1"], "convert-form"),
+    (["map", "{set}"], "--matrix"),
+    (["halfspace", "{set}", "--bound", "0"], "--normal"),
+    (["halfspace", "{set}", "--normal", "[1, 0]"], "--bound"),
+    (["union-point", "{set}"], "--point"),
+    (["convert-form", "{set}"], "--form")],
+    ids=["minksum-1", "cartprod-1", "intersect-1", "intersect-3", "map-2",
+         "halfspace-2", "union-point-2", "relax-2", "convert-form-2",
+         "no-matrix", "no-normal", "no-bound", "no-point", "no-form"])
+def test_op_arity_and_required_flag_exit_2(square, tmp_path, capsys, args,
+                                           named):
+    # too few or too many input sets, or a required flag left out
+    out = tmp_path / "out.json"
+    code = main(["op"] + [a.format(set=square) for a in args]
+                + ["-o", str(out)])
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and named in errors[0]
+    assert "Traceback" not in err
+
+
 class TestOp:
     def test_minksum(self, square, square2, tmp_path):
         out = str(tmp_path / "out.json")

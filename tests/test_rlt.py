@@ -31,7 +31,7 @@ from zonosharp import (
     union,
 )
 from zonosharp.core import convert_form, leaves, set_from_obj, set_to_obj
-from zonosharp.oracle import (SharpnessVerdict, _support_cz_many, direction_set,
+from zonosharp.oracle import (SharpnessVerdict, _factor_optima, direction_set,
                               is_feasible_cz)
 
 
@@ -55,7 +55,7 @@ def _random_hz(rng, n, ng, nb, nc):
 def _leaf_support(H, u):
     best = -np.inf
     for _, L in leaves(H):
-        out = _support_cz_many(L, u[None])[0]
+        out = _factor_optima(L, u[None])[0]
         if out is not None:
             best = max(best, out[0])
     return best

@@ -126,11 +126,18 @@ class TestRandomAgainstBruteForce:
             assert st == 1
 
 
+def keep_row(ladder, c):
+    """The row (verdict, state) of the cost c in a one-row batch of
+    `ladder.solve_many`, its state kept."""
+    return ladder.solve_many(np.asarray(c, dtype=np.float64)[None],
+                             keep=lambda x: True)[0]
+
+
 def ladder_children(ladder, c, cols, V):
     """`ladder.children(c, cols, V, parent)` with the parent answered as a
-    one-row batch of `ladder.solve_iter`, as `check_sharpness` hands over
-    an open direction's row."""
-    parent = next(ladder.solve_iter(np.asarray(c, dtype=np.float64)[None]))
+    one-row batch of `ladder.solve_many` that keeps its state, as
+    `check_sharpness` hands over an open direction's row."""
+    parent = keep_row(ladder, c)
     return ladder.children(c, cols, V, parent)
 
 
@@ -223,7 +230,7 @@ class TestDualPass:
         cols = np.arange(n - nb, n)
         V = np.array(list(itertools.product((0.0, 1.0), repeat=nb)))
         ladder = _simplex.Ladder(A, A @ x0, lo, up)
-        parent = next(ladder.solve_iter(c[None]))
+        parent = keep_row(ladder, c)
         before = [a.copy() for a in parent[1]]
         with _simplex.lp_stats() as stats:
             ladder.children(c, cols, V, parent)
@@ -322,8 +329,6 @@ class TestCertificates:
                   np.ones(1))
         fake_near_miss(monkeypatch)
         C = [[-1.0], [1.0]]
-        rows = [v for v, _ in _simplex.Ladder(*region).solve_iter(C)]
-        assert [st for st, _, _ in rows] == [0, 1]
         with _simplex.lp_stats() as stats:
             out = _simplex.solve_bounded_many(C, *region)
         assert [st for st, _, _ in out] == [1, 1]
@@ -342,7 +347,7 @@ class TestCertificates:
                 _simplex.solve_bounded_many([[1.0, 2.0], c], A, b, lo, up)
         assert stats.phase1_runs == 0 and stats.rows == 0
         ladder = _simplex.Ladder(A, b, lo, up)
-        parent = next(ladder.solve_iter([self.LP[0]]))
+        parent = keep_row(ladder, self.LP[0])
         with _simplex.lp_stats() as stats:
             with pytest.raises(ValueError, match="finite entries"):
                 ladder.children(c, [0], [[0.0]], parent)
@@ -353,7 +358,7 @@ class TestCertificates:
         # a NaN pin was once answered (2, 0.0, [nan, 0.0])
         c, A, b, lo, up = self.LP
         ladder = _simplex.Ladder(A, b, lo, up)
-        parent = next(ladder.solve_iter([c]))
+        parent = keep_row(ladder, c)
         with _simplex.lp_stats() as stats:
             with pytest.raises(ValueError, match="finite entries"):
                 ladder.children(c, [0], [[0.0], [v]], parent)
@@ -579,12 +584,22 @@ class TestLadder:
         for a, b in zip(end, end2, strict=True):
             assert a is b and not a.flags.writeable
 
+    def test_uncertified_kept_start_is_status_2(self, fake_pass):
+        # a kept start that no certificate passes is `_cold`'s status-2
+        # answer at its point, with no state, and is no cold retry
+        fake_pass(2)
+        ladder = _simplex.Ladder(*TestBatch.REGION)
+        with _simplex.lp_stats() as stats:
+            (st, obj, x), state = ladder.kept_start()
+        assert (st, obj, state) == (2, 0.0, None)
+        assert x.tolist() == [0.0, 0.0] and stats.cold_retries == 0
+
     def test_solves_match_fresh_ladders(self):
         # a kept ladder answers as one made for the call
         C = TestBatch.C
         ladder = _simplex.Ladder(*TestBatch.REGION)
         for _ in range(2):
-            kept = ladder.solve_many(C)
+            kept = [verdict for verdict, _ in ladder.solve_many(C)]
             fresh = _simplex.solve_bounded_many(C, *TestBatch.REGION)
             for (st, obj, x), (st2, obj2, x2) in zip(kept, fresh, strict=True):
                 assert (st, obj) == (st2, obj2) and x.tobytes() == x2.tobytes()
@@ -742,7 +757,7 @@ class TestImplicitArtificials:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert [st for st, _, _ in out] == [0, 0, 0]
+        assert [st for (st, _, _), _ in out] == [0, 0, 0]
         assert stats.artificials[0] > 0 and stats.by_dual[1] > 0
         assert peak < A.nbytes
 
@@ -754,6 +769,17 @@ class TestImplicitArtificials:
                                           np.array([b]), np.zeros(0),
                                           np.zeros(0))
         assert [r[0] for r in out] == [st, st]
+
+    def test_region_without_rows_or_columns(self):
+        # A is 0 x 0: the general path makes its start and answers each
+        # row 0 at the one point of the empty box, and counts every row
+        with _simplex.lp_stats() as stats:
+            out = _simplex.solve_bounded_many(np.zeros((3, 0)), np.zeros((0, 0)),
+                                              [], [], [])
+        assert [(st, obj, x.tolist()) for st, obj, x in out] == \
+            [(0, 0.0, [])] * 3
+        assert stats.rows == 3 and stats.phase1_runs == 1
+        assert stats.status == Counter({0: 3})
 
 
 def _demo_lift():

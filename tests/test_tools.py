@@ -1,6 +1,9 @@
-"""The scripts under tools/: the BENCH summary and the lift counts; and the
-names that perfbench's tracer wraps."""
+"""The scripts under tools/: the BENCH summary and the lift counts; the
+names that perfbench's tracer wraps; and the imports of the package and
+the tools."""
 
+import ast
+import glob
 import importlib.util
 import json
 import os
@@ -150,3 +153,29 @@ def test_tracer_targets_resolve_and_are_restored():
         tracer.uninstall()
     assert all(getattr(module, name) is fn for (module, name, _), fn
                in zip(tracing.TARGETS, originals, strict=True))
+
+
+def _unused_imports(path):
+    """The names that a module imports at its top level and never reads."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                # `import a.b` binds the name a
+                imported[alias.asname or alias.name.split(".")[0]] = \
+                    alias.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{os.path.relpath(path, ROOT)}:{line} {name}"
+            for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    # the package's __init__ imports its public API, which it never reads
+    paths = [p for p in glob.glob(os.path.join(ROOT, "src", "zonosharp", "*.py"))
+             if os.path.basename(p) != "__init__.py"]
+    paths += glob.glob(os.path.join(TOOLS, "*.py"))
+    assert len(paths) > 2
+    assert [name for p in sorted(paths) for name in _unused_imports(p)] == []
